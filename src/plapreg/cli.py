@@ -21,9 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .fields import Grid, ScalarField, VectorField, read_field_csv, read_grid_json
+from .fields import Grid, ScalarField, read_field_csv, read_grid_json, write_json
 from .pointwise import PLapParams
 from .smoothness import (
     dyadic_shifts,
@@ -140,20 +138,18 @@ def _eps_list(raw) -> tuple:
     return tuple(float(part) for part in str(raw).split(",") if part.strip())
 
 
-def _problem(name: str, p: float, eps: float, nodes: int, s=None) -> ProblemSpec:
-    grid = Grid.line(-1.0, 1.0, nodes)
-    if name == "sharp":
-        return oracle_problem(SharpnessOracle(p=p), grid, eps, s=s)
-    params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
-    return ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
-                       ScalarField.constant(grid, 0.0))
-
-
-def _write_report(outdir: Path, payload: dict) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+def _problem(cfg: dict, eps: float) -> ProblemSpec:
+    """The run's built-in problem; resolves cfg["s"] (default p/2) from its params."""
+    grid = Grid.line(-1.0, 1.0, cfg["nodes"])
+    p, s = cfg["p"], cfg["s"]
+    if cfg["oracle"] == "sharp":
+        spec = oracle_problem(SharpnessOracle(p=p), grid, eps, s=s)
+    else:
+        params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
+        spec = ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
+                           ScalarField.constant(grid, 0.0))
+    cfg["s"] = spec.params.s
+    return spec
 
 
 def _require(condition: bool, message: str) -> None:
@@ -171,15 +167,13 @@ def _cmd_solve(args) -> int:
                    oracle="sharp", out="plapreg-out", mode="auto")
     eps = float(cfg["eps"])
     _require(eps > 0.0, "solve requires eps > 0")
-    s = cfg["s"] if cfg["s"] is not None else cfg["p"] / 2.0
-    PLapParams(p=cfg["p"], eps=eps, s=s).require_mode(cfg["mode"])
-    spec = _problem(cfg["oracle"], cfg["p"], eps, cfg["nodes"], s=s)
+    spec = _problem(cfg, eps)
+    spec.params.require_mode(cfg["mode"])
     outdir = Path(cfg["out"])
     result = solve(spec)
     summary = write_solve_result(result, spec, outdir)
-    cfg["s"] = spec.params.s
-    _write_report(outdir, {"command": "solve", "config": _jsonable(cfg),
-                           "result": summary})
+    write_json({"command": "solve", "config": cfg, "result": summary},
+               outdir / "report.json")
     return 0 if result.converged else 1
 
 
@@ -206,89 +200,62 @@ def _cmd_estimate(args) -> int:
     report = fit_smoothness_exponent(field, cfg["q"], shifts)
     outdir = Path(cfg["out"])
     write_seminorm_report(report, outdir)
-    payload = {"command": "estimate", "config": _jsonable(cfg),
-               "report": report.to_dict()}
+    payload = {"command": "estimate", "config": cfg, "report": report.to_dict()}
     if cfg["theta"] is not None:
         payload["seminorm_at_theta"] = nikolskii_seminorm(
             field, cfg["q"], cfg["theta"], shifts
         )
-    _write_report(outdir, payload)
+    write_json(payload, outdir / "report.json")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    _require(args.p is not None, "sweep requires --p")
-    cfg = _resolve(args, p=None, eps=DEFAULT_EPS_SWEEP, s=None,
+def _sweep(args, head: dict, p_default) -> int:
+    """The eps sweep behind both `sweep` and `verify --suite eps-uniform`."""
+    cfg = _resolve(args, p=p_default, eps=DEFAULT_EPS_SWEEP, s=None,
                    nodes=DEFAULT_NODES_1D, delta=DEFAULT_DELTA_SWEEP,
                    oracle="sharp", out="plapreg-out")
     eps_values = _eps_list(cfg["eps"])
     _require(bool(eps_values) and min(eps_values) > 0.0,
              "sweep requires positive eps values")
     cfg["eps"] = list(eps_values)
-    s = cfg["s"] if cfg["s"] is not None else cfg["p"] / 2.0
-    cfg["s"] = s
-    template = _problem(cfg["oracle"], cfg["p"], eps_values[0], cfg["nodes"], s=s)
-    result = run_eps_sweep(template, s, eps_values, cfg["delta"],
+    template = _problem(cfg, eps_values[0])
+    result = run_eps_sweep(template, cfg["s"], eps_values, cfg["delta"],
                            workers=_worker_count())
     outdir = Path(cfg["out"])
     write_sweep_result(result, outdir)
-    _write_report(outdir, {"command": "sweep", "config": _jsonable(cfg),
-                           "result": result.to_dict()})
+    write_json({**head, "config": cfg, "result": result.to_dict()},
+               outdir / "report.json")
     return 0 if result.verdict in ("pass", "outside-theorem") else 1
+
+
+def _cmd_sweep(args) -> int:
+    _require(args.p is not None, "sweep requires --p")
+    return _sweep(args, {"command": "sweep"}, p_default=None)
 
 
 def _cmd_verify(args) -> int:
     _require(args.suite is not None, "verify requires --suite")
     suite = args.suite
-    outdir = None
+    head = {"command": "verify", "suite": suite}
+    if suite == "eps-uniform":
+        return _sweep(args, head, p_default=3.0)
     if suite == "theorem1":
         cfg = _resolve(args, p=4.0, nodes=DEFAULT_NODES_1D,
                        delta=DEFAULT_DELTA_EXPONENTS, out="plapreg-out")
         report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"],
                                     negative_control=True)
-        outdir = Path(cfg["out"])
-        write_theorem1_report(report, outdir)
-        _write_report(outdir, {"command": "verify", "suite": suite,
-                               "config": _jsonable(cfg), "result": report.to_dict()})
-        return 0 if report.passed else 1
-    if suite == "eps-uniform":
-        cfg = _resolve(args, p=3.0, s=None, eps=DEFAULT_EPS_SWEEP,
-                       nodes=DEFAULT_NODES_1D, delta=DEFAULT_DELTA_SWEEP,
+        write_report = write_theorem1_report
+    else:  # scaling
+        cfg = _resolve(args, p=3.0, eps="1e-3", s=None, lam=0.5, nodes=1025,
                        oracle="sharp", out="plapreg-out")
-        s = cfg["s"] if cfg["s"] is not None else cfg["p"] / 2.0
-        cfg["s"] = s
-        eps_values = _eps_list(cfg["eps"])
-        cfg["eps"] = list(eps_values)
-        template = _problem(cfg["oracle"], cfg["p"], eps_values[0], cfg["nodes"], s=s)
-        result = run_eps_sweep(template, s, eps_values, cfg["delta"],
-                               workers=_worker_count())
-        outdir = Path(cfg["out"])
-        write_sweep_result(result, outdir)
-        _write_report(outdir, {"command": "verify", "suite": suite,
-                               "config": _jsonable(cfg), "result": result.to_dict()})
-        return 0 if result.verdict in ("pass", "outside-theorem") else 1
-    # scaling
-    cfg = _resolve(args, p=3.0, eps="1e-3", s=None, lam=0.5, nodes=1025,
-                   oracle="sharp", out="plapreg-out")
-    _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")
-    s = cfg["s"] if cfg["s"] is not None else cfg["p"] / 2.0
-    cfg["s"] = s
-    spec = _problem(cfg["oracle"], cfg["p"], float(cfg["eps"]), cfg["nodes"], s=s)
-    report = run_scaling_check(spec, cfg["lam"])
+        _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")
+        report = run_scaling_check(_problem(cfg, float(cfg["eps"])), cfg["lam"])
+        write_report = write_scaling_report
     outdir = Path(cfg["out"])
-    write_scaling_report(report, outdir)
-    _write_report(outdir, {"command": "verify", "suite": suite,
-                           "config": _jsonable(cfg), "result": report.to_dict()})
+    write_report(report, outdir)
+    write_json({**head, "config": cfg, "result": report.to_dict()},
+               outdir / "report.json")
     return 0 if report.passed else 1
-
-
-def _jsonable(cfg: dict) -> dict:
-    out = {}
-    for key, val in cfg.items():
-        if isinstance(val, (np.floating, np.integer)):
-            val = val.item()
-        out[key] = val
-    return out
 
 
 def main(argv=None) -> int:

@@ -21,12 +21,11 @@ from dataclasses import dataclass, asdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 import csv
-import json
 import math
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, gradient, interior_mask
+from .fields import Grid, ScalarField, VectorField, gradient, interior_mask, write_json
 from .pointwise import PLapParams, alpha_s
 from .smoothness import (
     dyadic_shifts,
@@ -317,8 +316,7 @@ def run_eps_sweep(
 
     def run_cell(eps: float) -> SweepCell:
         spec = template.with_params(
-            PLapParams(p=p, eps=eps, s=s, theta=template.params.theta,
-                       q_nik=template.params.q_nik)
+            PLapParams(p=p, eps=eps, s=s, theta=template.params.theta)
         )
         result = solve(spec)
         if not result.converged:
@@ -392,8 +390,7 @@ def run_scaling_check(spec: ProblemSpec, lam: float,
         raise ValueError("lambda must be positive")
     p, s = spec.params.p, spec.params.s
     base = solve(spec)
-    scaled_params = PLapParams(p=p, eps=lam * spec.params.eps, s=s,
-                               theta=spec.params.theta, q_nik=spec.params.q_nik)
+    scaled_params = PLapParams(p=p, eps=lam * spec.params.eps, s=s, theta=spec.params.theta)
     scaled_spec = ProblemSpec(
         spec.grid,
         scaled_params,
@@ -421,10 +418,7 @@ def run_scaling_check(spec: ProblemSpec, lam: float,
 
 def write_theorem1_report(report: Theorem1Report, outdir, basename: str = "theorem1"):
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{basename}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(report.to_dict(), outdir / f"{basename}.json")
     with open(outdir / f"{basename}.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"])
@@ -437,10 +431,7 @@ def write_theorem1_report(report: Theorem1Report, outdir, basename: str = "theor
 
 def write_sweep_result(result: SweepResult, outdir, basename: str = "sweep"):
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{basename}.json").write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(result.to_dict(), outdir / f"{basename}.json")
     with open(outdir / f"{basename}.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["eps", "w1p_norm", "alpha_w12", "el_residual", "iterations"])
@@ -451,7 +442,4 @@ def write_sweep_result(result: SweepResult, outdir, basename: str = "sweep"):
 
 def write_scaling_report(report: ScalingReport, outdir, basename: str = "scaling"):
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{basename}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(report.to_dict(), outdir / f"{basename}.json")

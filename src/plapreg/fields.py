@@ -27,6 +27,7 @@ __all__ = [
     "divergence",
     "interior_mask",
     "adjointness_defect",
+    "write_json",
     "write_grid_json",
     "read_grid_json",
     "write_field_csv",
@@ -319,6 +320,13 @@ def adjointness_defect(F: VectorField, phi: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 # serialization: CSV fields with a JSON grid sidecar
 
+def write_json(payload: dict, path) -> None:
+    """Write payload with sorted keys, indent 2 and a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def write_grid_json(grid: Grid, path) -> None:
     payload = {
         "dim": grid.dim,
@@ -326,7 +334,7 @@ def write_grid_json(grid: Grid, path) -> None:
         "upper": list(grid.upper),
         "nodes": list(grid.nodes),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(payload, path)
 
 
 def read_grid_json(path) -> Grid:

@@ -167,7 +167,7 @@ def integrand_lower_bound_check(H, w, eps, p, q_proof):
 
 @dataclass(frozen=True)
 class PLapParams:
-    """Exponent bundle (p, eps, s, theta, q_nik) with the derived exponents.
+    """Exponent bundle (p, eps, s, theta) with the derived exponents.
 
     q_proof = p - 2s + 2 and p_prime = p / (p - 1) are derived.  Two
     parameter regimes are distinguished for validation:
@@ -183,20 +183,16 @@ class PLapParams:
     eps: float = 0.0
     s: float = 1.0
     theta: float = 0.5
-    q_nik: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "q_nik", float(self.q_nik))
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.q_nik < 1:
-            raise ValueError(f"q_nik must be >= 1, got {self.q_nik}")
 
     @property
     def p_prime(self) -> float:

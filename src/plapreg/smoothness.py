@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from pathlib import Path
 import csv
-import json
 import math
 
 import numpy as np
 
-from .fields import Grid, InteriorMask, ScalarField, VectorField, gradient, interior_mask
+from .fields import (
+    Grid, InteriorMask, ScalarField, VectorField, gradient, interior_mask, write_json,
+)
 from .pointwise import beta_theta
 
 __all__ = [
@@ -60,7 +61,9 @@ class SeminormReport:
 
     flag is "ok", "constant-like" (all differences vanish), or "clipped"
     (raw slope fell outside [0, 1]; fitted_theta is the clipped value and
-    raw_slope keeps the unclipped one).
+    raw_slope keeps the unclipped one).  fallback is True when fewer than 3
+    shifts fell inside the requested window and every shift with a nonzero
+    norm was fitted instead; fit_window is then the span of those shifts.
     """
 
     q: float
@@ -74,6 +77,7 @@ class SeminormReport:
     fit_window: tuple       # (vmin, vmax) actually used for the fit
     n_fit: int
     raw_slope: float
+    fallback: bool = False
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -229,16 +233,18 @@ def fit_smoothness_exponent(field, q: float, shifts, fit_window=None) -> Seminor
         offsets=tuple(tuple(o) for o in shifts),
         v_mags=tuple(float(m) for m in mags),
         per_shift_norm=tuple(float(n) for n in norms),
-        fit_window=(float(lo), float(hi)),
     )
     if not np.any(norms > 1e-13 * scale):
         return SeminormReport(
             fitted_theta=1.0, fitted_A=0.0, fit_r2=_R2_DEGENERATE,
-            flag="constant-like", n_fit=0, raw_slope=1.0, **common,
+            flag="constant-like", n_fit=0, raw_slope=1.0,
+            fit_window=(float(lo), float(hi)), **common,
         )
-    if np.count_nonzero(usable) < 3:
-        # window too narrow for this family: fall back to every nonzero shift
+    fallback = np.count_nonzero(usable) < 3
+    if fallback:
+        # window too narrow for this family: fit every nonzero shift instead
         usable = norms > 1e-13 * scale
+        lo, hi = mags[usable].min(), mags[usable].max()
     if np.count_nonzero(usable) < 2:
         raise ValueError(
             "fewer than 2 shifts carry signal; cannot fit a growth rate"
@@ -258,6 +264,8 @@ def fit_smoothness_exponent(field, q: float, shifts, fit_window=None) -> Seminor
         flag=flag,
         n_fit=int(np.count_nonzero(usable)),
         raw_slope=float(slope),
+        fit_window=(float(lo), float(hi)),
+        fallback=bool(fallback),
         **common,
     )
 
@@ -348,10 +356,7 @@ def composition_bound_check(
 def write_seminorm_report(report: SeminormReport, outdir, basename: str = "seminorm"):
     """Write <basename>.json and the per-shift table <basename>.csv."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{basename}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    write_json(report.to_dict(), outdir / f"{basename}.json")
     dim = len(report.offsets[0]) if report.offsets else 1
     with open(outdir / f"{basename}.csv", "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -6,14 +6,23 @@ The discrete energy is
 
 where c(u) is the cell-centered gradient (forward difference per cell in
 1D, corner-averaged differences per cell in 2D) and w are trapezoid node
-weights for the source term.  With this pairing the exact gradient of E
-with respect to an interior node value equals minus the node weight times
+weights for the source term.  The cell gradient is one sparse matrix D
+(cells * dim rows, cell-major with components fastest; one column per
+node), built once per grid, and everything the solve needs derives from it:
+
+    c = (D u).reshape(-1, dim)
+    grad E = D^T (vol * flux(c)) + w * f
+    K_II = D_I^T blockdiag(vol * H(c)) D_I
+
+where D_I holds the columns of the interior nodes and flux and H are the
+closed-form derivatives of L_eps.  With this pairing the exact gradient of
+E with respect to an interior node value equals minus the node weight times
 the conservative flux-difference operator, so the Euler-Lagrange residual
 reported here is the first variation of the energy and vanishes at the
 discrete minimizer (no separate adjointness defect enters the solve).
 
-Minimization is damped Newton on the interior unknowns with the closed
-form cell Hessians, an Armijo backtracking line search, and a gradient
+Minimization is damped Newton on the interior unknowns with the Hessian
+K_II, an Armijo backtracking line search, and a gradient
 descent fallback if a Newton direction ever fails to decrease the energy.
 For small eps the solve walks a geometric eps continuation path, warm
 starting each stage, which keeps Newton steps well scaled even when the
@@ -26,16 +35,17 @@ internal to the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import csv
-import json
+import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Grid, ScalarField, write_field_csv, write_grid_json
+from .fields import Grid, ScalarField, write_field_csv, write_grid_json, write_json
 from .pointwise import PLapParams, L_eps, grad_L_eps, hess_L_eps
 
 __all__ = [
@@ -87,45 +97,47 @@ class SolveResult:
     el_residual: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)  # (iteration, energy, grad_norm)
+    trace: tuple = ()  # (iteration, energy, grad_norm) rows
+
+    def __post_init__(self):
+        object.__setattr__(self, "trace", tuple(tuple(row) for row in self.trace))
 
 
 # ---------------------------------------------------------------------------
-# cell-centered machinery
+# the cell-gradient operator
+
+@functools.lru_cache(maxsize=4)
+def _gradient_operator(grid: Grid) -> tuple:
+    """(D, D_I, D_I^T): the cell gradient as a sparse matrix and its interior columns.
+
+    c = (D u).reshape(-1, dim) holds one gradient per cell, cells in C order.
+    Per axis the gradient is the difference along that axis averaged over
+    the cell's 2**(dim-1) edges parallel to it.  D_I and D_I^T are CSC, so
+    products of them with CSC factors stay CSC for the linear solver.  The
+    cached matrices are shared by every caller and must not be modified.
+    """
+    dim = grid.dim
+    ids = np.arange(grid.num_nodes).reshape(grid.shape)
+    ncells = int(np.prod([n - 1 for n in grid.nodes]))
+    cell_rows = np.arange(ncells * dim).reshape(ncells, dim)
+    rows, cols, coef = [], [], []
+    for corner in itertools.product((0, 1), repeat=dim):
+        node = ids[tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes))].ravel()
+        for k, h in enumerate(grid.h):
+            rows.append(cell_rows[:, k])
+            cols.append(node)
+            coef.append(np.full(ncells, (2 * corner[k] - 1) / (2 ** (dim - 1) * h)))
+    D = sp.csr_matrix(
+        (np.concatenate(coef), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ncells * dim, grid.num_nodes),
+    )
+    D_I = D[:, ~grid.boundary_flags().ravel()].tocsc()
+    return D, D_I, D_I.T.tocsc()
+
 
 def _cell_gradients(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Gradient per cell, shape (ncells..., dim)."""
-    if grid.dim == 1:
-        (h,) = grid.h
-        return ((vals[1:] - vals[:-1]) / h)[:, None]
-    hx, hy = grid.h
-    cx = (vals[1:, :-1] + vals[1:, 1:] - vals[:-1, :-1] - vals[:-1, 1:]) / (2 * hx)
-    cy = (vals[:-1, 1:] + vals[1:, 1:] - vals[:-1, :-1] - vals[1:, :-1]) / (2 * hy)
-    return np.stack([cx, cy], axis=-1)
-
-
-def _scatter_flux(grid: Grid, flux: np.ndarray) -> np.ndarray:
-    """Adjoint of _cell_gradients scaled by cell volume.
-
-    Returns the node array sum_cells vol * <flux_cell, d c_cell / d u_node>,
-    i.e. the gradient of sum_cells vol * L(c) once flux = dL/dc.
-    """
-    vol = grid.cell_volume
-    out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        (h,) = grid.h
-        gx = vol * flux[:, 0] / h
-        out[1:] += gx
-        out[:-1] -= gx
-        return out
-    hx, hy = grid.h
-    gx = vol * flux[..., 0] / (2 * hx)
-    gy = vol * flux[..., 1] / (2 * hy)
-    out[1:, :-1] += gx - gy
-    out[1:, 1:] += gx + gy
-    out[:-1, :-1] += -gx - gy
-    out[:-1, 1:] += -gx + gy
-    return out
+    """Gradient per cell, shape (ncells, dim)."""
+    return (_gradient_operator(grid)[0] @ vals.ravel()).reshape(-1, grid.dim)
 
 
 def _check_boundary(spec: ProblemSpec, u: ScalarField) -> None:
@@ -154,11 +166,10 @@ def _energy_raw(spec: ProblemSpec, vals: np.ndarray, eps: float | None = None) -
 def _gradient_raw(spec: ProblemSpec, vals: np.ndarray, eps: float | None = None) -> np.ndarray:
     p = spec.params.p
     eps = spec.params.eps if eps is None else eps
-    c = _cell_gradients(spec.grid, vals)
-    flux = grad_L_eps(c, eps, p)
-    out = _scatter_flux(spec.grid, flux)
-    out += spec.grid.quad_weights() * spec.f.values
-    return out
+    grid = spec.grid
+    flux = grid.cell_volume * grad_L_eps(_cell_gradients(grid, vals), eps, p)
+    out = _gradient_operator(grid)[0].T @ flux.ravel()
+    return out.reshape(grid.shape) + grid.quad_weights() * spec.f.values
 
 
 def energy_and_gradient(spec: ProblemSpec, u: ScalarField) -> tuple[float, ScalarField]:
@@ -169,40 +180,13 @@ def energy_and_gradient(spec: ProblemSpec, u: ScalarField) -> tuple[float, Scala
     )
 
 
-def _cell_node_indices(grid: Grid) -> np.ndarray:
-    """Flat node index per cell corner, shape (ncells, 2**dim)."""
-    ids = np.arange(grid.num_nodes).reshape(grid.shape)
-    if grid.dim == 1:
-        return np.stack([ids[:-1], ids[1:]], axis=-1)
-    return np.stack(
-        [ids[:-1, :-1], ids[1:, :-1], ids[:-1, 1:], ids[1:, 1:]], axis=-1
-    ).reshape(-1, 4)
-
-
-def _cell_jacobian(grid: Grid) -> np.ndarray:
-    """d c / d u_corner, shape (dim, 2**dim), corner order as above."""
-    if grid.dim == 1:
-        (h,) = grid.h
-        return np.array([[-1.0 / h, 1.0 / h]])
-    hx, hy = grid.h
-    # corners: (0,0), (1,0), (0,1), (1,1)
-    jx = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * hx)
-    jy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * hy)
-    return np.stack([jx, jy])
-
-
-def _assemble_hessian(spec: ProblemSpec, vals: np.ndarray, eps: float) -> sp.csr_matrix:
+def _interior_hessian(spec: ProblemSpec, vals: np.ndarray, eps: float) -> sp.csc_matrix:
+    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns."""
     grid = spec.grid
-    c = _cell_gradients(grid, vals).reshape(-1, grid.dim)
-    Hc = hess_L_eps(c, eps, spec.params.p)
-    J = _cell_jacobian(grid)
-    blocks = grid.cell_volume * np.einsum("ka,ckl,lb->cab", J, Hc, J)
-    idx = _cell_node_indices(grid)
-    m = idx.shape[1]
-    rows = np.repeat(idx, m, axis=1).ravel()
-    cols = np.tile(idx, (1, m)).ravel()
-    n = grid.num_nodes
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    _, D_I, D_IT = _gradient_operator(grid)
+    Hc = grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals), eps, spec.params.p)
+    m = len(Hc)
+    return D_IT @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +238,11 @@ def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
 # the solve
 
 def _harmonic_extension(spec: ProblemSpec) -> np.ndarray:
-    """Solve the discrete Laplace equation with trace g (p = 2 energy, f = 0)."""
-    grid = spec.grid
+    """Minimize the p = 2 energy with f = 0 and trace g: one linear solve."""
+    D, D_I, D_IT = _gradient_operator(spec.grid)
     vals = spec.g.values.copy()
-    int_flat = (~grid.boundary_flags()).ravel()
-    lap = ProblemSpec(
-        grid, PLapParams(p=2.0, eps=1.0), ScalarField.constant(grid, 0.0), spec.g
-    )
-    K = _assemble_hessian(lap, vals, eps=1.0)
-    g = _gradient_raw(lap, vals).ravel()[int_flat]
-    Kii = K[int_flat][:, int_flat]
-    vals.ravel()[int_flat] -= spla.spsolve(Kii.tocsc(), g)
+    int_flat = (~spec.grid.boundary_flags()).ravel()
+    vals.ravel()[int_flat] -= spla.spsolve(D_IT @ D_I, D_IT @ (D @ vals.ravel()))
     return vals
 
 
@@ -333,9 +311,7 @@ def solve(
                     break  # at the rounding floor of the gradient
             prev_g_norm = g_norm
 
-            K = _assemble_hessian(spec, vals, eps_k)
-            Kii = K[int_flat][:, int_flat].tocsc()
-            step = spla.spsolve(Kii, -g_int)
+            step = spla.spsolve(_interior_hessian(spec, vals, eps_k), -g_int)
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -400,8 +376,7 @@ def write_solve_result(
 ) -> dict:
     """Write <basename>.csv/.json, grid.json and trace.csv; returns the summary."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_grid_json(spec.grid, outdir / "grid.json")
+    write_grid_json(spec.grid, outdir / "grid.json")  # creates outdir
     write_field_csv(result.u, outdir / f"{basename}.csv")
     with open(outdir / "trace.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -418,10 +393,7 @@ def write_solve_result(
             "eps": spec.params.eps,
             "s": spec.params.s,
             "theta": spec.params.theta,
-            "q_nik": spec.params.q_nik,
         },
     }
-    (outdir / f"{basename}.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(summary, outdir / f"{basename}.json")
     return summary

@@ -321,8 +321,6 @@ def test_params_validation():
         PLapParams(p=1.5)
     with pytest.raises(ValueError):
         PLapParams(p=3.0, eps=-0.1)
-    with pytest.raises(ValueError):
-        PLapParams(p=3.0, q_nik=0.5)
 
 
 def test_params_validate_theta():

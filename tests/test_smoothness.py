@@ -265,10 +265,25 @@ def test_fit_window_defaults_and_fallback():
     lo, hi = rep.fit_window
     assert lo == pytest.approx(4.0 * g.h[0])
     assert hi == pytest.approx(0.25 / 2.0, rel=1e-6)
+    assert rep.fallback is False
     # a family entirely below the window falls back to all nonzero shifts
     small = ((1,), (2,), (3,))
     rep2 = fit_smoothness_exponent(u, 2.0, small)
     assert rep2.n_fit == 3
+    assert rep2.fallback is True
+    assert rep2.fit_window == (g.h[0], 3 * g.h[0])
+
+
+def test_fit_window_reports_fallback_span():
+    # 65 nodes, delta 0.125: shifts h, 2h, 4h all lie below the default
+    # window [4h, 2h], so the fit falls back to all three and must say so
+    g = line(65)
+    _, grad, _ = oracle_fields(SharpnessOracle(p=3.0), g)
+    rep = fit_smoothness_exponent(grad, 2.5, dyadic_shifts(g, 0.125))
+    assert rep.n_fit == 3
+    assert rep.fit_window == (rep.v_mags[0], rep.v_mags[-1]) == (0.03125, 0.125)
+    assert rep.fallback is True
+    assert rep.to_dict()["fallback"] is True
 
 
 def test_fit_validation():

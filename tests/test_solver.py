@@ -104,6 +104,53 @@ def test_energy_gradient_matches_difference_quotient(dim):
         assert grad.values.ravel()[idx] == pytest.approx(fd, rel=1e-6, abs=1e-5)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_gradient_is_exact_at_cell_centers(dim):
+    # the forward difference (1D) and the corner-averaged differences (2D)
+    # reproduce the gradient at the cell center of u = x^2 + x and of the
+    # bilinear u = 1 + 2x - 3y + 5xy exactly
+    from plapreg.solver import _cell_gradients
+
+    if dim == 1:
+        g = Grid.line(0.0, 1.0, 17)
+        u = ScalarField.from_function(g, lambda x: x**2 + x)
+        grad = lambda x: (2 * x + 1,)
+    else:
+        g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 6))
+        u = ScalarField.from_function(g, lambda x, y: 1 + 2 * x - 3 * y + 5 * x * y)
+        grad = lambda x, y: (2 + 5 * y, -3 + 5 * x)
+    centers = np.meshgrid(*[(a[1:] + a[:-1]) / 2 for a in g.axes()], indexing="ij")
+    expected = np.stack(grad(*centers), axis=-1).reshape(-1, dim)
+    np.testing.assert_allclose(_cell_gradients(g, u.values), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interior_hessian_matches_gradient_difference_quotient(dim):
+    from plapreg.solver import _gradient_raw, _interior_hessian
+
+    rng = np.random.default_rng(20 + dim)
+    if dim == 1:
+        g = Grid.line(0.0, 1.0, 17)
+    else:
+        g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 6))
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    gb = ScalarField(g, rng.standard_normal(g.shape))
+    spec = ProblemSpec(g, PLapParams(p=3.5, eps=0.2), f, gb)
+    vals = gb.values + rng.standard_normal(g.shape) * 0.3
+    interior = ~g.boundary_flags().ravel()
+    K = _interior_hessian(spec, vals, 0.2).toarray()
+    assert K.shape == (interior.sum(),) * 2
+    np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
+
+    step = 1e-6
+    for col, idx in enumerate(np.flatnonzero(interior)):
+        lo, hi = vals.copy(), vals.copy()
+        lo.ravel()[idx] -= step
+        hi.ravel()[idx] += step
+        fd = (_gradient_raw(spec, hi) - _gradient_raw(spec, lo)).ravel()[interior] / (2 * step)
+        np.testing.assert_allclose(K[:, col], fd, rtol=1e-6, atol=1e-6 * np.abs(K).max())
+
+
 def test_energy_matches_dense_quadrature():
     """Cell-centered bulk + trapezoid source agree with adaptive quadrature
     to O(h^2) on a smooth profile."""
