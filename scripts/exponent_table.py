@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 
-from plapreg.experiments import run_theorem1_check, write_theorem1_report
+from plapreg.experiments import run_theorem1_check
 
 
 def main():

@@ -17,8 +17,7 @@ parameter choices no claim covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 import csv
 import math
@@ -70,6 +69,7 @@ EXPONENT_TOL = 0.05
 THETA_LOWER_SLACK = 0.02
 W1Q_MIN = 0.95
 UNIFORMITY_FACTOR = 2.0
+ALPHA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,6 @@ def run_theorem1_check(
     *,
     nodes: int = DEFAULT_NODES_1D,
     delta: float = DEFAULT_DELTA_EXPONENTS,
-    theta_targets=None,
     include_w1q: bool = True,
     include_qinf: bool = False,
     negative_control: bool = False,
@@ -235,9 +234,7 @@ def run_theorem1_check(
         qs = _TABLE_QS.get(p, (p - 1.0,) if p > 3.0 else (qc + 0.5,))
     for q in qs:
         plan.append(("table", float(q), None))
-    if theta_targets is None:
-        theta_targets = (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0)))
-    for th in theta_targets:
+    for th in (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0))):
         plan.append(("theta-target", 2.0 / th, float(th)))
     if include_w1q and qc > 1.0:
         plan.append(("w1q", 0.5 * (1.0 + qc), None))
@@ -281,7 +278,7 @@ class SweepResult:
     mode: str               # "thm2" | "thm3" | "outside"
     uniformity_factor: float
     trend_factor: float
-    verdict: str            # "pass" | "fail" | "outside-theorem"
+    verdict: str            # "pass" | "fail" | "inconclusive" | "outside-theorem"
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -291,34 +288,32 @@ class SweepResult:
 
 def run_eps_sweep(
     template: ProblemSpec,
-    s: float,
     eps_values=DEFAULT_EPS_SWEEP,
     delta: float = DEFAULT_DELTA_SWEEP,
-    workers: int = 1,
 ) -> SweepResult:
     """Solve along decreasing eps and track the transformed-gradient norm.
 
+    The template fixes the problem and (p, s, theta); only eps varies.
     Each cell records the W^{1,p} norm of the minimizer and the interior
     W^{1,2} norm of l_eps(grad u)^{s-1} grad u.  The uniformity verdict
     looks at the two smallest decades of eps: the claim under test is that
     the transformed norm neither blows up nor drifts by more than a factor
-    of 2 once eps is below every resolved gradient scale.  An unconverged
-    solve aborts the sweep with the offending cell in the error message.
+    of 2 once eps is below every resolved gradient scale.  With fewer than
+    two eps values in that tail there is nothing to compare and the
+    verdict is "inconclusive".  An unconverged solve aborts the sweep with
+    the offending cell in the error message.
     """
     eps_values = tuple(sorted(set(float(e) for e in eps_values), reverse=True))
     if not eps_values or eps_values[-1] <= 0.0:
         raise ValueError("eps values must be positive")
-    p = template.params.p
-    mode = PLapParams(p=p, eps=eps_values[-1], s=s).mode
+    p, s = template.params.p, template.params.s
+    mode = template.params.mode
     mask = interior_mask(template.grid, delta)
     if mask.is_empty:
         raise ValueError("sweep delta leaves no interior nodes")
 
     def run_cell(eps: float) -> SweepCell:
-        spec = template.with_params(
-            PLapParams(p=p, eps=eps, s=s, theta=template.params.theta)
-        )
-        result = solve(spec)
+        result = solve(template.with_params(replace(template.params, eps=eps)))
         if not result.converged:
             raise SolverError(
                 f"sweep cell eps={eps:g} (p={p:g}, s={s:g}) failed to converge: "
@@ -334,11 +329,7 @@ def run_eps_sweep(
             iterations=result.iterations,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cells = tuple(ex.map(run_cell, eps_values))
-    else:
-        cells = tuple(run_cell(e) for e in eps_values)
+    cells = tuple(run_cell(e) for e in eps_values)
 
     eps_floor = eps_values[-1]
     tail = [c for c in cells if c.eps <= 100.0 * eps_floor * (1.0 + 1e-9)]
@@ -347,6 +338,8 @@ def run_eps_sweep(
     trend = cells[-1].alpha_w12 / cells[0].alpha_w12
     if mode == "outside":
         verdict = "outside-theorem"
+    elif len(tail) < 2:
+        verdict = "inconclusive"
     elif uniformity < UNIFORMITY_FACTOR and trend < UNIFORMITY_FACTOR:
         verdict = "pass"
     else:
@@ -376,8 +369,7 @@ class ScalingReport:
         return asdict(self)
 
 
-def run_scaling_check(spec: ProblemSpec, lam: float,
-                      alpha_tol: float = 1e-8) -> ScalingReport:
+def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     """Verify the exact model rescaling on the discrete problem.
 
     Scaling (g, f, eps) to (lam*g, lam^{p-1}*f, lam*eps) multiplies the
@@ -407,19 +399,19 @@ def run_scaling_check(spec: ProblemSpec, lam: float,
     alpha_gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
     passed = (base.converged and scaled.converged
-              and u_gap <= u_tol and alpha_gap <= alpha_tol)
+              and u_gap <= u_tol and alpha_gap <= ALPHA_TOL)
     return ScalingReport(lam=lam, p=p, s=s, u_gap=u_gap, u_tol=u_tol,
-                         alpha_rel_gap=float(alpha_gap), alpha_tol=alpha_tol,
+                         alpha_rel_gap=float(alpha_gap), alpha_tol=ALPHA_TOL,
                          passed=passed)
 
 
 # ---------------------------------------------------------------------------
 # report serialization
 
-def write_theorem1_report(report: Theorem1Report, outdir, basename: str = "theorem1"):
+def write_theorem1_report(report: Theorem1Report, outdir):
     outdir = Path(outdir)
-    write_json(report.to_dict(), outdir / f"{basename}.json")
-    with open(outdir / f"{basename}.csv", "w", newline="") as fh:
+    write_json(report.to_dict(), outdir / "theorem1.json")
+    with open(outdir / "theorem1.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"])
         for c in report.cells:
@@ -429,10 +421,10 @@ def write_theorem1_report(report: Theorem1Report, outdir, basename: str = "theor
             ])
 
 
-def write_sweep_result(result: SweepResult, outdir, basename: str = "sweep"):
+def write_sweep_result(result: SweepResult, outdir):
     outdir = Path(outdir)
-    write_json(result.to_dict(), outdir / f"{basename}.json")
-    with open(outdir / f"{basename}.csv", "w", newline="") as fh:
+    write_json(result.to_dict(), outdir / "sweep.json")
+    with open(outdir / "sweep.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["eps", "w1p_norm", "alpha_w12", "el_residual", "iterations"])
         for c in result.cells:
@@ -440,6 +432,5 @@ def write_sweep_result(result: SweepResult, outdir, basename: str = "sweep"):
                          repr(c.el_residual), c.iterations])
 
 
-def write_scaling_report(report: ScalingReport, outdir, basename: str = "scaling"):
-    outdir = Path(outdir)
-    write_json(report.to_dict(), outdir / f"{basename}.json")
+def write_scaling_report(report: ScalingReport, outdir):
+    write_json(report.to_dict(), Path(outdir) / "scaling.json")

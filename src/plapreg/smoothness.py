@@ -203,12 +203,12 @@ def nikolskii_seminorm(field, q: float, theta: float, shifts) -> float:
     return best
 
 
-def fit_smoothness_exponent(field, q: float, shifts, fit_window=None) -> SeminormReport:
+def fit_smoothness_exponent(field, q: float, shifts) -> SeminormReport:
     """Log-log least-squares estimate of the difference-norm growth rate.
 
     The slope of log ||u(.+v) - u||_q against log |v| estimates the
     smoothness exponent; the intercept gives the prefactor A.  Only shifts
-    with |v| in the fit window participate (default [4*max(h), vmax/2]):
+    with |v| in the fit window [4*max(h), vmax/2] participate:
     shorter shifts measure stencil error, longer ones starve the interior.
     Shifts with vanishing norm are excluded; if every norm vanishes the
     field is flat and the report says so instead of fitting.
@@ -221,9 +221,7 @@ def fit_smoothness_exponent(field, q: float, shifts, fit_window=None) -> Seminor
     mags = np.array([_offset_length(field.grid, o) for o in shifts])
     norms = np.array([shift_difference_norm(field, o, q) for o in shifts])
 
-    if fit_window is None:
-        fit_window = (4.0 * max(field.grid.h), float(mags[-1]) / 2.0)
-    lo, hi = fit_window
+    lo, hi = 4.0 * max(field.grid.h), float(mags[-1]) / 2.0
     slack = 1.0 + 1e-12
     scale = 1.0 + float(np.max(np.abs(field.values)))
     usable = (norms > 1e-13 * scale) & (mags >= lo / slack) & (mags <= hi * slack)
@@ -320,45 +318,38 @@ def sobolev_w1p_norm(u: ScalarField, p: float, mask: InteriorMask | None = None)
 
 
 def composition_bound_check(
-    V: VectorField,
-    theta: float,
-    M: float = HOLDER_M,
-    mask: InteriorMask | None = None,
-    shifts=None,
-    C: float | None = None,
+    V: VectorField, theta: float, C: float | None = None
 ) -> tuple[float, float]:
     """Check the transfer of W^{1,2} control through the beta map.
 
     Returns (lhs, rhs) with lhs the N^{theta, 2/theta} seminorm of
-    beta_theta(V) over shifts up to mask.delta and rhs = C * M times the
-    full-domain W^{1,2} seminorm of V raised to theta.  The contract is
-    lhs <= rhs whenever M is a Hölder constant for the map (M = 2 for
-    beta) and C is the frozen dimensional constant.
+    beta_theta(V) over the dyadic shifts up to a quarter of the shortest
+    box side and rhs = C * HOLDER_M times the full-domain W^{1,2}
+    seminorm of V raised to theta.  The contract is lhs <= rhs: HOLDER_M
+    = 2 is a Hölder constant for beta, and C defaults to the frozen
+    dimensional constant.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     grid = V.grid
-    if mask is None:
-        mask = interior_mask(grid, min(u - l for l, u in zip(grid.lower, grid.upper)) / 4.0)
-    if shifts is None:
-        shifts = dyadic_shifts(grid, mask.delta)
+    shifts = dyadic_shifts(grid, min(u - l for l, u in zip(grid.lower, grid.upper)) / 4.0)
     if C is None:
         C = COMPOSITION_C[grid.dim]
     bV = VectorField(grid, beta_theta(V.values, theta))
     lhs = nikolskii_seminorm(bV, 2.0 / theta, theta, shifts)
-    rhs = C * M * sobolev_w12_seminorm(V) ** theta
+    rhs = C * HOLDER_M * sobolev_w12_seminorm(V) ** theta
     return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_seminorm_report(report: SeminormReport, outdir, basename: str = "seminorm"):
-    """Write <basename>.json and the per-shift table <basename>.csv."""
+def write_seminorm_report(report: SeminormReport, outdir):
+    """Write seminorm.json and the per-shift table seminorm.csv."""
     outdir = Path(outdir)
-    write_json(report.to_dict(), outdir / f"{basename}.json")
+    write_json(report.to_dict(), outdir / "seminorm.json")
     dim = len(report.offsets[0]) if report.offsets else 1
-    with open(outdir / f"{basename}.csv", "w", newline="") as fh:
+    with open(outdir / "seminorm.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["v_mag", "vx", "vy"][: 1 + dim] + ["norm"])
         for off, mag, nrm in zip(report.offsets, report.v_mags, report.per_shift_norm):

@@ -219,19 +219,13 @@ def el_residual(spec: ProblemSpec, u: ScalarField) -> float:
 def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
     """Energy bound sum vol*(1 + |c(u0)|^2)^(p/2)/p + sum w*u0*f, valid for eps <= 1.
 
-    Dominates E(u0) cell by cell, hence dominates the minimum energy when
-    u0 is admissible.
+    This is the energy of u0 at eps = 1.  It dominates E(u0) cell by cell,
+    hence dominates the minimum energy when u0 is admissible.
     """
     if spec.params.eps > 1.0:
         raise ValueError("bound requires eps <= 1")
     _check_boundary(spec, u0)
-    p = spec.params.p
-    c = _cell_gradients(spec.grid, u0.values)
-    bulk = spec.grid.cell_volume * float(
-        np.sum((1.0 + np.sum(c * c, axis=-1)) ** (p / 2.0) / p)
-    )
-    w = spec.grid.quad_weights()
-    return bulk + float(np.sum(w * u0.values * spec.f.values))
+    return _energy_raw(spec, u0.values, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +365,11 @@ def _line_search(spec, vals, int_flat, direction, e0, g_int, eps_k):
 # ---------------------------------------------------------------------------
 # output
 
-def write_solve_result(
-    result: SolveResult, spec: ProblemSpec, outdir, basename: str = "solution"
-) -> dict:
-    """Write <basename>.csv/.json, grid.json and trace.csv; returns the summary."""
+def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
+    """Write solution.csv/.json, grid.json and trace.csv; returns the summary."""
     outdir = Path(outdir)
     write_grid_json(spec.grid, outdir / "grid.json")  # creates outdir
-    write_field_csv(result.u, outdir / f"{basename}.csv")
+    write_field_csv(result.u, outdir / "solution.csv")
     with open(outdir / "trace.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["iter", "energy", "grad_norm"])
@@ -395,5 +387,5 @@ def write_solve_result(
             "theta": spec.params.theta,
         },
     }
-    write_json(summary, outdir / f"{basename}.json")
+    write_json(summary, outdir / "solution.json")
     return summary

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from plapreg.cli import _worker_count, main
+from plapreg.cli import main
 from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
 
 
@@ -247,24 +247,6 @@ def test_config_file_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("solve", "--p", "3", "--config", str(broken)) == 2
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("PLAPREG_THREADS", "2")
-    assert _worker_count() == 2
-    monkeypatch.setenv("PLAPREG_THREADS", "abc")
-    assert _worker_count() >= 1
-    monkeypatch.setenv("PLAPREG_THREADS", "0")
-    assert _worker_count() >= 1
-    monkeypatch.delenv("PLAPREG_THREADS")
-    assert _worker_count() >= 1
-
-
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLAPREG_THREADS", "2")
-    rc = run("sweep", "--p", "3", "--eps", "1e-1,1e-2", "--nodes", "129",
-             "--out", str(tmp_path))
-    assert rc == 0
 
 
 def test_reports_are_deterministic(tmp_path):

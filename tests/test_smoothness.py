@@ -447,6 +447,6 @@ def test_report_q_inf_serializes(tmp_path):
     g = line(257)
     u = ScalarField.from_function(g, lambda x: np.abs(x))
     rep = fit_smoothness_exponent(u, np.inf, dyadic_shifts(g, 0.25))
-    write_seminorm_report(rep, tmp_path, basename="sup")
-    data = json.loads((tmp_path / "sup.json").read_text())
+    write_seminorm_report(rep, tmp_path)
+    data = json.loads((tmp_path / "seminorm.json").read_text())
     assert data["q"] == "inf"
