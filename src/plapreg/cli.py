@@ -8,9 +8,12 @@ Exit codes: 0 success (and, for verify, every adjudicated claim passed),
 1 compute-level failure (unconverged solve or a failed claim), 2 usage or
 validation error.
 
-A JSON config file can supply any flag value (keys named like the flags,
-without dashes); explicit flags win over the file.  A sweep with fewer
-than two eps values within a factor 100 of the smallest reports
+Each command path (solve, estimate on the sharp oracle or on a --field,
+sweep, each verify --suite) reads the flags listed for it in `_PATHS`; any
+other flag, or config-file key, exits 2 before anything is written.  A
+JSON config file can supply those flags (keys named like the command's
+flags, without dashes); explicit flags win over the file.  A sweep with
+fewer than two eps values within a factor 100 of the smallest reports
 "inconclusive" and exits 0.
 """
 
@@ -48,8 +51,49 @@ from .experiments import (
 
 __all__ = ["main", "entry"]
 
-_SUITES = ("theorem1", "eps-uniform", "scaling")
-_ORACLES = ("sharp", "torsion")
+_OUT = "plapreg-out"
+
+# Each command path with the flags it reads and their defaults (None:
+# unset); the resolved values are the report's "config".  `estimate` takes
+# its --field path when --field is set, `verify` the path of its --suite.
+_PATHS = {
+    "solve": dict(p=None, eps="1e-3", s=None, nodes=DEFAULT_NODES_1D, oracle="sharp",
+                  out=_OUT, mode="auto"),
+    "estimate (sharp oracle)": dict(p=None, q=2.0, theta=None, nodes=DEFAULT_NODES_1D,
+                                    delta=DEFAULT_DELTA_EXPONENTS, out=_OUT),
+    "estimate --field": dict(field=None, grid=None, q=2.0, theta=None,
+                             delta=DEFAULT_DELTA_EXPONENTS, out=_OUT),
+    "sweep": dict(p=None, eps=DEFAULT_EPS_SWEEP, s=None, nodes=DEFAULT_NODES_1D,
+                  delta=DEFAULT_DELTA_SWEEP, oracle="sharp", out=_OUT),
+    "verify --suite theorem1": dict(p=4.0, nodes=DEFAULT_NODES_1D,
+                                    delta=DEFAULT_DELTA_EXPONENTS, out=_OUT),
+    "verify --suite eps-uniform": dict(p=3.0, eps=DEFAULT_EPS_SWEEP, s=None,
+                                       nodes=DEFAULT_NODES_1D, delta=DEFAULT_DELTA_SWEEP,
+                                       oracle="sharp", out=_OUT),
+    "verify --suite scaling": dict(p=3.0, eps="1e-3", s=None, lam=0.5, nodes=1025,
+                                   oracle="sharp", out=_OUT),
+}
+
+# Option string and argparse keywords of every flag; a config-file key is
+# the option string without its dashes.
+_FLAGS = {
+    "config": ("--config", dict(help="JSON file with default flag values")),
+    "suite": ("--suite", dict(choices=[k.split()[-1] for k in _PATHS if "--suite" in k])),
+    "p": ("--p", dict(type=float, help="growth exponent, p >= 2")),
+    "eps": ("--eps", dict(help="regularization (sweeps: comma-separated list)")),
+    "s": ("--s", dict(type=float, help="transform power s (default p/2)")),
+    "theta": ("--theta", dict(type=float, help="also report the seminorm at theta")),
+    "q": ("--q", dict(type=float, help="integrability exponent")),
+    "nodes": ("--nodes", dict(type=int, help="nodes per axis")),
+    "delta": ("--delta", dict(type=float, help="interior margin")),
+    "oracle": ("--oracle", dict(choices=("sharp", "torsion"), help="built-in problem: "
+                                "sharp (kinked profile) or torsion (f=1, g=0)")),
+    "out": ("--out", dict(help="output directory")),
+    "mode": ("--mode", dict(choices=("auto", "thm2", "thm3"), help="parameter-regime check")),
+    "field": ("--field", dict(help="field CSV to analyze")),
+    "grid": ("--grid", dict(help="grid JSON for --field")),
+    "lam": ("--lambda", dict(type=float, help="scaling factor")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,67 +102,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regularized p-Laplace minimization and smoothness estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, eps_default=None):
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with default flag values")
-        sp.add_argument("--p", type=float, default=None, help="growth exponent, p >= 2")
-        sp.add_argument("--eps", type=str, default=eps_default,
-                        help="regularization (sweep: comma-separated list)")
-        sp.add_argument("--s", type=float, default=None, help="transform power s")
-        sp.add_argument("--theta", type=float, default=None, help="smoothness exponent")
-        sp.add_argument("--q", type=float, default=None, help="integrability exponent")
-        sp.add_argument("--nodes", type=int, default=None, help="nodes per axis")
-        sp.add_argument("--delta", type=float, default=None, help="interior margin")
-        sp.add_argument("--oracle", type=str, default=None, choices=_ORACLES,
-                        help="built-in problem: sharp (kinked profile) or torsion (f=1, g=0)")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--mode", type=str, default=None,
-                        choices=("auto", "thm2", "thm3"), help="parameter-regime check")
-
-    sp = sub.add_parser("solve", help="minimize the energy for a built-in problem")
-    common(sp)
-
-    sp = sub.add_parser("estimate", help="difference-quotient smoothness report")
-    common(sp)
-    sp.add_argument("--field", type=str, default=None, help="field CSV to analyze")
-    sp.add_argument("--grid", type=str, default=None, help="grid JSON for --field")
-
-    sp = sub.add_parser("sweep", help="solve across an eps list, track norms")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
-    sp.add_argument("--suite", type=str, default=None, choices=_SUITES)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help="scaling factor for the scaling suite")
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        dests = ["config", "suite"] if command == "verify" else ["config"]
+        dests += [d for path, flags in _PATHS.items() if path.split()[0] == command
+                  for d in flags]
+        for dest in dict.fromkeys(dests):
+            option, kwargs = _FLAGS[dest]
+            sp.add_argument(option, dest=dest, default=None, **kwargs)
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given."""
-    if getattr(args, "config", None) is None:
-        return args
-    payload = json.loads(Path(args.config).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("config file must contain a JSON object")
-    alias = {"lambda": "lam"}
-    for key, val in payload.items():
-        dest = alias.get(key, key)
-        if not hasattr(args, dest):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, val)
-    return args
+def _configure(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The report head and resolved config of the path `args` selects.
 
-
-def _resolve(args, **defaults) -> dict:
-    """Effective run configuration: flag if set, else the given default."""
-    out = {}
-    for key, default in defaults.items():
-        val = getattr(args, key, None)
-        out[key] = default if val is None else val
-    return out
+    A value comes from its flag, else the config file, else the path's
+    default; a flag or config key that the path does not read is an error.
+    """
+    values = {}
+    if args.config is not None:
+        payload = json.loads(Path(args.config).read_text())
+        _require(isinstance(payload, dict), "config file must contain a JSON object")
+        dests = {option[2:]: dest for dest, (option, _) in _FLAGS.items()}
+        for key, val in payload.items():
+            _require(key in dests, f"unknown config key {key!r}")
+            kwargs = _FLAGS[dests[key]][1]
+            try:  # read the value as the flag reads its text
+                val = kwargs["type"](str(val)) if "type" in kwargs and val is not None else val
+            except ValueError:
+                raise ValueError(f"config key {key!r}: cannot read {val!r}") from None
+            choices = kwargs.get("choices", [val])
+            _require(val in choices, f"config key {key!r} must be one of {choices}")
+            values[dests[key]] = val
+    flags = {dest: val for dest, val in vars(args).items()
+             if dest in _FLAGS and dest != "config" and val is not None}
+    values.update(flags)
+    head = {"command": args.command}
+    path = args.command
+    if path == "verify":
+        head["suite"] = values.pop("suite", None)
+        path = f"verify --suite {head['suite']}"
+        _require(path in _PATHS, "verify requires --suite")
+    elif path == "estimate":
+        path = "estimate (sharp oracle)" if values.get("field") is None else "estimate --field"
+    for dest in values:
+        option = _FLAGS[dest][0]
+        _require(dest in _PATHS[path],
+                 f"{path} does not read {option}" if dest in flags
+                 else f"unknown config key {option[2:]!r}: {path} does not read it")
+    cfg = {dest: default if values.get(dest) is None else values[dest]
+           for dest, default in _PATHS[path].items()}
+    return head, cfg
 
 
 def _eps_list(raw) -> tuple:
@@ -143,17 +177,11 @@ def _problem(cfg: dict, eps: float) -> ProblemSpec:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-class _UsageError(ValueError):
-    pass
-
-
-def _cmd_solve(args) -> int:
-    _require(args.p is not None, "solve requires --p")
-    cfg = _resolve(args, p=None, eps="1e-3", s=None, nodes=DEFAULT_NODES_1D,
-                   oracle="sharp", out="plapreg-out", mode="auto")
+def _cmd_solve(head: dict, cfg: dict) -> int:
+    _require(cfg["p"] is not None, "solve requires --p")
     eps = float(cfg["eps"])
     _require(eps > 0.0, "solve requires eps > 0")
     spec = _problem(cfg, eps)
@@ -161,35 +189,24 @@ def _cmd_solve(args) -> int:
     outdir = Path(cfg["out"])
     result = solve(spec)
     summary = write_solve_result(result, spec, outdir)
-    write_json({"command": "solve", "config": cfg, "result": summary},
-               outdir / "report.json")
+    write_json({**head, "config": cfg, "result": summary}, outdir / "report.json")
     return 0 if result.converged else 1
 
 
-def _estimate_field(args, cfg):
-    if args.field is not None:
-        _require(args.grid is not None, "--field requires --grid")
-        grid = read_grid_json(args.grid)
-        cfg["field"] = args.field
-        cfg["grid"] = args.grid
-        return read_field_csv(args.field, grid)
-    _require(cfg["p"] is not None, "estimate requires --p with --oracle")
-    oracle = SharpnessOracle(p=cfg["p"])
-    grid = Grid.line(-1.0, 1.0, cfg["nodes"])
-    _, grad, _ = oracle_fields(oracle, grid)
-    return grad
-
-
-def _cmd_estimate(args) -> int:
-    cfg = _resolve(args, p=None, q=2.0, theta=None, nodes=DEFAULT_NODES_1D,
-                   delta=DEFAULT_DELTA_EXPONENTS, oracle="sharp", out="plapreg-out")
+def _cmd_estimate(head: dict, cfg: dict) -> int:
     _require(cfg["q"] >= 1.0, "estimate requires q >= 1")
-    field = _estimate_field(args, cfg)
+    if "field" in cfg:
+        _require(cfg["grid"] is not None, "--field requires --grid")
+        field = read_field_csv(cfg["field"], read_grid_json(cfg["grid"]))
+    else:
+        _require(cfg["p"] is not None, "estimate requires --p or --field")
+        grid = Grid.line(-1.0, 1.0, cfg["nodes"])
+        _, field, _ = oracle_fields(SharpnessOracle(p=cfg["p"]), grid)
     shifts = dyadic_shifts(field.grid, cfg["delta"])
     report = fit_smoothness_exponent(field, cfg["q"], shifts)
     outdir = Path(cfg["out"])
     write_seminorm_report(report, outdir)
-    payload = {"command": "estimate", "config": cfg, "report": report.to_dict()}
+    payload = {**head, "config": cfg, "report": report.to_dict()}
     if cfg["theta"] is not None:
         payload["seminorm_at_theta"] = nikolskii_seminorm(
             field, cfg["q"], cfg["theta"], shifts
@@ -198,11 +215,9 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _sweep(args, head: dict, p_default) -> int:
+def _sweep(head: dict, cfg: dict) -> int:
     """The eps sweep behind both `sweep` and `verify --suite eps-uniform`."""
-    cfg = _resolve(args, p=p_default, eps=DEFAULT_EPS_SWEEP, s=None,
-                   nodes=DEFAULT_NODES_1D, delta=DEFAULT_DELTA_SWEEP,
-                   oracle="sharp", out="plapreg-out")
+    _require(cfg["p"] is not None, "sweep requires --p")
     eps_values = _eps_list(cfg["eps"])
     _require(bool(eps_values) and min(eps_values) > 0.0,
              "sweep requires positive eps values")
@@ -216,26 +231,14 @@ def _sweep(args, head: dict, p_default) -> int:
     return 1 if result.verdict == "fail" else 0
 
 
-def _cmd_sweep(args) -> int:
-    _require(args.p is not None, "sweep requires --p")
-    return _sweep(args, {"command": "sweep"}, p_default=None)
-
-
-def _cmd_verify(args) -> int:
-    _require(args.suite is not None, "verify requires --suite")
-    suite = args.suite
-    head = {"command": "verify", "suite": suite}
-    if suite == "eps-uniform":
-        return _sweep(args, head, p_default=3.0)
-    if suite == "theorem1":
-        cfg = _resolve(args, p=4.0, nodes=DEFAULT_NODES_1D,
-                       delta=DEFAULT_DELTA_EXPONENTS, out="plapreg-out")
+def _cmd_verify(head: dict, cfg: dict) -> int:
+    if head["suite"] == "eps-uniform":
+        return _sweep(head, cfg)
+    if head["suite"] == "theorem1":
         report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"],
                                     negative_control=True)
         write_report = write_theorem1_report
     else:  # scaling
-        cfg = _resolve(args, p=3.0, eps="1e-3", s=None, lam=0.5, nodes=1025,
-                       oracle="sharp", out="plapreg-out")
         _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")
         report = run_scaling_check(_problem(cfg, float(cfg["eps"])), cfg["lam"])
         write_report = write_scaling_report
@@ -246,6 +249,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+_COMMANDS = {
+    "solve": (_cmd_solve, "minimize the energy for a built-in problem"),
+    "estimate": (_cmd_estimate, "difference-quotient smoothness report"),
+    "sweep": (_sweep, "solve across an eps list, track norms"),
+    "verify": (_cmd_verify, "run a verification suite"),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -253,17 +264,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        args = _apply_config(args)
-        handler = {
-            "solve": _cmd_solve,
-            "estimate": _cmd_estimate,
-            "sweep": _cmd_sweep,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
-    except (_UsageError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        head, cfg = _configure(args)
+        return _COMMANDS[args.command][0](head, cfg)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -210,7 +210,6 @@ def run_theorem1_check(
     *,
     nodes: int = DEFAULT_NODES_1D,
     delta: float = DEFAULT_DELTA_EXPONENTS,
-    include_w1q: bool = True,
     include_qinf: bool = False,
     negative_control: bool = False,
 ) -> Theorem1Report:
@@ -236,7 +235,7 @@ def run_theorem1_check(
         plan.append(("table", float(q), None))
     for th in (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0))):
         plan.append(("theta-target", 2.0 / th, float(th)))
-    if include_w1q and qc > 1.0:
+    if qc > 1.0:
         plan.append(("w1q", 0.5 * (1.0 + qc), None))
     if include_qinf:
         plan.append(("holder", math.inf, None))
@@ -313,7 +312,7 @@ def run_eps_sweep(
         raise ValueError("sweep delta leaves no interior nodes")
 
     def run_cell(eps: float) -> SweepCell:
-        result = solve(template.with_params(replace(template.params, eps=eps)))
+        result = solve(replace(template, params=replace(template.params, eps=eps)))
         if not result.converged:
             raise SolverError(
                 f"sweep cell eps={eps:g} (p={p:g}, s={s:g}) failed to converge: "

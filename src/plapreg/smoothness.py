@@ -86,10 +86,10 @@ class SeminormReport:
         return d
 
 
-def dyadic_shifts(grid: Grid, delta: float, diagonals: bool = True) -> tuple:
+def dyadic_shifts(grid: Grid, delta: float) -> tuple:
     """Lattice offsets with dyadic lengths h*2^k up to delta.
 
-    1D: (k,). 2D: (k,0), (0,k) and, with diagonals, (k,k) and (k,-k).
+    1D: (k,). 2D: (k,0), (0,k), (k,k) and (k,-k).
     Sorted by Euclidean length; the diagonal length is k*h*sqrt(2).
     """
     if delta <= 0.0:
@@ -113,7 +113,7 @@ def dyadic_shifts(grid: Grid, delta: float, diagonals: bool = True) -> tuple:
             if k * hy <= delta * slack:
                 out.append((0, k))
                 added = True
-            if diagonals and math.hypot(k * hx, k * hy) <= delta * slack:
+            if math.hypot(k * hx, k * hy) <= delta * slack:
                 out.append((k, k))
                 out.append((k, -k))
                 added = True

@@ -86,9 +86,6 @@ class ProblemSpec:
         if self.f.grid != self.grid or self.g.grid != self.grid:
             raise ValueError("f and g must live on the problem grid")
 
-    def with_params(self, params: PLapParams) -> "ProblemSpec":
-        return ProblemSpec(self.grid, params, self.f, self.g)
-
 
 @dataclass(frozen=True)
 class SolveResult:

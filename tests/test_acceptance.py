@@ -225,7 +225,7 @@ def test_10_negative_control_stays_one_sided():
     t0 = time.perf_counter()
     p = 4.0
     q = 2.0 * (p - 1.0)
-    rep = run_theorem1_check(p, qs=[q], include_w1q=False)
+    rep = run_theorem1_check(p, qs=[q])
     cell = rep.cells[0]
     bound = 1.0 / (p - 1.0) + 1.0 / q + 0.05
     ok = cell.theta_hat <= bound and cell.r2 >= 0.98

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plapreg.cli import main
+from plapreg.cli import _FLAGS, _PATHS, _build_parser, _configure, main
 from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
 
 
@@ -106,6 +109,7 @@ def test_estimate_constant_field(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["flag"] == "constant-like"
+    assert sorted(report["config"]) == ["delta", "field", "grid", "out", "q", "theta"]
 
 
 def test_estimate_oracle_exponent(tmp_path):
@@ -132,6 +136,44 @@ def test_estimate_usage_errors(tmp_path, capsys):
     assert run("estimate", "--field", "f.csv", "--out", str(tmp_path)) == 2
     assert "requires --grid" in capsys.readouterr().err
     assert run("estimate", "--out", str(tmp_path)) == 2  # no field, no p
+
+
+# ---------------------------------------------------------------------------
+# flags a path does not read
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--p", "3", "--theta", "0.7"], "--theta"),
+    (["sweep", "--p", "3", "--mode", "thm2"], "--mode"),
+    (["verify", "--suite", "theorem1", "--eps", "1e-2"], "--eps"),
+    (["estimate", "--field", "{dir}/field.csv", "--grid", "{dir}/grid.json",
+      "--nodes", "129"], "--nodes"),
+    (["estimate", "--p", "4", "--oracle", "torsion"], "--oracle"),
+])
+def test_unread_flag_exits_two_and_writes_nothing(tmp_path, capsys, argv, flag):
+    g = Grid.line(0.0, 1.0, 129)
+    write_grid_json(g, tmp_path / "grid.json")
+    write_field_csv(ScalarField.constant(g, 2.0), tmp_path / "field.csv")
+    out = tmp_path / "out"
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_commands_match_flag_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^plapreg (.+)$", block, flags=re.MULTILINE)
+    assert len(lines) >= 8
+    parser = _build_parser()
+    for line in lines:
+        _configure(parser.parse_args(shlex.split(line)))  # raises if unread
+    rows = dict(re.findall(r"^\| (`.+?) \| `(--.+)` \|$", block, flags=re.MULTILINE))
+    assert {label.replace("`", ""): set(flags.split()) for label, flags in rows.items()} == {
+        path: {"--config", *(_FLAGS[dest][0] for dest in reads)}
+        for path, reads in _PATHS.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +285,18 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"nonsense": 1}))
     assert run("solve", "--p", "3", "--config", str(bad)) == 2
     assert "unknown config key" in capsys.readouterr().err
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps({"q": 3}))
+    assert run("solve", "--p", "3", "--config", str(unread)) == 2
+    assert "unknown config key 'q'" in capsys.readouterr().err
+    choice = tmp_path / "choice.json"
+    choice.write_text(json.dumps({"oracle": "bogus"}))
+    assert run("solve", "--p", "3", "--config", str(choice)) == 2
+    assert "'oracle' must be one of" in capsys.readouterr().err
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps({"p": "three"}))
+    assert run("solve", "--config", str(typed)) == 2
+    assert "config key 'p': cannot read 'three'" in capsys.readouterr().err
     assert run("solve", "--p", "3", "--config", str(tmp_path / "missing.json")) == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -146,7 +146,7 @@ def test_theorem1_check_p4():
 
 def test_theorem1_check_endpoint_not_adjudicated():
     # q = (p-1)/(p-2) = 2 at p = 3 sits on the table edge
-    rep = run_theorem1_check(3.0, qs=[2.0], nodes=513, include_w1q=False)
+    rep = run_theorem1_check(3.0, qs=[2.0], nodes=513)
     assert rep.cells[0].verdict == "endpoint"
     assert rep.passed  # endpoint cells do not fail a report
 
