@@ -133,6 +133,13 @@ def _configure(args: argparse.Namespace) -> tuple[dict, dict]:
                 raise ValueError(f"config key {key!r}: cannot read {val!r}") from None
             choices = kwargs.get("choices", [val])
             _require(val in choices, f"config key {key!r} must be one of {choices}")
+            if val is not None and "type" not in kwargs and "choices" not in kwargs:
+                # a text flag; eps may also be a number, or a list for the sweeps
+                items = val if key == "eps" and isinstance(val, list) else [val]
+                _require(all(isinstance(v, str) or key == "eps" and _is_number(v)
+                             for v in items),
+                         f"config key {key!r} must be a string"
+                         + (", a number or a list of them" if key == "eps" else ""))
             values[dests[key]] = val
     flags = {dest: val for dest, val in vars(args).items()
              if dest in _FLAGS and dest != "config" and val is not None}
@@ -150,9 +157,16 @@ def _configure(args: argparse.Namespace) -> tuple[dict, dict]:
         _require(dest in _PATHS[path],
                  f"{path} does not read {option}" if dest in flags
                  else f"unknown config key {option[2:]!r}: {path} does not read it")
+    _require(not isinstance(values.get("eps"), list)
+             or isinstance(_PATHS[path]["eps"], tuple),
+             f"config key 'eps': {path} reads one value, not a list")
     cfg = {dest: default if values.get(dest) is None else values[dest]
            for dest, default in _PATHS[path].items()}
     return head, cfg
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _eps_list(raw) -> tuple:

@@ -24,6 +24,11 @@ discrete minimizer (no separate adjointness defect enters the solve).
 Minimization is damped Newton on the interior unknowns with the Hessian
 K_II, an Armijo backtracking line search, and a gradient
 descent fallback if a Newton direction ever fails to decrease the energy.
+The interior unknowns are numbered once per grid in elimination order
+(natural in 1D, where K_II is tridiagonal; George's nested dissection of
+the mesh in 2D), and D_I takes its columns in that order, so every K_II
+arrives ordered: each Newton step is one SuperLU factorization in
+symmetric mode with no fill-reducing permutation of its own.
 For small eps the solve walks a geometric eps continuation path, warm
 starting each stage, which keeps Newton steps well scaled even when the
 initial iterate has vanishing gradient.
@@ -67,6 +72,9 @@ _ARMIJO_C = 1e-4
 _BACKTRACK_MAX = 60
 # boundary values of u are compared against g with this absolute slack
 _BOUNDARY_ATOL = 1e-12
+# nested dissection leaves blocks of at most this many nodes per side in C
+# order; measured fastest among 1-32 on the 257^2 torsion Hessian
+_ND_LEAF = 4
 
 
 class SolverError(RuntimeError):
@@ -105,13 +113,17 @@ class SolveResult:
 
 @functools.lru_cache(maxsize=4)
 def _gradient_operator(grid: Grid) -> tuple:
-    """(D, D_I, D_I^T): the cell gradient as a sparse matrix and its interior columns.
+    """(D, D_I, D_I^T, order): the cell gradient, its interior columns and their order.
 
     c = (D u).reshape(-1, dim) holds one gradient per cell, cells in C order.
     Per axis the gradient is the difference along that axis averaged over
-    the cell's 2**(dim-1) edges parallel to it.  D_I and D_I^T are CSC, so
-    products of them with CSC factors stay CSC for the linear solver.  The
-    cached matrices are shared by every caller and must not be modified.
+    the cell's 2**(dim-1) edges parallel to it.  `order` holds the flat ids
+    of the interior nodes in elimination order (see `_elimination_order`);
+    D_I holds the columns of D in that order, so interior vectors and the
+    Hessian K_II are indexed by position in `order`.  D_I and D_I^T are
+    CSC, so products of them with CSC factors stay CSC for the linear
+    solver.  The cached arrays are shared by every caller and must not be
+    modified.
     """
     dim = grid.dim
     ids = np.arange(grid.num_nodes).reshape(grid.shape)
@@ -128,8 +140,27 @@ def _gradient_operator(grid: Grid) -> tuple:
         (np.concatenate(coef), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ncells * dim, grid.num_nodes),
     )
-    D_I = D[:, ~grid.boundary_flags().ravel()].tocsc()
-    return D, D_I, D_I.T.tocsc()
+    order = _elimination_order(ids[(slice(1, -1),) * dim])
+    D_I = D[:, order].tocsc()
+    return D, D_I, D_I.T.tocsc(), order
+
+
+def _elimination_order(ids: np.ndarray) -> np.ndarray:
+    """The interior node ids `ids` (one axis per grid axis) in elimination order.
+
+    1D: natural order; the Hessian is tridiagonal and factors without fill.
+    2D: nested dissection.  A block is split at the middle row or column of
+    its longer side; the two halves are ordered recursively and the
+    separator line last.  A cell spans two adjacent rows (columns), so no
+    Hessian entry couples the halves and fill stays inside them and the
+    separator.
+    """
+    if ids.ndim == 1 or max(ids.shape) <= _ND_LEAF:
+        return ids.ravel()
+    axis = int(ids.shape[1] > ids.shape[0])
+    mid = ids.shape[axis] // 2
+    lo, sep, hi = np.split(ids, [mid, mid + 1], axis=axis)
+    return np.concatenate([_elimination_order(lo), _elimination_order(hi), sep.ravel()])
 
 
 def _cell_gradients(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -178,9 +209,12 @@ def energy_and_gradient(spec: ProblemSpec, u: ScalarField) -> tuple[float, Scala
 
 
 def _interior_hessian(spec: ProblemSpec, vals: np.ndarray, eps: float) -> sp.csc_matrix:
-    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns."""
+    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns.
+
+    Rows and columns follow the interior elimination order of the grid.
+    """
     grid = spec.grid
-    _, D_I, D_IT = _gradient_operator(grid)
+    _, D_I, D_IT, _ = _gradient_operator(grid)
     Hc = grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals), eps, spec.params.p)
     m = len(Hc)
     return D_IT @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
@@ -230,11 +264,24 @@ def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
 
 def _harmonic_extension(spec: ProblemSpec) -> np.ndarray:
     """Minimize the p = 2 energy with f = 0 and trace g: one linear solve."""
-    D, D_I, D_IT = _gradient_operator(spec.grid)
+    D, D_I, D_IT, order = _gradient_operator(spec.grid)
     vals = spec.g.values.copy()
-    int_flat = (~spec.grid.boundary_flags()).ravel()
-    vals.ravel()[int_flat] -= spla.spsolve(D_IT @ D_I, D_IT @ (D @ vals.ravel()))
+    vals.ravel()[order] -= _linear_solve(D_IT @ D_I, D_IT @ (D @ vals.ravel()))
     return vals
+
+
+def _linear_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """K^{-1} rhs for a symmetric K whose unknowns are in elimination order.
+
+    An exactly singular K gives a NaN solution instead of an exception: a
+    Newton step through it fails the line search and the solve falls back
+    to the gradient direction.
+    """
+    try:
+        lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return np.full(rhs.shape, np.nan)
+    return lu.solve(rhs)
 
 
 def _eps_path(eps: float) -> list[float]:
@@ -259,9 +306,8 @@ def solve(
     if spec.params.eps <= 0.0:
         raise ValueError("solve requires eps > 0")
     grid = spec.grid
-    interior = ~grid.boundary_flags()
-    int_flat = interior.ravel()
-    w_int = grid.quad_weights()[interior]
+    order = _gradient_operator(grid)[3]
+    w_int = grid.quad_weights().ravel()[order]
 
     if u0 is None:
         vals = _harmonic_extension(spec)
@@ -287,7 +333,7 @@ def solve(
         while it_total < max_iter:
             e_val = _energy_raw(spec, vals, eps_k)
             g_full = _gradient_raw(spec, vals, eps_k)
-            g_int = g_full.ravel()[int_flat]
+            g_int = g_full.ravel()[order]
             g_norm = float(np.linalg.norm(g_int))
             res = float(np.sqrt(np.mean((g_int / w_int) ** 2)))
             trace.append((it_total, e_val, g_norm))
@@ -302,7 +348,7 @@ def solve(
                     break  # at the rounding floor of the gradient
             prev_g_norm = g_norm
 
-            step = spla.spsolve(_interior_hessian(spec, vals, eps_k), -g_int)
+            step = _linear_solve(_interior_hessian(spec, vals, eps_k), -g_int)
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -310,13 +356,13 @@ def solve(
                 # the line search would only compare rounding noise, so take
                 # the full Newton step and let the gradient norm decide
                 vals = vals.copy()
-                vals.ravel()[int_flat] += step
+                vals.ravel()[order] += step
             else:
-                vals, ok = _line_search(spec, vals, int_flat, step, e_val, g_int, eps_k)
+                vals, ok = _line_search(spec, vals, order, step, e_val, g_int, eps_k)
                 if not ok:
                     # fallback: gradient descent direction, same Armijo search
                     vals, ok = _line_search(
-                        spec, vals, int_flat, -g_int, e_val, g_int, eps_k
+                        spec, vals, order, -g_int, e_val, g_int, eps_k
                     )
                     if not ok:
                         break  # no decrease possible: at numerical stationarity
@@ -328,7 +374,7 @@ def solve(
     u = ScalarField(grid, vals)
     res = el_residual(spec, u)
     if trace and trace[-1][0] != it_total:
-        g_int = _gradient_raw(spec, vals).ravel()[int_flat]
+        g_int = _gradient_raw(spec, vals).ravel()[order]
         trace.append((it_total, e_val, float(np.linalg.norm(g_int))))
     converged = converged and res <= tol_res
     return SolveResult(
@@ -341,15 +387,16 @@ def solve(
     )
 
 
-def _line_search(spec, vals, int_flat, direction, e0, g_int, eps_k):
-    """Armijo backtracking along an interior direction; returns (new_vals, ok)."""
+def _line_search(spec, vals, order, direction, e0, g_int, eps_k):
+    """Armijo backtracking along an interior direction (indexed like `order`);
+    returns (new_vals, ok)."""
     slope = float(np.dot(g_int, direction))
     if slope >= 0.0:
         return vals, False
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
-        trial.ravel()[int_flat] += t * direction
+        trial.ravel()[order] += t * direction
         e_trial = _energy_raw(spec, trial, eps_k)
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution

@@ -297,6 +297,11 @@ def test_config_file_errors(tmp_path, capsys):
     typed.write_text(json.dumps({"p": "three"}))
     assert run("solve", "--config", str(typed)) == 2
     assert "config key 'p': cannot read 'three'" in capsys.readouterr().err
+    for payload, key in (({"out": 5}, "out"), ({"eps": {"a": 1}}, "eps"),
+                         ({"eps": [1e-3]}, "eps")):
+        typed.write_text(json.dumps(payload))
+        assert run("solve", "--p", "3", "--config", str(typed)) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
     assert run("solve", "--p", "3", "--config", str(tmp_path / "missing.json")) == 2
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from plapreg.fields import Grid, ScalarField
@@ -126,7 +128,7 @@ def test_cell_gradient_is_exact_at_cell_centers(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_interior_hessian_matches_gradient_difference_quotient(dim):
-    from plapreg.solver import _gradient_raw, _interior_hessian
+    from plapreg.solver import _gradient_operator, _gradient_raw, _interior_hessian
 
     rng = np.random.default_rng(20 + dim)
     if dim == 1:
@@ -137,18 +139,60 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
     gb = ScalarField(g, rng.standard_normal(g.shape))
     spec = ProblemSpec(g, PLapParams(p=3.5, eps=0.2), f, gb)
     vals = gb.values + rng.standard_normal(g.shape) * 0.3
-    interior = ~g.boundary_flags().ravel()
+    # K_II's rows and columns follow the interior elimination order
+    order = _gradient_operator(g)[3]
     K = _interior_hessian(spec, vals, 0.2).toarray()
-    assert K.shape == (interior.sum(),) * 2
+    assert K.shape == (len(order),) * 2
     np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
 
     step = 1e-6
-    for col, idx in enumerate(np.flatnonzero(interior)):
+    for col, idx in enumerate(order):
         lo, hi = vals.copy(), vals.copy()
         lo.ravel()[idx] -= step
         hi.ravel()[idx] += step
-        fd = (_gradient_raw(spec, hi) - _gradient_raw(spec, lo)).ravel()[interior] / (2 * step)
+        fd = (_gradient_raw(spec, hi) - _gradient_raw(spec, lo)).ravel()[order] / (2 * step)
         np.testing.assert_allclose(K[:, col], fd, rtol=1e-6, atol=1e-6 * np.abs(K).max())
+
+
+@pytest.mark.parametrize("shape", [(17,), (3, 3), (4, 9), (7, 6), (33, 33)])
+def test_elimination_order_is_a_permutation_of_the_interior(shape):
+    from plapreg.solver import _gradient_operator
+
+    if len(shape) == 1:
+        g = Grid.line(0.0, 1.0, shape[0])
+    else:
+        g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
+    order = _gradient_operator(g)[3]
+    interior = np.flatnonzero(~g.boundary_flags().ravel())
+    np.testing.assert_array_equal(np.sort(order), interior)
+
+
+def test_ordered_newton_step_matches_c_order_spsolve():
+    """The step solved in elimination order equals spsolve of the Hessian
+    assembled with interior unknowns in C order."""
+    from plapreg.pointwise import hess_L_eps
+    from plapreg.solver import (
+        _cell_gradients, _gradient_operator, _gradient_raw, _interior_hessian, _linear_solve,
+    )
+
+    rng = np.random.default_rng(33)
+    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
+                       ScalarField.constant(g, 0.0))
+    vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
+    D, _, _, order = _gradient_operator(g)
+    interior = ~g.boundary_flags().ravel()
+    grad = _gradient_raw(spec, vals, 1e-2).ravel()
+
+    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
+    m = len(Hc)
+    D_C = D[:, interior].tocsc()
+    K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
+    ref = np.zeros(g.num_nodes)
+    ref[interior] = spla.spsolve(K_C, -grad[interior])
+
+    step = _linear_solve(_interior_hessian(spec, vals, 1e-2), -grad[order])
+    np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_energy_matches_dense_quadrature():
@@ -237,6 +281,17 @@ def test_solve_unconverged_is_flagged():
     r = solve(spec, max_iter=2)
     assert not r.converged
     assert r.iterations == 2
+
+
+def test_solve_survives_singular_newton_system():
+    """At p = 80 the first Hessian is exactly singular in floating point; the
+    step falls back to the gradient direction and the solve reports
+    unconverged instead of raising."""
+    spec = oracle_problem(SharpnessOracle(p=80.0), Grid.line(-1.0, 1.0, 129), eps=1e-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = solve(spec, max_iter=5)
+    assert not r.converged
+    assert r.iterations == 5
 
 
 def test_solve_2d_torsion():
