@@ -18,10 +18,7 @@ from plapreg.fields import (
     Grid,
     ScalarField,
     VectorField,
-    adjointness_defect,
-    divergence,
     gradient,
-    interior_mask,
 )
 from plapreg.pointwise import PLapParams, alpha_s
 from plapreg.smoothness import (
@@ -68,23 +65,6 @@ def calibrate_interpolant_residual():
         prev = res
 
 
-def calibrate_kink_divergence():
-    section("divergence of the discrete degenerate flux "
-            "(frozen: mid <= 2e-4 at 1025 with ratio <= 0.35, kink 1/9, window 3h)")
-    for nodes in (1025, 2049, 4097):
-        g = Grid.line(-1.0, 1.0, nodes)
-        u = ScalarField.from_function(g, lambda x: np.abs(x) ** 1.5 / 1.5)
-        G = gradient(u)
-        dv = divergence(VectorField(g, np.abs(G.values) * G.values)).values
-        x, h = g.axis(0), g.h[0]
-        err = np.abs(dv - 1.0)
-        mid = (np.abs(x) >= 0.05) & (np.abs(x) <= 0.9)
-        window = np.max(np.abs(x[err > 1e-2])) / h
-        print(f"  nodes={nodes:5d}  mid={np.max(err[mid]):.3e}  "
-              f"boundary={max(err[0], err[-1]):.3e}  "
-              f"kink={err[np.argmin(np.abs(x))]:.4f}  window={window:.1f}h")
-
-
 def calibrate_energy_quadrature():
     section("discrete energy vs adaptive quadrature (frozen: err <= 180 h^2)")
     p, eps = 3.0, 0.1
@@ -113,31 +93,6 @@ def calibrate_gradient_stencil():
         exact = 2 * np.pi * np.cos(2 * np.pi * g.axis(0))
         err = np.max(np.abs(gradient(u).values[:, 0] - exact))
         print(f"  nodes={nodes:4d}  err={err:.3e}  err/h^2={err / g.h[0] ** 2:.2f}")
-
-
-def calibrate_adjointness():
-    section("adjointness defect (frozen: 1D extremum exactly 6, "
-            "bound 6 max|F| max|phi| sum_a prod_b!=a side_b)")
-    fl = np.array([-1.0, 1.0, -1.0, -1.0])
-    pl = np.array([1.0, -1.0, 1.0, -1.0])
-    for nodes in (17, 129):
-        g = Grid.line(-1.0, 1.0, nodes)
-        F = np.ones((nodes, 1))
-        ph = np.ones(nodes)
-        F[:4, 0], F[-4:, 0] = fl, -fl[::-1]
-        ph[:4], ph[-4:] = pl, pl[::-1]
-        d = adjointness_defect(VectorField(g, F), ScalarField(g, ph))
-        print(f"  1D extremal pattern, nodes={nodes}: defect={d:.12f}")
-    rng = np.random.default_rng(0)
-    g2 = Grid.box((0.0, 0.0), (2.0, 3.0), (25, 31))
-    worst = max(
-        abs(adjointness_defect(
-            VectorField(g2, rng.choice([-1.0, 1.0], (25, 31, 2))),
-            ScalarField(g2, rng.choice([-1.0, 1.0], (25, 31))),
-        ))
-        for _ in range(500)
-    )
-    print(f"  2D random +-1 worst: {worst:.3f}  (bound 6*(2+3)=30)")
 
 
 def calibrate_composition_constant():
@@ -217,10 +172,8 @@ def calibrate_fit_behaviors():
 def main():
     calibrate_oracle_solve()
     calibrate_interpolant_residual()
-    calibrate_kink_divergence()
     calibrate_energy_quadrature()
     calibrate_gradient_stencil()
-    calibrate_adjointness()
     calibrate_composition_constant()
     calibrate_fit_behaviors()
     print()

@@ -2,8 +2,8 @@
 
 Submodules:
 
-* :mod:`plapreg.fields` - grids, scalar/vector fields, interior masks,
-  finite difference calculus, CSV/JSON serialization.
+* :mod:`plapreg.fields` - grids, scalar/vector fields, the node gradient,
+  interior masks, CSV/JSON serialization.
 * :mod:`plapreg.pointwise` - the regularized length, energy density and
   its derivatives, the power transforms, and algebraic certificates.
 * :mod:`plapreg.solver` - damped Newton minimization of the discrete
@@ -20,8 +20,6 @@ from .fields import (
     InteriorMask,
     ScalarField,
     VectorField,
-    adjointness_defect,
-    divergence,
     gradient,
     interior_mask,
     read_field_csv,
@@ -83,8 +81,6 @@ __all__ = [
     "InteriorMask",
     "ScalarField",
     "VectorField",
-    "adjointness_defect",
-    "divergence",
     "gradient",
     "interior_mask",
     "read_field_csv",

@@ -187,7 +187,7 @@ _TABLE_QS = {3.0: (2.5,), 4.0: (3.0,), 5.0: (4.0,)}
 
 
 def _cell_verdict(kind: str, p: float, q: float, target: float,
-                  theta_hat: float, r2: float, theta: float | None) -> str:
+                  theta_hat: float, r2: float) -> str:
     if not math.isinf(q):
         qc = (p - 1.0) / (p - 2.0)
         if abs(q - qc) <= 1e-9:
@@ -246,7 +246,7 @@ def run_theorem1_check(
     for kind, q, th in plan:
         rep = fit_smoothness_exponent(grad, q, shifts)
         target = table_exponent(p, q)
-        verdict = _cell_verdict(kind, p, q, target, rep.fitted_theta, rep.fit_r2, th)
+        verdict = _cell_verdict(kind, p, q, target, rep.fitted_theta, rep.fit_r2)
         cells.append(ExponentCell(
             p=p, q=q, kind=kind, theta_target=target,
             theta_hat=rep.fitted_theta, r2=rep.fit_r2, verdict=verdict, theta=th,

@@ -1,10 +1,10 @@
-"""Uniform box grids, node-indexed fields, and discrete calculus.
+"""Uniform box grids, node-indexed fields, the node gradient and interior masks.
 
 The domain is always a box in dimension 1 or 2, discretized by a uniform
 lattice.  Scalar and vector fields store one value (or one n-vector) per
-node.  Gradients and divergences use central differences at interior nodes
-and one-sided second-order stencils at boundary nodes, so both operators
-are exact on affine data and second-order accurate everywhere else.
+node.  The gradient uses central differences at interior nodes and
+one-sided second-order stencils at boundary nodes, so it is exact on affine
+data and second-order accurate everywhere else.
 
 Fields are value types: the constructor copies its input and the stored
 array is marked read-only.  All operations here are pure functions.
@@ -24,9 +24,7 @@ __all__ = [
     "VectorField",
     "InteriorMask",
     "gradient",
-    "divergence",
     "interior_mask",
-    "adjointness_defect",
     "write_json",
     "write_grid_json",
     "read_grid_json",
@@ -215,7 +213,7 @@ class VectorField:
 
 @dataclass(frozen=True)
 class InteriorMask:
-    """Nodes whose max-norm box of radius ``delta`` lies inside the domain box.
+    """Node flags, as :func:`interior_mask` sets them for a radius delta.
 
     An empty mask is a valid state (delta too large for the box), exposed via
     ``is_empty`` rather than raised here; consumers that cannot work on an
@@ -223,12 +221,9 @@ class InteriorMask:
     """
 
     grid: Grid
-    delta: float
     flags: np.ndarray
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
         flags = np.asarray(self.flags, dtype=bool)
         if flags.shape != self.grid.shape:
             raise ValueError("flags shape does not match grid")
@@ -262,7 +257,7 @@ def interior_mask(grid: Grid, delta: float) -> InteriorMask:
         shape = [1] * grid.dim
         shape[k] = grid.nodes[k]
         flags &= ok.reshape(shape)
-    return InteriorMask(grid, float(delta), flags)
+    return InteriorMask(grid, flags)
 
 
 def gradient(u: ScalarField) -> VectorField:
@@ -274,47 +269,6 @@ def gradient(u: ScalarField) -> VectorField:
         for k in range(grid.dim)
     ]
     return VectorField(grid, np.stack(comps, axis=-1))
-
-
-def divergence(F: VectorField) -> ScalarField:
-    """Discrete divergence with the same stencils as :func:`gradient`.
-
-    The pair (gradient, divergence) is anti-adjoint in the trapezoid inner
-    product up to a defect supported on the three outermost node layers of
-    each axis; see :func:`adjointness_defect`.
-    """
-    grid = F.grid
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        out += np.gradient(F.values[..., k], grid.h[k], axis=k, edge_order=2)
-    return ScalarField(grid, out)
-
-
-def adjointness_defect(F: VectorField, phi: ScalarField) -> float:
-    """Return <F, grad phi> + <div F, phi> in the trapezoid inner product.
-
-    For the continuum operators this vanishes whenever phi vanishes on the
-    boundary.  For the discrete pair the defect is exactly zero when phi
-    vanishes on the three outermost node layers of every axis (the one-sided
-    boundary rows then read only zeros and all interior rows cancel pairwise).
-    Otherwise it is a pure boundary-layer quantity, independent of h: the sum
-    splits per axis, and along each axis line the interior central-difference
-    terms telescope, leaving the four outermost nodes at each end with weights
-    that cancel the 1/h stencil factors.  Per axis the worst case over fields
-    bounded by 1 is exactly 6 times the trapezoid measure of the transverse
-    cross-section, so
-
-        |defect| <= 6 * max|F| * max|phi| * sum_a prod_{b != a} side_b
-
-    (in 1D the transverse measure is the empty product, giving plain 6).
-    """
-    if F.grid != phi.grid:
-        raise ValueError("fields must share a grid")
-    w = F.grid.quad_weights()
-    g = gradient(phi)
-    term1 = float(np.sum(w[..., None] * F.values * g.values))
-    term2 = float(np.sum(w * divergence(F).values * phi.values))
-    return term1 + term2
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,6 @@ class PLapParams:
         return self.p - 2.0 * self.s + 2.0
 
     @property
-    def theta_range(self) -> tuple[float, float]:
-        """Admissible half-open theta interval [2/p, 2/(p-1))."""
-        return (2.0 / self.p, 2.0 / (self.p - 1.0))
-
-    @property
     def mode(self) -> str:
         """"thm2", "thm3", or "outside" depending on (p, s)."""
         if self.p >= 3.0 and (self.p - 1.0) / 2.0 < self.s <= self.p / 2.0:
@@ -232,12 +227,4 @@ class PLapParams:
                 raise ValueError(f"thm3 mode requires 1 <= s <= p/2, got s = {self.s}")
         elif mode != "auto":
             raise ValueError(f"unknown mode {mode!r}")
-        return self
-
-    def validate_theta(self) -> "PLapParams":
-        lo, hi = self.theta_range
-        if not lo <= self.theta < hi:
-            raise ValueError(
-                f"theta = {self.theta} outside [2/p, 2/(p-1)) = [{lo}, {hi})"
-            )
         return self

@@ -19,7 +19,7 @@ closed-form derivatives of L_eps.  With this pairing the exact gradient of
 E with respect to an interior node value equals minus the node weight times
 the conservative flux-difference operator, so the Euler-Lagrange residual
 reported here is the first variation of the energy and vanishes at the
-discrete minimizer (no separate adjointness defect enters the solve).
+discrete minimizer.
 
 Minimization is damped Newton on the interior unknowns with the Hessian
 K_II, an Armijo backtracking line search, and a gradient
@@ -33,9 +33,9 @@ For small eps the solve walks a geometric eps continuation path, warm
 starting each stage, which keeps Newton steps well scaled even when the
 initial iterate has vanishing gradient.
 
-The node-based operators in :mod:`plapreg.fields` stay the analysis tools
-(norms, seminorms, transforms of the solution); the cell machinery here is
-internal to the solve.
+D is the only difference operator the solve uses; the node gradient in
+:mod:`plapreg.fields` serves the analysis of a solution (its seminorms and
+exponent fits), never the solve.
 """
 
 from __future__ import annotations
@@ -263,10 +263,16 @@ def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
 # the solve
 
 def _harmonic_extension(spec: ProblemSpec) -> np.ndarray:
-    """Minimize the p = 2 energy with f = 0 and trace g: one linear solve."""
+    """Minimize the p = 2 energy with f = 0 and trace g: at most one linear solve.
+
+    g itself is the minimizer when the interior gradient D_I^T D g vanishes
+    (g = 0 in every torsion problem); then nothing is factored.
+    """
     D, D_I, D_IT, order = _gradient_operator(spec.grid)
     vals = spec.g.values.copy()
-    vals.ravel()[order] -= _linear_solve(D_IT @ D_I, D_IT @ (D @ vals.ravel()))
+    rhs = D_IT @ (D @ vals.ravel())
+    if rhs.any():
+        vals.ravel()[order] -= _linear_solve(D_IT @ D_I, rhs)
     return vals
 
 

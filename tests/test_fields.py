@@ -1,4 +1,4 @@
-"""Grid geometry, discrete calculus, masks, and field serialization."""
+"""Grid geometry, the node gradient, masks, and field serialization."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from plapreg.fields import (
     InteriorMask,
     ScalarField,
     VectorField,
-    adjointness_defect,
-    divergence,
     gradient,
     interior_mask,
     read_field_csv,
@@ -118,7 +116,7 @@ def test_from_function_accepts_scalar_component():
 
 
 # ---------------------------------------------------------------------------
-# gradient / divergence
+# gradient
 
 
 def test_gradient_exact_on_affine():
@@ -162,43 +160,6 @@ def test_gradient_second_order_on_sine_2d():
     )
     err = np.max(np.abs(gradient(u).values - exact))
     assert err <= 85.0 * g.h[0] ** 2
-
-
-def test_divergence_exact_on_affine():
-    g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 9))
-    V = VectorField.from_function(g, lambda x, y: (2.0 * x + y, x - 3.0 * y))
-    np.testing.assert_allclose(divergence(V).values, -1.0, atol=1e-12)
-
-
-def test_divergence_of_discrete_degenerate_flux():
-    """u = |x|^{3/2} / (3/2) has flux |u'|^{p-2} u' = x for p = 3, so the
-    discrete divergence of the flux of the *discrete* gradient should be 1.
-    The gradient stencil smears the kink at x = 0 over a few cells: the
-    kink-node error is the h-independent constant 1/9, errors above 1e-2
-    stay within |x| <= 3 h, and away from kink and boundary the error is
-    second order."""
-    mid_err = {}
-    for nodes in (1025, 2049):
-        g = Grid.line(-1.0, 1.0, nodes)
-        u = ScalarField.from_function(g, lambda x: np.abs(x) ** 1.5 / 1.5)
-        G = gradient(u)
-        flux = VectorField(g, np.abs(G.values) * G.values)
-        dv = divergence(flux).values
-        x = g.axis(0)
-        h = g.h[0]
-        err = np.abs(dv - 1.0)
-
-        kink = np.argmin(np.abs(x))
-        assert err[kink] == pytest.approx(1.0 / 9.0, abs=2e-3)
-        assert np.max(err) <= 0.12
-        assert np.max(np.abs(x[err > 1e-2])) <= 3 * h + 1e-12
-
-        mid = (np.abs(x) >= 0.05) & (np.abs(x) <= 0.9)
-        mid_err[nodes] = np.max(err[mid])
-        print(f"nodes={nodes}: mid={mid_err[nodes]:.3e} bnd={max(err[0], err[-1]):.3e}")
-        assert max(err[0], err[-1]) <= 1.0e-3  # one-sided stencil, O(h)
-    assert mid_err[1025] <= 2.0e-4  # measured 1.24e-4
-    assert mid_err[2049] / mid_err[1025] <= 0.35  # measured 0.25, O(h^2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,76 +207,7 @@ def test_interior_mask_2d_counts():
 def test_interior_mask_validates_flags_shape():
     g = Grid.line(0.0, 1.0, 5)
     with pytest.raises(ValueError):
-        InteriorMask(g, 0.1, np.ones(4, dtype=bool))
-
-
-# ---------------------------------------------------------------------------
-# adjointness of (gradient, divergence)
-
-
-def test_adjointness_defect_zero_for_buffered_support():
-    rng = np.random.default_rng(42)
-    g = Grid.line(-1.0, 1.0, 41)
-    F = VectorField(g, rng.standard_normal((41, 1)))
-    phi_vals = rng.standard_normal(41)
-    phi_vals[:3] = phi_vals[-3:] = 0.0  # three outermost layers
-    assert adjointness_defect(F, ScalarField(g, phi_vals)) == pytest.approx(
-        0.0, abs=1e-13
-    )
-
-    g2 = Grid.box((0.0, 0.0), (1.0, 1.0), (17, 19))
-    F2 = VectorField(g2, rng.standard_normal((17, 19, 2)))
-    ph2 = rng.standard_normal((17, 19))
-    ph2[:3, :] = ph2[-3:, :] = 0.0
-    ph2[:, :3] = ph2[:, -3:] = 0.0
-    assert adjointness_defect(F2, ScalarField(g2, ph2)) == pytest.approx(
-        0.0, abs=1e-13
-    )
-
-
-def test_adjointness_defect_worst_case_bound():
-    """Random +-1 fields probe the documented bound
-    6 * max|F| * max|phi| * sum_a prod_{b != a} side_b; the 1D extremum 6.0
-    is attained (verified by exhaustive boundary-pattern search)."""
-    rng = np.random.default_rng(0)
-    g = Grid.line(-1.0, 1.0, 65)
-    worst = 0.0
-    for _ in range(500):
-        F = VectorField(g, rng.choice([-1.0, 1.0], size=(65, 1)))
-        ph = ScalarField(g, rng.choice([-1.0, 1.0], size=65))
-        worst = max(worst, abs(adjointness_defect(F, ph)))
-    print(f"1D worst defect over 500 random sign fields: {worst:.4f}")
-    assert worst <= 6.0 + 1e-9
-
-    g2 = Grid.box((0.0, 0.0), (2.0, 3.0), (25, 31))
-    bound2 = 6.0 * (3.0 + 2.0)
-    for _ in range(100):
-        F2 = VectorField(g2, rng.choice([-1.0, 1.0], size=(25, 31, 2)))
-        ph2 = ScalarField(g2, rng.choice([-1.0, 1.0], size=(25, 31)))
-        assert abs(adjointness_defect(F2, ph2)) <= bound2 + 1e-9
-
-
-def test_adjointness_defect_extremal_pattern():
-    # boundary sign pattern found by exhaustive search; defect is h-independent
-    fl = np.array([-1.0, 1.0, -1.0, -1.0])
-    pl = np.array([1.0, -1.0, 1.0, -1.0])
-    for nodes in (17, 33, 129):
-        g = Grid.line(-1.0, 1.0, nodes)
-        F = np.ones((nodes, 1))
-        ph = np.ones(nodes)
-        F[:4, 0] = fl
-        F[-4:, 0] = -fl[::-1]
-        ph[:4] = pl
-        ph[-4:] = pl[::-1]
-        d = adjointness_defect(VectorField(g, F), ScalarField(g, ph))
-        assert d == pytest.approx(6.0, abs=1e-12)
-
-
-def test_adjointness_defect_mismatched_grids():
-    F = VectorField(Grid.line(0.0, 1.0, 5), np.zeros((5, 1)))
-    phi = ScalarField(Grid.line(0.0, 1.0, 7), np.zeros(7))
-    with pytest.raises(ValueError):
-        adjointness_defect(F, phi)
+        InteriorMask(g, np.ones(4, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,6 @@ def test_params_derived_exponents():
     pr = PLapParams(p=3.0, s=1.5)
     assert pr.q_proof == pytest.approx(2.0)
     assert pr.p_prime == pytest.approx(1.5)
-    assert pr.theta_range == pytest.approx((2.0 / 3.0, 1.0))
     pr4 = PLapParams(p=4.0, s=1.6)
     assert pr4.q_proof == pytest.approx(2.8)
 
@@ -321,11 +320,3 @@ def test_params_validation():
         PLapParams(p=1.5)
     with pytest.raises(ValueError):
         PLapParams(p=3.0, eps=-0.1)
-
-
-def test_params_validate_theta():
-    PLapParams(p=3.0, theta=0.7).validate_theta()
-    with pytest.raises(ValueError, match="outside"):
-        PLapParams(p=3.0, theta=0.5).validate_theta()
-    with pytest.raises(ValueError, match="outside"):
-        PLapParams(p=3.0, theta=1.0).validate_theta()

@@ -305,6 +305,31 @@ def test_solve_2d_torsion():
     assert r.energy <= energy_upper_bound(spec, ScalarField.constant(g, 0.0))
 
 
+def test_harmonic_start_factors_only_for_a_non_harmonic_trace(monkeypatch):
+    """The harmonic start solves a linear system only when g is not already
+    its own harmonic extension: a zero trace costs one Newton factorization
+    per iteration and nothing more, the oracle's kinked trace one more."""
+    import plapreg.solver as solver_mod
+
+    calls = []
+    real = solver_mod._linear_solve
+
+    def counting(K, rhs):
+        calls.append(K.shape)
+        return real(K, rhs)
+
+    monkeypatch.setattr(solver_mod, "_linear_solve", counting)
+    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    r = solve(torsion_spec(g, 3.0, 1e-3))
+    assert r.converged and r.iterations == 7
+    assert len(calls) == r.iterations
+
+    calls.clear()
+    r = solve(oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3))
+    assert r.converged and r.iterations == 9
+    assert len(calls) == r.iterations + 1
+
+
 def test_solve_trace_energy_monotone():
     g = Grid.line(-1.0, 1.0, 513)
     spec = torsion_spec(g, 3.0, 1e-3)
