@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`plapreg.fields` - grids, scalar/vector fields, the node gradient,
-  interior masks, CSV/JSON serialization.
+  interior boxes, CSV/JSON serialization.
 * :mod:`plapreg.pointwise` - the regularized length, energy density and
   its derivatives, the power transforms, and algebraic certificates.
 * :mod:`plapreg.solver` - damped Newton minimization of the discrete
@@ -17,11 +17,10 @@ Submodules:
 
 from .fields import (
     Grid,
-    InteriorMask,
     ScalarField,
     VectorField,
     gradient,
-    interior_mask,
+    interior_box,
     read_field_csv,
     read_grid_json,
     write_field_csv,
@@ -78,11 +77,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid",
-    "InteriorMask",
     "ScalarField",
     "VectorField",
     "gradient",
-    "interior_mask",
+    "interior_box",
     "read_field_csv",
     "read_grid_json",
     "write_field_csv",

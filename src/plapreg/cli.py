@@ -218,13 +218,13 @@ def _cmd_estimate(head: dict, cfg: dict) -> int:
         _, field, _ = oracle_fields(SharpnessOracle(p=cfg["p"]), grid)
     shifts = dyadic_shifts(field.grid, cfg["delta"])
     report = fit_smoothness_exponent(field, cfg["q"], shifts)
-    outdir = Path(cfg["out"])
-    write_seminorm_report(report, outdir)
     payload = {**head, "config": cfg, "report": report.to_dict()}
     if cfg["theta"] is not None:
         payload["seminorm_at_theta"] = nikolskii_seminorm(
             field, cfg["q"], cfg["theta"], shifts
         )
+    outdir = Path(cfg["out"])
+    write_seminorm_report(report, outdir)
     write_json(payload, outdir / "report.json")
     return 0
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, gradient, interior_mask, write_json
+from .fields import Grid, ScalarField, VectorField, gradient, interior_box, write_json
 from .pointwise import PLapParams, alpha_s
 from .smoothness import (
     dyadic_shifts,
@@ -307,9 +307,7 @@ def run_eps_sweep(
         raise ValueError("eps values must be positive")
     p, s = template.params.p, template.params.s
     mode = template.params.mode
-    mask = interior_mask(template.grid, delta)
-    if mask.is_empty:
-        raise ValueError("sweep delta leaves no interior nodes")
+    interior_box(template.grid, delta)  # an empty interior fails before any solve
 
     def run_cell(eps: float) -> SweepCell:
         result = solve(replace(template, params=replace(template.params, eps=eps)))
@@ -323,7 +321,7 @@ def run_eps_sweep(
         return SweepCell(
             eps=eps,
             w1p_norm=sobolev_w1p_norm(result.u, p),
-            alpha_w12=sobolev_w12_norm(V, mask),
+            alpha_w12=sobolev_w12_norm(V, delta),
             el_residual=result.el_residual,
             iterations=result.iterations,
         )

@@ -1,10 +1,11 @@
-"""Uniform box grids, node-indexed fields, the node gradient and interior masks.
+"""Uniform box grids, node-indexed fields, the node gradient and interior boxes.
 
 The domain is always a box in dimension 1 or 2, discretized by a uniform
 lattice.  Scalar and vector fields store one value (or one n-vector) per
 node.  The gradient uses central differences at interior nodes and
 one-sided second-order stencils at boundary nodes, so it is exact on affine
-data and second-order accurate everywhere else.
+data and second-order accurate everywhere else.  The delta-interior of the
+box is again a box, indexed by one slice per axis.
 
 Fields are value types: the constructor copies its input and the stored
 array is marked read-only.  All operations here are pure functions.
@@ -22,9 +23,8 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "InteriorMask",
     "gradient",
-    "interior_mask",
+    "interior_box",
     "write_json",
     "write_grid_json",
     "read_grid_json",
@@ -211,53 +211,28 @@ class VectorField:
         return ScalarField(self.grid, np.linalg.norm(self.values, axis=-1))
 
 
-@dataclass(frozen=True)
-class InteriorMask:
-    """Node flags, as :func:`interior_mask` sets them for a radius delta.
+def interior_box(grid: Grid, delta: float) -> tuple[slice, ...]:
+    """Index slices, one per axis, of the nodes x with [x - delta, x + delta]
+    inside the box on every axis.
 
-    An empty mask is a valid state (delta too large for the box), exposed via
-    ``is_empty`` rather than raised here; consumers that cannot work on an
-    empty mask raise themselves.
+    The delta-interior of a box is itself a box, so ``values[box]`` selects
+    it; ``values[box].ravel()`` lists its nodes in C order.  Raises
+    ValueError when delta <= 0 or no node qualifies.
     """
-
-    grid: Grid
-    flags: np.ndarray
-
-    def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=bool)
-        if flags.shape != self.grid.shape:
-            raise ValueError("flags shape does not match grid")
-        out = flags.copy()
-        out.setflags(write=False)
-        object.__setattr__(self, "flags", out)
-
-    @property
-    def is_empty(self) -> bool:
-        return not bool(self.flags.any())
-
-    @property
-    def count(self) -> int:
-        return int(self.flags.sum())
-
-    @property
-    def measure(self) -> float:
-        """Riemann measure of the mask, count * cell volume."""
-        return self.count * self.grid.cell_volume
-
-
-def interior_mask(grid: Grid, delta: float) -> InteriorMask:
-    """Flag the nodes x with [x - delta, x + delta] inside the box on every axis."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    flags = np.ones(grid.shape, dtype=bool)
+    box = []
     for k in range(grid.dim):
         x = grid.axis(k)
         tol = _GEOM_RTOL * max(1.0, abs(grid.upper[k] - grid.lower[k]))
-        ok = (x - delta >= grid.lower[k] - tol) & (x + delta <= grid.upper[k] + tol)
-        shape = [1] * grid.dim
-        shape[k] = grid.nodes[k]
-        flags &= ok.reshape(shape)
-    return InteriorMask(grid, flags)
+        (inside,) = np.nonzero(
+            (x - delta >= grid.lower[k] - tol) & (x + delta <= grid.upper[k] + tol)
+        )
+        if delta <= 0 or inside.size == 0:
+            raise ValueError(
+                f"interior of radius {delta:g} is empty; the radius must be "
+                "positive and below half of every box side"
+            )
+        box.append(slice(int(inside[0]), int(inside[-1]) + 1))
+    return tuple(box)
 
 
 def gradient(u: ScalarField) -> VectorField:

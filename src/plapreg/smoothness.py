@@ -7,11 +7,11 @@ shifts, forms the max quotient (the discrete seminorm), and fits the
 growth exponent by log-log regression.
 
 Integrals here are plain Riemann sums: every node in the active region
-carries weight h^n.  That makes the measure of a masked region exactly
-(node count) * (cell volume), keeps shifted and unshifted sums directly
-comparable, and is consistent with how interior masks report their
-measure.  The trapezoid weights used for the energy live in the solver
-and are not used here.
+carries weight h^n.  The active region is the whole box or an interior
+box, so its measure is exactly (node count) * (cell volume) and shifted
+and unshifted sums stay directly comparable.  Each sum runs over the
+region's nodes in C order.  The trapezoid weights used for the energy
+live in the solver and are not used here.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import math
 
 import numpy as np
 
-from .fields import (
-    Grid, InteriorMask, ScalarField, VectorField, gradient, interior_mask, write_json,
-)
+from .fields import Grid, ScalarField, VectorField, gradient, interior_box, write_json
 from .pointwise import beta_theta
 
 __all__ = [
@@ -129,60 +127,54 @@ def _offset_length(grid: Grid, offset) -> float:
     return float(np.hypot.reduce([o * h for o, h in zip(offset, grid.h)]))
 
 
-def _difference_values(field, offset) -> tuple[np.ndarray, float, InteriorMask]:
-    """|u(. + v) - u| at the nodes of the |v|-interior mask."""
-    grid = field.grid
-    if len(offset) != grid.dim:
-        raise ValueError("offset dimension does not match the grid")
-    if all(o == 0 for o in offset):
-        raise ValueError("zero shift")
-    vlen = _offset_length(grid, offset)
-    mask = interior_mask(grid, vlen)
-    if mask.is_empty:
-        raise ValueError(
-            f"interior for shift length {vlen:g} is empty; shrink the shift"
-        )
-    idx = np.nonzero(mask.flags)
-    shifted = tuple(i + o for i, o in zip(idx, offset))
-    diff = field.values[shifted] - field.values[idx]
+def _box(grid: Grid, delta: float | None):
+    """Index of the delta-interior box, or of the whole grid for delta None."""
+    return ... if delta is None else interior_box(grid, delta)
+
+
+def _riemann_sum(values: np.ndarray, grid: Grid) -> float:
+    """Sum of nodal values over a box of ``grid``, each node weighing h^n.
+
+    The sum runs over ``values.ravel()``: the nodes in C order, as a boolean
+    mask would select them, whatever the memory layout.  Summing a strided
+    box directly can group the terms differently and differ in the last bit.
+    """
+    return float(np.sum(values.ravel()) * grid.cell_volume)
+
+
+def _lq(field, values: np.ndarray, q: float) -> float:
+    """Riemann-sum L^q norm of the nodewise magnitude of ``values``, a box
+    of ``field``'s node values (vector fields keep their component axis)."""
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
     if isinstance(field, VectorField):
-        diff = np.sqrt(np.sum(diff * diff, axis=-1))
+        mag = np.sqrt(np.sum(values * values, axis=-1))
     else:
-        diff = np.abs(diff)
-    return diff, vlen, mask
+        mag = np.abs(values)
+    if np.isinf(q):
+        return float(np.max(mag))
+    return _riemann_sum(mag**q, field.grid) ** (1.0 / q)
 
 
 def shift_difference_norm(field, offset, q: float) -> float:
     """L^q norm of u(. + v) - u over the |v|-interior, v = offset * h.
 
-    q = inf gives the max over the masked nodes; vector fields use the
+    q = inf gives the max over the interior nodes; vector fields use the
     Euclidean magnitude of the nodewise difference.
     """
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    diff, _, mask = _difference_values(field, offset)
-    if np.isinf(q):
-        return float(np.max(diff))
-    vol = mask.grid.cell_volume
-    return float((np.sum(diff**q) * vol) ** (1.0 / q))
+    grid = field.grid
+    if len(offset) != grid.dim:
+        raise ValueError("offset dimension does not match the grid")
+    if all(o == 0 for o in offset):
+        raise ValueError("zero shift")
+    box = interior_box(grid, _offset_length(grid, offset))
+    shifted = tuple(slice(b.start + o, b.stop + o) for b, o in zip(box, offset))
+    return _lq(field, field.values[shifted] - field.values[box], q)
 
 
-def lq_norm(field, q: float, mask: InteriorMask | None = None) -> float:
-    """Riemann-sum L^q norm, optionally restricted to a mask."""
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    vals = field.values
-    if isinstance(field, VectorField):
-        vals = np.sqrt(np.sum(vals * vals, axis=-1))
-    else:
-        vals = np.abs(vals)
-    if mask is not None:
-        if mask.grid != field.grid:
-            raise ValueError("mask grid does not match field grid")
-        vals = vals[mask.flags]
-    if np.isinf(q):
-        return float(np.max(vals)) if vals.size else 0.0
-    return float((np.sum(vals**q) * field.grid.cell_volume) ** (1.0 / q))
+def lq_norm(field, q: float, delta: float | None = None) -> float:
+    """Riemann-sum L^q norm, over the delta-interior box or the whole box."""
+    return _lq(field, field.values[_box(field.grid, delta)], q)
 
 
 def nikolskii_seminorm(field, q: float, theta: float, shifts) -> float:
@@ -280,41 +272,23 @@ def _jacobian_sq(V: VectorField) -> np.ndarray:
     return out
 
 
-def sobolev_w12_seminorm(V: VectorField, mask: InteriorMask | None = None) -> float:
-    """L^2 norm of the discrete Jacobian, over the mask or the whole box."""
-    jac2 = _jacobian_sq(V)
-    if mask is not None:
-        if mask.grid != V.grid:
-            raise ValueError("mask grid does not match field grid")
-        if mask.is_empty:
-            raise ValueError("empty mask")
-        jac2 = jac2[mask.flags]
-    return float(np.sqrt(np.sum(jac2) * V.grid.cell_volume))
+def sobolev_w12_seminorm(V: VectorField, delta: float | None = None) -> float:
+    """L^2 norm of the discrete Jacobian, over the delta-interior box or the whole box."""
+    return float(np.sqrt(_riemann_sum(_jacobian_sq(V)[_box(V.grid, delta)], V.grid)))
 
 
-def sobolev_w12_norm(V: VectorField, mask: InteriorMask | None = None) -> float:
-    mag2 = np.sum(V.values**2, axis=-1)
-    jac2 = _jacobian_sq(V)
-    if mask is not None:
-        if mask.grid != V.grid:
-            raise ValueError("mask grid does not match field grid")
-        if mask.is_empty:
-            raise ValueError("empty mask")
-        mag2, jac2 = mag2[mask.flags], jac2[mask.flags]
-    return float(np.sqrt(np.sum(mag2 + jac2) * V.grid.cell_volume))
+def sobolev_w12_norm(V: VectorField, delta: float | None = None) -> float:
+    vals = np.sum(V.values**2, axis=-1) + _jacobian_sq(V)
+    return float(np.sqrt(_riemann_sum(vals[_box(V.grid, delta)], V.grid)))
 
 
-def sobolev_w1p_norm(u: ScalarField, p: float, mask: InteriorMask | None = None) -> float:
+def sobolev_w1p_norm(u: ScalarField, p: float) -> float:
     """(sum (|u|^p + |grad u|^p) h^n)^(1/p)."""
     if p < 1.0:
         raise ValueError("p must be at least 1")
     gmag = np.sqrt(np.sum(gradient(u).values ** 2, axis=-1))
     vals = np.abs(u.values) ** p + gmag**p
-    if mask is not None:
-        if mask.grid != u.grid:
-            raise ValueError("mask grid does not match field grid")
-        vals = vals[mask.flags]
-    return float((np.sum(vals) * u.grid.cell_volume) ** (1.0 / p))
+    return _riemann_sum(vals, u.grid) ** (1.0 / p)
 
 
 def composition_bound_check(

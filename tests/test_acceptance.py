@@ -6,13 +6,11 @@ runtime budget.  Run with -s (or read the captured output) to see the
 lines.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
-from plapreg.fields import Grid, VectorField, gradient
+from plapreg.fields import Grid, VectorField
 from plapreg.pointwise import (
     alpha_s,
     beta_theta,
@@ -24,7 +22,7 @@ from plapreg.pointwise import (
     monotonicity_gap,
 )
 from plapreg.smoothness import composition_bound_check
-from plapreg.solver import solve, residual_tolerance
+from plapreg.solver import solve
 from plapreg.experiments import (
     SharpnessOracle,
     oracle_fields,

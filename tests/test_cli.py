@@ -6,7 +6,6 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from plapreg.cli import _FLAGS, _PATHS, _build_parser, _configure, main
@@ -136,6 +135,11 @@ def test_estimate_usage_errors(tmp_path, capsys):
     assert run("estimate", "--field", "f.csv", "--out", str(tmp_path)) == 2
     assert "requires --grid" in capsys.readouterr().err
     assert run("estimate", "--out", str(tmp_path)) == 2  # no field, no p
+    out = tmp_path / "d"
+    assert run("estimate", "--p", "4", "--theta", "1.5", "--nodes", "257",
+               "--out", str(out)) == 2
+    assert "theta must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from plapreg.fields import Grid, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import ProblemSpec, SolverError
 from plapreg.experiments import (
-    DEFAULT_EPS_SWEEP,
     SharpnessOracle,
     oracle_fields,
     oracle_problem,

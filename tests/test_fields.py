@@ -1,15 +1,14 @@
-"""Grid geometry, the node gradient, masks, and field serialization."""
+"""Grid geometry, the node gradient, interior boxes, and field serialization."""
 
 import numpy as np
 import pytest
 
 from plapreg.fields import (
     Grid,
-    InteriorMask,
     ScalarField,
     VectorField,
     gradient,
-    interior_mask,
+    interior_box,
     read_field_csv,
     read_grid_json,
     write_field_csv,
@@ -163,51 +162,48 @@ def test_gradient_second_order_on_sine_2d():
 
 
 # ---------------------------------------------------------------------------
-# interior masks
+# interior boxes
 
 
-def test_interior_mask_tiny_delta_keeps_strict_interior():
+def count(box):
+    return int(np.prod([b.stop - b.start for b in box]))
+
+
+def test_interior_box_tiny_delta_keeps_strict_interior():
     g = Grid.line(0.0, 1.0, 11)
-    m = interior_mask(g, 1e-12)
-    assert m.count == 11  # delta below the node spacing tolerance keeps all
-    m2 = interior_mask(g, 0.05)
-    assert m2.flags[0] == False and m2.flags[-1] == False
-    assert m2.count == 9
+    # delta within the geometric tolerance keeps the boundary nodes too
+    assert count(interior_box(g, 1e-12)) == 11
+    assert interior_box(g, 0.05) == (slice(1, 10),)
 
 
-def test_interior_mask_1d_geometry():
+def test_interior_box_1d_geometry():
     g = Grid.line(-1.0, 1.0, 9)  # h = 0.25
-    m = interior_mask(g, 0.5)
-    np.testing.assert_array_equal(
-        m.flags, np.abs(g.axis(0)) <= 0.5 + 1e-12
-    )
-    assert m.measure == pytest.approx(m.count * 0.25)
+    flags = np.zeros(g.shape, dtype=bool)
+    flags[interior_box(g, 0.5)] = True
+    np.testing.assert_array_equal(flags, np.abs(g.axis(0)) <= 0.5 + 1e-12)
 
 
-def test_interior_mask_empty_and_monotone():
+def test_interior_box_empty_and_monotone():
     g = Grid.line(0.0, 1.0, 21)
-    assert interior_mask(g, 0.6).is_empty
+    with pytest.raises(ValueError, match="interior.*empty"):
+        interior_box(g, 0.6)
     prev = g.num_nodes + 1
     for delta in (0.05, 0.15, 0.3, 0.45):
-        c = interior_mask(g, delta).count
+        c = count(interior_box(g, delta))
         assert c < prev
         prev = c
-    with pytest.raises(ValueError):
-        interior_mask(g, 0.0)
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError, match="interior.*empty"):
+            interior_box(g, delta)
 
 
-def test_interior_mask_2d_counts():
+def test_interior_box_2d_counts():
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (11, 11))
-    m = interior_mask(g, 0.2)
     # surviving nodes per axis: x in [0.2, 0.8] -> 7 of 11
-    assert m.count == 49
-    assert m.measure == pytest.approx(49 * 0.01)
-
-
-def test_interior_mask_validates_flags_shape():
-    g = Grid.line(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        InteriorMask(g, np.ones(4, dtype=bool))
+    assert interior_box(g, 0.2) == (slice(2, 9), slice(2, 9))
+    # only the short axis empties
+    with pytest.raises(ValueError, match="interior.*empty"):
+        interior_box(Grid.box((0.0, 0.0), (4.0, 1.0), (11, 11)), 0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The scripts import only names the package still has, and every exported
-name resolves.  Neither is reached by the other tests: a script is run by
-hand, and ``__all__`` is read only by ``from plapreg import *``."""
+"""The scripts import only names the package still has, every exported name
+resolves, and every imported name is used.  None of this is reached by the
+other tests: a script is run by hand, ``__all__`` is read only by
+``from plapreg import *``, and an unused import runs without error."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +30,28 @@ def test_exports_resolve(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
+
+ROOT = SCRIPTS.parent
+SOURCES = sorted(
+    [p for p in (ROOT / "src" / "plapreg").glob("*.py") if p.name != "__init__.py"]
+    + list(SCRIPTS.glob("*.py"))
+    + list((ROOT / "tests").glob("*.py"))
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_imports_are_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    assert not imported - used, f"imported but unused: {sorted(imported - used)}"

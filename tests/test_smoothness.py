@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from plapreg.fields import Grid, ScalarField, VectorField, interior_mask
+from plapreg.fields import Grid, ScalarField, VectorField, gradient, interior_box
 from plapreg.pointwise import beta_theta
 from plapreg.smoothness import (
     COMPOSITION_C,
@@ -30,6 +30,11 @@ from plapreg.experiments import SharpnessOracle, oracle_fields
 
 def line(nodes=1025):
     return Grid.line(-1.0, 1.0, nodes)
+
+
+def measure(g, delta):
+    """Riemann measure of the delta-interior: node count times cell volume."""
+    return np.prod([b.stop - b.start for b in interior_box(g, delta)]) * g.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +80,7 @@ def test_shift_norm_affine_exact():
     u = ScalarField.from_function(g, lambda x: a * x - 0.2)
     off, q = (8,), 3.0
     v = 8 * g.h[0]
-    measure = interior_mask(g, v).measure
-    expected = a * v * measure ** (1.0 / q)
+    expected = a * v * measure(g, v) ** (1.0 / q)
     assert shift_difference_norm(u, off, q) == pytest.approx(expected, rel=1e-12)
     assert shift_difference_norm(u, off, np.inf) == pytest.approx(a * v, rel=1e-12)
 
@@ -155,10 +159,65 @@ def test_lq_norm_basic():
     # Riemann sum counts every node at full weight h: 101 h = 1.01
     assert lq_norm(u, 2.0) == pytest.approx(2.0 * math.sqrt(1.01), rel=1e-12)
     assert lq_norm(u, np.inf) == 2.0
-    m = interior_mask(g, 0.25)
-    assert lq_norm(u, 1.0, m) == pytest.approx(2.0 * m.measure, rel=1e-12)
+    assert lq_norm(u, 1.0, 0.25) == pytest.approx(2.0 * measure(g, 0.25), rel=1e-12)
     with pytest.raises(ValueError):
         lq_norm(u, 0.9)
+
+
+@pytest.mark.parametrize("shape", [(65, 33), (257, 129)])
+def test_interior_norms_match_masked_reference_bitwise(shape):
+    """Each sum over an interior box adds the same terms in the same order as
+    a sum over the nodes a boolean mask selects (C order).  On 257 x 129 the
+    boxes exceed numpy's 8192-element reduction buffer, where a sum over a
+    strided box would group its terms differently; u is stored in Fortran
+    order, where a sum in memory order would too."""
+    rng = np.random.default_rng(24)
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
+    u = ScalarField(g, np.asfortranarray(rng.standard_normal(g.shape)))
+    assert u.values.flags.f_contiguous
+    V = VectorField(g, rng.standard_normal(g.shape + (2,)))
+    x, y = g.coords()[..., 0], g.coords()[..., 1]
+    hx, hy = g.h
+    DELTAS = (0.05, 0.1, 0.15, 0.2, 0.25)
+
+    def mask(delta):
+        return np.nonzero(
+            (x - delta >= -1e-12) & (x + delta <= 1.0 + 1e-12)
+            & (y - delta >= -1e-12) & (y + delta <= 1.0 + 1e-12)
+        )
+
+    def mag(field, vals):
+        if isinstance(field, VectorField):
+            return np.sqrt(np.sum(vals * vals, axis=-1))
+        return np.abs(vals)
+
+    def lq(mags, q):
+        if np.isinf(q):
+            return float(np.max(mags))
+        return float((np.sum(mags**q) * g.cell_volume) ** (1.0 / q))
+
+    for field in (u, V):
+        for q in (1.0, 2.7, np.inf):
+            for off in dyadic_shifts(g, 0.25):
+                idx = mask(math.hypot(off[0] * hx, off[1] * hy))
+                shifted = tuple(i + o for i, o in zip(idx, off))
+                diff = field.values[shifted] - field.values[idx]
+                ref = lq(mag(field, diff), q)
+                assert shift_difference_norm(field, off, q) == ref, (off, q)
+            for delta in DELTAS:
+                ref = lq(mag(field, field.values[mask(delta)]), q)
+                assert lq_norm(field, q, delta) == ref, (delta, q)
+
+    jac2 = np.zeros(g.shape)
+    for j in range(2):
+        jac2 += np.sum(gradient(V.component(j)).values ** 2, axis=-1)
+    mag2 = np.sum(V.values**2, axis=-1)
+    for delta in DELTAS:
+        idx = mask(delta)
+        semi = float(np.sqrt(np.sum(jac2[idx]) * g.cell_volume))
+        full = float(np.sqrt(np.sum(mag2[idx] + jac2[idx]) * g.cell_volume))
+        assert sobolev_w12_seminorm(V, delta) == semi
+        assert sobolev_w12_norm(V, delta) == full
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +361,14 @@ def test_fit_validation():
 
 
 def test_sobolev_seminorm_pinned_affine_value():
-    # V = (x1, 0): Jacobian is e11, so seminorm^2 = measure of the mask
+    # V = (x1, 0): Jacobian is e11, so seminorm^2 = measure of the interior
     for g in (line(513), Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65))):
         if g.dim == 1:
             V = VectorField.from_function(g, lambda x: (x,))
         else:
             V = VectorField.from_function(g, lambda x, y: (x, 0.0 * y))
-        m = interior_mask(g, 0.25)
-        sm = sobolev_w12_seminorm(V, m)
-        assert sm**2 == pytest.approx(m.measure, rel=1e-12)
+        sm = sobolev_w12_seminorm(V, 0.25)
+        assert sm**2 == pytest.approx(measure(g, 0.25), rel=1e-12)
         full = sobolev_w12_seminorm(V)
         assert full**2 == pytest.approx(g.num_nodes * g.cell_volume, rel=1e-12)
 
@@ -345,9 +403,8 @@ def test_sobolev_seminorm_matches_dense_quadrature():
 def test_sobolev_w1p_norm_constant():
     g = Grid.line(0.0, 1.0, 101)
     u = ScalarField.constant(g, 3.0)
-    m = interior_mask(g, 0.25)
-    assert sobolev_w1p_norm(u, 4.0, m) == pytest.approx(
-        (3.0**4 * m.measure) ** 0.25, rel=1e-12
+    assert sobolev_w1p_norm(u, 4.0) == pytest.approx(
+        (3.0**4 * g.num_nodes * g.cell_volume) ** 0.25, rel=1e-12
     )
     with pytest.raises(ValueError):
         sobolev_w1p_norm(u, 0.5)
@@ -356,10 +413,10 @@ def test_sobolev_w1p_norm_constant():
 def test_sobolev_mask_validation():
     g = line(65)
     V = VectorField.from_function(g, lambda x: (x,))
-    with pytest.raises(ValueError, match="mask grid"):
-        sobolev_w12_seminorm(V, interior_mask(line(129), 0.25))
     with pytest.raises(ValueError, match="empty"):
-        sobolev_w12_seminorm(V, interior_mask(g, 5.0))
+        sobolev_w12_seminorm(V, 5.0)
+    with pytest.raises(ValueError, match="empty"):
+        lq_norm(V, 2.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from plapreg.fields import Grid, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
     ProblemSpec,
-    SolveResult,
     energy,
     energy_and_gradient,
     energy_upper_bound,
