@@ -91,10 +91,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in zip(self.lower, self.upper)]))
-
     def axis(self, k: int) -> np.ndarray:
         return np.linspace(self.lower[k], self.upper[k], self.nodes[k])
 
@@ -206,9 +202,6 @@ class VectorField:
 
     def component(self, k: int) -> ScalarField:
         return ScalarField(self.grid, self.values[..., k])
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.linalg.norm(self.values, axis=-1))
 
 
 def interior_box(grid: Grid, delta: float) -> tuple[slice, ...]:

@@ -27,8 +27,12 @@ descent fallback if a Newton direction ever fails to decrease the energy.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D, where K_II is tridiagonal; George's nested dissection of
 the mesh in 2D), and D_I takes its columns in that order, so every K_II
-arrives ordered: each Newton step is one SuperLU factorization in
-symmetric mode with no fill-reducing permutation of its own.
+arrives ordered for a SuperLU factorization in symmetric mode with no
+fill-reducing permutation of its own.  In 1D each Newton step is one such
+factorization.  In 2D the Hessians change little from step to step, so a
+step after the first solves K_II by CG preconditioned with the last
+factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
+afresh only when CG reaches an iteration cap or returns a non-finite step.
 For small eps the solve walks a geometric eps continuation path, warm
 starting each stage, which keeps Newton steps well scaled even when the
 initial iterate has vanishing gradient.
@@ -75,6 +79,19 @@ _BOUNDARY_ATOL = 1e-12
 # nested dissection leaves blocks of at most this many nodes per side in C
 # order; measured fastest among 1-32 on the 257^2 torsion Hessian
 _ND_LEAF = 4
+# a 2D Newton step solved by CG with the last factor as preconditioner falls
+# back to a fresh factorization once CG reaches this many iterations.  On
+# the 257^2 torsion solve (p = 3, eps = 1e-3) the lagged steps take 2-10 CG
+# iterations, 0.03-0.09 s a step, against 0.25-0.30 s per factorization;
+# the cap is reached once, at the first step of the eps = 1e-2 stage, so 2
+# factorizations serve 8 steps
+_PCG_CAP = 15
+# Eisenstat-Walker forcing term (their choice 2): CG stops once
+# ||K s + g|| <= eta ||g||, eta = gamma (||g|| / ||g_prev||)^2 clipped to
+# [_ETA_MIN, _ETA_MAX], g_prev the gradient of the previous Newton step.
+# At 257^2 gamma = 0.1 and 0.01 cost 15% and 40% more CG iterations for
+# the same 8 steps; energies agree with factoring every step to rel 5e-16
+_ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 
 
 class SolverError(RuntimeError):
@@ -103,6 +120,8 @@ class SolveResult:
     iterations: int
     converged: bool
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
+    factorizations: int = 0  # SuperLU factorizations, harmonic start included
+    cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
 
     def __post_init__(self):
         object.__setattr__(self, "trace", tuple(tuple(row) for row in self.trace))
@@ -262,7 +281,70 @@ def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 # the solve
 
-def _harmonic_extension(spec: ProblemSpec) -> np.ndarray:
+class _LinearSolves:
+    """The linear solves of one `solve` call, and their counts.
+
+    A direct solve factors K afresh.  With `lagged` (2D) it keeps the
+    factor, and the next Newton step solves its own K by CG preconditioned
+    with that factor, to the Eisenstat-Walker forcing term; when CG reaches
+    `_PCG_CAP` iterations or returns a non-finite step, the step is solved
+    directly and the new factor replaces the old.  The factor lives only as
+    long as this object, and the old one is released before SuperLU
+    allocates the new one, so at most one is ever held.  1D Hessians are
+    tridiagonal and factor without fill, so there every step is direct.
+    """
+
+    def __init__(self, lagged: bool):
+        self.lagged = lagged
+        self.lu = None
+        self.prev_g_norm = None
+        self.factorizations = 0
+        self.cg_iterations = 0
+
+    def direct(self, K: sp.csc_matrix, rhs: np.ndarray, keep: bool = False) -> np.ndarray:
+        """K^{-1} rhs for a symmetric K whose unknowns are in elimination order,
+        by a fresh factorization, kept as the preconditioner if `keep`.
+
+        An exactly singular K gives a NaN solution instead of an exception: a
+        Newton step through it fails the line search and the solve falls back
+        to the gradient direction.
+        """
+        self.lu = None  # release the old factor before SuperLU allocates a new one
+        self.factorizations += 1
+        try:
+            lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return np.full(rhs.shape, np.nan)
+        if keep:
+            self.lu = lu
+        return lu.solve(rhs)
+
+    def newton_step(self, K: sp.csc_matrix, g_int: np.ndarray, g_norm: float) -> np.ndarray:
+        """The Newton step K^{-1} (-g_int); g_norm = ||g_int||."""
+        prev, self.prev_g_norm = self.prev_g_norm, g_norm
+        rhs = -g_int
+        if self.lu is not None:
+            eta = min(_ETA_MAX, _ETA_GAMMA * (g_norm / prev) ** 2)
+            step = self._pcg(K, rhs, max(_ETA_MIN, eta))
+            if step is not None:
+                return step
+        return self.direct(K, rhs, keep=self.lagged)
+
+    def _pcg(self, K, rhs, rtol):
+        """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
+        its = 0
+
+        def count(_):
+            nonlocal its
+            its += 1
+
+        M = spla.LinearOperator(K.shape, matvec=self.lu.solve, dtype=float)
+        step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M, callback=count)
+        self.cg_iterations += its
+        return step if its < _PCG_CAP and np.isfinite(step).all() else None
+
+
+def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     """Minimize the p = 2 energy with f = 0 and trace g: at most one linear solve.
 
     g itself is the minimizer when the interior gradient D_I^T D g vanishes
@@ -272,22 +354,8 @@ def _harmonic_extension(spec: ProblemSpec) -> np.ndarray:
     vals = spec.g.values.copy()
     rhs = D_IT @ (D @ vals.ravel())
     if rhs.any():
-        vals.ravel()[order] -= _linear_solve(D_IT @ D_I, rhs)
+        vals.ravel()[order] -= solves.direct(D_IT @ D_I, rhs)
     return vals
-
-
-def _linear_solve(K: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """K^{-1} rhs for a symmetric K whose unknowns are in elimination order.
-
-    An exactly singular K gives a NaN solution instead of an exception: a
-    Newton step through it fails the line search and the solve falls back
-    to the gradient direction.
-    """
-    try:
-        lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return np.full(rhs.shape, np.nan)
-    return lu.solve(rhs)
 
 
 def _eps_path(eps: float) -> list[float]:
@@ -314,9 +382,10 @@ def solve(
     grid = spec.grid
     order = _gradient_operator(grid)[3]
     w_int = grid.quad_weights().ravel()[order]
+    solves = _LinearSolves(lagged=grid.dim == 2)
 
     if u0 is None:
-        vals = _harmonic_extension(spec)
+        vals = _harmonic_extension(spec, solves)
     else:
         if u0.grid != grid:
             raise ValueError("u0 must live on the problem grid")
@@ -354,7 +423,7 @@ def solve(
                     break  # at the rounding floor of the gradient
             prev_g_norm = g_norm
 
-            step = _linear_solve(_interior_hessian(spec, vals, eps_k), -g_int)
+            step = solves.newton_step(_interior_hessian(spec, vals, eps_k), g_int, g_norm)
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -390,6 +459,8 @@ def solve(
         iterations=it_total,
         converged=converged,
         trace=trace,
+        factorizations=solves.factorizations,
+        cg_iterations=solves.cg_iterations,
     )
 
 
@@ -430,6 +501,8 @@ def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
         "el_residual": result.el_residual,
         "iterations": result.iterations,
         "converged": result.converged,
+        "factorizations": result.factorizations,
+        "cg_iterations": result.cg_iterations,
         "params": {
             "p": spec.params.p,
             "eps": spec.params.eps,

@@ -25,7 +25,6 @@ def test_grid_line_basic():
     assert g.dim == 1
     assert g.h == (0.5,)
     assert g.num_nodes == 5
-    assert g.volume == 2.0
     assert g.cell_volume == 0.5
     np.testing.assert_allclose(g.axis(0), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
@@ -36,7 +35,6 @@ def test_grid_box_basic():
     assert g.h == (0.5, 1.0)
     assert g.shape == (5, 3)
     assert g.num_nodes == 15
-    assert g.volume == 4.0
     coords = g.coords()
     assert coords.shape == (5, 3, 2)
     assert coords[0, 0, 0] == 0.0 and coords[-1, -1, 1] == 1.0
@@ -100,9 +98,6 @@ def test_vector_field_shape_and_helpers():
     V = VectorField.from_function(g, lambda x, y: (y, -x))
     assert V.values.shape == (3, 3, 2)
     np.testing.assert_allclose(V.component(0).values, g.coords()[..., 1])
-    np.testing.assert_allclose(
-        V.magnitude().values, np.hypot(g.coords()[..., 0], g.coords()[..., 1])
-    )
     with pytest.raises(ValueError):
         VectorField(g, np.zeros((3, 3)))
 

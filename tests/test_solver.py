@@ -2,6 +2,7 @@
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     assembled with interior unknowns in C order."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import (
-        _cell_gradients, _gradient_operator, _gradient_raw, _interior_hessian, _linear_solve,
+        _LinearSolves, _cell_gradients, _gradient_operator, _gradient_raw, _interior_hessian,
     )
 
     rng = np.random.default_rng(33)
@@ -190,7 +191,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     ref = np.zeros(g.num_nodes)
     ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-    step = _linear_solve(_interior_hessian(spec, vals, 1e-2), -grad[order])
+    step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals, 1e-2), -grad[order])
     np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -304,29 +305,128 @@ def test_solve_2d_torsion():
     assert r.energy <= energy_upper_bound(spec, ScalarField.constant(g, 0.0))
 
 
-def test_harmonic_start_factors_only_for_a_non_harmonic_trace(monkeypatch):
-    """The harmonic start solves a linear system only when g is not already
-    its own harmonic extension: a zero trace costs one Newton factorization
-    per iteration and nothing more, the oracle's kinked trace one more."""
-    import plapreg.solver as solver_mod
-
-    calls = []
-    real = solver_mod._linear_solve
-
-    def counting(K, rhs):
-        calls.append(K.shape)
-        return real(K, rhs)
-
-    monkeypatch.setattr(solver_mod, "_linear_solve", counting)
+def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
+    """The harmonic start factors only when g is not already its own harmonic
+    extension.  A zero trace factors exactly as often as a solve started from
+    g itself, and its 2D Newton steps reuse factors, so there are fewer
+    factorizations than steps; the 1D oracle's kinked trace costs one
+    harmonic-start factorization plus one per Newton step."""
     g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
-    r = solve(torsion_spec(g, 3.0, 1e-3))
+    spec = torsion_spec(g, 3.0, 1e-3)
+    r = solve(spec)
     assert r.converged and r.iterations == 7
-    assert len(calls) == r.iterations
+    assert r.factorizations == solve(spec, u0=spec.g).factorizations
+    assert 1 <= r.factorizations < r.iterations
 
-    calls.clear()
     r = solve(oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3))
     assert r.converged and r.iterations == 9
-    assert len(calls) == r.iterations + 1
+    assert r.factorizations == r.iterations + 1
+
+
+def test_lagged_factor_matches_factoring_every_step(monkeypatch):
+    """Reusing the last factor as a CG preconditioner takes the same Newton
+    steps to the same minimizer as factoring every Hessian."""
+    import plapreg.solver as solver_mod
+
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3)
+    lagged = solve(spec)
+    monkeypatch.setattr(solver_mod, "_PCG_CAP", 0)
+    direct = solve(spec)
+    assert lagged.converged and direct.converged
+    assert lagged.iterations == direct.iterations
+    assert lagged.factorizations < direct.factorizations == direct.iterations
+    assert lagged.cg_iterations > 0 and direct.cg_iterations == 0
+    assert lagged.energy == pytest.approx(direct.energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("failure", ["capped", "non-finite"])
+def test_failed_pcg_step_refactors_once(monkeypatch, failure):
+    """A PCG solve that reaches the cap or returns a non-finite step is
+    followed by exactly one factorization, whose direct solve is the step;
+    a PCG solve that succeeds is followed by none."""
+    import plapreg.solver as solver_mod
+
+    events = []
+    real_splu, real_cg = spla.splu, spla.cg
+
+    def splu(*args, **kwargs):
+        events.append("splu")
+        return real_splu(*args, **kwargs)
+
+    def cg(*args, **kwargs):
+        step, info = real_cg(*args, **kwargs)
+        if failure == "non-finite" and events.count("cg ok") == 2 and "cg failed" not in events:
+            step = np.full_like(step, np.nan)
+        events.append("cg ok" if info == 0 and np.isfinite(step).all() else "cg failed")
+        return step, info
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "cg", cg)
+    if failure == "capped":
+        monkeypatch.setattr(solver_mod, "_PCG_CAP", 7)
+    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3))
+    assert r.converged
+    assert events[0] == "splu" and "cg failed" in events
+    for event, after in zip(events, events[1:] + ["end"]):
+        expected = "splu" if event == "cg failed" else ("cg ok", "cg failed", "end")
+        assert after in expected, events
+    assert r.factorizations == events.count("splu") == 1 + events.count("cg failed")
+    assert r.iterations == events.count("splu") + events.count("cg ok")
+
+
+class _WeakFactor:
+    """A SuperLU factor behind an object a weak reference can watch."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def test_old_factor_is_released_before_refactoring(monkeypatch):
+    """When SuperLU is asked for a new factor, every reference to the old one
+    (the kept factor, a preconditioner built on its solve) is gone, and none
+    outlives the solve: in the 257^2 torsion solve, holding the old factor
+    while SuperLU builds the new one raised peak RSS from 181 to 210 MB."""
+    import plapreg.solver as solver_mod
+
+    refs, live_at_entry = [], []
+    real_splu = spla.splu
+
+    def splu(*args, **kwargs):
+        live_at_entry.append(sum(ref() is not None for ref in refs))
+        factor = _WeakFactor(real_splu(*args, **kwargs))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", splu)
+    # a small cap makes PCG fail often, so most steps refactor
+    monkeypatch.setattr(solver_mod, "_PCG_CAP", 4)
+    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    r = solve(torsion_spec(g, 3.0, 1e-3))
+    assert r.converged and r.cg_iterations > 0 and r.factorizations >= 3
+    assert live_at_entry == [0] * r.factorizations
+    assert all(ref() is None for ref in refs)
+
+
+def test_1d_newton_steps_are_direct_solves(monkeypatch):
+    """1D factors every Newton step and never runs CG: its iterates are
+    bitwise those of one fresh symmetric-mode SuperLU solve per step."""
+    import plapreg.solver as solver_mod
+
+    spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
+    r = solve(spec)
+    assert r.factorizations == r.iterations + 1 and r.cg_iterations == 0
+
+    def fresh_factor_step(self, K, g_int, g_norm):
+        lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+        return lu.solve(-g_int)
+
+    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_factor_step)
+    ref = solve(spec)
+    assert r.trace == ref.trace
+    np.testing.assert_array_equal(r.u.values, ref.u.values)
 
 
 def test_solve_trace_energy_monotone():
