@@ -10,10 +10,10 @@ on the analytic gradient of u = |x1|^{p'}/p' and writes one row per
 """
 
 import argparse
-import csv
 import math
 
 from plapreg.experiments import run_theorem1_check
+from plapreg.fields import write_table
 
 
 def main():
@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--out", type=str, default="exponent-table.csv")
     args = ap.parse_args()
 
-    header = ["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"]
     print(f"{'p':>4} {'q':>8} {'kind':18} {'target':>8} {'fitted':>8} "
           f"{'r2':>9} verdict")
     rows = []
@@ -39,10 +38,8 @@ def main():
             rows.append([c.p, qs, c.kind, c.theta_target, c.theta_hat,
                          c.r2, c.verdict])
 
-    with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
+    write_table(args.out, ["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"],
+                rows)
     print(f"\nwrote {len(rows)} rows to {args.out}")
 
 

@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`plapreg.fields` - grids, scalar/vector fields, the node gradient,
-  interior boxes, CSV/JSON serialization.
+  interior boxes, and every JSON and CSV writer.
 * :mod:`plapreg.pointwise` - the regularized length, energy density and
   its derivatives, the power transforms, and algebraic certificates.
 * :mod:`plapreg.solver` - damped Newton minimization of the discrete

@@ -1,7 +1,9 @@
 """Command line front end: solve, estimate, sweep, verify.
 
 Every run writes a JSON report that embeds the fully resolved
-configuration, so a report is reproducible from itself.  Outputs are
+configuration, so a report is reproducible from itself.  A command writes
+its own artifacts and returns its exit code and the report's body; `main`
+writes report.json, so a command that raises writes no report.  Outputs are
 deterministic: rerunning the same command yields bit-identical files.
 
 Exit codes: 0 success (and, for verify, every adjudicated claim passed),
@@ -194,20 +196,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _cmd_solve(head: dict, cfg: dict) -> int:
+def _cmd_solve(head: dict, cfg: dict) -> tuple[int, dict]:
     _require(cfg["p"] is not None, "solve requires --p")
     eps = float(cfg["eps"])
     _require(eps > 0.0, "solve requires eps > 0")
     spec = _problem(cfg, eps)
     spec.params.require_mode(cfg["mode"])
-    outdir = Path(cfg["out"])
     result = solve(spec)
-    summary = write_solve_result(result, spec, outdir)
-    write_json({**head, "config": cfg, "result": summary}, outdir / "report.json")
-    return 0 if result.converged else 1
+    summary = write_solve_result(result, spec, cfg["out"])
+    return (0 if result.converged else 1), {"result": summary}
 
 
-def _cmd_estimate(head: dict, cfg: dict) -> int:
+def _cmd_estimate(head: dict, cfg: dict) -> tuple[int, dict]:
     _require(cfg["q"] >= 1.0, "estimate requires q >= 1")
     if "field" in cfg:
         _require(cfg["grid"] is not None, "--field requires --grid")
@@ -218,18 +218,14 @@ def _cmd_estimate(head: dict, cfg: dict) -> int:
         _, field, _ = oracle_fields(SharpnessOracle(p=cfg["p"]), grid)
     shifts = dyadic_shifts(field.grid, cfg["delta"])
     report = fit_smoothness_exponent(field, cfg["q"], shifts)
-    payload = {**head, "config": cfg, "report": report.to_dict()}
+    body = {"report": report}
     if cfg["theta"] is not None:
-        payload["seminorm_at_theta"] = nikolskii_seminorm(
-            field, cfg["q"], cfg["theta"], shifts
-        )
-    outdir = Path(cfg["out"])
-    write_seminorm_report(report, outdir)
-    write_json(payload, outdir / "report.json")
-    return 0
+        body["seminorm_at_theta"] = nikolskii_seminorm(field, cfg["q"], cfg["theta"], shifts)
+    write_seminorm_report(report, cfg["out"])
+    return 0, body
 
 
-def _sweep(head: dict, cfg: dict) -> int:
+def _sweep(head: dict, cfg: dict) -> tuple[int, dict]:
     """The eps sweep behind both `sweep` and `verify --suite eps-uniform`."""
     _require(cfg["p"] is not None, "sweep requires --p")
     eps_values = _eps_list(cfg["eps"])
@@ -238,29 +234,22 @@ def _sweep(head: dict, cfg: dict) -> int:
     cfg["eps"] = list(eps_values)
     template = _problem(cfg, eps_values[0])
     result = run_eps_sweep(template, eps_values, cfg["delta"])
-    outdir = Path(cfg["out"])
-    write_sweep_result(result, outdir)
-    write_json({**head, "config": cfg, "result": result.to_dict()},
-               outdir / "report.json")
-    return 1 if result.verdict == "fail" else 0
+    write_sweep_result(result, cfg["out"])
+    return (1 if result.verdict == "fail" else 0), {"result": result}
 
 
-def _cmd_verify(head: dict, cfg: dict) -> int:
+def _cmd_verify(head: dict, cfg: dict) -> tuple[int, dict]:
     if head["suite"] == "eps-uniform":
         return _sweep(head, cfg)
     if head["suite"] == "theorem1":
         report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"],
                                     negative_control=True)
-        write_report = write_theorem1_report
+        write_theorem1_report(report, cfg["out"])
     else:  # scaling
         _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")
         report = run_scaling_check(_problem(cfg, float(cfg["eps"])), cfg["lam"])
-        write_report = write_scaling_report
-    outdir = Path(cfg["out"])
-    write_report(report, outdir)
-    write_json({**head, "config": cfg, "result": report.to_dict()},
-               outdir / "report.json")
-    return 0 if report.passed else 1
+        write_scaling_report(report, cfg["out"])
+    return (0 if report.passed else 1), {"result": report}
 
 
 _COMMANDS = {
@@ -279,7 +268,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         head, cfg = _configure(args)
-        return _COMMANDS[args.command][0](head, cfg)
+        code, body = _COMMANDS[args.command][0](head, cfg)
+        write_json({**head, "config": cfg, **body}, Path(cfg["out"]) / "report.json")
+        return code
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

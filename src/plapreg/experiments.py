@@ -17,14 +17,15 @@ parameter choices no claim covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-import csv
 import math
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, gradient, interior_box, write_json
+from .fields import (
+    Grid, ScalarField, VectorField, gradient, interior_box, write_json, write_table,
+)
 from .pointwise import PLapParams, alpha_s
 from .smoothness import (
     dyadic_shifts,
@@ -51,7 +52,6 @@ __all__ = [
     "write_sweep_result",
     "write_scaling_report",
     "DEFAULT_NODES_1D",
-    "DEFAULT_NODES_2D",
     "DEFAULT_EPS_SWEEP",
     "DEFAULT_DELTA_EXPONENTS",
     "DEFAULT_DELTA_SWEEP",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_NODES_1D = 4097
-DEFAULT_NODES_2D = 257
 DEFAULT_EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_DELTA_EXPONENTS = 0.125
 DEFAULT_DELTA_SWEEP = 0.25
@@ -159,11 +158,6 @@ class ExponentCell:
     verdict: str
     theta: float | None = None   # the nominal theta for theta-target cells
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["q"] = "inf" if math.isinf(self.q) else self.q
-        return d
-
 
 @dataclass(frozen=True)
 class Theorem1Report:
@@ -172,15 +166,6 @@ class Theorem1Report:
     delta: float
     cells: tuple
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "nodes": self.nodes,
-            "delta": self.delta,
-            "cells": [c.to_dict() for c in self.cells],
-            "passed": self.passed,
-        }
 
 
 _TABLE_QS = {3.0: (2.5,), 4.0: (3.0,), 5.0: (4.0,)}
@@ -279,11 +264,6 @@ class SweepResult:
     trend_factor: float
     verdict: str            # "pass" | "fail" | "inconclusive" | "outside-theorem"
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["cells"] = [asdict(c) for c in self.cells]
-        return d
-
 
 def run_eps_sweep(
     template: ProblemSpec,
@@ -362,9 +342,6 @@ class ScalingReport:
     alpha_tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     """Verify the exact model rescaling on the discrete problem.
@@ -379,10 +356,9 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
         raise ValueError("lambda must be positive")
     p, s = spec.params.p, spec.params.s
     base = solve(spec)
-    scaled_params = PLapParams(p=p, eps=lam * spec.params.eps, s=s, theta=spec.params.theta)
     scaled_spec = ProblemSpec(
         spec.grid,
-        scaled_params,
+        replace(spec.params, eps=lam * spec.params.eps),
         spec.f.with_values(lam ** (p - 1.0) * spec.f.values),
         spec.g.with_values(lam * spec.g.values),
     )
@@ -407,27 +383,20 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
 
 def write_theorem1_report(report: Theorem1Report, outdir):
     outdir = Path(outdir)
-    write_json(report.to_dict(), outdir / "theorem1.json")
-    with open(outdir / "theorem1.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"])
-        for c in report.cells:
-            wr.writerow([
-                repr(c.p), "inf" if math.isinf(c.q) else repr(c.q), c.kind,
-                repr(c.theta_target), repr(c.theta_hat), repr(c.r2), c.verdict,
-            ])
+    write_json(report, outdir / "theorem1.json")
+    write_table(outdir / "theorem1.csv",
+                ["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"],
+                ([c.p, c.q, c.kind, c.theta_target, c.theta_hat, c.r2, c.verdict]
+                 for c in report.cells))
 
 
 def write_sweep_result(result: SweepResult, outdir):
     outdir = Path(outdir)
-    write_json(result.to_dict(), outdir / "sweep.json")
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["eps", "w1p_norm", "alpha_w12", "el_residual", "iterations"])
-        for c in result.cells:
-            wr.writerow([repr(c.eps), repr(c.w1p_norm), repr(c.alpha_w12),
-                         repr(c.el_residual), c.iterations])
+    write_json(result, outdir / "sweep.json")
+    write_table(outdir / "sweep.csv",
+                ["eps", "w1p_norm", "alpha_w12", "el_residual", "iterations"],
+                map(astuple, result.cells))
 
 
 def write_scaling_report(report: ScalingReport, outdir):
-    write_json(report.to_dict(), Path(outdir) / "scaling.json")
+    write_json(report, Path(outdir) / "scaling.json")

@@ -8,13 +8,17 @@ data and second-order accurate everywhere else.  The delta-interior of the
 box is again a box, indexed by one slice per axis.
 
 Fields are value types: the constructor copies its input and the stored
-array is marked read-only.  All operations here are pure functions.
+array is marked read-only.  All operations here are pure functions.  The
+module also owns the report format: every JSON artifact is written by
+:func:`write_json` and every CSV table by :func:`write_table`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ __all__ = [
     "gradient",
     "interior_box",
     "write_json",
+    "write_table",
     "write_grid_json",
     "read_grid_json",
     "write_field_csv",
@@ -200,9 +205,6 @@ class VectorField:
             )
         return cls(grid, out)
 
-    def component(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[..., k])
-
 
 def interior_box(grid: Grid, delta: float) -> tuple[slice, ...]:
     """Index slices, one per axis, of the nodes x with [x - delta, x + delta]
@@ -240,33 +242,54 @@ def gradient(u: ScalarField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV fields with a JSON grid sidecar
+# serialization: JSON reports and CSV tables, CSV fields with a JSON grid sidecar
 
-def write_json(payload: dict, path) -> None:
-    """Write payload with sorted keys, indent 2 and a trailing newline."""
+def _plain(obj):
+    """obj as JSON data: dataclasses as dicts, tuples as lists, ±inf as "inf"/"-inf"."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+def write_json(payload, path) -> None:
+    """Write a dict or dataclass with sorted keys, indent 2 and a trailing newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header row, then one row per item of ``rows``,
+    floats as their repr (exact round trip) and everything else as is."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
 
 
 def write_grid_json(grid: Grid, path) -> None:
-    payload = {
-        "dim": grid.dim,
-        "lower": list(grid.lower),
-        "upper": list(grid.upper),
-        "nodes": list(grid.nodes),
-    }
-    write_json(payload, path)
+    write_json(grid, path)
 
 
 def read_grid_json(path) -> Grid:
+    """Read a grid written by :func:`write_grid_json`; ValueError if malformed."""
     payload = json.loads(Path(path).read_text())
-    return Grid(
-        payload["dim"],
-        tuple(payload["lower"]),
-        tuple(payload["upper"]),
-        tuple(payload["nodes"]),
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a grid must be a JSON object, not a "
+                         f"{type(payload).__name__}")
+    try:
+        return Grid(payload["dim"], *(tuple(payload[k]) for k in ("lower", "upper", "nodes")))
+    except KeyError as exc:
+        raise ValueError(f"{path}: grid has no {exc.args[0]!r}") from None
+    except TypeError as exc:  # e.g. a number where a list belongs
+        raise ValueError(f"{path}: malformed grid: {exc}") from None
 
 
 def write_field_csv(field: ScalarField | VectorField, path) -> None:

@@ -165,18 +165,24 @@ def integrand_lower_bound_check(H, w, eps, p, q_proof):
     return lhs, rhs
 
 
+# The parameter regimes, in the order `PLapParams.mode` tries them: each is
+# its condition on p, then its condition on s, as (variable, text, test).
+_REGIMES = {
+    "thm2": (("p", "p >= 3", lambda p, s: p >= 3.0),
+             ("s", "(p-1)/2 < s <= p/2", lambda p, s: (p - 1.0) / 2.0 < s <= p / 2.0)),
+    "thm3": (("p", "2 <= p < 3", lambda p, s: 2.0 <= p < 3.0),
+             ("s", "1 <= s <= p/2", lambda p, s: 1.0 <= s <= p / 2.0)),
+}
+
+
 @dataclass(frozen=True)
 class PLapParams:
     """Exponent bundle (p, eps, s, theta) with the derived exponents.
 
-    q_proof = p - 2s + 2 and p_prime = p / (p - 1) are derived.  Two
-    parameter regimes are distinguished for validation:
-
-      * "thm2":  p >= 3 and (p-1)/2 < s <= p/2, so q_proof lies in [2, 3)
-      * "thm3":  2 <= p < 3 and 1 <= s <= p/2
-
-    Construction checks only the basic ranges; call :meth:`require_mode`
-    to enforce a regime, or read :attr:`mode` for the auto-classified one.
+    q_proof = p - 2s + 2 and p_prime = p / (p - 1) are derived.  The
+    parameter regimes "thm2" (where q_proof lies in [2, 3)) and "thm3" are
+    defined in `_REGIMES`.  Construction checks only the basic ranges;
+    :attr:`mode` classifies (p, s) and :meth:`require_mode` enforces a regime.
     """
 
     p: float
@@ -205,26 +211,18 @@ class PLapParams:
     @property
     def mode(self) -> str:
         """"thm2", "thm3", or "outside" depending on (p, s)."""
-        if self.p >= 3.0 and (self.p - 1.0) / 2.0 < self.s <= self.p / 2.0:
-            return "thm2"
-        if 2.0 <= self.p < 3.0 and 1.0 <= self.s <= self.p / 2.0:
-            return "thm3"
+        for mode, conditions in _REGIMES.items():
+            if all(test(self.p, self.s) for _, _, test in conditions):
+                return mode
         return "outside"
 
     def require_mode(self, mode: str) -> "PLapParams":
-        """Raise unless (p, s) sits in the requested regime; returns self."""
-        if mode == "thm2":
-            if self.p < 3.0:
-                raise ValueError(f"thm2 mode requires p >= 3, got p = {self.p}")
-            if not (self.p - 1.0) / 2.0 < self.s <= self.p / 2.0:
-                raise ValueError(
-                    f"thm2 mode requires (p-1)/2 < s <= p/2, got s = {self.s}"
-                )
-        elif mode == "thm3":
-            if not 2.0 <= self.p < 3.0:
-                raise ValueError(f"thm3 mode requires 2 <= p < 3, got p = {self.p}")
-            if not 1.0 <= self.s <= self.p / 2.0:
-                raise ValueError(f"thm3 mode requires 1 <= s <= p/2, got s = {self.s}")
-        elif mode != "auto":
+        """Raise unless (p, s) sits in the requested regime ("auto": any);
+        the message names the first condition that fails.  Returns self."""
+        if mode != "auto" and mode not in _REGIMES:
             raise ValueError(f"unknown mode {mode!r}")
+        if mode not in ("auto", self.mode):
+            var, text = next((var, text) for var, text, test in _REGIMES[mode]
+                             if not test(self.p, self.s))
+            raise ValueError(f"{mode} mode requires {text}, got {var} = {getattr(self, var)}")
         return self

@@ -16,14 +16,15 @@ live in the solver and are not used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
-import csv
 import math
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, gradient, interior_box, write_json
+from .fields import (
+    Grid, ScalarField, VectorField, gradient, interior_box, write_json, write_table,
+)
 from .pointwise import beta_theta
 
 __all__ = [
@@ -76,12 +77,6 @@ class SeminormReport:
     n_fit: int
     raw_slope: float
     fallback: bool = False
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["offsets"] = [list(o) for o in self.offsets]
-        d["q"] = "inf" if math.isinf(self.q) else self.q
-        return d
 
 
 def dyadic_shifts(grid: Grid, delta: float) -> tuple:
@@ -321,10 +316,8 @@ def composition_bound_check(
 def write_seminorm_report(report: SeminormReport, outdir):
     """Write seminorm.json and the per-shift table seminorm.csv."""
     outdir = Path(outdir)
-    write_json(report.to_dict(), outdir / "seminorm.json")
+    write_json(report, outdir / "seminorm.json")
     dim = len(report.offsets[0]) if report.offsets else 1
-    with open(outdir / "seminorm.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["v_mag", "vx", "vy"][: 1 + dim] + ["norm"])
-        for off, mag, nrm in zip(report.offsets, report.v_mags, report.per_shift_norm):
-            wr.writerow([repr(mag)] + list(off) + [repr(nrm)])
+    write_table(outdir / "seminorm.csv", ["v_mag", "vx", "vy"][: 1 + dim] + ["norm"],
+                ([mag, *off, nrm] for off, mag, nrm
+                 in zip(report.offsets, report.v_mags, report.per_shift_norm)))

@@ -35,7 +35,10 @@ factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
 afresh only when CG reaches an iteration cap or returns a non-finite step.
 For small eps the solve walks a geometric eps continuation path, warm
 starting each stage, which keeps Newton steps well scaled even when the
-initial iterate has vanishing gradient.
+initial iterate has vanishing gradient.  The path ends exactly at the
+requested eps, and each stage begins by evaluating its iterate, even once
+the iteration cap is reached: the energy, residual and last trace row of a
+result are those of the returned iterate at the requested eps.
 
 D is the only difference operator the solve uses; the node gradient in
 :mod:`plapreg.fields` serves the analysis of a solution (its seminorms and
@@ -44,9 +47,8 @@ exponent fits), never the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-import csv
 import functools
 import itertools
 
@@ -54,7 +56,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Grid, ScalarField, write_field_csv, write_grid_json, write_json
+from .fields import (
+    Grid, ScalarField, write_field_csv, write_grid_json, write_json, write_table,
+)
 from .pointwise import PLapParams, L_eps, grad_L_eps, hess_L_eps
 
 __all__ = [
@@ -259,11 +263,14 @@ def el_residual(spec: ProblemSpec, u: ScalarField) -> float:
     at an interior node is minus the energy gradient divided by the node
     weight, which is the conservative flux-difference form of the operator.
     """
-    interior = ~spec.grid.boundary_flags()
-    g = _gradient_raw(spec, u.values)
-    w = spec.grid.quad_weights()
-    res = -g[interior] / w[interior]
-    return float(np.sqrt(np.mean(res**2)))
+    return _residual_rms(spec.grid, _gradient_raw(spec, u.values))
+
+
+def _residual_rms(grid: Grid, g: np.ndarray) -> float:
+    """RMS of g / w over the interior nodes in C order: the EL residual of
+    a nodal energy gradient g."""
+    interior = ~grid.boundary_flags()
+    return float(np.sqrt(np.mean((g[interior] / grid.quad_weights()[interior]) ** 2)))
 
 
 def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
@@ -359,11 +366,11 @@ def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
 
 
 def _eps_path(eps: float) -> list[float]:
-    """Geometric continuation path ending at eps, starting no higher than 0.1."""
+    """Geometric continuation path ending exactly at eps, starting no higher than 0.1."""
     if eps >= 0.1:
         return [eps]
     n_dec = int(np.ceil(np.log10(0.1 / eps)))
-    return [0.1 * (eps / 0.1) ** (k / n_dec) for k in range(n_dec + 1)]
+    return [0.1 * (eps / 0.1) ** (k / n_dec) for k in range(n_dec)] + [eps]
 
 
 def solve(
@@ -381,7 +388,6 @@ def solve(
         raise ValueError("solve requires eps > 0")
     grid = spec.grid
     order = _gradient_operator(grid)[3]
-    w_int = grid.quad_weights().ravel()[order]
     solves = _LinearSolves(lagged=grid.dim == 2)
 
     if u0 is None:
@@ -405,17 +411,19 @@ def solve(
         prev_g_norm = np.inf
         polishing = False
         stall = 0
-        while it_total < max_iter:
+        while True:
             e_val = _energy_raw(spec, vals, eps_k)
             g_full = _gradient_raw(spec, vals, eps_k)
             g_int = g_full.ravel()[order]
             g_norm = float(np.linalg.norm(g_int))
-            res = float(np.sqrt(np.mean((g_int / w_int) ** 2)))
+            res = _residual_rms(grid, g_full)
             trace.append((it_total, e_val, g_norm))
             if g_norm <= grad_tolerance(e_val) * stage_scale and (
                 not final or res <= tol_res
             ):
                 converged = final
+                break
+            if it_total >= max_iter:
                 break
             if polishing:
                 stall = stall + 1 if g_norm >= 0.5 * prev_g_norm else 0
@@ -442,18 +450,9 @@ def solve(
                     if not ok:
                         break  # no decrease possible: at numerical stationarity
             it_total += 1
-        if not final and it_total >= max_iter:
-            break
 
-    e_val = _energy_raw(spec, vals)
-    u = ScalarField(grid, vals)
-    res = el_residual(spec, u)
-    if trace and trace[-1][0] != it_total:
-        g_int = _gradient_raw(spec, vals).ravel()[order]
-        trace.append((it_total, e_val, float(np.linalg.norm(g_int))))
-    converged = converged and res <= tol_res
     return SolveResult(
-        u=u,
+        u=ScalarField(grid, vals),
         energy=e_val,
         el_residual=res,
         iterations=it_total,
@@ -491,24 +490,9 @@ def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
     outdir = Path(outdir)
     write_grid_json(spec.grid, outdir / "grid.json")  # creates outdir
     write_field_csv(result.u, outdir / "solution.csv")
-    with open(outdir / "trace.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["iter", "energy", "grad_norm"])
-        for row in result.trace:
-            wr.writerow([row[0], repr(row[1]), repr(row[2])])
-    summary = {
-        "energy": result.energy,
-        "el_residual": result.el_residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "factorizations": result.factorizations,
-        "cg_iterations": result.cg_iterations,
-        "params": {
-            "p": spec.params.p,
-            "eps": spec.params.eps,
-            "s": spec.params.s,
-            "theta": spec.params.theta,
-        },
-    }
+    write_table(outdir / "trace.csv", ["iter", "energy", "grad_norm"], result.trace)
+    summary = {key: getattr(result, key) for key in (
+        "energy", "el_residual", "iterations", "converged", "factorizations", "cg_iterations")}
+    summary["params"] = asdict(spec.params)
     write_json(summary, outdir / "solution.json")
     return summary

@@ -57,6 +57,21 @@ def test_solve_regime_violation_is_usage_error(tmp_path, capsys):
     assert "p >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "2.5", "--mode", "thm2"], "thm2 mode requires p >= 3, got p = 2.5"),
+    (["--p", "4", "--s", "1", "--mode", "thm2"],
+     "thm2 mode requires (p-1)/2 < s <= p/2, got s = 1.0"),
+    (["--p", "4", "--mode", "thm3"], "thm3 mode requires 2 <= p < 3, got p = 4.0"),
+])
+def test_solve_mode_check_on_torsion(tmp_path, capsys, argv, message):
+    # the sharp oracle rejects p < 3 by itself, so the torsion problem is
+    # where --mode alone decides
+    rc = run("solve", *argv, "--oracle", "torsion", "--nodes", "65", "--out", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_torsion_in_thm3_regime(tmp_path):
     rc = run("solve", "--p", "2.5", "--s", "1.2", "--oracle", "torsion",
              "--mode", "thm3", "--eps", "1e-2", "--nodes", "257",
@@ -127,6 +142,39 @@ def test_estimate_with_theta_adds_seminorm(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["seminorm_at_theta"] > 0.0
+
+
+def test_estimate_q_inf_writes_only_json(tmp_path):
+    """JSON has no infinity: q = inf is written as the string "inf" in every file."""
+    rc = run("estimate", "--p", "4", "--q", "inf", "--theta", "0.3", "--nodes", "1025",
+             "--delta", "0.125", "--out", str(tmp_path))
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    written = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in written] == ["report.json", "seminorm.json"]
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["q"] == report["report"]["q"] == "inf"
+
+
+@pytest.mark.parametrize("grid_text, message", [
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0]}', "no 'nodes'"),
+    ('[1, [0.0], [1.0], [129]]', "not a list"),
+])
+def test_estimate_malformed_grid_exits_two(tmp_path, capsys, grid_text, message):
+    g = Grid.line(0.0, 1.0, 129)
+    write_field_csv(ScalarField.constant(g, 2.0), tmp_path / "field.csv")
+    (tmp_path / "grid.json").write_text(grid_text)
+    out = tmp_path / "out"
+    rc = run("estimate", "--field", str(tmp_path / "field.csv"),
+             "--grid", str(tmp_path / "grid.json"), "--out", str(out))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_usage_errors(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Grid geometry, the node gradient, interior boxes, and field serialization."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from plapreg.fields import (
     read_grid_json,
     write_field_csv,
     write_grid_json,
+    write_json,
+    write_table,
 )
 
 
@@ -97,7 +102,7 @@ def test_vector_field_shape_and_helpers():
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (3, 3))
     V = VectorField.from_function(g, lambda x, y: (y, -x))
     assert V.values.shape == (3, 3, 2)
-    np.testing.assert_allclose(V.component(0).values, g.coords()[..., 1])
+    np.testing.assert_allclose(V.values[..., 0], g.coords()[..., 1])
     with pytest.raises(ValueError):
         VectorField(g, np.zeros((3, 3)))
 
@@ -210,6 +215,42 @@ def test_grid_json_roundtrip(tmp_path):
     p = tmp_path / "grid.json"
     write_grid_json(g, p)
     assert read_grid_json(p) == g
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0]}', "no 'nodes'"),
+    ('[1, [0.0], [1.0], [5]]', "JSON object, not a list"),
+    ('{"dim": 1, "lower": 0.0, "upper": [1.0], "nodes": [5]}', "malformed grid"),
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": [null]}', "malformed grid"),
+])
+def test_read_grid_json_rejects_malformed_sidecars(tmp_path, text, match):
+    p = tmp_path / "grid.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_grid_json(p)
+
+
+def test_write_json_plain_data(tmp_path):
+    p = tmp_path / "sub" / "x.json"
+    payload = {"grid": Grid.line(0.0, 1.0, 5), "q": np.float64(np.inf), "lo": -math.inf,
+               "pair": (1, 2.5)}
+    write_json(payload, p)
+    text = p.read_text()
+    assert text.endswith("}\n") and text.splitlines()[1] == '  "grid": {'
+    assert json.loads(text, parse_constant=_no_constant) == {
+        "grid": {"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": [5]},
+        "q": "inf", "lo": "-inf", "pair": [1, 2.5],
+    }
+
+
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_write_table_writes_floats_as_repr(tmp_path):
+    p = tmp_path / "t.csv"
+    write_table(p, ["a", "b", "c"], [[np.float64(0.1), 3, "x"], (math.inf, -1, 1 / 3)])
+    assert p.read_bytes() == b"a,b,c\r\n0.1,3,x\r\ninf,-1,0.3333333333333333\r\n"
 
 
 def test_field_csv_roundtrip_scalar(tmp_path):

@@ -315,6 +315,18 @@ def test_params_require_mode():
         PLapParams(p=4.0, s=2.0).require_mode("bogus")
 
 
+@pytest.mark.parametrize("mode", ["thm2", "thm3"])
+def test_require_mode_accepts_exactly_the_classified_regime(mode):
+    for p in (2.0, 2.5, 2.99, 3.0, 4.0, 7.0):
+        for s in (0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 3.5, 4.0):
+            params = PLapParams(p=p, s=s)
+            if params.mode == mode:
+                params.require_mode(mode)
+            else:
+                with pytest.raises(ValueError, match=f"^{mode} mode requires .* got [ps] ="):
+                    params.require_mode(mode)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PLapParams(p=1.5)

@@ -210,7 +210,7 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
 
     jac2 = np.zeros(g.shape)
     for j in range(2):
-        jac2 += np.sum(gradient(V.component(j)).values ** 2, axis=-1)
+        jac2 += np.sum(gradient(ScalarField(g, V.values[..., j])).values ** 2, axis=-1)
     mag2 = np.sum(V.values**2, axis=-1)
     for delta in DELTAS:
         idx = mask(delta)
@@ -331,7 +331,7 @@ def test_fit_window_defaults_and_fallback():
     assert rep2.fit_window == (g.h[0], 3 * g.h[0])
 
 
-def test_fit_window_reports_fallback_span():
+def test_fit_window_reports_fallback_span(tmp_path):
     # 65 nodes, delta 0.125: shifts h, 2h, 4h all lie below the default
     # window [4h, 2h], so the fit falls back to all three and must say so
     g = line(65)
@@ -340,7 +340,8 @@ def test_fit_window_reports_fallback_span():
     assert rep.n_fit == 3
     assert rep.fit_window == (rep.v_mags[0], rep.v_mags[-1]) == (0.03125, 0.125)
     assert rep.fallback is True
-    assert rep.to_dict()["fallback"] is True
+    write_seminorm_report(rep, tmp_path)
+    assert json.loads((tmp_path / "seminorm.json").read_text())["fallback"] is True
 
 
 def test_fit_validation():

@@ -22,6 +22,7 @@ from plapreg.solver import (
     residual_tolerance,
     solve,
     write_solve_result,
+    _eps_path,
 )
 from plapreg.experiments import SharpnessOracle, oracle_problem
 
@@ -281,6 +282,30 @@ def test_solve_unconverged_is_flagged():
     r = solve(spec, max_iter=2)
     assert not r.converged
     assert r.iterations == 2
+
+
+def test_eps_path_ends_exactly_at_eps():
+    rng = np.random.default_rng(9)
+    for eps in 10.0 ** rng.uniform(-6.0, -1.0, 2000):
+        path = _eps_path(eps)
+        assert path[-1] == eps and path[0] == 0.1 and len(path) >= 2
+
+
+def test_solve_result_is_its_last_evaluation():
+    """A solve capped before its final eps stage still evaluates the iterate
+    it returns at the requested eps; one capped at the step where it
+    converges reports convergence."""
+    g = Grid.line(-1.0, 1.0, 257)
+    spec = torsion_spec(g, 4.0, 1e-4)
+    capped = solve(spec, max_iter=2)
+    assert capped.trace[-1][:2] == (2, capped.energy)
+    assert capped.energy == energy(spec, capped.u)
+    assert capped.el_residual == el_residual(spec, capped.u)
+    full = solve(spec)
+    assert full.converged
+    at_cap = solve(spec, max_iter=full.iterations)
+    assert at_cap.converged and at_cap.trace == full.trace
+    np.testing.assert_array_equal(at_cap.u.values, full.u.values)
 
 
 def test_solve_survives_singular_newton_system():
