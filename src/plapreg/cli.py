@@ -204,6 +204,9 @@ def _cmd_solve(head: dict, cfg: dict) -> tuple[int, dict]:
     spec.params.require_mode(cfg["mode"])
     result = solve(spec)
     summary = write_solve_result(result, spec, cfg["out"])
+    if not result.converged:
+        print(f"unconverged: {result.stop_reason} after {result.iterations} iterations, "
+              f"residual {result.el_residual:.3e}", file=sys.stderr)
     return (0 if result.converged else 1), {"result": summary}
 
 

@@ -294,7 +294,8 @@ def run_eps_sweep(
         if not result.converged:
             raise SolverError(
                 f"sweep cell eps={eps:g} (p={p:g}, s={s:g}) failed to converge: "
-                f"{result.iterations} iterations, residual {result.el_residual:.3e}"
+                f"{result.stop_reason} after {result.iterations} iterations, "
+                f"residual {result.el_residual:.3e}"
             )
         grad_u = gradient(result.u)
         V = VectorField(template.grid, alpha_s(grad_u.values, eps, s))

@@ -33,12 +33,20 @@ factorization.  In 2D the Hessians change little from step to step, so a
 step after the first solves K_II by CG preconditioned with the last
 factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
 afresh only when CG reaches an iteration cap or returns a non-finite step.
-For small eps the solve walks a geometric eps continuation path, warm
-starting each stage, which keeps Newton steps well scaled even when the
-initial iterate has vanishing gradient.  The path ends exactly at the
-requested eps, and each stage begins by evaluating its iterate, even once
-the iteration cap is reached: the energy, residual and last trace row of a
-result are those of the returned iterate at the requested eps.
+The solve walks one (p, eps) continuation path, warm starting each stage.
+For small eps it is a geometric eps path, which keeps Newton steps well
+scaled even when the initial iterate has vanishing gradient.  Above
+p = 18 a Newton step from the harmonic start overflows, so the path first
+doubles p from the first p / 2**n at or below 18, at the eps path's first
+eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci. Comput.
+32, 2007).  Only the final stage is held to the convergence tolerances.
+The path ends exactly at the requested (p, eps).  Each stage begins by
+evaluating its iterate; once the iteration cap is reached the remaining
+stages are skipped but the last, where the iterate is evaluated once more.
+So the energy, residual and last trace row of a result are those of the
+returned iterate at the requested (p, eps), and `stop_reason` says why
+the final stage stopped: it converged, reached the cap, stalled at the
+rounding floor of the gradient, or found no descent direction.
 
 D is the only difference operator the solve uses; the node gradient in
 :mod:`plapreg.fields` serves the analysis of a solution (its seminorms and
@@ -47,7 +55,7 @@ exponent fits), never the solve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import functools
 import itertools
@@ -96,6 +104,12 @@ _PCG_CAP = 15
 # At 257^2 gamma = 0.1 and 0.01 cost 15% and 40% more CG iterations for
 # the same 8 steps; energies agree with factoring every step to rel 5e-16
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
+# above this p the solve first doubles p up from the first p / 2**n at or
+# below it (`_path`).  Newton from the harmonic start, on 1D torsion and the
+# sharp oracle at 1025 nodes, eps in {1e-2, 1e-6}: 17-19 steps at p = 16
+# and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
+# reaches the 200-step cap with ~1,800 overflows
+_P_DIRECT = 18.0
 
 
 class SolverError(RuntimeError):
@@ -123,6 +137,7 @@ class SolveResult:
     el_residual: float
     iterations: int
     converged: bool
+    stop_reason: str  # why the final stage stopped: converged, max_iter, stalled, no_descent
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
     factorizations: int = 0  # SuperLU factorizations, harmonic start included
     cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
@@ -373,6 +388,21 @@ def _eps_path(eps: float) -> list[float]:
     return [0.1 * (eps / 0.1) ** (k / n_dec) for k in range(n_dec)] + [eps]
 
 
+def _path(p: float, eps: float) -> list[tuple[float, float]]:
+    """The (p, eps) continuation path, ending exactly at (p, eps).
+
+    Up to `_P_DIRECT` it is the eps path at p.  Above, the stages
+    p / 2**n, ..., p / 2, with p / 2**n the first at or below `_P_DIRECT`,
+    run at the eps path's first eps ahead of it.
+    """
+    eps_path = _eps_path(eps)
+    p_stages, p_k = [], p
+    while p_k > _P_DIRECT:
+        p_k /= 2.0
+        p_stages.insert(0, p_k)
+    return [(p_k, eps_path[0]) for p_k in p_stages] + [(p, e) for e in eps_path]
+
+
 def solve(
     spec: ProblemSpec,
     u0: ScalarField | None = None,
@@ -382,7 +412,8 @@ def solve(
 
     The minimizer is unique (the energy is strictly convex for eps > 0), so
     the result does not depend on u0 beyond the stopping tolerance.  A result
-    with converged = False is returned if the iteration cap is hit.
+    with converged = False and its `stop_reason` is returned if the final
+    stage stops short of the tolerances.
     """
     if spec.params.eps <= 0.0:
         raise ValueError("solve requires eps > 0")
@@ -401,19 +432,21 @@ def solve(
     tol_res = residual_tolerance(spec)
     trace: list[tuple[int, float, float]] = []
     it_total = 0
-    converged = False
 
-    path = _eps_path(spec.params.eps)
-    for stage, eps_k in enumerate(path):
+    path = _path(spec.params.p, spec.params.eps)
+    for stage, (p_k, eps_k) in enumerate(path):
         final = stage == len(path) - 1
+        if it_total >= max_iter and not final:
+            continue  # capped: evaluate the iterate once more, at the target
+        spec_k = replace(spec, params=replace(spec.params, p=p_k))
         # intermediate stages only need a rough minimizer to warm start
         stage_scale = 1.0 if final else 1e6
         prev_g_norm = np.inf
         polishing = False
         stall = 0
         while True:
-            e_val = _energy_raw(spec, vals, eps_k)
-            g_full = _gradient_raw(spec, vals, eps_k)
+            e_val = _energy_raw(spec_k, vals, eps_k)
+            g_full = _gradient_raw(spec_k, vals, eps_k)
             g_int = g_full.ravel()[order]
             g_norm = float(np.linalg.norm(g_int))
             res = _residual_rms(grid, g_full)
@@ -421,17 +454,19 @@ def solve(
             if g_norm <= grad_tolerance(e_val) * stage_scale and (
                 not final or res <= tol_res
             ):
-                converged = final
+                stop = "converged"
                 break
             if it_total >= max_iter:
+                stop = "max_iter"
                 break
             if polishing:
                 stall = stall + 1 if g_norm >= 0.5 * prev_g_norm else 0
                 if stall >= 8:
-                    break  # at the rounding floor of the gradient
+                    stop = "stalled"  # at the rounding floor of the gradient
+                    break
             prev_g_norm = g_norm
 
-            step = solves.newton_step(_interior_hessian(spec, vals, eps_k), g_int, g_norm)
+            step = solves.newton_step(_interior_hessian(spec_k, vals, eps_k), g_int, g_norm)
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -441,14 +476,15 @@ def solve(
                 vals = vals.copy()
                 vals.ravel()[order] += step
             else:
-                vals, ok = _line_search(spec, vals, order, step, e_val, g_int, eps_k)
+                vals, ok = _line_search(spec_k, vals, order, step, e_val, g_int, eps_k)
                 if not ok:
                     # fallback: gradient descent direction, same Armijo search
                     vals, ok = _line_search(
-                        spec, vals, order, -g_int, e_val, g_int, eps_k
+                        spec_k, vals, order, -g_int, e_val, g_int, eps_k
                     )
                     if not ok:
-                        break  # no decrease possible: at numerical stationarity
+                        stop = "no_descent"  # at numerical stationarity
+                        break
             it_total += 1
 
     return SolveResult(
@@ -456,7 +492,8 @@ def solve(
         energy=e_val,
         el_residual=res,
         iterations=it_total,
-        converged=converged,
+        converged=stop == "converged",
+        stop_reason=stop,
         trace=trace,
         factorizations=solves.factorizations,
         cg_iterations=solves.cg_iterations,
@@ -492,7 +529,8 @@ def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
     write_field_csv(result.u, outdir / "solution.csv")
     write_table(outdir / "trace.csv", ["iter", "energy", "grad_norm"], result.trace)
     summary = {key: getattr(result, key) for key in (
-        "energy", "el_residual", "iterations", "converged", "factorizations", "cg_iterations")}
+        "energy", "el_residual", "iterations", "converged", "stop_reason", "factorizations",
+        "cg_iterations")}
     summary["params"] = asdict(spec.params)
     write_json(summary, outdir / "solution.json")
     return summary

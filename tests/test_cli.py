@@ -90,22 +90,30 @@ def test_solve_bad_eps_string(tmp_path):
     assert run("solve", "--p", "3", "--eps", "abc", "--out", str(tmp_path)) == 2
 
 
-def test_solve_unconverged_exits_one(tmp_path, monkeypatch):
+def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
     import plapreg.cli as cli
     from plapreg.solver import SolveResult
 
     def fake_solve(spec, u0=None, max_iter=200):
         u = ScalarField(spec.grid, spec.g.values)
         return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=max_iter,
-                           converged=False, trace=[(0, 0.0, 1.0)])
+                           converged=False, stop_reason="max_iter", trace=[(0, 0.0, 1.0)])
 
     monkeypatch.setattr(cli, "solve", fake_solve)
     rc = run("solve", "--p", "3", "--eps", "1e-2", "--nodes", "65",
              "--out", str(tmp_path))
     assert rc == 1
-    assert json.loads((tmp_path / "report.json").read_text())["result"][
-        "converged"
-    ] is False
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["converged"] is False and result["stop_reason"] == "max_iter"
+    assert "max_iter after 200 iterations" in capsys.readouterr().err
+
+
+def test_solve_high_p_torsion_exits_zero(tmp_path, capsys):
+    """p = 20 solves by continuation in p: exit 0, nothing on stderr."""
+    rc = run("solve", "--p", "20", "--oracle", "torsion", "--nodes", "1025",
+             "--out", str(tmp_path))
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "solution.json").read_text())["stop_reason"] == "converged"
 
 
 # ---------------------------------------------------------------------------

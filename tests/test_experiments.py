@@ -223,12 +223,12 @@ def test_eps_sweep_aborts_on_unconverged(monkeypatch):
 
         return SolveResult(
             u=spec.g, energy=0.0, el_residual=1.0, iterations=max_iter,
-            converged=False, trace=[],
+            converged=False, stop_reason="stalled", trace=[],
         )
 
     monkeypatch.setattr(exp, "solve", fake_solve)
     template = small_oracle_template(nodes=65)
-    with pytest.raises(SolverError, match="failed to converge"):
+    with pytest.raises(SolverError, match="failed to converge: stalled after 200 iterations"):
         run_eps_sweep(template, eps_values=(1e-1,))
 
 

@@ -23,6 +23,7 @@ from plapreg.solver import (
     solve,
     write_solve_result,
     _eps_path,
+    _path,
 )
 from plapreg.experiments import SharpnessOracle, oracle_problem
 
@@ -291,16 +292,81 @@ def test_eps_path_ends_exactly_at_eps():
         assert path[-1] == eps and path[0] == 0.1 and len(path) >= 2
 
 
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 3.7e-5, 1e-6])
+def test_path_continues_in_p_only_above_18(eps):
+    """Up to p = 18 the (p, eps) path is the eps path at p.  Above, it starts
+    at the first p / 2**n <= 18, doubles p at the eps path's first eps, and
+    then walks the eps path at p, ending exactly at (p, eps)."""
+    for p in (2.0, 3.0, 10.0, 18.0):
+        assert _path(p, eps) == [(p, e) for e in _eps_path(eps)]
+    for p in (18.5, 20.0, 36.5, 40.0, 80.0, 1000.0):
+        path = _path(p, eps)
+        p_stages = [stage for stage in path if stage[0] != p]
+        assert path == p_stages + [(p, e) for e in _eps_path(eps)]
+        assert 9.0 < p_stages[0][0] <= 18.0
+        assert [2.0 * p_k for p_k, _ in p_stages] == [p_k for p_k, _ in path[1:len(p_stages) + 1]]
+        assert {e for _, e in p_stages} == {_eps_path(eps)[0]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+@pytest.mark.parametrize("p", [20.0, 40.0])
+@pytest.mark.parametrize("problem", ["torsion", "sharp"])
+def test_high_p_solve_converges(problem, p, eps):
+    """Continuation in p: above p = 18 a direct Newton solve from the harmonic
+    start overflows and reaches the iteration cap; the p path converges in
+    at most 40 steps, raising no floating-point warning."""
+    g = Grid.line(-1.0, 1.0, 1025)
+    if problem == "torsion":
+        spec = torsion_spec(g, p, eps)
+    else:
+        spec = oracle_problem(SharpnessOracle(p=p), g, eps=eps)
+    r = solve(spec)
+    assert r.converged and r.stop_reason == "converged"
+    assert r.iterations <= 40  # measured 24-31
+    assert r.el_residual <= residual_tolerance(spec)
+
+
+def test_stop_reasons():
+    """`stop_reason` names why the final stage stopped, one case per reason."""
+    g = Grid.line(-1.0, 1.0, 257)
+    assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "converged"
+    assert solve(torsion_spec(g, 3.0, 1e-3), max_iter=3).stop_reason == "max_iter"
+    # the gradient norm of the p = 40 oracle at 4097 nodes stalls at ~2.2e-10,
+    # just above grad_tolerance = 2.0e-10, with the EL residual far below its
+    # tolerance
+    spec = oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5)
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (False, "stalled")
+    assert r.el_residual <= 1e-2 * residual_tolerance(spec)
+
+
+def test_stop_reason_no_descent(monkeypatch):
+    """A Newton step and a gradient step that both fail the line search end
+    the solve at once."""
+    import plapreg.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_line_search", lambda spec, vals, *rest: (vals, False))
+    r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
+    assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
+
+
 def test_solve_result_is_its_last_evaluation():
-    """A solve capped before its final eps stage still evaluates the iterate
-    it returns at the requested eps; one capped at the step where it
-    converges reports convergence."""
+    """A solve capped before its final stage evaluates the iterate it returns
+    once more, at the requested (p, eps), and nowhere else; one capped at the
+    step where it converges reports convergence."""
     g = Grid.line(-1.0, 1.0, 257)
     spec = torsion_spec(g, 4.0, 1e-4)
     capped = solve(spec, max_iter=2)
     assert capped.trace[-1][:2] == (2, capped.energy)
     assert capped.energy == energy(spec, capped.u)
     assert capped.el_residual == el_residual(spec, capped.u)
+    # capped in the first of four eps stages, and of six (p, eps) stages
+    for spec_k in (spec, torsion_spec(g, 40.0, 1e-4)):
+        capped = solve(spec_k, max_iter=2)
+        assert [row[0] for row in capped.trace] == [0, 1, 2, 2]
+        assert capped.stop_reason == "max_iter"
+        assert capped.energy == energy(spec_k, capped.u)
     full = solve(spec)
     assert full.converged
     at_cap = solve(spec, max_iter=full.iterations)
@@ -308,15 +374,31 @@ def test_solve_result_is_its_last_evaluation():
     np.testing.assert_array_equal(at_cap.u.values, full.u.values)
 
 
-def test_solve_survives_singular_newton_system():
-    """At p = 80 the first Hessian is exactly singular in floating point; the
-    step falls back to the gradient direction and the solve reports
-    unconverged instead of raising."""
+def test_solve_survives_singular_newton_system(monkeypatch):
+    """Started directly at p = 80, a Newton system becomes exactly singular in
+    floating point; the NaN step fails the line search, the step falls
+    back to the gradient direction, and the solve reports unconverged
+    instead of raising."""
+    import plapreg.solver as solver_mod
+
+    calls = []
+    real_line_search = solver_mod._line_search
+
+    def line_search(spec, vals, order, direction, e0, g_int, eps_k):
+        out = real_line_search(spec, vals, order, direction, e0, g_int, eps_k)
+        calls.append((np.isnan(direction).any(), np.array_equal(direction, -g_int), out[1]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_line_search", line_search)
+    monkeypatch.setattr(solver_mod, "_P_DIRECT", 80.0)
     spec = oracle_problem(SharpnessOracle(p=80.0), Grid.line(-1.0, 1.0, 129), eps=1e-2)
     with np.errstate(over="ignore", invalid="ignore"):
         r = solve(spec, max_iter=5)
     assert not r.converged
     assert r.iterations == 5
+    nan_step = next(i for i, (nan, _, _) in enumerate(calls) if nan)
+    assert calls[nan_step][2] is False  # the NaN Newton step is rejected
+    assert calls[nan_step + 1][1:] == (True, True)  # the gradient fallback is taken
 
 
 def test_solve_2d_torsion():
