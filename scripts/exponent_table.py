@@ -27,10 +27,7 @@ def main():
           f"{'r2':>9} verdict")
     rows = []
     for p in (3.0, 4.0, 5.0):
-        rep = run_theorem1_check(
-            p, nodes=args.nodes, delta=args.delta,
-            include_qinf=True, negative_control=True,
-        )
+        rep = run_theorem1_check(p, nodes=args.nodes, delta=args.delta, include_qinf=True)
         for c in rep.cells:
             qs = "inf" if math.isinf(c.q) else f"{c.q:.4g}"
             print(f"{c.p:4g} {qs:>8} {c.kind:18} {c.theta_target:8.4f} "

@@ -44,8 +44,6 @@ from .solver import (
     SolverError,
     el_residual,
     energy,
-    energy_and_gradient,
-    energy_upper_bound,
     solve,
 )
 from .smoothness import (
@@ -53,7 +51,6 @@ from .smoothness import (
     composition_bound_check,
     dyadic_shifts,
     fit_smoothness_exponent,
-    lq_norm,
     nikolskii_seminorm,
     shift_difference_norm,
     sobolev_w12_norm,
@@ -100,14 +97,11 @@ __all__ = [
     "SolverError",
     "el_residual",
     "energy",
-    "energy_and_gradient",
-    "energy_upper_bound",
     "solve",
     "SeminormReport",
     "composition_bound_check",
     "dyadic_shifts",
     "fit_smoothness_exponent",
-    "lq_norm",
     "nikolskii_seminorm",
     "shift_difference_norm",
     "sobolev_w12_norm",

@@ -245,8 +245,7 @@ def _cmd_verify(head: dict, cfg: dict) -> tuple[int, dict]:
     if head["suite"] == "eps-uniform":
         return _sweep(head, cfg)
     if head["suite"] == "theorem1":
-        report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"],
-                                    negative_control=True)
+        report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"])
         write_theorem1_report(report, cfg["out"])
     else:  # scaling
         _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")

@@ -196,16 +196,15 @@ def run_theorem1_check(
     nodes: int = DEFAULT_NODES_1D,
     delta: float = DEFAULT_DELTA_EXPONENTS,
     include_qinf: bool = False,
-    negative_control: bool = False,
 ) -> Theorem1Report:
     """Fit smoothness exponents of the analytic oracle gradient.
 
     Builds a cell per requested integrability q (defaults reproduce the
     reference table row for p), plus cells at q = 2/theta for theta at the
     bottom and middle of the admissible range, a W^{1,q}-regime cell below
-    the critical q, and optionally the sup-norm and negative-control
-    cells.  No solves are involved: the gradient is exact, so what is
-    tested is the exponent machinery plus the table itself.
+    the critical q, optionally the sup-norm cell, and the negative-control
+    cell at q = 2(p-1).  No solves are involved: the gradient is exact, so
+    what is tested is the exponent machinery plus the table itself.
     """
     oracle = SharpnessOracle(p=p, dim=1)
     grid = Grid.line(-1.0, 1.0, nodes)
@@ -224,8 +223,7 @@ def run_theorem1_check(
         plan.append(("w1q", 0.5 * (1.0 + qc), None))
     if include_qinf:
         plan.append(("holder", math.inf, None))
-    if negative_control:
-        plan.append(("negative-control", 2.0 * (p - 1.0), None))
+    plan.append(("negative-control", 2.0 * (p - 1.0), None))
 
     cells = []
     for kind, q, th in plan:

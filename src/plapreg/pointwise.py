@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 
-def _norm(w: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(w), axis=-1))
-
-
 def l_eps(w, eps) -> np.ndarray:
     """(eps^2 + |w|^2)^(1/2); satisfies max(eps, |w|) <= l_eps <= eps + |w|."""
     w = np.asarray(w, dtype=float)
@@ -110,7 +106,7 @@ def monotonicity_gap(w, v, s) -> np.ndarray:
     d = w - v
     lhs = np.sum((alpha_s(w, 0.0, s) - alpha_s(v, 0.0, s)) * d, axis=-1)
     sm1 = np.asarray(s, dtype=float) - 1.0
-    rhs = 0.5 * (_norm(w) ** sm1 + _norm(v) ** sm1) * np.sum(d * d, axis=-1)
+    rhs = 0.5 * (l_eps(w, 0.0) ** sm1 + l_eps(v, 0.0) ** sm1) * np.sum(d * d, axis=-1)
     return lhs - rhs
 
 
@@ -191,10 +187,11 @@ class PLapParams:
     theta: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "theta", float(self.theta))
+        for name in ("p", "eps", "s", "theta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("p", "eps", "s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.eps < 0:

@@ -33,7 +33,6 @@ __all__ = [
     "shift_difference_norm",
     "nikolskii_seminorm",
     "fit_smoothness_exponent",
-    "lq_norm",
     "sobolev_w12_seminorm",
     "sobolev_w12_norm",
     "sobolev_w1p_norm",
@@ -165,11 +164,6 @@ def shift_difference_norm(field, offset, q: float) -> float:
     box = interior_box(grid, _offset_length(grid, offset))
     shifted = tuple(slice(b.start + o, b.stop + o) for b, o in zip(box, offset))
     return _lq(field, field.values[shifted] - field.values[box], q)
-
-
-def lq_norm(field, q: float, delta: float | None = None) -> float:
-    """Riemann-sum L^q norm, over the delta-interior box or the whole box."""
-    return _lq(field, field.values[_box(field.grid, delta)], q)
 
 
 def nikolskii_seminorm(field, q: float, theta: float, shifts) -> float:

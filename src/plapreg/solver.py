@@ -39,7 +39,10 @@ scaled even when the initial iterate has vanishing gradient.  Above
 p = 18 a Newton step from the harmonic start overflows, so the path first
 doubles p from the first p / 2**n at or below 18, at the eps path's first
 eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci. Comput.
-32, 2007).  Only the final stage is held to the convergence tolerances.
+32, 2007).  A stage is its own ProblemSpec, whose params carry the
+stage's (p, eps); the energy, gradient, Hessian and line search read p and
+eps from the spec alone.  Only the final stage is held to the convergence
+tolerances.
 The path ends exactly at the requested (p, eps).  Each stage begins by
 evaluating its iterate; once the iteration cap is reached the remaining
 stages are skipped but the last, where the iterate is evaluated once more.
@@ -74,10 +77,8 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "energy",
-    "energy_and_gradient",
     "solve",
     "el_residual",
-    "energy_upper_bound",
     "grad_tolerance",
     "residual_tolerance",
     "write_solve_result",
@@ -220,40 +221,30 @@ def energy(spec: ProblemSpec, u: ScalarField) -> float:
     return _energy_raw(spec, u.values)
 
 
-def _energy_raw(spec: ProblemSpec, vals: np.ndarray, eps: float | None = None) -> float:
-    p = spec.params.p
-    eps = spec.params.eps if eps is None else eps
+def _energy_raw(spec: ProblemSpec, vals: np.ndarray) -> float:
     c = _cell_gradients(spec.grid, vals)
-    e_cells = spec.grid.cell_volume * float(np.sum(L_eps(c, eps, p)))
+    e_cells = spec.grid.cell_volume * float(np.sum(L_eps(c, spec.params.eps, spec.params.p)))
     w = spec.grid.quad_weights()
     return e_cells + float(np.sum(w * vals * spec.f.values))
 
 
-def _gradient_raw(spec: ProblemSpec, vals: np.ndarray, eps: float | None = None) -> np.ndarray:
-    p = spec.params.p
-    eps = spec.params.eps if eps is None else eps
+def _gradient_raw(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray:
     grid = spec.grid
-    flux = grid.cell_volume * grad_L_eps(_cell_gradients(grid, vals), eps, p)
+    flux = grid.cell_volume * grad_L_eps(_cell_gradients(grid, vals), spec.params.eps,
+                                         spec.params.p)
     out = _gradient_operator(grid)[0].T @ flux.ravel()
     return out.reshape(grid.shape) + grid.quad_weights() * spec.f.values
 
 
-def energy_and_gradient(spec: ProblemSpec, u: ScalarField) -> tuple[float, ScalarField]:
-    """Energy and its exact nodal gradient (all nodes, boundary included)."""
-    _check_boundary(spec, u)
-    return _energy_raw(spec, u.values), ScalarField(
-        spec.grid, _gradient_raw(spec, u.values)
-    )
-
-
-def _interior_hessian(spec: ProblemSpec, vals: np.ndarray, eps: float) -> sp.csc_matrix:
+def _interior_hessian(spec: ProblemSpec, vals: np.ndarray) -> sp.csc_matrix:
     """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns.
 
     Rows and columns follow the interior elimination order of the grid.
     """
     grid = spec.grid
     _, D_I, D_IT, _ = _gradient_operator(grid)
-    Hc = grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals), eps, spec.params.p)
+    Hc = grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals), spec.params.eps,
+                                       spec.params.p)
     m = len(Hc)
     return D_IT @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
 
@@ -286,18 +277,6 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
     a nodal energy gradient g."""
     interior = ~grid.boundary_flags()
     return float(np.sqrt(np.mean((g[interior] / grid.quad_weights()[interior]) ** 2)))
-
-
-def energy_upper_bound(spec: ProblemSpec, u0: ScalarField) -> float:
-    """Energy bound sum vol*(1 + |c(u0)|^2)^(p/2)/p + sum w*u0*f, valid for eps <= 1.
-
-    This is the energy of u0 at eps = 1.  It dominates E(u0) cell by cell,
-    hence dominates the minimum energy when u0 is admissible.
-    """
-    if spec.params.eps > 1.0:
-        raise ValueError("bound requires eps <= 1")
-    _check_boundary(spec, u0)
-    return _energy_raw(spec, u0.values, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +417,15 @@ def solve(
         final = stage == len(path) - 1
         if it_total >= max_iter and not final:
             continue  # capped: evaluate the iterate once more, at the target
-        spec_k = replace(spec, params=replace(spec.params, p=p_k))
+        spec_k = replace(spec, params=replace(spec.params, p=p_k, eps=eps_k))
         # intermediate stages only need a rough minimizer to warm start
         stage_scale = 1.0 if final else 1e6
         prev_g_norm = np.inf
         polishing = False
         stall = 0
         while True:
-            e_val = _energy_raw(spec_k, vals, eps_k)
-            g_full = _gradient_raw(spec_k, vals, eps_k)
+            e_val = _energy_raw(spec_k, vals)
+            g_full = _gradient_raw(spec_k, vals)
             g_int = g_full.ravel()[order]
             g_norm = float(np.linalg.norm(g_int))
             res = _residual_rms(grid, g_full)
@@ -466,7 +445,7 @@ def solve(
                     break
             prev_g_norm = g_norm
 
-            step = solves.newton_step(_interior_hessian(spec_k, vals, eps_k), g_int, g_norm)
+            step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm)
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -476,12 +455,10 @@ def solve(
                 vals = vals.copy()
                 vals.ravel()[order] += step
             else:
-                vals, ok = _line_search(spec_k, vals, order, step, e_val, g_int, eps_k)
+                vals, ok = _line_search(spec_k, vals, order, step, e_val, g_int)
                 if not ok:
                     # fallback: gradient descent direction, same Armijo search
-                    vals, ok = _line_search(
-                        spec_k, vals, order, -g_int, e_val, g_int, eps_k
-                    )
+                    vals, ok = _line_search(spec_k, vals, order, -g_int, e_val, g_int)
                     if not ok:
                         stop = "no_descent"  # at numerical stationarity
                         break
@@ -500,7 +477,7 @@ def solve(
     )
 
 
-def _line_search(spec, vals, order, direction, e0, g_int, eps_k):
+def _line_search(spec, vals, order, direction, e0, g_int):
     """Armijo backtracking along an interior direction (indexed like `order`);
     returns (new_vals, ok)."""
     slope = float(np.dot(g_int, direction))
@@ -510,7 +487,7 @@ def _line_search(spec, vals, order, direction, e0, g_int, eps_k):
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
         trial.ravel()[order] += t * direction
-        e_trial = _energy_raw(spec, trial, eps_k)
+        e_trial = _energy_raw(spec, trial)
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution
         if e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:

@@ -90,6 +90,19 @@ def test_solve_bad_eps_string(tmp_path):
     assert run("solve", "--p", "3", "--eps", "abc", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "inf", "--oracle", "torsion"], "p must be finite, got inf"),
+    (["--p", "nan", "--oracle", "torsion"], "p must be finite, got nan"),
+    (["--p", "3", "--s", "nan"], "s must be finite, got nan"),
+    (["--p", "3", "--eps", "inf"], "eps must be finite, got inf"),
+])
+def test_solve_non_finite_params_exit_two_and_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run("solve", *argv, "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
     import plapreg.cli as cli
     from plapreg.solver import SolveResult

@@ -123,9 +123,7 @@ def test_table_exponent_requires_p_above_two():
 
 
 def test_theorem1_check_p4():
-    rep = run_theorem1_check(
-        4.0, nodes=1025, include_qinf=True, negative_control=True
-    )
+    rep = run_theorem1_check(4.0, nodes=1025, include_qinf=True)
     assert rep.passed
     kinds = [c.kind for c in rep.cells]
     assert kinds == [

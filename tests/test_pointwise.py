@@ -332,3 +332,12 @@ def test_params_validation():
         PLapParams(p=1.5)
     with pytest.raises(ValueError):
         PLapParams(p=3.0, eps=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["p", "eps", "s"])
+def test_params_reject_non_finite(name, value):
+    # NaN slips past every range comparison, and p = inf would make the
+    # solver's continuation path halve p forever
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        PLapParams(**{"p": 3.0, "eps": 1e-2, "s": 1.5, name: value})

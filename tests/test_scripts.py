@@ -1,11 +1,14 @@
 """The scripts import only names the package still has, every exported name
-resolves, and every imported name is used.  None of this is reached by the
-other tests: a script is run by hand, ``__all__`` is read only by
-``from plapreg import *``, and an unused import runs without error."""
+resolves, and every imported name is used; the exponent-table script runs
+end to end.  None of this is reached by the other tests: a script is run by
+hand, ``__all__`` is read only by ``from plapreg import *``, and an unused
+import runs without error."""
 
 import ast
+import csv
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,12 +19,29 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 MODULES = sorted(p.stem for p in Path(plapreg.__file__).parent.glob("*.py") if p.stem != "__init__")
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
-def test_script_imports(name):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(f"_script_{name}", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports, not main()
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
+def test_script_imports(name):
+    assert callable(load_script(name).main)
+
+
+def test_exponent_table_script_runs(tmp_path, monkeypatch, capsys):
+    """main() runs against the package's current signatures, so a keyword the
+    package no longer takes fails here rather than when the script is run."""
+    out = tmp_path / "table.csv"
+    monkeypatch.setattr(sys, "argv", ["exponent_table.py", "--nodes", "257", "--out", str(out)])
+    load_script("exponent_table").main()
+    assert f"wrote 18 rows to {out}" in capsys.readouterr().out
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"]
+    controls = [row[0] for row in rows[1:] if row[2] == "negative-control"]
+    assert controls == ["3.0", "4.0", "5.0"]
 
 
 @pytest.mark.parametrize("name", ["plapreg", *(f"plapreg.{m}" for m in MODULES)])

@@ -17,7 +17,6 @@ from plapreg.smoothness import (
     composition_bound_check,
     dyadic_shifts,
     fit_smoothness_exponent,
-    lq_norm,
     nikolskii_seminorm,
     shift_difference_norm,
     sobolev_w12_norm,
@@ -153,17 +152,6 @@ def test_shift_norm_triangle_inequality():
             )
 
 
-def test_lq_norm_basic():
-    g = Grid.line(0.0, 1.0, 101)
-    u = ScalarField.constant(g, 2.0)
-    # Riemann sum counts every node at full weight h: 101 h = 1.01
-    assert lq_norm(u, 2.0) == pytest.approx(2.0 * math.sqrt(1.01), rel=1e-12)
-    assert lq_norm(u, np.inf) == 2.0
-    assert lq_norm(u, 1.0, 0.25) == pytest.approx(2.0 * measure(g, 0.25), rel=1e-12)
-    with pytest.raises(ValueError):
-        lq_norm(u, 0.9)
-
-
 @pytest.mark.parametrize("shape", [(65, 33), (257, 129)])
 def test_interior_norms_match_masked_reference_bitwise(shape):
     """Each sum over an interior box adds the same terms in the same order as
@@ -204,9 +192,6 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
                 diff = field.values[shifted] - field.values[idx]
                 ref = lq(mag(field, diff), q)
                 assert shift_difference_norm(field, off, q) == ref, (off, q)
-            for delta in DELTAS:
-                ref = lq(mag(field, field.values[mask(delta)]), q)
-                assert lq_norm(field, q, delta) == ref, (delta, q)
 
     jac2 = np.zeros(g.shape)
     for j in range(2):
@@ -416,8 +401,6 @@ def test_sobolev_mask_validation():
     V = VectorField.from_function(g, lambda x: (x,))
     with pytest.raises(ValueError, match="empty"):
         sobolev_w12_seminorm(V, 5.0)
-    with pytest.raises(ValueError, match="empty"):
-        lq_norm(V, 2.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

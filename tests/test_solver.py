@@ -1,6 +1,7 @@
 """Discrete energy, its exact gradient, and the Newton continuation solve."""
 
 import csv
+import itertools
 import json
 import weakref
 
@@ -15,8 +16,6 @@ from plapreg.pointwise import PLapParams
 from plapreg.solver import (
     ProblemSpec,
     energy,
-    energy_and_gradient,
-    energy_upper_bound,
     el_residual,
     grad_tolerance,
     residual_tolerance,
@@ -77,6 +76,8 @@ def test_problem_spec_rejects_foreign_fields():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_energy_gradient_matches_difference_quotient(dim):
+    from plapreg.solver import _energy_raw, _gradient_raw
+
     rng = np.random.default_rng(10 + dim)
     if dim == 1:
         g = Grid.line(0.0, 1.0, 17)
@@ -89,8 +90,7 @@ def test_energy_gradient_matches_difference_quotient(dim):
     bump = rng.standard_normal(g.shape) * 0.3
     bump[g.boundary_flags()] = 0.0
     vals += bump
-    u = ScalarField(g, vals)
-    e0, grad = energy_and_gradient(spec, u)
+    grad = _gradient_raw(spec, vals)
 
     flat = vals.ravel()
     step = 1e-5  # balances truncation against energy-difference roundoff
@@ -99,13 +99,11 @@ def test_energy_gradient_matches_difference_quotient(dim):
         lo[idx] -= step
         hi[idx] += step
         # raw energies: nudged boundary nodes are no longer admissible
-        from plapreg.solver import _energy_raw
-
         fd = (
             _energy_raw(spec, hi.reshape(g.shape))
             - _energy_raw(spec, lo.reshape(g.shape))
         ) / (2 * step)
-        assert grad.values.ravel()[idx] == pytest.approx(fd, rel=1e-6, abs=1e-5)
+        assert grad.ravel()[idx] == pytest.approx(fd, rel=1e-6, abs=1e-5)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -143,7 +141,7 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
     vals = gb.values + rng.standard_normal(g.shape) * 0.3
     # K_II's rows and columns follow the interior elimination order
     order = _gradient_operator(g)[3]
-    K = _interior_hessian(spec, vals, 0.2).toarray()
+    K = _interior_hessian(spec, vals).toarray()
     assert K.shape == (len(order),) * 2
     np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
 
@@ -184,7 +182,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
     D, _, _, order = _gradient_operator(g)
     interior = ~g.boundary_flags().ravel()
-    grad = _gradient_raw(spec, vals, 1e-2).ravel()
+    grad = _gradient_raw(spec, vals).ravel()
 
     Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
     m = len(Hc)
@@ -193,7 +191,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     ref = np.zeros(g.num_nodes)
     ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-    step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals, 1e-2), -grad[order])
+    step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals), -grad[order])
     np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -374,6 +372,25 @@ def test_solve_result_is_its_last_evaluation():
     np.testing.assert_array_equal(at_cap.u.values, full.u.values)
 
 
+@pytest.mark.parametrize("p", [3.0, 40.0])
+def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
+    """The gradients of a solve are taken at the stages of its (p, eps)
+    path, in order, and at no other (p, eps)."""
+    import plapreg.solver as solver_mod
+
+    seen = []
+    real_gradient_raw = solver_mod._gradient_raw
+
+    def gradient_raw(spec, vals):
+        seen.append((spec.params.p, spec.params.eps))
+        return real_gradient_raw(spec, vals)
+
+    monkeypatch.setattr(solver_mod, "_gradient_raw", gradient_raw)
+    r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), p, 1e-4))
+    assert r.converged
+    assert [stage for stage, _ in itertools.groupby(seen)] == _path(p, 1e-4)
+
+
 def test_solve_survives_singular_newton_system(monkeypatch):
     """Started directly at p = 80, a Newton system becomes exactly singular in
     floating point; the NaN step fails the line search, the step falls
@@ -384,8 +401,8 @@ def test_solve_survives_singular_newton_system(monkeypatch):
     calls = []
     real_line_search = solver_mod._line_search
 
-    def line_search(spec, vals, order, direction, e0, g_int, eps_k):
-        out = real_line_search(spec, vals, order, direction, e0, g_int, eps_k)
+    def line_search(spec, vals, order, direction, e0, g_int):
+        out = real_line_search(spec, vals, order, direction, e0, g_int)
         calls.append((np.isnan(direction).any(), np.array_equal(direction, -g_int), out[1]))
         return out
 
@@ -409,7 +426,7 @@ def test_solve_2d_torsion():
     # domain and data are symmetric, so the minimizer is too
     np.testing.assert_allclose(r.u.values, r.u.values[::-1, :], atol=1e-9)
     np.testing.assert_allclose(r.u.values, r.u.values[:, ::-1], atol=1e-9)
-    assert r.energy <= energy_upper_bound(spec, ScalarField.constant(g, 0.0))
+    assert r.energy <= energy(spec, ScalarField.constant(g, 0.0))
 
 
 def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
@@ -606,25 +623,6 @@ def test_grad_and_residual_tolerances_scale():
     spec = torsion_spec(g, 3.0, 0.1)
     # f = 1: weighted L2 norm is sqrt(volume) = 1
     assert residual_tolerance(spec) == pytest.approx(1e-6 + 1e-10)
-
-
-def test_energy_upper_bound_dominates():
-    rng = np.random.default_rng(12)
-    g = Grid.line(-1.0, 1.0, 65)
-    spec = torsion_spec(g, 4.0, 0.5)
-    u0 = ScalarField.constant(g, 0.0)
-    # constant field: bound is |domain| / p plus the (zero) source pairing
-    assert energy_upper_bound(spec, u0) == pytest.approx(2.0 / 4.0, rel=1e-14)
-    assert solve(spec).energy <= energy_upper_bound(spec, u0)
-    for _ in range(10):
-        bump = rng.standard_normal(g.shape) * rng.uniform(0.1, 2.0)
-        bump[g.boundary_flags()] = 0.0
-        ub = ScalarField(g, bump)
-        assert energy(spec, ub) <= energy_upper_bound(spec, ub) + 1e-12
-    with pytest.raises(ValueError, match="eps"):
-        energy_upper_bound(
-            ProblemSpec(g, PLapParams(p=4.0, eps=1.5), spec.f, spec.g), u0
-        )
 
 
 # ---------------------------------------------------------------------------
