@@ -84,6 +84,8 @@ class SharpnessOracle:
     dim: int = 1
 
     def __post_init__(self):
+        if not np.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
         if self.p < 3.0:
             raise ValueError("the sharpness profile requires p >= 3")
         if self.dim not in (1, 2):

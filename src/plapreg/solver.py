@@ -51,6 +51,21 @@ returned iterate at the requested (p, eps), and `stop_reason` says why
 the final stage stopped: it converged, reached the cap, stalled at the
 rounding floor of the gradient, or found no descent direction.
 
+A 2D solve started without u0 uses nested iteration (Briggs, Henson &
+McCormick, *A Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and
+the halved grid keeps at least `_COARSEST` = 33 nodes per axis, the grid is
+halved; the levels are the coarsest grid refined back to the problem grid,
+with f and g injected (a coarse node is a fine node), so 257^2 nests as
+33^2, 65^2, 129^2, 257^2.  The coarsest level walks the whole (p, eps)
+path; each finer level starts from the bilinear prolongation of the coarser
+iterate, its boundary reset to g, and runs the final (p, eps) stage alone.
+The stage list is one list of (level, p, eps), so a coarse level ends at
+the loose tolerance of an intermediate stage.  The iteration cap counts
+Newton steps over all levels; a capped iterate is prolonged to the problem
+grid and evaluated there.  `SolveResult.levels` records each level's nodes,
+steps, factorizations and final energy.  1D grids, grids that do not nest
+and solves from a given u0 run on their own grid alone.
+
 D is the only difference operator the solve uses; the node gradient in
 :mod:`plapreg.fields` serves the analysis of a solution (its seminorms and
 exponent fits), never the solve.
@@ -111,6 +126,14 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
 # reaches the 200-step cap with ~1,800 overflows
 _P_DIRECT = 18.0
+# a 2D solve without u0 halves its grid while every (n - 1) is even and the
+# coarse grid keeps at least this many nodes per axis (`_levels`).  At 257^2
+# (2-core Xeon, warm) a coarsest grid of 17, 33 or 65 nodes makes no
+# difference to seeded torsion (p = 3, eps = 1e-3: 0.94-1.01 s, against
+# 1.45-1.69 s on one level), where the finest level's 4-5 steps dominate; on
+# the sharp oracle (p = 5, eps = 1e-4) 65 costs 10% more (0.98 s against
+# 0.87-0.89 s), as the whole (p, eps) path then runs on 65^2
+_COARSEST = 33
 
 
 class SolverError(RuntimeError):
@@ -142,15 +165,21 @@ class SolveResult:
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
     factorizations: int = 0  # SuperLU factorizations, harmonic start included
     cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
+    # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
+    # first; the last row is the problem grid's.  A solve capped on a coarse
+    # level has no row for the levels it skipped on its way to the problem grid
+    levels: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "trace", tuple(tuple(row) for row in self.trace))
+        object.__setattr__(self, "levels", tuple(tuple(row) for row in self.levels))
 
 
 # ---------------------------------------------------------------------------
 # the cell-gradient operator
 
-@functools.lru_cache(maxsize=4)
+# sized to hold every level of a nested solve: 513^2 has 5 (`_levels`)
+@functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> tuple:
     """(D, D_I, D_I^T, order): the cell gradient, its interior columns and their order.
 
@@ -382,6 +411,36 @@ def _path(p: float, eps: float) -> list[tuple[float, float]]:
     return [(p_k, eps_path[0]) for p_k in p_stages] + [(p, e) for e in eps_path]
 
 
+def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
+    """The problems of a nested solve, coarsest first, ending with spec itself.
+
+    A 2D grid is halved while every (n - 1) is even and the coarse grid keeps
+    at least `_COARSEST` nodes per axis; the levels are the coarsest grid
+    refined back up to spec.grid.  A coarse node is a fine node, so f and g
+    are injected.  A 1D grid is its own only level.
+    """
+    k, nodes = 0, spec.grid.nodes
+    while spec.grid.dim == 2 and all(n % 2 and (n + 1) // 2 >= _COARSEST for n in nodes):
+        k, nodes = k + 1, tuple((n + 1) // 2 for n in nodes)
+    level = replace(spec.grid, nodes=nodes)
+    levels = []
+    for stride in (2**j for j in range(k, 0, -1)):
+        f, g = (ScalarField(level, field.values[::stride, ::stride])
+                for field in (spec.f, spec.g))
+        levels.append(ProblemSpec(level, spec.params, f, g))
+        level = level.refine()
+    return levels + [spec]
+
+
+def _prolong(vals: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of 2D node values onto the grid refined by 2."""
+    fine = np.empty(tuple(2 * n - 1 for n in vals.shape))
+    fine[::2, ::2] = vals
+    fine[1::2, ::2] = 0.5 * (vals[:-1] + vals[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
+    return fine
+
+
 def solve(
     spec: ProblemSpec,
     u0: ScalarField | None = None,
@@ -392,32 +451,46 @@ def solve(
     The minimizer is unique (the energy is strictly convex for eps > 0), so
     the result does not depend on u0 beyond the stopping tolerance.  A result
     with converged = False and its `stop_reason` is returned if the final
-    stage stops short of the tolerances.
+    stage stops short of the tolerances.  A 2D grid that nests is solved
+    coarse to fine unless u0 is given (see the module docstring).
     """
     if spec.params.eps <= 0.0:
         raise ValueError("solve requires eps > 0")
-    grid = spec.grid
+    if u0 is not None and u0.grid != spec.grid:
+        raise ValueError("u0 must live on the problem grid")
+    levels = [spec] if u0 is not None else _levels(spec)
+    level = levels[0]
+    grid = level.grid
     order = _gradient_operator(grid)[3]
     solves = _LinearSolves(lagged=grid.dim == 2)
 
     if u0 is None:
-        vals = _harmonic_extension(spec, solves)
+        vals = _harmonic_extension(level, solves)
     else:
-        if u0.grid != grid:
-            raise ValueError("u0 must live on the problem grid")
         vals = u0.values.copy()
         vals[grid.boundary_flags()] = spec.g.values[grid.boundary_flags()]
 
     tol_res = residual_tolerance(spec)
     trace: list[tuple[int, float, float]] = []
     it_total = 0
+    level_start = (0, 0)  # (iterations, factorizations) when the level began
+    rows = {}  # level nodes -> its row of `SolveResult.levels`
 
-    path = _path(spec.params.p, spec.params.eps)
-    for stage, (p_k, eps_k) in enumerate(path):
-        final = stage == len(path) - 1
+    stages = [(level, p_k, eps_k) for p_k, eps_k in _path(spec.params.p, spec.params.eps)]
+    stages += [(level_k, spec.params.p, spec.params.eps) for level_k in levels[1:]]
+    for stage, (level_k, p_k, eps_k) in enumerate(stages):
+        final = stage == len(stages) - 1
+        if level_k is not level:
+            # a finer level starts from the prolonged iterate, reset to g on its boundary
+            level, grid = level_k, level_k.grid
+            order = _gradient_operator(grid)[3]
+            vals = _prolong(vals)
+            vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
+            solves.lu = None  # a coarse factor cannot precondition a finer K
+            level_start = (it_total, solves.factorizations)
         if it_total >= max_iter and not final:
             continue  # capped: evaluate the iterate once more, at the target
-        spec_k = replace(spec, params=replace(spec.params, p=p_k, eps=eps_k))
+        spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
         # intermediate stages only need a rough minimizer to warm start
         stage_scale = 1.0 if final else 1e6
         prev_g_norm = np.inf
@@ -463,6 +536,8 @@ def solve(
                         stop = "no_descent"  # at numerical stationarity
                         break
             it_total += 1
+        rows[grid.nodes] = (grid.nodes, it_total - level_start[0],
+                            solves.factorizations - level_start[1], e_val)
 
     return SolveResult(
         u=ScalarField(grid, vals),
@@ -474,6 +549,7 @@ def solve(
         trace=trace,
         factorizations=solves.factorizations,
         cg_iterations=solves.cg_iterations,
+        levels=rows.values(),
     )
 
 
@@ -500,7 +576,11 @@ def _line_search(spec, vals, order, direction, e0, g_int):
 # output
 
 def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
-    """Write solution.csv/.json, grid.json and trace.csv; returns the summary."""
+    """Write solution.csv/.json, grid.json and trace.csv; returns the summary.
+
+    The summary's `levels` holds one row per level of the solve, coarsest
+    first (one row in 1D).
+    """
     outdir = Path(outdir)
     write_grid_json(spec.grid, outdir / "grid.json")  # creates outdir
     write_field_csv(result.u, outdir / "solution.csv")
@@ -508,6 +588,9 @@ def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
     summary = {key: getattr(result, key) for key in (
         "energy", "el_residual", "iterations", "converged", "stop_reason", "factorizations",
         "cg_iterations")}
+    summary["levels"] = [
+        {"nodes": list(nodes), "iterations": its, "factorizations": facts, "energy": e}
+        for nodes, its, facts, e in result.levels]
     summary["params"] = asdict(spec.params)
     write_json(summary, outdir / "solution.json")
     return summary

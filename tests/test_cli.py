@@ -211,6 +211,16 @@ def test_estimate_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_estimate_non_finite_p_names_p(tmp_path, capsys, p):
+    """The sharp oracle rejects a non-finite p by name, before its own
+    flux-identity self-check could misreport it."""
+    out = tmp_path / "out"
+    assert run("estimate", "--p", p, "--q", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: p must be finite, got {p}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # flags a path does not read
 

@@ -461,6 +461,11 @@ def test_lagged_factor_matches_factoring_every_step(monkeypatch):
     assert lagged.factorizations < direct.factorizations == direct.iterations
     assert lagged.cg_iterations > 0 and direct.cg_iterations == 0
     assert lagged.energy == pytest.approx(direct.energy, rel=1e-12)
+    # level by level (33^2, then 65^2): the same steps, and on the fine level
+    # fewer factorizations than steps
+    assert [row[1] for row in lagged.levels] == [row[1] for row in direct.levels]
+    assert [row[2] for row in direct.levels] == [row[1] for row in direct.levels]
+    assert lagged.levels[-1][2] < direct.levels[-1][2]
 
 
 @pytest.mark.parametrize("failure", ["capped", "non-finite"])
@@ -488,7 +493,7 @@ def test_failed_pcg_step_refactors_once(monkeypatch, failure):
     monkeypatch.setattr(spla, "cg", cg)
     if failure == "capped":
         monkeypatch.setattr(solver_mod, "_PCG_CAP", 7)
-    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3))
+    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (64, 64)), 3.0, 1e-3))
     assert r.converged
     assert events[0] == "splu" and "cg failed" in events
     for event, after in zip(events, events[1:] + ["end"]):
@@ -496,6 +501,85 @@ def test_failed_pcg_step_refactors_once(monkeypatch, failure):
         assert after in expected, events
     assert r.factorizations == events.count("splu") == 1 + events.count("cg failed")
     assert r.iterations == events.count("splu") + events.count("cg ok")
+
+
+# ---------------------------------------------------------------------------
+# nested iteration
+
+
+def test_levels_halve_down_to_33_and_fit_the_operator_cache():
+    """513^2 nests as 33^2 -> ... -> 513^2, with f and g injected; every level's
+    gradient operator fits the cache at once, so a repeated solve rebuilds none."""
+    from plapreg.solver import _gradient_operator, _levels
+
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (513, 513))
+    spec = ProblemSpec(grid, PLapParams(p=3.0, eps=1e-3),
+                       ScalarField.from_function(grid, lambda x, y: x * y),
+                       ScalarField.constant(grid, 0.0))
+    levels = _levels(spec)
+    assert [level.grid.nodes for level in levels] == [(n, n) for n in (33, 65, 129, 257, 513)]
+    assert levels[-1] is spec and levels[-2].grid.refine() == grid
+    np.testing.assert_array_equal(levels[0].f.values, spec.f.values[::16, ::16])
+    assert len(levels) <= _gradient_operator.cache_parameters()["maxsize"]
+
+
+def test_prolongation_is_exact_on_bilinear_fields():
+    from plapreg.solver import _prolong
+
+    coarse = Grid.box((-1.0, 0.0), (1.0, 3.0), (9, 5))
+
+    def bilinear(x):
+        return 0.3 - 2.0 * x[..., 0] + 0.7 * x[..., 1] + 1.5 * x[..., 0] * x[..., 1]
+
+    fine = _prolong(bilinear(coarse.coords()))
+    np.testing.assert_allclose(fine, bilinear(coarse.refine().coords()), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nodes", [65, 129])
+def test_nested_solve_matches_single_level(nodes):
+    """A nested solve reaches the single-level minimizer of its own grid."""
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
+    spec = torsion_spec(grid, 3.0, 1e-3)
+    nested, single = solve(spec), solve(spec, u0=spec.g)
+    assert nested.converged and single.converged
+    assert [row[0] for row in nested.levels][-2:] == [((nodes + 1) // 2,) * 2, (nodes, nodes)]
+    assert single.levels == ((grid.nodes, single.iterations, single.factorizations,
+                              single.energy),)
+    assert nested.energy == pytest.approx(single.energy, rel=1e-14)
+    assert np.max(np.abs(nested.u.values - single.u.values)) <= 1e-9
+    # the rows sum to the solve's counts and end with the problem grid's energy
+    assert sum(row[1] for row in nested.levels) == nested.iterations
+    assert sum(row[2] for row in nested.levels) == nested.factorizations
+    assert nested.levels[-1][3] == nested.energy
+
+
+@pytest.mark.parametrize("max_iter", [0, 3, 7])
+def test_capped_nested_solve_returns_a_fine_iterate(max_iter):
+    """Capped on a coarse level, a nested solve prolongs its iterate to the
+    problem grid and evaluates it there once, at the target (p, eps)."""
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129))
+    spec = torsion_spec(grid, 3.0, 1e-3)
+    r = solve(spec, max_iter=max_iter)
+    assert r.u.grid == grid and r.iterations == max_iter
+    assert (r.converged, r.stop_reason) == (False, "max_iter")
+    assert r.trace[-1][:2] == (max_iter, energy(spec, r.u)) and r.energy == r.trace[-1][1]
+    assert r.el_residual == el_residual(spec, r.u)
+    assert r.levels[-1][:2] == (grid.nodes, 0)
+
+
+@pytest.mark.parametrize("nodes", [(257,), (33, 33), (64, 64), (65, 33), (7, 6)])
+def test_grid_that_does_not_nest_solves_as_from_g(nodes):
+    """1D grids and 2D grids that do not nest are one level, and solve as
+    from g, bit for bit."""
+    from plapreg.solver import _levels
+
+    spec = torsion_spec(Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes), 3.0, 1e-3)
+    levels = _levels(spec)
+    assert len(levels) == 1 and levels[0] is spec
+    r, ref = solve(spec), solve(spec, u0=spec.g)
+    np.testing.assert_array_equal(r.u.values, ref.u.values)
+    assert {k: v for k, v in vars(r).items() if k != "u"} == {
+        k: v for k, v in vars(ref).items() if k != "u"}
 
 
 class _WeakFactor:
@@ -510,9 +594,10 @@ class _WeakFactor:
 
 def test_old_factor_is_released_before_refactoring(monkeypatch):
     """When SuperLU is asked for a new factor, every reference to the old one
-    (the kept factor, a preconditioner built on its solve) is gone, and none
-    outlives the solve: in the 257^2 torsion solve, holding the old factor
-    while SuperLU builds the new one raised peak RSS from 181 to 210 MB."""
+    (the kept factor, a preconditioner built on its solve, a coarser level's
+    factor) is gone, and none outlives the solve: in the 257^2 torsion solve,
+    holding the old factor while SuperLU builds the new one raised peak RSS
+    from 181 to 210 MB."""
     import plapreg.solver as solver_mod
 
     refs, live_at_entry = [], []
@@ -527,11 +612,14 @@ def test_old_factor_is_released_before_refactoring(monkeypatch):
     monkeypatch.setattr(spla, "splu", splu)
     # a small cap makes PCG fail often, so most steps refactor
     monkeypatch.setattr(solver_mod, "_PCG_CAP", 4)
-    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
-    r = solve(torsion_spec(g, 3.0, 1e-3))
-    assert r.converged and r.cg_iterations > 0 and r.factorizations >= 3
-    assert live_at_entry == [0] * r.factorizations
-    assert all(ref() is None for ref in refs)
+    for nodes in (33, 65):  # 65^2 nests: its 33^2 level's factor goes too
+        refs.clear()
+        live_at_entry.clear()
+        g = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
+        r = solve(torsion_spec(g, 3.0, 1e-3))
+        assert r.converged and r.cg_iterations > 0 and r.factorizations >= 3
+        assert live_at_entry == [0] * r.factorizations
+        assert all(ref() is None for ref in refs)
 
 
 def test_1d_newton_steps_are_direct_solves(monkeypatch):
@@ -645,3 +733,15 @@ def test_write_solve_result(tmp_path):
     assert rows[0] == ["iter", "energy", "grad_norm"]
     assert len(rows) - 1 == len(r.trace)
     assert (tmp_path / "solution.csv").read_text().splitlines()[0] == "x1,value"
+    assert summary["levels"] == [{"nodes": [33], "iterations": r.iterations,
+                                  "factorizations": r.factorizations, "energy": r.energy}]
+
+
+def test_write_solve_result_records_each_level(tmp_path):
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-2)
+    r = solve(spec)
+    write_solve_result(r, spec, tmp_path)
+    levels = json.loads((tmp_path / "solution.json").read_text())["levels"]
+    assert [row["nodes"] for row in levels] == [[33, 33], [65, 65]]
+    assert levels == [{"nodes": list(n), "iterations": i, "factorizations": f, "energy": e}
+                      for n, i, f, e in r.levels]
