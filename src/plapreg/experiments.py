@@ -360,8 +360,8 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     scaled_spec = ProblemSpec(
         spec.grid,
         replace(spec.params, eps=lam * spec.params.eps),
-        spec.f.with_values(lam ** (p - 1.0) * spec.f.values),
-        spec.g.with_values(lam * spec.g.values),
+        ScalarField(spec.grid, lam ** (p - 1.0) * spec.f.values),
+        ScalarField(spec.grid, lam * spec.g.values),
     )
     scaled = solve(scaled_spec)
     u_gap = float(np.max(np.abs(scaled.u.values - lam * base.u.values)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
@@ -51,6 +52,14 @@ class Grid:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
+        for name, kind in (("dim", numbers.Integral), ("lower", numbers.Real),
+                           ("upper", numbers.Real), ("nodes", numbers.Integral)):
+            value = getattr(self, name)
+            # a bool passes isinstance as an Integral, and so as a Real
+            if not all(isinstance(v, kind) and not isinstance(v, bool)
+                       for v in ((value,) if name == "dim" else value)):
+                raise ValueError(f"{name} must hold {kind.__name__.lower()} numbers, "
+                                 f"got {value!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         lower = tuple(float(v) for v in self.lower)
@@ -59,8 +68,8 @@ class Grid:
         if not (len(lower) == len(upper) == len(nodes) == self.dim):
             raise ValueError("lower/upper/nodes must all have length dim")
         for lo, hi in zip(lower, upper):
-            if not hi > lo:
-                raise ValueError(f"upper must exceed lower per axis, got [{lo}, {hi}]")
+            if not (hi > lo and math.isfinite(hi - lo)):
+                raise ValueError(f"need finite lower < upper per axis, got [{lo}, {hi}]")
         for n in nodes:
             if n < 3:
                 raise ValueError(f"need at least 3 nodes per axis, got {n}")
@@ -171,9 +180,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -288,7 +294,7 @@ def read_grid_json(path) -> Grid:
         return Grid(payload["dim"], *(tuple(payload[k]) for k in ("lower", "upper", "nodes")))
     except KeyError as exc:
         raise ValueError(f"{path}: grid has no {exc.args[0]!r}") from None
-    except TypeError as exc:  # e.g. a number where a list belongs
+    except (TypeError, ValueError) as exc:  # e.g. a number where a list belongs, 1.0 nodes
         raise ValueError(f"{path}: malformed grid: {exc}") from None
 
 
@@ -314,8 +320,15 @@ def write_field_csv(field: ScalarField | VectorField, path) -> None:
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
-    """Read a field written by :func:`write_field_csv` back onto ``grid``."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a field written by :func:`write_field_csv` back onto ``grid``.
+
+    One value column is a ScalarField unless the header names it
+    ``value1``, as a 1D VectorField is written; one value column per axis
+    is a VectorField.
+    """
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")[grid.dim:]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # faster than from fh
     if data.shape[0] != grid.num_nodes:
         raise ValueError(
             f"{path}: {data.shape[0]} rows, expected {grid.num_nodes} for grid"
@@ -324,7 +337,7 @@ def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
     coords = grid.coords().reshape(-1, grid.dim)
     if not np.allclose(data[:, : grid.dim], coords, rtol=0, atol=1e-9):
         raise ValueError(f"{path}: node coordinates do not match grid")
-    if ncols == 1:
+    if ncols == 1 and names != [f"value{k + 1}" for k in range(grid.dim)]:
         return ScalarField(grid, data[:, grid.dim].reshape(grid.shape))
     if ncols == grid.dim:
         return VectorField(grid, data[:, grid.dim :].reshape(grid.shape + (grid.dim,)))

@@ -173,12 +173,12 @@ _REGIMES = {
 
 @dataclass(frozen=True)
 class PLapParams:
-    """Exponent bundle (p, eps, s, theta) with the derived exponents.
+    """Exponent bundle (p, eps, s, theta).
 
-    q_proof = p - 2s + 2 and p_prime = p / (p - 1) are derived.  The
-    parameter regimes "thm2" (where q_proof lies in [2, 3)) and "thm3" are
-    defined in `_REGIMES`.  Construction checks only the basic ranges;
-    :attr:`mode` classifies (p, s) and :meth:`require_mode` enforces a regime.
+    The parameter regimes "thm2" (where p - 2s + 2 lies in [2, 3)) and
+    "thm3" are defined in `_REGIMES`.  Construction checks only the basic
+    ranges; :attr:`mode` classifies (p, s) and :meth:`require_mode`
+    enforces a regime.
     """
 
     p: float
@@ -196,14 +196,6 @@ class PLapParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def q_proof(self) -> float:
-        return self.p - 2.0 * self.s + 2.0
 
     @property
     def mode(self) -> str:

@@ -84,8 +84,8 @@ def dyadic_shifts(grid: Grid, delta: float) -> tuple:
     1D: (k,). 2D: (k,0), (0,k), (k,k) and (k,-k).
     Sorted by Euclidean length; the diagonal length is k*h*sqrt(2).
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     slack = 1.0 + 1e-12
     out = []
     if grid.dim == 1:

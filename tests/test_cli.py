@@ -185,6 +185,11 @@ def test_estimate_q_inf_writes_only_json(tmp_path):
 @pytest.mark.parametrize("grid_text, message", [
     ('{"dim": 1, "lower": [0.0], "upper": [1.0]}', "no 'nodes'"),
     ('[1, [0.0], [1.0], [129]]', "not a list"),
+    ('{"dim": 1.0, "lower": [0.0], "upper": [1.0], "nodes": [129]}', "dim must hold integral"),
+    ('{"dim": true, "lower": [0.0], "upper": [1.0], "nodes": [129]}', "dim must hold integral"),
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": [129.7]}', "nodes must hold integral"),
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": ["129"]}', "nodes must hold integral"),
+    ('{"dim": 1, "lower": ["0"], "upper": [1.0], "nodes": [129]}', "lower must hold real"),
 ])
 def test_estimate_malformed_grid_exits_two(tmp_path, capsys, grid_text, message):
     g = Grid.line(0.0, 1.0, 129)
@@ -218,6 +223,18 @@ def test_estimate_non_finite_p_names_p(tmp_path, capsys, p):
     out = tmp_path / "out"
     assert run("estimate", "--p", p, "--q", "2", "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: p must be finite, got {p}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--p", "4", "--q", "3", "--nodes", "257"],
+    ["verify", "--suite", "theorem1", "--nodes", "257"],
+], ids=["estimate", "theorem1"])
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_non_finite_delta_exits_two_and_writes_nothing(tmp_path, capsys, argv, delta):
+    out = tmp_path / "out"
+    assert run(*argv, "--delta", delta, "--out", str(out)) == 2
+    assert f"delta must be positive and finite, got {delta}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -290,7 +290,7 @@ def test_scaling_scales_the_source():
     wrong = ProblemSpec(
         spec.grid,
         PLapParams(p=3.0, eps=lam * spec.params.eps, s=1.5),
-        spec.f.with_values(lam * spec.f.values),  # should be lam^2
+        ScalarField(spec.grid, lam * spec.f.values),  # should be lam^2
         spec.g,
     )
     gap = float(np.max(np.abs(solve(wrong).u.values - lam * base.u.values)))

@@ -222,6 +222,13 @@ def test_grid_json_roundtrip(tmp_path):
     ('[1, [0.0], [1.0], [5]]', "JSON object, not a list"),
     ('{"dim": 1, "lower": 0.0, "upper": [1.0], "nodes": [5]}', "malformed grid"),
     ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": [null]}', "malformed grid"),
+    ('{"dim": 1.0, "lower": [0.0], "upper": [1.0], "nodes": [5]}', "dim must hold integral"),
+    ('{"dim": true, "lower": [0.0], "upper": [1.0], "nodes": [5]}', "dim must hold integral"),
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": [5.7]}', "nodes must hold integral"),
+    ('{"dim": 1, "lower": [0.0], "upper": [1.0], "nodes": ["5"]}', "nodes must hold integral"),
+    ('{"dim": 1, "lower": ["0"], "upper": [1.0], "nodes": [5]}', "lower must hold real"),
+    ('{"dim": 1, "lower": [0.0], "upper": [true], "nodes": [5]}', "upper must hold real"),
+    ('{"dim": 1, "lower": [-Infinity], "upper": [1.0], "nodes": [5]}', "finite lower"),
 ])
 def test_read_grid_json_rejects_malformed_sidecars(tmp_path, text, match):
     p = tmp_path / "grid.json"
@@ -260,6 +267,7 @@ def test_field_csv_roundtrip_scalar(tmp_path):
     write_field_csv(u, p)
     assert p.read_text().splitlines()[0] == "x1,value"
     back = read_field_csv(p, g)
+    assert isinstance(back, ScalarField)
     np.testing.assert_allclose(back.values, u.values, rtol=0, atol=1e-15)
 
 
@@ -270,6 +278,19 @@ def test_field_csv_roundtrip_vector_2d(tmp_path):
     write_field_csv(V, p)
     assert p.read_text().splitlines()[0] == "x1,x2,value1,value2"
     back = read_field_csv(p, g)
+    assert isinstance(back, VectorField)
+    np.testing.assert_allclose(back.values, V.values, rtol=0, atol=1e-15)
+
+
+def test_field_csv_roundtrip_vector_1d(tmp_path):
+    # one value column, as a scalar field has: the header tells them apart
+    g = Grid.line(0.0, 1.0, 33)
+    V = VectorField.from_function(g, lambda x: (np.cos(3 * x),))
+    p = tmp_path / "v.csv"
+    write_field_csv(V, p)
+    assert p.read_text().splitlines()[0] == "x1,value1"
+    back = read_field_csv(p, g)
+    assert isinstance(back, VectorField)
     np.testing.assert_allclose(back.values, V.values, rtol=0, atol=1e-15)
 
 

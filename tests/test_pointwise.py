@@ -277,14 +277,6 @@ def test_integrand_lower_bound_validation():
 # parameter bundle
 
 
-def test_params_derived_exponents():
-    pr = PLapParams(p=3.0, s=1.5)
-    assert pr.q_proof == pytest.approx(2.0)
-    assert pr.p_prime == pytest.approx(1.5)
-    pr4 = PLapParams(p=4.0, s=1.6)
-    assert pr4.q_proof == pytest.approx(2.8)
-
-
 @pytest.mark.parametrize(
     "p,s,mode",
     [

@@ -1,13 +1,17 @@
 """The scripts import only names the package still has, every exported name
-resolves, and every imported name is used; the exponent-table script runs
-end to end.  None of this is reached by the other tests: a script is run by
-hand, ``__all__`` is read only by ``from plapreg import *``, and an unused
-import runs without error."""
+resolves, every imported name is used, and the import graph stays as
+documented; the exponent-table script runs end to end.  None of this is
+reached by the other tests: a script is run by hand, ``__all__`` is read
+only by ``from plapreg import *``, an unused import runs without error, and
+a test process has imported every module already."""
 
 import ast
 import csv
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +53,27 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_import_graph():
+    """``import plapreg`` loads no submodule, and the fields, pointwise and
+    smoothness modules load without scipy, which only the solver needs."""
+    code = (
+        "import json, sys\n"
+        "import plapreg\n"
+        "sub = sorted(m for m in sys.modules if m.startswith('plapreg.'))\n"
+        "import plapreg.fields, plapreg.pointwise, plapreg.smoothness\n"
+        "sci = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([sub, sci]))\n"
+    )
+    src = str(Path(plapreg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    sub, sci = json.loads(out)
+    assert sub == [], f"import plapreg loaded {sub}"
+    assert sci == [], f"fields, pointwise and smoothness loaded {sci}"
 
 
 ROOT = SCRIPTS.parent
