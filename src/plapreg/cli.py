@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .fields import Grid, ScalarField, read_field_csv, read_grid_json, write_json
 from .pointwise import PLapParams
@@ -34,13 +35,13 @@ from .smoothness import (
     nikolskii_seminorm,
     write_seminorm_report,
 )
-from .solver import ProblemSpec, SolverError, solve, write_solve_result
 from .experiments import (
     DEFAULT_DELTA_EXPONENTS,
     DEFAULT_DELTA_SWEEP,
     DEFAULT_EPS_SWEEP,
     DEFAULT_NODES_1D,
     SharpnessOracle,
+    SolverError,
     oracle_fields,
     oracle_problem,
     run_eps_sweep,
@@ -50,6 +51,9 @@ from .experiments import (
     write_sweep_result,
     write_theorem1_report,
 )
+
+if TYPE_CHECKING:  # the solver, and with it scipy, loads only in the commands that solve
+    from .solver import ProblemSpec
 
 __all__ = ["main", "entry"]
 
@@ -184,6 +188,8 @@ def _problem(cfg: dict, eps: float) -> ProblemSpec:
     if cfg["oracle"] == "sharp":
         spec = oracle_problem(SharpnessOracle(p=p), grid, eps, s=s)
     else:
+        from .solver import ProblemSpec
+
         params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
         spec = ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
                            ScalarField.constant(grid, 0.0))
@@ -202,6 +208,8 @@ def _cmd_solve(head: dict, cfg: dict) -> tuple[int, dict]:
     _require(eps > 0.0, "solve requires eps > 0")
     spec = _problem(cfg, eps)
     spec.params.require_mode(cfg["mode"])
+    from .solver import solve, write_solve_result
+
     result = solve(spec)
     summary = write_solve_result(result, spec, cfg["out"])
     if not result.converged:
@@ -248,7 +256,6 @@ def _cmd_verify(head: dict, cfg: dict) -> tuple[int, dict]:
         report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"])
         write_theorem1_report(report, cfg["out"])
     else:  # scaling
-        _require(cfg["lam"] > 0.0, "scaling requires --lambda > 0")
         report = run_scaling_check(_problem(cfg, float(cfg["eps"])), cfg["lam"])
         write_scaling_report(report, cfg["out"])
     return (0 if report.passed else 1), {"result": report}
@@ -273,7 +280,7 @@ def main(argv=None) -> int:
         code, body = _COMMANDS[args.command][0](head, cfg)
         write_json({**head, "config": cfg, **body}, Path(cfg["out"]) / "report.json")
         return code
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 import math
 
 import numpy as np
@@ -33,7 +34,9 @@ from .smoothness import (
     sobolev_w12_norm,
     sobolev_w1p_norm,
 )
-from .solver import ProblemSpec, SolverError, residual_tolerance, solve
+
+if TYPE_CHECKING:  # the solver, and with it scipy, loads only where a run solves
+    from .solver import ProblemSpec
 
 __all__ = [
     "SharpnessOracle",
@@ -42,6 +45,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "ScalingReport",
+    "SolverError",
     "oracle_fields",
     "oracle_problem",
     "table_exponent",
@@ -125,6 +129,8 @@ def oracle_fields(oracle: SharpnessOracle, grid: Grid):
 def oracle_problem(oracle: SharpnessOracle, grid: Grid, eps: float,
                    s: float | None = None) -> ProblemSpec:
     """The Dirichlet problem whose eps = 0 limit is the oracle profile."""
+    from .solver import ProblemSpec
+
     u, _, f = oracle_fields(oracle, grid)
     if s is None:
         s = oracle.p / 2.0
@@ -243,6 +249,10 @@ def run_theorem1_check(
 # ---------------------------------------------------------------------------
 # eps sweep
 
+class SolverError(RuntimeError):
+    """A solve failed in a context that cannot continue (e.g. inside a sweep)."""
+
+
 @dataclass(frozen=True)
 class SweepCell:
     eps: float
@@ -282,6 +292,8 @@ def run_eps_sweep(
     verdict is "inconclusive".  An unconverged solve aborts the sweep with
     the offending cell in the error message.
     """
+    from .solver import solve
+
     eps_values = tuple(sorted(set(float(e) for e in eps_values), reverse=True))
     if not eps_values or eps_values[-1] <= 0.0:
         raise ValueError("eps values must be positive")
@@ -353,16 +365,23 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     carry the factor lam^s to rounding precision (checked at eps = 0 on
     the same gradient array, pure algebra with no second solve involved).
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    from .solver import ProblemSpec, residual_tolerance, solve
+
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     p, s = spec.params.p, spec.params.s
+    with np.errstate(over="ignore"):
+        try:
+            f = lam ** (p - 1.0) * spec.f.values
+        except OverflowError:  # a float power overflows by raising
+            f = np.full_like(spec.f.values, math.inf)
+        eps, g = lam * spec.params.eps, lam * spec.g.values
+    if not (math.isfinite(eps) and np.isfinite(f).all() and np.isfinite(g).all()):
+        raise ValueError(f"lambda = {lam:g} scales the problem out of floating-point range: "
+                         "lambda^(p-1) f, lambda eps and lambda g must be finite")
     base = solve(spec)
-    scaled_spec = ProblemSpec(
-        spec.grid,
-        replace(spec.params, eps=lam * spec.params.eps),
-        ScalarField(spec.grid, lam ** (p - 1.0) * spec.f.values),
-        ScalarField(spec.grid, lam * spec.g.values),
-    )
+    scaled_spec = ProblemSpec(spec.grid, replace(spec.params, eps=eps),
+                              ScalarField(spec.grid, f), ScalarField(spec.grid, g))
     scaled = solve(scaled_spec)
     u_gap = float(np.max(np.abs(scaled.u.values - lam * base.u.values)))
     u_tol = 10.0 * residual_tolerance(scaled_spec)

@@ -90,7 +90,6 @@ from .pointwise import PLapParams, L_eps, grad_L_eps, hess_L_eps
 __all__ = [
     "ProblemSpec",
     "SolveResult",
-    "SolverError",
     "energy",
     "solve",
     "el_residual",
@@ -134,10 +133,6 @@ _P_DIRECT = 18.0
 # the sharp oracle (p = 5, eps = 1e-4) 65 costs 10% more (0.98 s against
 # 0.87-0.89 s), as the whole (p, eps) path then runs on 65^2
 _COARSEST = 33
-
-
-class SolverError(RuntimeError):
-    """A solve failed in a context that cannot continue (e.g. inside a sweep)."""
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def test_solve_non_finite_params_exit_two_and_write_nothing(tmp_path, capsys, ar
 
 
 def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
-    import plapreg.cli as cli
+    import plapreg.solver
     from plapreg.solver import SolveResult
 
     def fake_solve(spec, u0=None, max_iter=200):
@@ -112,7 +112,7 @@ def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
         return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=max_iter,
                            converged=False, stop_reason="max_iter", trace=[(0, 0.0, 1.0)])
 
-    monkeypatch.setattr(cli, "solve", fake_solve)
+    monkeypatch.setattr(plapreg.solver, "solve", fake_solve)
     rc = run("solve", "--p", "3", "--eps", "1e-2", "--nodes", "65",
              "--out", str(tmp_path))
     assert rc == 1
@@ -335,6 +335,19 @@ def test_verify_scaling(tmp_path):
     assert (tmp_path / "scaling.json").exists()
 
 
+@pytest.mark.parametrize("lam, message", [
+    ("1e200", "lambda = 1e+200 scales the problem out of floating-point range"),
+    ("inf", "lambda must be positive and finite, got inf"),
+    ("nan", "lambda must be positive and finite, got nan"),
+])
+def test_verify_scaling_rejects_lambda_out_of_range(tmp_path, capsys, lam, message):
+    out = tmp_path / "out"
+    assert run("verify", "--suite", "scaling", "--lambda", lam, "--nodes", "65",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_verify_requires_suite(capsys):
     assert run("verify") == 2
     assert "requires --suite" in capsys.readouterr().err
@@ -406,6 +419,22 @@ def test_config_file_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("solve", "--p", "3", "--config", str(broken)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "3", "--config", "{dir}", "--out", "{dir}/out"],
+    ["estimate", "--field", "{dir}/field.csv", "--grid", "{dir}", "--out", "{dir}/out"],
+    ["estimate", "--p", "4", "--nodes", "257", "--out", "{dir}/field.csv"],
+], ids=["config-is-dir", "grid-is-dir", "out-is-file"])
+def test_path_errors_are_usage_errors(tmp_path, capsys, argv):
+    g = Grid.line(0.0, 1.0, 129)
+    write_field_csv(ScalarField.constant(g, 2.0), tmp_path / "field.csv")
+    field = (tmp_path / "field.csv").read_bytes()
+    assert run(*(a.format(dir=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv"]
+    assert (tmp_path / "field.csv").read_bytes() == field
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -8,9 +8,10 @@ import pytest
 
 from plapreg.fields import Grid, ScalarField
 from plapreg.pointwise import PLapParams
-from plapreg.solver import ProblemSpec, SolverError
+from plapreg.solver import ProblemSpec
 from plapreg.experiments import (
     SharpnessOracle,
+    SolverError,
     oracle_fields,
     oracle_problem,
     run_eps_sweep,
@@ -214,7 +215,7 @@ def test_eps_sweep_single_tail_value_is_inconclusive():
 
 
 def test_eps_sweep_aborts_on_unconverged(monkeypatch):
-    import plapreg.experiments as exp
+    import plapreg.solver
 
     def fake_solve(spec, u0=None, max_iter=200):
         from plapreg.solver import SolveResult
@@ -224,7 +225,7 @@ def test_eps_sweep_aborts_on_unconverged(monkeypatch):
             converged=False, stop_reason="stalled", trace=[],
         )
 
-    monkeypatch.setattr(exp, "solve", fake_solve)
+    monkeypatch.setattr(plapreg.solver, "solve", fake_solve)
     template = small_oracle_template(nodes=65)
     with pytest.raises(SolverError, match="failed to converge: stalled after 200 iterations"):
         run_eps_sweep(template, eps_values=(1e-1,))

@@ -55,25 +55,69 @@ def test_exports_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def run_python(code, *args, cwd=None):
+    """stdout of ``python -c code args`` in a fresh interpreter on this checkout."""
+    src = str(Path(plapreg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_import_graph():
-    """``import plapreg`` loads no submodule, and the fields, pointwise and
-    smoothness modules load without scipy, which only the solver needs."""
+    """``import plapreg`` loads no submodule; the fields, pointwise and
+    smoothness modules load without scipy, which only the solver needs, and
+    so do experiments and the CLI, which import the solver where they solve."""
     code = (
         "import json, sys\n"
         "import plapreg\n"
         "sub = sorted(m for m in sys.modules if m.startswith('plapreg.'))\n"
         "import plapreg.fields, plapreg.pointwise, plapreg.smoothness\n"
-        "sci = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps([sub, sci]))\n"
+        f"sci = {SCIPY_LOADED}\n"
+        "import plapreg.experiments, plapreg.cli\n"
+        f"print(json.dumps([sub, sci, {SCIPY_LOADED}]))\n"
     )
-    src = str(Path(plapreg.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    sub, sci = json.loads(out)
+    sub, sci, sci_cli = json.loads(run_python(code))
     assert sub == [], f"import plapreg loaded {sub}"
     assert sci == [], f"fields, pointwise and smoothness loaded {sci}"
+    assert sci_cli == [], f"experiments and cli loaded {sci_cli}"
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    """The commands that never solve (both estimates, the theorem-1 suite and
+    usage errors) run without loading scipy; a solve does load it."""
+    from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
+
+    grid = Grid.line(-1.0, 1.0, 257)
+    write_grid_json(grid, tmp_path / "grid.json")
+    write_field_csv(ScalarField.from_function(grid, lambda x: abs(x) ** 0.5),
+                    tmp_path / "field.csv")
+    code = (
+        "import json, sys\n"
+        "from plapreg.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        f"print(json.dumps([codes, {SCIPY_LOADED}]))\n"
+    )
+    non_solving = [
+        ["estimate", "--p", "4", "--q", "3", "--out", "estimate-oracle"],
+        ["estimate", "--field", "field.csv", "--grid", "grid.json", "--q", "2",
+         "--delta", "0.25", "--out", "estimate-field"],
+        ["verify", "--suite", "theorem1", "--out", "theorem1"],
+        ["solve", "--p", "2.5", "--mode", "thm2", "--out", "bad-mode"],
+        ["solve", "--out", "bad-missing-p"],
+        ["estimate", "--q", "0.5", "--out", "bad-q"],
+        ["estimate", "--field", "field.csv", "--q", "2", "--out", "bad-field-without-grid"],
+    ]
+    codes, sci = json.loads(run_python(code, json.dumps(non_solving), cwd=tmp_path))
+    assert codes == [0, 0, 0, 2, 2, 2, 2]
+    assert sci == [], f"a command that does not solve loaded {sci}"
+    solving = [["solve", "--p", "3", "--oracle", "torsion", "--nodes", "65", "--out", "solve"]]
+    codes, sci = json.loads(run_python(code, json.dumps(solving), cwd=tmp_path))
+    assert codes == [0]
+    assert "scipy.sparse.linalg" in sci
 
 
 ROOT = SCRIPTS.parent
