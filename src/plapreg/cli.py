@@ -182,19 +182,20 @@ def _eps_list(raw) -> tuple:
 
 
 def _problem(cfg: dict, eps: float) -> ProblemSpec:
-    """The run's built-in problem; resolves cfg["s"] (default p/2) from its params."""
+    """The run's built-in problem; resolves cfg["s"] (default p/2) and checks
+    (p, s) against cfg["mode"], if the path reads one, before the solver and
+    with it scipy load."""
     grid = Grid.line(-1.0, 1.0, cfg["nodes"])
     p, s = cfg["p"], cfg["s"]
-    if cfg["oracle"] == "sharp":
-        spec = oracle_problem(SharpnessOracle(p=p), grid, eps, s=s)
-    else:
-        from .solver import ProblemSpec
+    oracle = SharpnessOracle(p=p) if cfg["oracle"] == "sharp" else None
+    params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
+    cfg["s"] = params.require_mode(cfg.get("mode", "auto")).s
+    if oracle is not None:
+        return oracle_problem(oracle, grid, eps, s=params.s)
+    from .solver import ProblemSpec
 
-        params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
-        spec = ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
-                           ScalarField.constant(grid, 0.0))
-    cfg["s"] = spec.params.s
-    return spec
+    return ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
+                       ScalarField.constant(grid, 0.0))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -207,7 +208,6 @@ def _cmd_solve(head: dict, cfg: dict) -> tuple[int, dict]:
     eps = float(cfg["eps"])
     _require(eps > 0.0, "solve requires eps > 0")
     spec = _problem(cfg, eps)
-    spec.params.require_mode(cfg["mode"])
     from .solver import solve, write_solve_result
 
     result = solve(spec)

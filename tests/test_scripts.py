@@ -107,12 +107,14 @@ def test_only_solving_commands_load_scipy(tmp_path):
          "--delta", "0.25", "--out", "estimate-field"],
         ["verify", "--suite", "theorem1", "--out", "theorem1"],
         ["solve", "--p", "2.5", "--mode", "thm2", "--out", "bad-mode"],
+        ["solve", "--p", "2.5", "--oracle", "torsion", "--mode", "thm2",
+         "--out", "bad-mode-torsion"],
         ["solve", "--out", "bad-missing-p"],
         ["estimate", "--q", "0.5", "--out", "bad-q"],
         ["estimate", "--field", "field.csv", "--q", "2", "--out", "bad-field-without-grid"],
     ]
     codes, sci = json.loads(run_python(code, json.dumps(non_solving), cwd=tmp_path))
-    assert codes == [0, 0, 0, 2, 2, 2, 2]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2]
     assert sci == [], f"a command that does not solve loaded {sci}"
     solving = [["solve", "--p", "3", "--oracle", "torsion", "--nodes", "65", "--out", "solve"]]
     codes, sci = json.loads(run_python(code, json.dumps(solving), cwd=tmp_path))

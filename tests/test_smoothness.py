@@ -205,6 +205,25 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
         assert sobolev_w12_norm(V, delta) == full
 
 
+@pytest.mark.parametrize("grid", [Grid.line(-1.0, 2.0, 129),
+                                  Grid.box((0.0, -1.0), (2.0, 0.5), (65, 33))],
+                         ids=["1d", "2d"])
+def test_vector_shift_norm_matches_component_axis_sum_bitwise(grid):
+    """The nodewise magnitude, summed component by component, is bit for bit
+    np.sqrt(np.sum(d * d, axis=-1)), and the norm sums it in C order."""
+    rng = np.random.default_rng(15)
+    V = VectorField(grid, rng.standard_normal(grid.shape + (grid.dim,)))
+    for off in dyadic_shifts(grid, 0.25):
+        box = interior_box(grid, math.hypot(*(o * h for o, h in zip(off, grid.h))))
+        shifted = tuple(slice(b.start + o, b.stop + o) for b, o in zip(box, off))
+        d = V.values[shifted] - V.values[box]
+        mag = np.sqrt(np.sum(d * d, axis=-1)).ravel()
+        for q in (2.0, 3.7, np.inf):
+            ref = (float(np.max(mag)) if np.isinf(q)
+                   else float(np.sum(mag**q) * grid.cell_volume) ** (1.0 / q))
+            assert shift_difference_norm(V, off, q) == ref, (off, q)
+
+
 # ---------------------------------------------------------------------------
 # seminorm and exponent fit
 
