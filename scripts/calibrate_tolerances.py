@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from plapreg.fields import (
     Grid,
+    ProblemSpec,
     ScalarField,
     VectorField,
     gradient,
@@ -28,7 +29,7 @@ from plapreg.smoothness import (
     fit_smoothness_exponent,
     sobolev_w12_seminorm,
 )
-from plapreg.solver import ProblemSpec, el_residual, energy, solve
+from plapreg.solver import el_residual, energy, solve
 from plapreg.experiments import SharpnessOracle, oracle_fields, oracle_problem
 
 
@@ -41,7 +42,7 @@ def section(title):
 
 def calibrate_oracle_solve():
     section("oracle solve error (frozen: sup err <= 2e-6 at 4097, ratio <= 0.5)")
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     prev = None
     for nodes in (1025, 2049, 4097):
         g = Grid.line(-1.0, 1.0, nodes)
@@ -54,7 +55,7 @@ def calibrate_oracle_solve():
 
 def calibrate_interpolant_residual():
     section("interpolant EL residual (frozen: 3.94e-3 at 1025, ratio ~ 0.707)")
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     prev = None
     for nodes in (513, 1025, 2049):
         g = Grid.line(-1.0, 1.0, nodes)
@@ -112,7 +113,7 @@ def calibrate_composition_constant():
 
     g1 = Grid.line(-1.0, 1.0, 2049)
     for p in (3.0, 4.0, 5.0):
-        _, G, _ = oracle_fields(SharpnessOracle(p=p, dim=1), g1)
+        _, G, _ = oracle_fields(SharpnessOracle(p=p), g1)
         lo, hi = 2.0 / p, 2.0 / (p - 1.0)
         for theta in np.linspace(lo, hi, 6, endpoint=False):
             V = VectorField(g1, alpha_s(G.values, 0.0, 1.0 / theta))
@@ -147,7 +148,7 @@ def calibrate_composition_constant():
         V = VectorField.from_function(g2, trig2)
         for theta in (0.4, 0.6, 0.8):
             probe(V, theta, f"trig 2D #{trial}")
-    _, G2, _ = oracle_fields(SharpnessOracle(p=3.0, dim=2), g2)
+    _, G2, _ = oracle_fields(SharpnessOracle(p=3.0), g2)
     for theta in (2.0 / 3.0, 0.8):
         V = VectorField(g2, alpha_s(G2.values, 0.0, 1.0 / theta))
         probe(V, float(theta), "oracle 2D p=3")

@@ -5,10 +5,10 @@ Each public name is imported from the submodule that defines it, e.g.
 
 Submodules:
 
-* :mod:`plapreg.fields` - grids, scalar/vector fields, the node gradient,
-  interior boxes, and every JSON and CSV writer.
-* :mod:`plapreg.pointwise` - the regularized length, energy density and
-  its derivatives, the power transforms, and algebraic certificates.
+* :mod:`plapreg.fields` - grids, scalar/vector fields, problem specs, the
+  node gradient, interior boxes, and every JSON and CSV writer.
+* :mod:`plapreg.pointwise` - the vector magnitude, the regularized length,
+  energy density and derivatives, power transforms, algebraic certificates.
 * :mod:`plapreg.solver` - damped Newton minimization of the discrete
   energy with eps continuation.
 * :mod:`plapreg.smoothness` - Nikol'skii and Sobolev seminorms, shift

@@ -25,9 +25,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .fields import Grid, ScalarField, read_field_csv, read_grid_json, write_json
+from .fields import (
+    Grid, ProblemSpec, ScalarField, read_field_csv, read_grid_json, write_json,
+)
 from .pointwise import PLapParams
 from .smoothness import (
     dyadic_shifts,
@@ -43,7 +44,6 @@ from .experiments import (
     SharpnessOracle,
     SolverError,
     oracle_fields,
-    oracle_problem,
     run_eps_sweep,
     run_scaling_check,
     run_theorem1_check,
@@ -51,9 +51,6 @@ from .experiments import (
     write_sweep_result,
     write_theorem1_report,
 )
-
-if TYPE_CHECKING:  # the solver, and with it scipy, loads only in the commands that solve
-    from .solver import ProblemSpec
 
 __all__ = ["main", "entry"]
 
@@ -182,20 +179,16 @@ def _eps_list(raw) -> tuple:
 
 
 def _problem(cfg: dict, eps: float) -> ProblemSpec:
-    """The run's built-in problem; resolves cfg["s"] (default p/2) and checks
-    (p, s) against cfg["mode"], if the path reads one, before the solver and
-    with it scipy load."""
+    """The run's built-in problem, f = 1 with the trace g of the sharp oracle's
+    profile or of torsion (g = 0); resolves cfg["s"] (default p/2) and checks
+    (p, s) against cfg["mode"], if the path reads one."""
     grid = Grid.line(-1.0, 1.0, cfg["nodes"])
     p, s = cfg["p"], cfg["s"]
     oracle = SharpnessOracle(p=p) if cfg["oracle"] == "sharp" else None
     params = PLapParams(p=p, eps=eps, s=p / 2.0 if s is None else s, theta=2.0 / p)
     cfg["s"] = params.require_mode(cfg.get("mode", "auto")).s
-    if oracle is not None:
-        return oracle_problem(oracle, grid, eps, s=params.s)
-    from .solver import ProblemSpec
-
-    return ProblemSpec(grid, params, ScalarField.constant(grid, 1.0),
-                       ScalarField.constant(grid, 0.0))
+    g = ScalarField.constant(grid, 0.0) if oracle is None else oracle_fields(oracle, grid)[0]
+    return ProblemSpec(grid, params, ScalarField.constant(grid, 1.0), g)
 
 
 def _require(condition: bool, message: str) -> None:

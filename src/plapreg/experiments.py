@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 import math
 
 import numpy as np
 
 from .fields import (
-    Grid, ScalarField, VectorField, gradient, interior_box, write_json, write_table,
+    Grid, ProblemSpec, ScalarField, VectorField, gradient, interior_box, write_json,
+    write_table,
 )
 from .pointwise import PLapParams, alpha_s
 from .smoothness import (
@@ -34,9 +34,6 @@ from .smoothness import (
     sobolev_w12_norm,
     sobolev_w1p_norm,
 )
-
-if TYPE_CHECKING:  # the solver, and with it scipy, loads only where a run solves
-    from .solver import ProblemSpec
 
 __all__ = [
     "SharpnessOracle",
@@ -77,7 +74,8 @@ ALPHA_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SharpnessOracle:
-    """Closed forms for the degenerate profile u = |x1|^{p'}/p', f = 1.
+    """Closed forms for the degenerate profile u = |x1|^{p'}/p', f = 1, on
+    a grid of either dimension.
 
     Construction verifies the defining identity |u'|^{p-2} u' = x1 on a
     sample of points, so a bad exponent wiring fails immediately rather
@@ -85,15 +83,12 @@ class SharpnessOracle:
     """
 
     p: float
-    dim: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.p):
             raise ValueError(f"p must be finite, got {self.p}")
         if self.p < 3.0:
             raise ValueError("the sharpness profile requires p >= 3")
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
         x = np.linspace(-1.0, 1.0, 17)
         g = self.grad1(x)
         flux = np.abs(g) ** (self.p - 2.0) * g
@@ -113,24 +108,16 @@ class SharpnessOracle:
 
 def oracle_fields(oracle: SharpnessOracle, grid: Grid):
     """Exact nodal (u, grad u, f) for the oracle; grad is analytic, not a stencil."""
-    if grid.dim != oracle.dim:
-        raise ValueError("grid dimension does not match the oracle")
     x1 = grid.coords()[..., 0]
-    u = ScalarField(grid, oracle.u(x1))
-    g1 = oracle.grad1(x1)
-    if grid.dim == 1:
-        grad = VectorField(grid, g1[..., None])
-    else:
-        grad = VectorField(grid, np.stack([g1, np.zeros_like(g1)], axis=-1))
-    f = ScalarField.constant(grid, 1.0)
-    return u, grad, f
+    grad = np.zeros(grid.shape + (grid.dim,))
+    grad[..., 0] = oracle.grad1(x1)
+    return (ScalarField(grid, oracle.u(x1)), VectorField(grid, grad),
+            ScalarField.constant(grid, 1.0))
 
 
 def oracle_problem(oracle: SharpnessOracle, grid: Grid, eps: float,
                    s: float | None = None) -> ProblemSpec:
     """The Dirichlet problem whose eps = 0 limit is the oracle profile."""
-    from .solver import ProblemSpec
-
     u, _, f = oracle_fields(oracle, grid)
     if s is None:
         s = oracle.p / 2.0
@@ -214,7 +201,7 @@ def run_theorem1_check(
     cell at q = 2(p-1).  No solves are involved: the gradient is exact, so
     what is tested is the exponent machinery plus the table itself.
     """
-    oracle = SharpnessOracle(p=p, dim=1)
+    oracle = SharpnessOracle(p=p)
     grid = Grid.line(-1.0, 1.0, nodes)
     _, grad, _ = oracle_fields(oracle, grid)
     shifts = dyadic_shifts(grid, delta)
@@ -365,8 +352,6 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     carry the factor lam^s to rounding precision (checked at eps = 0 on
     the same gradient array, pure algebra with no second solve involved).
     """
-    from .solver import ProblemSpec, residual_tolerance, solve
-
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     p, s = spec.params.p, spec.params.s
@@ -379,6 +364,8 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     if not (math.isfinite(eps) and np.isfinite(f).all() and np.isfinite(g).all()):
         raise ValueError(f"lambda = {lam:g} scales the problem out of floating-point range: "
                          "lambda^(p-1) f, lambda eps and lambda g must be finite")
+    from .solver import residual_tolerance, solve
+
     base = solve(spec)
     scaled_spec = ProblemSpec(spec.grid, replace(spec.params, eps=eps),
                               ScalarField(spec.grid, f), ScalarField(spec.grid, g))

@@ -1,11 +1,12 @@
-"""Uniform box grids, node-indexed fields, the node gradient and interior boxes.
+"""Uniform box grids, node-indexed fields and problems, the node gradient, interior boxes.
 
 The domain is always a box in dimension 1 or 2, discretized by a uniform
 lattice.  Scalar and vector fields store one value (or one n-vector) per
 node.  The gradient uses central differences at interior nodes and
 one-sided second-order stencils at boundary nodes, so it is exact on affine
 data and second-order accurate everywhere else.  The delta-interior of the
-box is again a box, indexed by one slice per axis.
+box is again a box, indexed by one slice per axis.  A problem is data: a
+grid, its exponents, a source and a Dirichlet trace.
 
 Fields are value types: the constructor copies its input and the stored
 array is marked read-only.  All operations here are pure functions.  The
@@ -24,10 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .pointwise import PLapParams
+
 __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
+    "ProblemSpec",
     "gradient",
     "interior_box",
     "write_json",
@@ -128,25 +132,14 @@ class Grid:
         return np.outer(axes_w[0], axes_w[1])
 
     def boundary_flags(self) -> np.ndarray:
-        """Boolean array marking nodes on the box boundary."""
-        flags = np.zeros(self.shape, dtype=bool)
-        for k in range(self.dim):
-            idx_lo = [slice(None)] * self.dim
-            idx_lo[k] = 0
-            flags[tuple(idx_lo)] = True
-            idx_hi = [slice(None)] * self.dim
-            idx_hi[k] = -1
-            flags[tuple(idx_hi)] = True
+        """Boolean array marking nodes on the box boundary: all but the interior box."""
+        flags = np.ones(self.shape, dtype=bool)
+        flags[(slice(1, -1),) * self.dim] = False
         return flags
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Same box with (n - 1) * factor + 1 nodes per axis."""
-        return Grid(
-            self.dim,
-            self.lower,
-            self.upper,
-            tuple((n - 1) * factor + 1 for n in self.nodes),
-        )
+    def refine(self) -> "Grid":
+        """Same box with 2 (n - 1) + 1 nodes per axis."""
+        return Grid(self.dim, self.lower, self.upper, tuple(2 * n - 1 for n in self.nodes))
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -210,6 +203,20 @@ class VectorField:
                 axis=-1,
             )
         return cls(grid, out)
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Grid, exponents, source f and Dirichlet trace g (read on the boundary)."""
+
+    grid: Grid
+    params: PLapParams
+    f: ScalarField
+    g: ScalarField
+
+    def __post_init__(self):
+        if self.f.grid != self.grid or self.g.grid != self.grid:
+            raise ValueError("f and g must live on the problem grid")
 
 
 def interior_box(grid: Grid, delta: float) -> tuple[slice, ...]:

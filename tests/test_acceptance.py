@@ -140,7 +140,7 @@ def test_04_transform_inequalities():
 
 def test_05_solver_tracks_degenerate_profile():
     t0 = time.perf_counter()
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     errs = {}
     for nodes in (2049, 4097):
         g = Grid.line(-1.0, 1.0, nodes)
@@ -176,7 +176,7 @@ def test_07_transformed_norms_uniform_in_eps():
     rows = []
     ok = True
     for p in (3.0, 4.0):
-        orc = SharpnessOracle(p=p, dim=1)
+        orc = SharpnessOracle(p=p)
         g = Grid.line(-1.0, 1.0, 4097)
         for s in (p / 2.0, (p - 1.0) / 2.0 + 0.1):
             template = oracle_problem(orc, g, eps=1e-2, s=s)
@@ -189,7 +189,7 @@ def test_07_transformed_norms_uniform_in_eps():
 
 def test_08_exact_rescaling_invariance():
     t0 = time.perf_counter()
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     g = Grid.line(-1.0, 1.0, 1025)
     spec = oracle_problem(orc, g, eps=1e-3)
     rows = []
@@ -207,7 +207,7 @@ def test_09_composition_bound_holds():
     rows = []
     ok = True
     for p in (3.0, 4.0):
-        orc = SharpnessOracle(p=p, dim=1)
+        orc = SharpnessOracle(p=p)
         g = Grid.line(-1.0, 1.0, 4097)
         _, G, _ = oracle_fields(orc, g)
         for theta in (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0))):

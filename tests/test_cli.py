@@ -110,7 +110,7 @@ def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
     def fake_solve(spec, u0=None, max_iter=200):
         u = ScalarField(spec.grid, spec.g.values)
         return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=max_iter,
-                           converged=False, stop_reason="max_iter", trace=[(0, 0.0, 1.0)])
+                           stop_reason="max_iter", trace=[(0, 0.0, 1.0)])
 
     monkeypatch.setattr(plapreg.solver, "solve", fake_solve)
     rc = run("solve", "--p", "3", "--eps", "1e-2", "--nodes", "65",

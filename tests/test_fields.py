@@ -73,6 +73,20 @@ def test_boundary_flags_count():
     assert flags.sum() == 2 * 6 + 2 * 4 - 4
     assert not flags[2, 2]
 
+    def two_faces_per_axis(grid):
+        """The flags as set before they became the interior box's complement."""
+        flags = np.zeros(grid.shape, dtype=bool)
+        for k in range(grid.dim):
+            for end in (0, -1):
+                idx = [slice(None)] * grid.dim
+                idx[k] = end
+                flags[tuple(idx)] = True
+        return flags
+
+    for grid in (g, Grid.line(-0.5, 2.0, 3), Grid.line(0.0, 1.0, 8),
+                 Grid.box((-1.0, 0.5), (2.0, 1.0), (3, 9)), Grid.box((0, 0), (1, 1), (17, 5))):
+        np.testing.assert_array_equal(grid.boundary_flags(), two_faces_per_axis(grid))
+
 
 def test_refine_keeps_box_and_nests_nodes():
     g = Grid.line(-1.0, 1.0, 5)

@@ -18,6 +18,7 @@ from plapreg.pointwise import (
     integrand_lower_bound_check,
     l_eps,
     monotonicity_gap,
+    sq_norm,
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -52,6 +53,21 @@ def test_l_eps_monotone_in_eps(w, e1, e2):
     w = vec(*w)
     lo, hi = sorted([e1, e2])
     assert l_eps(w, lo) <= l_eps(w, hi) + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sq_norm_and_l_eps_match_axis_sum_bitwise(n):
+    """|w|^2 summed component by component is bit for bit the axis sum
+    np.sum(np.square(w), axis=-1), also at 0, the smallest subnormal and 1e150."""
+    rng = np.random.default_rng(16)
+    special = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150], (200, n))
+    scaled = rng.standard_normal((200, n)) * 10.0 ** rng.integers(-170, 150, (200, 1))
+    w = np.concatenate([special, scaled]).reshape(20, 20, n)
+    ref = np.sum(np.square(w), axis=-1)
+    assert sq_norm(w).tobytes() == ref.tobytes()
+    assert sq_norm(w[3, 4]) == ref[3, 4]
+    for eps in (0.0, 5e-324, 1e-3, 1e150):
+        assert l_eps(w, eps).tobytes() == np.sqrt(np.square(eps) + ref).tobytes()
 
 
 def test_l_eps_vectorized_shape():

@@ -7,6 +7,7 @@ a test process has imported every module already."""
 
 import ast
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -88,7 +89,8 @@ def test_import_graph():
 
 def test_only_solving_commands_load_scipy(tmp_path):
     """The commands that never solve (both estimates, the theorem-1 suite and
-    usage errors) run without loading scipy; a solve does load it."""
+    usage errors, also those found once the problem is built) run without
+    loading scipy; a solve does load it."""
     from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
 
     grid = Grid.line(-1.0, 1.0, 257)
@@ -112,9 +114,10 @@ def test_only_solving_commands_load_scipy(tmp_path):
         ["solve", "--out", "bad-missing-p"],
         ["estimate", "--q", "0.5", "--out", "bad-q"],
         ["estimate", "--field", "field.csv", "--q", "2", "--out", "bad-field-without-grid"],
+        ["verify", "--suite", "scaling", "--lambda", "inf", "--out", "bad-lambda"],
     ]
     codes, sci = json.loads(run_python(code, json.dumps(non_solving), cwd=tmp_path))
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2]
+    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 2]
     assert sci == [], f"a command that does not solve loaded {sci}"
     solving = [["solve", "--p", "3", "--oracle", "torsion", "--nodes", "65", "--out", "solve"]]
     codes, sci = json.loads(run_python(code, json.dumps(solving), cwd=tmp_path))
@@ -123,6 +126,48 @@ def test_only_solving_commands_load_scipy(tmp_path):
 
 
 ROOT = SCRIPTS.parent
+# the names perfbench binds to plapreg modules: a setup's imports, their
+# copies on the workload (self.solver) and the local alias of experiments
+PERFBENCH_MODULES = {"solver": "solver", "fields": "fields", "pointwise": "pointwise",
+                     "smoothness": "smoothness", "exp": "experiments",
+                     "experiments": "experiments"}
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    """Every plapreg module attribute the benchmark reads resolves, and every
+    keyword it passes to PLapParams is a field, so a change that renames or
+    moves a name the benchmark reads fails here, not in the benchmark."""
+    from plapreg.pointwise import PLapParams
+
+    params = {f.name for f in dataclasses.fields(PLapParams)}
+    read, missing, bad_keywords = set(), [], []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "plapreg":
+                read |= {(a.name, None) for a in node.names}
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id == "self" and chain:
+                base = ast.Name(chain.pop(0))
+            if chain and isinstance(base, ast.Name) and base.id in PERFBENCH_MODULES:
+                read.add((PERFBENCH_MODULES[base.id], ".".join(chain)))
+            if isinstance(node, ast.Call) and "PLapParams" in ast.unparse(node.func):
+                bad_keywords += [(path.name, k.arg) for k in node.keywords
+                                 if k.arg not in params]
+    for module, dotted in sorted(read, key=str):
+        obj = importlib.import_module(f"plapreg.{module}")
+        for name in dotted.split(".") if dotted else ():
+            if not hasattr(obj, name):
+                missing.append(f"{module}.{dotted}")
+                break
+            obj = getattr(obj, name)
+    assert {module for module, _ in read} >= {"solver", "fields", "smoothness", "experiments"}
+    assert not missing, f"perfbench reads names plapreg lacks: {missing}"
+    assert not bad_keywords, f"perfbench passes PLapParams unknown keywords: {bad_keywords}"
+
+
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "plapreg").glob("*.py") if p.name != "__init__.py"]
     + list(SCRIPTS.glob("*.py"))

@@ -24,6 +24,7 @@ from plapreg.smoothness import (
     sobolev_w1p_norm,
     write_seminorm_report,
 )
+from plapreg.smoothness import _offset_length
 from plapreg.experiments import SharpnessOracle, oracle_fields
 
 
@@ -47,6 +48,64 @@ def test_dyadic_shifts_1d():
         dyadic_shifts(g, 0.5 / 64.0)  # below one spacing
     with pytest.raises(ValueError):
         dyadic_shifts(g, -0.1)
+
+
+def _two_loop_shifts(grid, delta):
+    """The enumerator dyadic_shifts replaced, with one loop per dimension."""
+    slack = 1.0 + 1e-12
+    out = []
+    if grid.dim == 1:
+        (h,) = grid.h
+        k = 1
+        while k * h <= delta * slack:
+            out.append((k,))
+            k *= 2
+    else:
+        hx, hy = grid.h
+        k = 1
+        while True:
+            added = False
+            if k * hx <= delta * slack:
+                out.append((k, 0))
+                added = True
+            if k * hy <= delta * slack:
+                out.append((0, k))
+                added = True
+            if math.hypot(k * hx, k * hy) <= delta * slack:
+                out.append((k, k))
+                out.append((k, -k))
+                added = True
+            if not added:
+                break
+            k *= 2
+    if not out:
+        raise ValueError("no lattice shift fits below delta; refine the grid")
+    return tuple(sorted(out, key=lambda o: _offset_length(grid, o)))
+
+
+@pytest.mark.parametrize("grid", [Grid.line(-0.7, 2.3, 97),
+                                  Grid.box((0.3, -1.7), (2.3, -0.2), (65, 33)),
+                                  Grid.box((-0.2, 0.1), (0.55, 2.1), (13, 129)),
+                                  Grid.box((0.25, -0.5), (1.25, 0.5), (65, 65))],
+                         ids=["1d", "wide", "tall", "square"])
+def test_dyadic_shifts_match_two_loop_enumerator(grid):
+    """One loop over the step directions gives the old family exactly, for
+    deltas at a shift's length k h or k h sqrt(2), at that length divided by
+    the comparison's slack, and one ulp around each; and below every shift."""
+    diag = math.hypot(*grid.h)
+    lengths = [k * length for k in (1, 2, 4, 8, 16, 32)
+               for length in (*grid.h, *(h * math.sqrt(2.0) for h in grid.h), diag)]
+    deltas = lengths + [d / (1.0 + 1e-12) for d in lengths]
+    deltas += [np.nextafter(d, lim) for d in deltas for lim in (0.0, np.inf)]
+    deltas += [0.5 * min(grid.h)]
+    for delta in deltas:
+        try:
+            expected = _two_loop_shifts(grid, delta)
+        except ValueError:
+            with pytest.raises(ValueError, match="no lattice shift"):
+                dyadic_shifts(grid, delta)
+            continue
+        assert dyadic_shifts(grid, delta) == expected, delta
 
 
 def test_dyadic_shifts_2d():
@@ -255,7 +314,7 @@ def test_nikolskii_quotient_monotone_in_theta():
 def test_nikolskii_dyadic_family_is_dense_enough():
     """The dyadic max quotient should essentially match an every-k family."""
     g = line()
-    orc = SharpnessOracle(p=4.0, dim=1)
+    orc = SharpnessOracle(p=4.0)
     _, G, _ = oracle_fields(orc, g)
     theta = 2.0 / 3.0
     dense = [(k,) for k in range(1, 65)]
@@ -277,7 +336,7 @@ def test_fit_affine_gradient_slope_one():
 
 def test_fit_recovers_degenerate_growth_rate():
     g = line()
-    orc = SharpnessOracle(p=4.0, dim=1)
+    orc = SharpnessOracle(p=4.0)
     _, G, _ = oracle_fields(orc, g)
     rep = fit_smoothness_exponent(G, 3.0, dyadic_shifts(g, 0.125))
     assert rep.fitted_theta == pytest.approx(2.0 / 3.0, abs=0.05)  # 1/(p-1) + 1/q
@@ -289,7 +348,7 @@ def test_fit_recovers_degenerate_growth_rate():
 def test_fit_w1q_branch_saturates():
     # q below the critical index: the gradient is W^{1,q} and the rate -> 1
     g = line()
-    orc = SharpnessOracle(p=4.0, dim=1)
+    orc = SharpnessOracle(p=4.0)
     _, G, _ = oracle_fields(orc, g)
     rep = fit_smoothness_exponent(G, 1.2, dyadic_shifts(g, 0.125))
     assert rep.fitted_theta >= 0.95
@@ -448,7 +507,7 @@ def test_composition_bound_on_oracle_transforms():
     """V = alpha(grad u) with s = 1/theta, the shape the verification
     suite feeds through beta; lhs <= rhs across the admissible thetas."""
     for p in (3.0, 4.0):
-        orc = SharpnessOracle(p=p, dim=1)
+        orc = SharpnessOracle(p=p)
         g = line()
         _, G, _ = oracle_fields(orc, g)
         for theta in (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0))):

@@ -11,10 +11,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from plapreg.fields import Grid, ScalarField
+from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
-    ProblemSpec,
     energy,
     el_residual,
     grad_tolerance,
@@ -249,7 +248,7 @@ def test_solve_tracks_degenerate_oracle():
     """p = 3 profile with flux exactly x: the eps-regularized minimizer on
     4097-class grids tracks it to a few times 1e-6 and tightens under
     refinement faster than first order."""
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     errs = {}
     for nodes in (1025, 2049):
         g = Grid.line(-1.0, 1.0, nodes)
@@ -264,7 +263,7 @@ def test_solve_tracks_degenerate_oracle():
 
 
 def test_solve_is_init_independent():
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     g = Grid.line(-1.0, 1.0, 513)
     spec = oracle_problem(orc, g, eps=1e-3)
     r1 = solve(spec)
@@ -693,7 +692,7 @@ def test_el_residual_of_interpolant_is_kink_limited():
     """Interpolating the degenerate profile leaves an RMS residual that
     decays like h^(1/2): the kink cell contributes an O(1) pointwise error
     on an O(h) window."""
-    orc = SharpnessOracle(p=3.0, dim=1)
+    orc = SharpnessOracle(p=3.0)
     res = {}
     for nodes in (513, 1025, 2049):
         g = Grid.line(-1.0, 1.0, nodes)
