@@ -19,20 +19,22 @@ closed-form derivatives of L_eps.  With this pairing the exact gradient of
 E with respect to an interior node value equals minus the node weight times
 the conservative flux-difference operator, so the Euler-Lagrange residual
 reported here is the first variation of the energy and vanishes at the
-discrete minimizer.
+discrete minimizer.  K_II is filled from the cell blocks directly, with no
+sparse product (`_assemble`).
 
 Minimization is damped Newton on the interior unknowns with the Hessian
 K_II, an Armijo backtracking line search, and a gradient
 descent fallback if a Newton direction ever fails to decrease the energy.
 The interior unknowns are numbered once per grid in elimination order
-(natural in 1D, where K_II is tridiagonal; George's nested dissection of
-the mesh in 2D), and D_I takes its columns in that order, so every K_II
-arrives ordered for a SuperLU factorization in symmetric mode with no
-fill-reducing permutation of its own.  In 1D each Newton step is one such
-factorization.  In 2D the Hessians change little from step to step, so a
-step after the first solves K_II by CG preconditioned with the last
-factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
-afresh only when CG reaches an iteration cap or returns a non-finite step.
+(natural in 1D; George's nested dissection of the mesh in 2D), and D_I
+takes its columns in that order.  In 1D K_II is a tridiagonal band, and
+each Newton step is one LAPACK tridiagonal solve of it.  A 2D K_II has a
+fixed 9-point pattern and arrives ordered for a SuperLU factorization in
+symmetric mode with no fill-reducing permutation of its own.  The 2D
+Hessians change little from step to step, so a step after the first
+solves K_II by CG preconditioned with the last factor, to an
+Eisenstat-Walker forcing term (inexact Newton), and factors afresh only
+when CG reaches an iteration cap or returns a non-finite step.
 The solve walks one (p, eps) continuation path, warm starting each stage.
 For small eps it is a geometric eps path, which keeps Newton steps well
 scaled even when the initial iterate has vanishing gradient.  Above
@@ -79,6 +81,7 @@ import functools
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -143,7 +146,9 @@ class SolveResult:
     iterations: int
     stop_reason: str  # why the final stage stopped: converged, max_iter, stalled, no_descent
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
-    factorizations: int = 0  # SuperLU factorizations, harmonic start included
+    # direct factorizations, harmonic start included: LAPACK tridiagonal in 1D,
+    # SuperLU in 2D
+    factorizations: int = 0
     cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
     # first; the last row is the problem grid's.  A solve capped on a coarse
@@ -165,36 +170,72 @@ class SolveResult:
 # sized to hold every level of a nested solve: 513^2 has 5 (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> tuple:
-    """(D, D_I, D_I^T, order): the cell gradient, its interior columns and their order.
+    """(D, fill, order): the cell gradient, how a 2D K_II is filled, and the
+    interior order.
 
     c = (D u).reshape(-1, dim) holds one gradient per cell, cells in C order.
     Per axis the gradient is the difference along that axis averaged over
     the cell's 2**(dim-1) edges parallel to it.  `order` holds the flat ids
     of the interior nodes in elimination order (see `_elimination_order`);
-    D_I holds the columns of D in that order, so interior vectors and the
-    Hessian K_II are indexed by position in `order`.  D_I and D_I^T are
-    CSC, so products of them with CSC factors stay CSC for the linear
-    solver.  The cached arrays are shared by every caller and must not be
-    modified.
+    interior vectors and the Hessian K_II are indexed by position in
+    `order`.  `fill` is `_stencil_fill`'s (C, indptr, indices, src) in 2D
+    and None in 1D, where K_II is a band (`_assemble`).  The cached arrays
+    are shared by every caller and must not be modified.
     """
     dim = grid.dim
     ids = np.arange(grid.num_nodes).reshape(grid.shape)
     ncells = int(np.prod([n - 1 for n in grid.nodes]))
     cell_rows = np.arange(ncells * dim).reshape(ncells, dim)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    # G[k, a]: the weight of a cell's corner a in its gradient component k
+    G = np.array([[(2 * corner[k] - 1) / (2 ** (dim - 1) * h) for corner in corners]
+                  for k, h in enumerate(grid.h)])
     rows, cols, coef = [], [], []
-    for corner in itertools.product((0, 1), repeat=dim):
+    for a, corner in enumerate(corners):
         node = ids[tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes))].ravel()
-        for k, h in enumerate(grid.h):
+        for k in range(dim):
             rows.append(cell_rows[:, k])
             cols.append(node)
-            coef.append(np.full(ncells, (2 * corner[k] - 1) / (2 ** (dim - 1) * h)))
+            coef.append(np.full(ncells, G[k, a]))
     D = sp.csr_matrix(
         (np.concatenate(coef), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ncells * dim, grid.num_nodes),
     )
     order = _elimination_order(ids[(slice(1, -1),) * dim])
-    D_I = D[:, order].tocsc()
-    return D, D_I, D_I.T.tocsc(), order
+    return D, _stencil_fill(grid, G, order) if dim == 2 else None, order
+
+
+def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
+    """(C, indptr, indices, src): how `_assemble` fills a 2D K_II.
+
+    C (4 x 16) maps a cell's Hessian block H, flattened, to its corner
+    stiffness G^T H G (4 x 4, corners in `itertools.product` order),
+    flattened.  K_II has the structural 9-point pattern of the interior
+    nodes whatever its values: CSC, columns and rows in elimination order,
+    rows sorted in each column, (3 (n0 - 2) - 2) (3 (n1 - 2) - 2) entries.
+    Its data are S.ravel()[src] for the stencil S of `_assemble`, where
+    S[1 + d0, 1 + d1, i, j] is the entry in the row of node (i, j) and the
+    column of node (i + d0, j + d1).
+    """
+    C = (G[:, None, :, None] * G[None, :, None, :]).reshape(4, 16)
+    n1 = grid.nodes[1]
+    steps = np.array([d0 * n1 + d1 for d0 in (-1, 0, 1) for d1 in (-1, 0, 1)],
+                     dtype=np.int32)
+    pos = np.full(grid.num_nodes, -1, dtype=np.int32)
+    pos[order] = np.arange(len(order))
+    order = order.astype(np.int32)
+    # per column (node q) and offset k: the row r = pos[q + steps[k]], -1 off
+    # the interior, with k in the low 4 bits, so one sort orders the rows.
+    # int32 throughout: an int64 argsort of the rows raised the peak RSS of
+    # the 257^2 torsion solve from 175 to 186 MB
+    key = pos[order[:, None] + steps] * 16 + np.arange(len(steps), dtype=np.int32)
+    key.sort(axis=1)
+    count = np.count_nonzero(key >= 0, axis=1)
+    key = key[key >= 0]
+    k = key & 15
+    # the entry in the row of node q + d and the column of node q is S[-d] there
+    src = (len(steps) - 1 - k) * grid.num_nodes + np.repeat(order, count) + steps[k]
+    return C, np.concatenate([[0], np.cumsum(count)]).astype(np.int32), key >> 4, src
 
 
 def _elimination_order(ids: np.ndarray) -> np.ndarray:
@@ -249,17 +290,45 @@ def _gradient_raw(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray:
     return out.reshape(grid.shape) + grid.quad_weights() * spec.f.values
 
 
-def _interior_hessian(spec: ProblemSpec, vals: np.ndarray) -> sp.csc_matrix:
+def _interior_hessian(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray | sp.csc_matrix:
     """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns.
 
     Rows and columns follow the interior elimination order of the grid.
     """
     grid = spec.grid
-    _, D_I, D_IT, _ = _gradient_operator(grid)
-    Hc = grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals), spec.params.eps,
-                                       spec.params.p)
-    m = len(Hc)
-    return D_IT @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
+    return _assemble(grid, grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals),
+                                                         spec.params.eps, spec.params.p))
+
+
+def _assemble(grid: Grid, Hc: np.ndarray) -> np.ndarray | sp.csc_matrix:
+    """D_I^T blockdiag(Hc) D_I from the cell blocks Hc, shape (cells, dim, dim).
+
+    1D: the tridiagonal band, laid out for `scipy.linalg.solve_banded` with
+    one sub- and one superdiagonal.  With t = Hc * (1/h) * (1/h) per cell,
+    the diagonal is t[:-1] + t[1:] and the off-diagonals are -t[1:-1]: the
+    products and sums of the sparse product, so bitwise its result.  2D: a
+    CSC matrix with the fixed pattern of `_stencil_fill`.  Each cell's
+    corner stiffness G^T H G is added into the 9-point stencil S of its
+    corners, and K_II's data are gathered from S; the sums run in another
+    order than the sparse product's.
+    """
+    if grid.dim == 1:
+        c = 1.0 / grid.h[0]
+        t = Hc.ravel() * c * c
+        band = np.zeros((3, len(t) - 1))
+        band[0, 1:] = band[2, :-1] = -t[1:-1]
+        band[1] = t[:-1] + t[1:]
+        return band
+    C, indptr, indices, src = _gradient_operator(grid)[1]
+    n0, n1 = grid.nodes
+    H = Hc.reshape(-1, 4)
+    S = np.zeros((3, 3, n0, n1))
+    corners = enumerate(itertools.product((0, 1), repeat=2))
+    for (a, (a0, a1)), (b, (b0, b1)) in itertools.product(corners, repeat=2):
+        local = (H @ C[:, 4 * a + b]).reshape(n0 - 1, n1 - 1)
+        S[1 + b0 - a0, 1 + b1 - a1, a0:a0 + n0 - 1, a1:a1 + n1 - 1] += local
+    n = len(indptr) - 1
+    return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +367,15 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
-    A direct solve factors K afresh.  With `lagged` (2D) it keeps the
+    A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
+    band, SuperLU on a 2D K.  With `lagged` (2D) it keeps the SuperLU
     factor, and the next Newton step solves its own K by CG preconditioned
     with that factor, to the Eisenstat-Walker forcing term; when CG reaches
     `_PCG_CAP` iterations or returns a non-finite step, the step is solved
     directly and the new factor replaces the old.  The factor lives only as
     long as this object, and the old one is released before SuperLU
-    allocates the new one, so at most one is ever held.  1D Hessians are
-    tridiagonal and factor without fill, so there every step is direct.
+    allocates the new one, so at most one is ever held.  A 1D band costs
+    less to solve than CG to iterate, so there every step is direct.
     """
 
     def __init__(self, lagged: bool):
@@ -315,16 +385,25 @@ class _LinearSolves:
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def direct(self, K: sp.csc_matrix, rhs: np.ndarray, keep: bool = False) -> np.ndarray:
-        """K^{-1} rhs for a symmetric K whose unknowns are in elimination order,
-        by a fresh factorization, kept as the preconditioner if `keep`.
+    def direct(self, K: np.ndarray | sp.csc_matrix, rhs: np.ndarray,
+               keep: bool = False) -> np.ndarray:
+        """K^{-1} rhs for a K_II from `_assemble`, by a fresh factorization; a
+        SuperLU factor is kept as the preconditioner if `keep`.
 
-        An exactly singular K gives a NaN solution instead of an exception: a
+        The 1D band is solved by `scipy.linalg.solve_banded` (LAPACK gtsv).
+        A 2D K, its unknowns in elimination order, is factored by SuperLU in
+        symmetric mode with no fill-reducing permutation of its own.  An
+        exactly singular K gives a NaN solution instead of an exception: a
         Newton step through it fails the line search and the solve falls back
         to the gradient direction.
         """
         self.lu = None  # release the old factor before SuperLU allocates a new one
         self.factorizations += 1
+        if isinstance(K, np.ndarray):
+            try:
+                return sla.solve_banded((1, 1), K, rhs, check_finite=False)
+            except np.linalg.LinAlgError:  # gtsv: "singular matrix"
+                return np.full(rhs.shape, np.nan)
         try:
             lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -333,7 +412,8 @@ class _LinearSolves:
             self.lu = lu
         return lu.solve(rhs)
 
-    def newton_step(self, K: sp.csc_matrix, g_int: np.ndarray, g_norm: float) -> np.ndarray:
+    def newton_step(self, K: np.ndarray | sp.csc_matrix, g_int: np.ndarray,
+                    g_norm: float) -> np.ndarray:
         """The Newton step K^{-1} (-g_int); g_norm = ||g_int||."""
         prev, self.prev_g_norm = self.prev_g_norm, g_norm
         rhs = -g_int
@@ -361,14 +441,17 @@ class _LinearSolves:
 def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     """Minimize the p = 2 energy with f = 0 and trace g: at most one linear solve.
 
-    g itself is the minimizer when the interior gradient D_I^T D g vanishes
-    (g = 0 in every torsion problem); then nothing is factored.
+    Its K_II is D_I^T D_I, assembled from unit cell blocks.  g itself is the
+    minimizer when the interior gradient D_I^T D g vanishes (g = 0 in every
+    torsion problem); then nothing is factored.
     """
-    D, D_I, D_IT, order = _gradient_operator(spec.grid)
+    grid = spec.grid
+    D, _, order = _gradient_operator(grid)
     vals = spec.g.values.copy()
-    rhs = D_IT @ (D @ vals.ravel())
+    rhs = (D.T @ (D @ vals.ravel()))[order]
     if rhs.any():
-        vals.ravel()[order] -= solves.direct(D_IT @ D_I, rhs)
+        unit = np.broadcast_to(np.eye(grid.dim), (D.shape[0] // grid.dim,) + (grid.dim,) * 2)
+        vals.ravel()[order] -= solves.direct(_assemble(grid, unit), rhs)
     return vals
 
 
@@ -445,7 +528,7 @@ def solve(
     levels = [spec] if u0 is not None else _levels(spec)
     level = levels[0]
     grid = level.grid
-    order = _gradient_operator(grid)[3]
+    order = _gradient_operator(grid)[2]
     solves = _LinearSolves(lagged=grid.dim == 2)
 
     if u0 is None:
@@ -467,7 +550,7 @@ def solve(
         if level_k is not level:
             # a finer level starts from the prolonged iterate, reset to g on its boundary
             level, grid = level_k, level_k.grid
-            order = _gradient_operator(grid)[3]
+            order = _gradient_operator(grid)[2]
             vals = _prolong(vals)
             vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
             solves.lu = None  # a coarse factor cannot precondition a finer K

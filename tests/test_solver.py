@@ -125,6 +125,24 @@ def test_cell_gradient_is_exact_at_cell_centers(dim):
     np.testing.assert_allclose(_cell_gradients(g, u.values), expected, rtol=0, atol=1e-12)
 
 
+def dense_hessian(K):
+    """A K_II from the solver as a dense array: the 1D band or a 2D sparse matrix."""
+    if isinstance(K, np.ndarray):
+        return np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[2, :-1], -1)
+    return K.toarray()
+
+
+def sparse_product_hessian(grid, Hc):
+    """D_I^T blockdiag(Hc) D_I by two sparse products, as K_II was assembled
+    before it was filled from the cell blocks directly."""
+    from plapreg.solver import _gradient_operator
+
+    D, _, order = _gradient_operator(grid)
+    D_I = D[:, order].tocsc()
+    m = len(Hc)
+    return D_I.T.tocsc() @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_interior_hessian_matches_gradient_difference_quotient(dim):
     from plapreg.solver import _gradient_operator, _gradient_raw, _interior_hessian
@@ -139,8 +157,8 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
     spec = ProblemSpec(g, PLapParams(p=3.5, eps=0.2), f, gb)
     vals = gb.values + rng.standard_normal(g.shape) * 0.3
     # K_II's rows and columns follow the interior elimination order
-    order = _gradient_operator(g)[3]
-    K = _interior_hessian(spec, vals).toarray()
+    order = _gradient_operator(g)[2]
+    K = dense_hessian(_interior_hessian(spec, vals))
     assert K.shape == (len(order),) * 2
     np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
 
@@ -161,37 +179,117 @@ def test_elimination_order_is_a_permutation_of_the_interior(shape):
         g = Grid.line(0.0, 1.0, shape[0])
     else:
         g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
-    order = _gradient_operator(g)[3]
+    order = _gradient_operator(g)[2]
     interior = np.flatnonzero(~g.boundary_flags().ravel())
     np.testing.assert_array_equal(np.sort(order), interior)
 
 
 def test_ordered_newton_step_matches_c_order_spsolve():
-    """The step solved in elimination order equals spsolve of the Hessian
-    assembled with interior unknowns in C order."""
+    """The step solved in elimination order, on the 1D band and on the 2D
+    stencil matrix, equals spsolve of the Hessian assembled by sparse
+    products with interior unknowns in C order."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import (
         _LinearSolves, _cell_gradients, _gradient_operator, _gradient_raw, _interior_hessian,
     )
 
     rng = np.random.default_rng(33)
-    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    for nodes in ((257,), (33, 33)):
+        g = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
+        spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
+                           ScalarField.constant(g, 0.0))
+        vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
+        D, _, order = _gradient_operator(g)
+        interior = ~g.boundary_flags().ravel()
+        grad = _gradient_raw(spec, vals).ravel()
+
+        Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
+        m = len(Hc)
+        D_C = D[:, interior].tocsc()
+        K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
+        ref = np.zeros(g.num_nodes)
+        ref[interior] = spla.spsolve(K_C, -grad[interior])
+
+        step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals), -grad[order])
+        np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5])
+@pytest.mark.parametrize("lo, hi, nodes", [
+    ((-0.7,), (1.3,), (33,)),
+    ((0.3, -1.2), (1.1, 0.4), (7, 6)),
+    ((-2.0, 0.5), (1.0, 1.25), (33, 17)),
+])
+def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
+    """K_II filled from the cell Hessians (the 1D band, the 2D 9-point
+    stencil) equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|, and the
+    1D band, made of the same products and sums, bitwise."""
+    from plapreg.pointwise import hess_L_eps
+    from plapreg.solver import _assemble, _cell_gradients, _interior_hessian
+
+    rng = np.random.default_rng(len(nodes) + int(10 * p))
+    g = Grid.box(lo, hi, nodes)
+    gb = ScalarField(g, rng.standard_normal(g.shape))
+    spec = ProblemSpec(g, PLapParams(p=p, eps=0.1), ScalarField.constant(g, 1.0), gb)
+    vals = gb.values + 0.3 * rng.standard_normal(g.shape)
+    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 0.1, p)
+    unit = np.broadcast_to(np.eye(g.dim), Hc.shape)
+    for K, Hc_k in ((_interior_hessian(spec, vals), Hc), (_assemble(g, unit), unit)):
+        ref = sparse_product_hessian(g, np.ascontiguousarray(Hc_k)).toarray()
+        ulp = np.spacing(np.abs(ref).max())
+        assert np.abs(dense_hessian(K) - ref).max() <= (0 if g.dim == 1 else 4 * ulp)
+
+
+def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
+    """Every 2D K_II of a solve, the harmonic start's included, has the same
+    structural 9-point pattern, whatever entries cancel: the harmonic K has
+    zero axis-neighbour entries, and they are stored."""
+    import plapreg.solver as solver_mod
+
+    seen = []
+    real_assemble = solver_mod._assemble
+
+    def assemble(grid, Hc):
+        K = real_assemble(grid, Hc)
+        seen.append(K)
+        return K
+
+    monkeypatch.setattr(solver_mod, "_assemble", assemble)
+    n0, n1 = 33, 17  # does not nest: one level; square cells, h = 3/32
+    g = Grid.box((-2.0, 0.5), (1.0, 2.0), (n0, n1))
+    x, y = g.coords()[..., 0], g.coords()[..., 1]
     spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
-                       ScalarField.constant(g, 0.0))
-    vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
-    D, _, _, order = _gradient_operator(g)
-    interior = ~g.boundary_flags().ravel()
-    grad = _gradient_raw(spec, vals).ravel()
+                       ScalarField(g, np.sin(x) * y))
+    r = solve(spec)
+    assert r.converged and len(seen) == r.iterations + 1
+    nnz = (3 * (n0 - 2) - 2) * (3 * (n1 - 2) - 2)
+    harmonic = seen[0]
+    assert harmonic.nnz == nnz and np.count_nonzero(harmonic.data) < nnz
+    for K in seen:
+        assert K.has_sorted_indices
+        np.testing.assert_array_equal(K.indptr, harmonic.indptr)
+        np.testing.assert_array_equal(K.indices, harmonic.indices)
 
-    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
-    m = len(Hc)
-    D_C = D[:, interior].tocsc()
-    K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
-    ref = np.zeros(g.num_nodes)
-    ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-    step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals), -grad[order])
-    np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
+def test_singular_1d_band_gives_a_nan_step():
+    from plapreg.solver import _LinearSolves, _assemble
+
+    g = Grid.line(0.0, 1.0, 9)
+    solves = _LinearSolves(lagged=False)
+    step = solves.direct(_assemble(g, np.zeros((8, 1, 1))), np.ones(7))
+    assert step.shape == (7,) and np.isnan(step).all()
+    assert solves.factorizations == 1 and solves.lu is None
+
+
+def test_1d_solve_calls_no_superlu(monkeypatch):
+    """1D Newton steps and the harmonic start solve the tridiagonal band
+    with LAPACK, so a solve converges with SuperLU unavailable."""
+    def splu(*args, **kwargs):
+        raise AssertionError("SuperLU called")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    r = solve(oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3))
+    assert r.converged and r.factorizations == r.iterations + 1
 
 
 def test_energy_matches_dense_quadrature():
@@ -622,19 +720,19 @@ def test_old_factor_is_released_before_refactoring(monkeypatch):
 
 
 def test_1d_newton_steps_are_direct_solves(monkeypatch):
-    """1D factors every Newton step and never runs CG: its iterates are
-    bitwise those of one fresh symmetric-mode SuperLU solve per step."""
+    """1D solves every Newton step directly and never runs CG: its iterates
+    are bitwise those of one fresh tridiagonal solve of the band per step."""
+    import scipy.linalg
     import plapreg.solver as solver_mod
 
     spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
     r = solve(spec)
     assert r.factorizations == r.iterations + 1 and r.cg_iterations == 0
 
-    def fresh_factor_step(self, K, g_int, g_norm):
-        lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
-        return lu.solve(-g_int)
+    def fresh_band_step(self, K, g_int, g_norm):
+        return scipy.linalg.solve_banded((1, 1), K, -g_int)
 
-    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_factor_step)
+    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_band_step)
     ref = solve(spec)
     assert r.trace == ref.trace
     np.testing.assert_array_equal(r.u.values, ref.u.values)
