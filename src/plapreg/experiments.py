@@ -132,8 +132,10 @@ def table_exponent(p: float, q: float) -> float:
     it the gradient is W^{1,q} and the rate saturates at 1.  q = inf gives
     the Hölder exponent 1/(p-1).
     """
-    if p <= 2.0:
+    if not p > 2.0:
         raise ValueError("table requires p > 2")
+    if not q >= 1.0:
+        raise ValueError("q must be at least 1")
     if math.isinf(q):
         return 1.0 / (p - 1.0)
     qc = (p - 1.0) / (p - 2.0)

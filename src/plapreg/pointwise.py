@@ -132,7 +132,7 @@ def coercivity_constant(p, q_proof) -> float:
     """
     p = float(p)
     q = float(q_proof)
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if not 2.0 <= q < 3.0:
         raise ValueError(f"q must lie in [2, 3), got {q}")

@@ -120,7 +120,7 @@ def _riemann_sum(values: np.ndarray, grid: Grid) -> float:
 def _lq(field, values: np.ndarray, q: float) -> float:
     """Riemann-sum L^q norm of the nodewise magnitude of ``values``, a box
     of ``field``'s node values (vector fields keep their component axis)."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
     mag = np.sqrt(sq_norm(values)) if isinstance(field, VectorField) else np.abs(values)
     if np.isinf(q):
@@ -172,7 +172,7 @@ def fit_smoothness_exponent(field, q: float, shifts) -> SeminormReport:
     Shifts with vanishing norm are excluded; if every norm vanishes the
     field is flat and the report says so instead of fitting.
     """
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError("q must be at least 1")
     shifts = sorted(tuple(shifts), key=lambda o: _offset_length(field.grid, o))
     if len({_offset_length(field.grid, o) for o in shifts}) < 3:
@@ -251,7 +251,7 @@ def sobolev_w12_norm(V: VectorField, delta: float | None = None) -> float:
 
 def sobolev_w1p_norm(u: ScalarField, p: float) -> float:
     """(sum (|u|^p + |grad u|^p) h^n)^(1/p)."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1")
     gmag = np.sqrt(sq_norm(gradient(u).values))
     vals = np.abs(u.values) ** p + gmag**p

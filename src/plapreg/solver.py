@@ -6,11 +6,13 @@ The discrete energy is
 
 where c(u) is the cell-centered gradient (forward difference per cell in
 1D, corner-averaged differences per cell in 2D) and w are trapezoid node
-weights for the source term.  The cell gradient is one sparse matrix D
-(cells * dim rows, cell-major with components fastest; one column per
-node), built once per grid, and everything the solve needs derives from it:
+weights for the source term.  The cell gradient is a linear map D, never
+stored as a matrix: component k of a cell's gradient is sum_a G[k, a] u[a]
+over the cell's 2**dim corners a, with weights G built once per grid, and
+corner a of every cell is one slice of the node array (`_corners`).  So
+everything the solve needs is a sum of G-weighted corner slices:
 
-    c = (D u).reshape(-1, dim)
+    c = D u
     grad E = D^T (vol * flux(c)) + w * f
     K_II = D_I^T blockdiag(vol * H(c)) D_I
 
@@ -68,9 +70,9 @@ grid and evaluated there.  `SolveResult.levels` records each level's nodes,
 steps, factorizations and final energy.  1D grids, grids that do not nest
 and solves from a given u0 run on their own grid alone.
 
-D is the only difference operator the solve uses; the node gradient in
-:mod:`plapreg.fields` serves the analysis of a solution (its seminorms and
-exponent fits), never the solve.
+The cell gradient is the only difference operator the solve uses; the node
+gradient in :mod:`plapreg.fields` serves the analysis of a solution (its
+seminorms and exponent fits), never the solve.
 """
 
 from __future__ import annotations
@@ -170,46 +172,37 @@ class SolveResult:
 # sized to hold every level of a nested solve: 513^2 has 5 (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> tuple:
-    """(D, fill, order): the cell gradient, how a 2D K_II is filled, and the
-    interior order.
+    """(G, fill, order): the corner weights of the cell gradient, how a 2D
+    K_II is filled, and the interior order.
 
-    c = (D u).reshape(-1, dim) holds one gradient per cell, cells in C order.
-    Per axis the gradient is the difference along that axis averaged over
-    the cell's 2**(dim-1) edges parallel to it.  `order` holds the flat ids
-    of the interior nodes in elimination order (see `_elimination_order`);
-    interior vectors and the Hessian K_II are indexed by position in
-    `order`.  `fill` is `_stencil_fill`'s (C, indptr, indices, src) in 2D
-    and None in 1D, where K_II is a band (`_assemble`).  The cached arrays
-    are shared by every caller and must not be modified.
+    Per axis a cell's gradient is the difference along that axis averaged
+    over the cell's 2**(dim-1) edges parallel to it: G[k, a] is the weight
+    of corner a (in `_corners` order) in component k.  `order` holds the
+    flat ids of the interior nodes in elimination order (see
+    `_elimination_order`); interior vectors and the Hessian K_II are indexed
+    by position in `order`.  `fill` is `_stencil_fill`'s (C, indptr,
+    indices, src) in 2D and None in 1D, where K_II is a band (`_assemble`).
+    The cached arrays are shared by every caller and must not be modified.
     """
-    dim = grid.dim
-    ids = np.arange(grid.num_nodes).reshape(grid.shape)
-    ncells = int(np.prod([n - 1 for n in grid.nodes]))
-    cell_rows = np.arange(ncells * dim).reshape(ncells, dim)
-    corners = list(itertools.product((0, 1), repeat=dim))
-    # G[k, a]: the weight of a cell's corner a in its gradient component k
-    G = np.array([[(2 * corner[k] - 1) / (2 ** (dim - 1) * h) for corner in corners]
-                  for k, h in enumerate(grid.h)])
-    rows, cols, coef = [], [], []
-    for a, corner in enumerate(corners):
-        node = ids[tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes))].ravel()
-        for k in range(dim):
-            rows.append(cell_rows[:, k])
-            cols.append(node)
-            coef.append(np.full(ncells, G[k, a]))
-    D = sp.csr_matrix(
-        (np.concatenate(coef), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ncells * dim, grid.num_nodes),
-    )
-    order = _elimination_order(ids[(slice(1, -1),) * dim])
-    return D, _stencil_fill(grid, G, order) if dim == 2 else None, order
+    G = np.array([[(2 * corner[k] - 1) / (2 ** (grid.dim - 1) * h)
+                   for corner, _ in _corners(grid)] for k, h in enumerate(grid.h)])
+    order = _elimination_order(
+        np.arange(grid.num_nodes).reshape(grid.shape)[(slice(1, -1),) * grid.dim])
+    return G, _stencil_fill(grid, G, order) if grid.dim == 2 else None, order
+
+
+def _corners(grid: Grid) -> list[tuple[tuple[int, ...], tuple[slice, ...]]]:
+    """A cell's corners in `itertools.product` order, each with the slice of
+    the node array that holds that corner of every cell, cells in C order."""
+    return [(corner, tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes)))
+            for corner in itertools.product((0, 1), repeat=grid.dim)]
 
 
 def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
     """(C, indptr, indices, src): how `_assemble` fills a 2D K_II.
 
     C (4 x 16) maps a cell's Hessian block H, flattened, to its corner
-    stiffness G^T H G (4 x 4, corners in `itertools.product` order),
+    stiffness G^T H G (4 x 4, corners in `_corners` order),
     flattened.  K_II has the structural 9-point pattern of the interior
     nodes whatever its values: CSC, columns and rows in elimination order,
     rows sorted in each column, (3 (n0 - 2) - 2) (3 (n1 - 2) - 2) entries.
@@ -257,8 +250,30 @@ def _elimination_order(ids: np.ndarray) -> np.ndarray:
 
 
 def _cell_gradients(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Gradient per cell, shape (ncells, dim)."""
-    return (_gradient_operator(grid)[0] @ vals.ravel()).reshape(-1, grid.dim)
+    """c = D u: the gradient per cell, shape (ncells, dim).
+
+    Component k is 0 + sum_a G[k, a] u[corner a], corners in order: the
+    order of a CSR product with D, which also turns -0.0 into 0.0.
+    """
+    G = _gradient_operator(grid)[0]
+    corners = _corners(grid)
+    return np.stack([sum((G[k, a] * vals[cells] for a, (_, cells) in enumerate(corners)), 0.0)
+                     for k in range(grid.dim)], axis=-1).reshape(-1, grid.dim)
+
+
+def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
+    """D^T w for cell vectors w, shape (ncells, dim): a node array.
+
+    A node sums its cells in C order and each cell's components in order,
+    as a CSC product with D^T does: corners in reverse, components inner.
+    """
+    G = _gradient_operator(grid)[0]
+    w = w.reshape(*(n - 1 for n in grid.nodes), grid.dim)
+    out = np.zeros(grid.shape)
+    for a, (_, cells) in reversed(list(enumerate(_corners(grid)))):
+        for k in range(grid.dim):
+            out[cells] += G[k, a] * w[..., k]
+    return out
 
 
 def _check_boundary(spec: ProblemSpec, u: ScalarField) -> None:
@@ -286,8 +301,7 @@ def _gradient_raw(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray:
     grid = spec.grid
     flux = grid.cell_volume * grad_L_eps(_cell_gradients(grid, vals), spec.params.eps,
                                          spec.params.p)
-    out = _gradient_operator(grid)[0].T @ flux.ravel()
-    return out.reshape(grid.shape) + grid.quad_weights() * spec.f.values
+    return _gradient_adjoint(grid, flux) + grid.quad_weights() * spec.f.values
 
 
 def _interior_hessian(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray | sp.csc_matrix:
@@ -323,10 +337,9 @@ def _assemble(grid: Grid, Hc: np.ndarray) -> np.ndarray | sp.csc_matrix:
     n0, n1 = grid.nodes
     H = Hc.reshape(-1, 4)
     S = np.zeros((3, 3, n0, n1))
-    corners = enumerate(itertools.product((0, 1), repeat=2))
-    for (a, (a0, a1)), (b, (b0, b1)) in itertools.product(corners, repeat=2):
-        local = (H @ C[:, 4 * a + b]).reshape(n0 - 1, n1 - 1)
-        S[1 + b0 - a0, 1 + b1 - a1, a0:a0 + n0 - 1, a1:a1 + n1 - 1] += local
+    corners = enumerate(_corners(grid))
+    for (a, ((a0, a1), cells)), (b, ((b0, b1), _)) in itertools.product(corners, repeat=2):
+        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(n0 - 1, n1 - 1)
     n = len(indptr) - 1
     return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(n, n))
 
@@ -368,18 +381,18 @@ class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
     A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
-    band, SuperLU on a 2D K.  With `lagged` (2D) it keeps the SuperLU
-    factor, and the next Newton step solves its own K by CG preconditioned
-    with that factor, to the Eisenstat-Walker forcing term; when CG reaches
+    band, SuperLU on a 2D K.  A Newton step keeps its SuperLU factor, and
+    the next Newton step solves its own K by CG preconditioned with that
+    factor, to the Eisenstat-Walker forcing term; when CG reaches
     `_PCG_CAP` iterations or returns a non-finite step, the step is solved
     directly and the new factor replaces the old.  The factor lives only as
     long as this object, and the old one is released before SuperLU
-    allocates the new one, so at most one is ever held.  A 1D band costs
-    less to solve than CG to iterate, so there every step is direct.
+    allocates the new one, so at most one is ever held.  A 1D band has no
+    factor to keep (it costs less to solve than CG to iterate), so there
+    every step is direct.
     """
 
-    def __init__(self, lagged: bool):
-        self.lagged = lagged
+    def __init__(self):
         self.lu = None
         self.prev_g_norm = None
         self.factorizations = 0
@@ -422,7 +435,7 @@ class _LinearSolves:
             step = self._pcg(K, rhs, max(_ETA_MIN, eta))
             if step is not None:
                 return step
-        return self.direct(K, rhs, keep=self.lagged)
+        return self.direct(K, rhs, keep=True)
 
     def _pcg(self, K, rhs, rtol):
         """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
@@ -446,11 +459,12 @@ def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     torsion problem); then nothing is factored.
     """
     grid = spec.grid
-    D, _, order = _gradient_operator(grid)
+    order = _gradient_operator(grid)[2]
     vals = spec.g.values.copy()
-    rhs = (D.T @ (D @ vals.ravel()))[order]
+    c = _cell_gradients(grid, vals)
+    rhs = _gradient_adjoint(grid, c).ravel()[order]
     if rhs.any():
-        unit = np.broadcast_to(np.eye(grid.dim), (D.shape[0] // grid.dim,) + (grid.dim,) * 2)
+        unit = np.broadcast_to(np.eye(grid.dim), (len(c), grid.dim, grid.dim))
         vals.ravel()[order] -= solves.direct(_assemble(grid, unit), rhs)
     return vals
 
@@ -529,7 +543,7 @@ def solve(
     level = levels[0]
     grid = level.grid
     order = _gradient_operator(grid)[2]
-    solves = _LinearSolves(lagged=grid.dim == 2)
+    solves = _LinearSolves()
 
     if u0 is None:
         vals = _harmonic_extension(level, solves)

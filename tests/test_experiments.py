@@ -111,8 +111,19 @@ def test_table_exponent_values(p, q, expected):
 
 
 def test_table_exponent_requires_p_above_two():
-    with pytest.raises(ValueError):
-        table_exponent(2.0, 2.5)
+    for p in (2.0, math.nan):
+        with pytest.raises(ValueError, match="p > 2"):
+            table_exponent(p, 2.5)
+
+
+def test_table_exponent_requires_q_at_least_one():
+    """q < 1 and NaN are rejected, where NaN used to fall through to the
+    saturated rate 1 and a NaN table cell of the theorem-1 check passed."""
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="q must be at least 1"):
+            table_exponent(4.0, q)
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        run_theorem1_check(4.0, qs=[math.nan])
 
 
 # ---------------------------------------------------------------------------

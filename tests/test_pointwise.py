@@ -242,8 +242,9 @@ def test_coercivity_constant_values():
     assert coercivity_constant(3.0, 2.5) == 1.0
     assert coercivity_constant(3.0, 2.9) == pytest.approx(0.2, rel=1e-12)
     assert coercivity_constant(2.0, 2.5) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        coercivity_constant(1.5, 2.5)
+    for p in (1.5, math.nan):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            coercivity_constant(p, 2.5)
     with pytest.raises(ValueError):
         coercivity_constant(3.0, 3.0)
 

@@ -1,9 +1,9 @@
 """The scripts import only names the package still has, every exported name
 resolves, every imported name is used, and the import graph stays as
-documented; the exponent-table script runs end to end.  None of this is
-reached by the other tests: a script is run by hand, ``__all__`` is read
-only by ``from plapreg import *``, an unused import runs without error, and
-a test process has imported every module already."""
+documented; the exponent-table and calibration scripts run end to end.
+None of this is reached by the other tests: a script is run by hand,
+``__all__`` is read only by ``from plapreg import *``, an unused import runs
+without error, and a test process has imported every module already."""
 
 import ast
 import csv
@@ -47,6 +47,20 @@ def test_exponent_table_script_runs(tmp_path, monkeypatch, capsys):
     assert rows[0] == ["p", "q", "kind", "theta_target", "theta_hat", "r2", "verdict"]
     controls = [row[0] for row in rows[1:] if row[2] == "negative-control"]
     assert controls == ["3.0", "4.0", "5.0"]
+
+
+def test_calibration_script_runs(capsys):
+    """main() of the calibration script runs against the package's current
+    signatures (`solve`, `energy`, `el_residual`, `composition_bound_check`
+    with C, the fit) and prints every section it regenerates."""
+    load_script("calibrate_tolerances").main()
+    out = capsys.readouterr().out
+    titles = [line.split(" (")[0] for line in out.splitlines() if line[:1].isalpha()]
+    assert titles == ["oracle solve error", "interpolant EL residual",
+                      "discrete energy vs adaptive quadrature", "gradient stencil on sin(2 pi x)",
+                      "composition constant", "fit behaviors"]
+    assert "nodes= 4097  sup err=" in out and "worst ratios: dim1=" in out
+    assert "affine: theta_hat=" in out and "flag=clipped" in out
 
 
 @pytest.mark.parametrize("name", ["plapreg", *(f"plapreg.{m}" for m in MODULES)])

@@ -174,8 +174,10 @@ def test_shift_norm_against_bruteforce():
 def test_shift_norm_validation():
     g = line(65)
     u = ScalarField.constant(g, 0.0)
-    with pytest.raises(ValueError, match="at least 1"):
-        shift_difference_norm(u, (1,), 0.5)
+    # NaN fails every comparison, so each range check must reject it by name
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            shift_difference_norm(u, (1,), q)
     with pytest.raises(ValueError, match="zero shift"):
         shift_difference_norm(u, (0,), 2.0)
     with pytest.raises(ValueError, match="empty"):
@@ -300,6 +302,8 @@ def test_nikolskii_seminorm_basics():
         nikolskii_seminorm(w, 2.0, 1.5, sh)
     with pytest.raises(ValueError):
         nikolskii_seminorm(w, 2.0, 0.5, ())
+    with pytest.raises(ValueError, match="at least 1"):
+        nikolskii_seminorm(u, math.nan, 0.5, sh)  # not a vacuous 0.0
 
 
 def test_nikolskii_quotient_monotone_in_theta():
@@ -412,8 +416,9 @@ def test_fit_validation():
     u = ScalarField.from_function(g, lambda x: x)
     with pytest.raises(ValueError, match="3 distinct"):
         fit_smoothness_exponent(u, 2.0, ((1,), (2,)))
-    with pytest.raises(ValueError, match="at least 1"):
-        fit_smoothness_exponent(u, 0.5, ((1,), (2,), (4,)))
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            fit_smoothness_exponent(u, q, ((1,), (2,), (4,)))
     # parity field: only odd shifts differ, so a single shift carries signal
     par = ScalarField(g, np.where(np.arange(65) % 2 == 0, 1.0, -1.0))
     with pytest.raises(ValueError, match="carry signal"):
@@ -470,8 +475,9 @@ def test_sobolev_w1p_norm_constant():
     assert sobolev_w1p_norm(u, 4.0) == pytest.approx(
         (3.0**4 * g.num_nodes * g.cell_volume) ** 0.25, rel=1e-12
     )
-    with pytest.raises(ValueError):
-        sobolev_w1p_norm(u, 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            sobolev_w1p_norm(u, p)
 
 
 def test_sobolev_mask_validation():

@@ -132,13 +132,70 @@ def dense_hessian(K):
     return K.toarray()
 
 
+def gradient_matrix(grid):
+    """The cell gradient as a CSR matrix D (cells * dim rows, cell-major with
+    components fastest; one column per node), as the solver built it before
+    it summed corner slices: the reference for `_cell_gradients`."""
+    dim = grid.dim
+    ids = np.arange(grid.num_nodes).reshape(grid.shape)
+    ncells = int(np.prod([n - 1 for n in grid.nodes]))
+    cell_rows = np.arange(ncells * dim).reshape(ncells, dim)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    G = np.array([[(2 * corner[k] - 1) / (2 ** (dim - 1) * h) for corner in corners]
+                  for k, h in enumerate(grid.h)])
+    rows, cols, coef = [], [], []
+    for a, corner in enumerate(corners):
+        node = ids[tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes))].ravel()
+        for k in range(dim):
+            rows.append(cell_rows[:, k])
+            cols.append(node)
+            coef.append(np.full(ncells, G[k, a]))
+    return sp.csr_matrix(
+        (np.concatenate(coef), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ncells * dim, grid.num_nodes),
+    )
+
+
+def bits(a):
+    """The bit patterns of a float array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("lo, hi, nodes", [
+    ((-0.7,), (1.3,), (33,)),
+    ((0.3, -1.2), (1.1, 0.4), (7, 6)),
+    ((-2.0, 0.5), (1.0, 1.25), (33, 17)),
+])
+def test_cell_gradient_and_adjoint_match_the_csr_matrix_bitwise(lo, hi, nodes):
+    """c = D u and D^T w summed over corner slices equal the CSR products
+    with D and D^T bit for bit, sign bits of zeros included: the same
+    products added in the same order."""
+    from plapreg.solver import _cell_gradients, _gradient_adjoint
+
+    rng = np.random.default_rng(len(nodes) * 100 + nodes[-1])
+    g = Grid.box(lo, hi, nodes)
+    D = gradient_matrix(g)
+
+    def with_zeros(shape):
+        """Normal values, a third of them replaced by 0.0 and a third by -0.0."""
+        pick = rng.integers(0, 3, size=shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, rng.standard_normal(shape)))
+
+    u = with_zeros(g.shape)
+    c = _cell_gradients(g, u)
+    assert c.shape == (D.shape[0] // g.dim, g.dim)
+    np.testing.assert_array_equal(bits(c), bits((D @ u.ravel()).reshape(c.shape)))
+    w = with_zeros(c.shape)
+    np.testing.assert_array_equal(bits(_gradient_adjoint(g, w)),
+                                  bits((D.T @ w.ravel()).reshape(g.shape)))
+
+
 def sparse_product_hessian(grid, Hc):
     """D_I^T blockdiag(Hc) D_I by two sparse products, as K_II was assembled
     before it was filled from the cell blocks directly."""
     from plapreg.solver import _gradient_operator
 
-    D, _, order = _gradient_operator(grid)
-    D_I = D[:, order].tocsc()
+    D_I = gradient_matrix(grid)[:, _gradient_operator(grid)[2]].tocsc()
     m = len(Hc)
     return D_I.T.tocsc() @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
 
@@ -199,7 +256,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
         spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
                            ScalarField.constant(g, 0.0))
         vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
-        D, _, order = _gradient_operator(g)
+        D, order = gradient_matrix(g), _gradient_operator(g)[2]
         interior = ~g.boundary_flags().ravel()
         grad = _gradient_raw(spec, vals).ravel()
 
@@ -210,7 +267,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
         ref = np.zeros(g.num_nodes)
         ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-        step = _LinearSolves(lagged=False).direct(_interior_hessian(spec, vals), -grad[order])
+        step = _LinearSolves().direct(_interior_hessian(spec, vals), -grad[order])
         np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -275,7 +332,7 @@ def test_singular_1d_band_gives_a_nan_step():
     from plapreg.solver import _LinearSolves, _assemble
 
     g = Grid.line(0.0, 1.0, 9)
-    solves = _LinearSolves(lagged=False)
+    solves = _LinearSolves()
     step = solves.direct(_assemble(g, np.zeros((8, 1, 1))), np.ones(7))
     assert step.shape == (7,) and np.isnan(step).all()
     assert solves.factorizations == 1 and solves.lu is None
