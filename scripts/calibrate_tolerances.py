@@ -101,7 +101,7 @@ def calibrate_composition_constant():
     worst = {1: 0.0, 2: 0.0}
 
     def probe(V, theta, label):
-        lhs, _ = composition_bound_check(V, theta, C=1.0)
+        lhs, _ = composition_bound_check(V, theta)
         denom = HOLDER_M * sobolev_w12_seminorm(V) ** theta
         if denom == 0.0:
             return

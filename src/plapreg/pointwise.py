@@ -153,13 +153,13 @@ def integrand_lower_bound_check(H, w, eps, p, q_proof):
     """
     H = np.asarray(H, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(np.asarray(eps, dtype=float) <= 0.0):
+    if not np.all(np.asarray(eps, dtype=float) > 0.0):
         raise ValueError("eps must be > 0")
     if not np.allclose(H, np.swapaxes(H, -1, -2), rtol=0, atol=1e-12):
         raise ValueError("H must be symmetric")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q_proof, dtype=float)
-    if np.any(p < 2) or np.any(q < 2) or np.any(q >= 3):
+    if not (np.all(p >= 2) and np.all(q >= 2) and np.all(q < 3)):
         raise ValueError("need p >= 2 and q in [2, 3)")
     l = l_eps(w, eps)
     what = w / l[..., None]

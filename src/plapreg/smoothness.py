@@ -258,27 +258,23 @@ def sobolev_w1p_norm(u: ScalarField, p: float) -> float:
     return _riemann_sum(vals, u.grid) ** (1.0 / p)
 
 
-def composition_bound_check(
-    V: VectorField, theta: float, C: float | None = None
-) -> tuple[float, float]:
+def composition_bound_check(V: VectorField, theta: float) -> tuple[float, float]:
     """Check the transfer of W^{1,2} control through the beta map.
 
     Returns (lhs, rhs) with lhs the N^{theta, 2/theta} seminorm of
     beta_theta(V) over the dyadic shifts up to a quarter of the shortest
     box side and rhs = C * HOLDER_M times the full-domain W^{1,2}
     seminorm of V raised to theta.  The contract is lhs <= rhs: HOLDER_M
-    = 2 is a Hölder constant for beta, and C defaults to the frozen
-    dimensional constant.
+    = 2 is a Hölder constant for beta, and C = COMPOSITION_C[dim] is the
+    frozen dimensional constant.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     grid = V.grid
     shifts = dyadic_shifts(grid, min(u - l for l, u in zip(grid.lower, grid.upper)) / 4.0)
-    if C is None:
-        C = COMPOSITION_C[grid.dim]
     bV = VectorField(grid, beta_theta(V.values, theta))
     lhs = nikolskii_seminorm(bV, 2.0 / theta, theta, shifts)
-    rhs = C * HOLDER_M * sobolev_w12_seminorm(V) ** theta
+    rhs = COMPOSITION_C[grid.dim] * HOLDER_M * sobolev_w12_seminorm(V) ** theta
     return lhs, rhs
 
 

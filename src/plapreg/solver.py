@@ -55,20 +55,21 @@ returned iterate at the requested (p, eps), and `stop_reason` says why
 the final stage stopped: it converged, reached the cap, stalled at the
 rounding floor of the gradient, or found no descent direction.
 
-A 2D solve started without u0 uses nested iteration (Briggs, Henson &
-McCormick, *A Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and
+A 2D solve uses nested iteration (Briggs, Henson & McCormick, *A
+Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and
 the halved grid keeps at least `_COARSEST` = 33 nodes per axis, the grid is
 halved; the levels are the coarsest grid refined back to the problem grid,
 with f and g injected (a coarse node is a fine node), so 257^2 nests as
-33^2, 65^2, 129^2, 257^2.  The coarsest level walks the whole (p, eps)
-path; each finer level starts from the bilinear prolongation of the coarser
-iterate, its boundary reset to g, and runs the final (p, eps) stage alone.
+33^2, 65^2, 129^2, 257^2.  The coarsest level starts from the harmonic
+extension of g and walks the whole (p, eps) path; each finer level starts
+from the bilinear prolongation of the coarser iterate, its boundary reset to
+g, and runs the final (p, eps) stage alone.
 The stage list is one list of (level, p, eps), so a coarse level ends at
 the loose tolerance of an intermediate stage.  The iteration cap counts
 Newton steps over all levels; a capped iterate is prolonged to the problem
 grid and evaluated there.  `SolveResult.levels` records each level's nodes,
-steps, factorizations and final energy.  1D grids, grids that do not nest
-and solves from a given u0 run on their own grid alone.
+steps, factorizations and final energy.  A 1D grid, or a 2D grid that
+does not nest, is its own only level.
 
 The cell gradient is the only difference operator the solve uses; the node
 gradient in :mod:`plapreg.fields` serves the analysis of a solution (its
@@ -130,7 +131,7 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
 # reaches the 200-step cap with ~1,800 overflows
 _P_DIRECT = 18.0
-# a 2D solve without u0 halves its grid while every (n - 1) is even and the
+# a 2D solve halves its grid while every (n - 1) is even and the
 # coarse grid keeps at least this many nodes per axis (`_levels`).  At 257^2
 # (2-core Xeon, warm) a coarsest grid of 17, 33 or 65 nodes makes no
 # difference to seeded torsion (p = 3, eps = 1e-3: 0.94-1.01 s, against
@@ -381,15 +382,16 @@ class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
     A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
-    band, SuperLU on a 2D K.  A Newton step keeps its SuperLU factor, and
-    the next Newton step solves its own K by CG preconditioned with that
-    factor, to the Eisenstat-Walker forcing term; when CG reaches
-    `_PCG_CAP` iterations or returns a non-finite step, the step is solved
-    directly and the new factor replaces the old.  The factor lives only as
-    long as this object, and the old one is released before SuperLU
-    allocates the new one, so at most one is ever held.  A 1D band has no
-    factor to keep (it costs less to solve than CG to iterate), so there
-    every step is direct.
+    band, SuperLU on a 2D K, whose factor is kept.  The next Newton step
+    solves its own K by CG preconditioned with the kept factor, to the
+    Eisenstat-Walker forcing term; when CG reaches `_PCG_CAP` iterations or
+    returns a non-finite step, the step is solved directly and the new
+    factor replaces the old.  `solve` drops the factor as each level starts,
+    so neither the harmonic start's factor nor a coarser level's
+    preconditions a new K.  The factor lives only as long as this object,
+    and the old one is released before SuperLU allocates the new one, so at
+    most one is ever held.  A 1D band has no factor to keep (it costs less
+    to solve than CG to iterate), so there every step is direct.
     """
 
     def __init__(self):
@@ -398,10 +400,9 @@ class _LinearSolves:
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def direct(self, K: np.ndarray | sp.csc_matrix, rhs: np.ndarray,
-               keep: bool = False) -> np.ndarray:
+    def direct(self, K: np.ndarray | sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
         """K^{-1} rhs for a K_II from `_assemble`, by a fresh factorization; a
-        SuperLU factor is kept as the preconditioner if `keep`.
+        SuperLU factor is kept as the preconditioner.
 
         The 1D band is solved by `scipy.linalg.solve_banded` (LAPACK gtsv).
         A 2D K, its unknowns in elimination order, is factored by SuperLU in
@@ -418,12 +419,10 @@ class _LinearSolves:
             except np.linalg.LinAlgError:  # gtsv: "singular matrix"
                 return np.full(rhs.shape, np.nan)
         try:
-            lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+            self.lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             return np.full(rhs.shape, np.nan)
-        if keep:
-            self.lu = lu
-        return lu.solve(rhs)
+        return self.lu.solve(rhs)
 
     def newton_step(self, K: np.ndarray | sp.csc_matrix, g_int: np.ndarray,
                     g_norm: float) -> np.ndarray:
@@ -435,7 +434,7 @@ class _LinearSolves:
             step = self._pcg(K, rhs, max(_ETA_MIN, eta))
             if step is not None:
                 return step
-        return self.direct(K, rhs, keep=True)
+        return self.direct(K, rhs)
 
     def _pcg(self, K, rhs, rtol):
         """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
@@ -522,53 +521,39 @@ def _prolong(vals: np.ndarray) -> np.ndarray:
     return fine
 
 
-def solve(
-    spec: ProblemSpec,
-    u0: ScalarField | None = None,
-    max_iter: int = MAX_ITER_DEFAULT,
-) -> SolveResult:
+def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     """Minimize the discrete energy over interior nodes at fixed trace g.
 
     The minimizer is unique (the energy is strictly convex for eps > 0), so
-    the result does not depend on u0 beyond the stopping tolerance.  A result
-    with converged = False and its `stop_reason` is returned if the final
-    stage stops short of the tolerances.  A 2D grid that nests is solved
-    coarse to fine unless u0 is given (see the module docstring).
+    the start is no choice of the caller's: the coarsest level starts from
+    the harmonic extension of g.  A result with converged = False and its
+    `stop_reason` is returned if the final stage stops short of the
+    tolerances.  A 2D grid that nests is solved coarse to fine (see the
+    module docstring).
     """
     if spec.params.eps <= 0.0:
         raise ValueError("solve requires eps > 0")
-    if u0 is not None and u0.grid != spec.grid:
-        raise ValueError("u0 must live on the problem grid")
-    levels = [spec] if u0 is not None else _levels(spec)
-    level = levels[0]
-    grid = level.grid
-    order = _gradient_operator(grid)[2]
+    levels = _levels(spec)
     solves = _LinearSolves()
-
-    if u0 is None:
-        vals = _harmonic_extension(level, solves)
-    else:
-        vals = u0.values.copy()
-        vals[grid.boundary_flags()] = spec.g.values[grid.boundary_flags()]
-
     tol_res = residual_tolerance(spec)
     trace: list[tuple[int, float, float]] = []
     it_total = 0
-    level_start = (0, 0)  # (iterations, factorizations) when the level began
+    level = None
     rows = {}  # level nodes -> its row of `SolveResult.levels`
 
-    stages = [(level, p_k, eps_k) for p_k, eps_k in _path(spec.params.p, spec.params.eps)]
+    stages = [(levels[0], p_k, eps_k) for p_k, eps_k in _path(spec.params.p, spec.params.eps)]
     stages += [(level_k, spec.params.p, spec.params.eps) for level_k in levels[1:]]
     for stage, (level_k, p_k, eps_k) in enumerate(stages):
         final = stage == len(stages) - 1
         if level_k is not level:
-            # a finer level starts from the prolonged iterate, reset to g on its boundary
+            # the coarsest level starts from the harmonic extension of g, a finer
+            # one from the prolonged iterate; either is reset to g on its boundary
+            level_start = (it_total, solves.factorizations)
+            vals = _harmonic_extension(level_k, solves) if level is None else _prolong(vals)
             level, grid = level_k, level_k.grid
             order = _gradient_operator(grid)[2]
-            vals = _prolong(vals)
             vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
-            solves.lu = None  # a coarse factor cannot precondition a finer K
-            level_start = (it_total, solves.factorizations)
+            solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
         if it_total >= max_iter and not final:
             continue  # capped: evaluate the iterate once more, at the target
         spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))

@@ -107,7 +107,7 @@ def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
     import plapreg.solver
     from plapreg.solver import SolveResult
 
-    def fake_solve(spec, u0=None, max_iter=200):
+    def fake_solve(spec, max_iter=200):
         u = ScalarField(spec.grid, spec.g.values)
         return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=max_iter,
                            stop_reason="max_iter", trace=[(0, 0.0, 1.0)])

@@ -111,7 +111,7 @@ def test_table_exponent_values(p, q, expected):
 
 
 def test_table_exponent_requires_p_above_two():
-    for p in (2.0, math.nan):
+    for p in (2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p > 2"):
             table_exponent(p, 2.5)
 
@@ -224,7 +224,7 @@ def test_eps_sweep_single_tail_value_is_inconclusive():
 def test_eps_sweep_aborts_on_unconverged(monkeypatch):
     import plapreg.solver
 
-    def fake_solve(spec, u0=None, max_iter=200):
+    def fake_solve(spec, max_iter=200):
         from plapreg.solver import SolveResult
 
         return SolveResult(

@@ -286,8 +286,11 @@ def test_integrand_lower_bound_validation():
         integrand_lower_bound_check(H, w, 0.0, 3.0, 2.0)
     with pytest.raises(ValueError, match="symmetric"):
         integrand_lower_bound_check(np.array([[0.0, 1.0], [0.0, 0.0]]), w, 1.0, 3.0, 2.0)
-    with pytest.raises(ValueError):
-        integrand_lower_bound_check(H, w, 1.0, 3.0, 3.0)
+    with pytest.raises(ValueError, match="eps"):
+        integrand_lower_bound_check(H, w, np.nan, 3.0, 2.0)
+    for p, q in ((3.0, 3.0), (np.nan, 2.5), (3.0, np.nan)):
+        with pytest.raises(ValueError, match="need p >= 2"):
+            integrand_lower_bound_check(H, w, 0.1, p, q)
 
 
 # ---------------------------------------------------------------------------

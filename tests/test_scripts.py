@@ -51,8 +51,8 @@ def test_exponent_table_script_runs(tmp_path, monkeypatch, capsys):
 
 def test_calibration_script_runs(capsys):
     """main() of the calibration script runs against the package's current
-    signatures (`solve`, `energy`, `el_residual`, `composition_bound_check`
-    with C, the fit) and prints every section it regenerates."""
+    signatures (`solve`, `energy`, `el_residual`, `composition_bound_check`,
+    the fit) and prints every section it regenerates."""
     load_script("calibrate_tolerances").main()
     out = capsys.readouterr().out
     titles = [line.split(" (")[0] for line in out.splitlines() if line[:1].isalpha()]

@@ -395,8 +395,6 @@ def test_solve_requires_positive_eps():
     spec = torsion_spec(g, 3.0, 0.1)
     with pytest.raises(ValueError, match="eps"):
         solve(ProblemSpec(g, PLapParams(p=3.0, eps=0.0), spec.f, spec.g))
-    with pytest.raises(ValueError, match="grid"):
-        solve(spec, u0=ScalarField.constant(Grid.line(0.0, 1.0, 11), 0.0))
 
 
 def test_solve_tracks_degenerate_oracle():
@@ -417,14 +415,26 @@ def test_solve_tracks_degenerate_oracle():
     assert errs[2049] / errs[1025] <= 0.45  # measured 0.355
 
 
-def test_solve_is_init_independent():
+def test_solve_is_init_independent(monkeypatch):
+    """Started from g plus an interior bump instead of the harmonic
+    extension, the solve reaches the same minimizer."""
+    import plapreg.solver as solver_mod
+
     orc = SharpnessOracle(p=3.0)
     g = Grid.line(-1.0, 1.0, 513)
     spec = oracle_problem(orc, g, eps=1e-3)
     r1 = solve(spec)
     bump = 0.3 * np.sin(np.pi * (g.axis(0) + 1.0) / 2.0)
-    r2 = solve(spec, u0=ScalarField(g, spec.g.values + bump))
+
+    def bumped_start(level, solves):
+        vals = level.g.values + bump
+        vals[g.boundary_flags()] = level.g.values[g.boundary_flags()]
+        return vals
+
+    monkeypatch.setattr(solver_mod, "_harmonic_extension", bumped_start)
+    r2 = solve(spec)
     assert r1.converged and r2.converged
+    assert r2.trace[0][1] != r1.trace[0][1]  # the bumped start was taken
     gap = float(np.max(np.abs(r1.u.values - r2.u.values)))
     assert gap <= 10.0 * residual_tolerance(spec)
 
@@ -585,18 +595,26 @@ def test_solve_2d_torsion():
 
 def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
     """The harmonic start factors only when g is not already its own harmonic
-    extension.  A zero trace factors exactly as often as a solve started from
-    g itself, and its 2D Newton steps reuse factors, so there are fewer
-    factorizations than steps; the 1D oracle's kinked trace costs one
-    harmonic-start factorization plus one per Newton step."""
+    extension.  A zero trace is its own extension and factors nothing, and
+    its 2D Newton steps reuse factors, so there are fewer factorizations than
+    steps; the 1D oracle's kinked trace costs one harmonic-start
+    factorization plus one per Newton step."""
+    from plapreg.solver import _LinearSolves, _harmonic_extension
+
     g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
     spec = torsion_spec(g, 3.0, 1e-3)
+    solves = _LinearSolves()
+    np.testing.assert_array_equal(_harmonic_extension(spec, solves), spec.g.values)
+    assert solves.factorizations == 0
     r = solve(spec)
     assert r.converged and r.iterations == 7
-    assert r.factorizations == solve(spec, u0=spec.g).factorizations
     assert 1 <= r.factorizations < r.iterations
 
-    r = solve(oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3))
+    spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
+    solves = _LinearSolves()
+    _harmonic_extension(spec, solves)
+    assert solves.factorizations == 1
+    r = solve(spec)
     assert r.converged and r.iterations == 9
     assert r.factorizations == r.iterations + 1
 
@@ -690,11 +708,15 @@ def test_prolongation_is_exact_on_bilinear_fields():
 
 
 @pytest.mark.parametrize("nodes", [65, 129])
-def test_nested_solve_matches_single_level(nodes):
+def test_nested_solve_matches_single_level(nodes, monkeypatch):
     """A nested solve reaches the single-level minimizer of its own grid."""
+    import plapreg.solver as solver_mod
+
     grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
     spec = torsion_spec(grid, 3.0, 1e-3)
-    nested, single = solve(spec), solve(spec, u0=spec.g)
+    nested = solve(spec)
+    monkeypatch.setattr(solver_mod, "_levels", lambda spec: [spec])
+    single = solve(spec)
     assert nested.converged and single.converged
     assert [row[0] for row in nested.levels][-2:] == [((nodes + 1) // 2,) * 2, (nodes, nodes)]
     assert single.levels == ((grid.nodes, single.iterations, single.factorizations,
@@ -723,17 +745,45 @@ def test_capped_nested_solve_returns_a_fine_iterate(max_iter):
 
 @pytest.mark.parametrize("nodes", [(257,), (33, 33), (64, 64), (65, 33), (7, 6)])
 def test_grid_that_does_not_nest_solves_as_from_g(nodes):
-    """1D grids and 2D grids that do not nest are one level, and solve as
-    from g, bit for bit."""
+    """1D grids and 2D grids that do not nest are one level, which starts
+    from the harmonic extension of g (here g itself, g = 0), and the solve
+    reports one row, the problem grid's."""
     from plapreg.solver import _levels
 
     spec = torsion_spec(Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes), 3.0, 1e-3)
     levels = _levels(spec)
     assert len(levels) == 1 and levels[0] is spec
-    r, ref = solve(spec), solve(spec, u0=spec.g)
-    np.testing.assert_array_equal(r.u.values, ref.u.values)
-    assert {k: v for k, v in vars(r).items() if k != "u"} == {
-        k: v for k, v in vars(ref).items() if k != "u"}
+    r = solve(spec)
+    assert r.converged
+    assert r.levels == ((spec.grid.nodes, r.iterations, r.factorizations, r.energy),)
+
+
+def test_harmonic_start_factor_preconditions_no_newton_step(monkeypatch):
+    """A non-harmonic 2D trace factors in the harmonic start, and the first
+    Newton step factors its own Hessian instead of running CG on that
+    factor."""
+    events = []
+    real_splu, real_cg = spla.splu, spla.cg
+
+    def splu(*args, **kwargs):
+        events.append("splu")
+        return real_splu(*args, **kwargs)
+
+    def cg(*args, **kwargs):
+        events.append("cg")
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "cg", cg)
+    g = Grid.box((-1.0, 0.0), (1.0, 1.0), (33, 17))
+    x = g.coords()
+    spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-3), ScalarField.constant(g, 1.0),
+                       ScalarField(g, np.sin(2.0 * x[..., 0]) + x[..., 1] ** 2))
+    r = solve(spec)
+    assert r.converged and "cg" in events
+    assert events[:3] == ["splu", "splu", "cg"]
+    # the level's row counts the harmonic start's factorization
+    assert r.levels == ((g.nodes, r.iterations, r.factorizations, r.energy),)
 
 
 class _WeakFactor:
