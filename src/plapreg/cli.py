@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -233,8 +234,8 @@ def _sweep(head: dict, cfg: dict) -> tuple[int, dict]:
     """The eps sweep behind both `sweep` and `verify --suite eps-uniform`."""
     _require(cfg["p"] is not None, "sweep requires --p")
     eps_values = _eps_list(cfg["eps"])
-    _require(bool(eps_values) and min(eps_values) > 0.0,
-             "sweep requires positive eps values")
+    _require(bool(eps_values) and all(0.0 < e < math.inf for e in eps_values),
+             "sweep requires positive, finite eps values")
     cfg["eps"] = list(eps_values)
     template = _problem(cfg, eps_values[0])
     result = run_eps_sweep(template, eps_values, cfg["delta"])

@@ -115,13 +115,10 @@ def oracle_fields(oracle: SharpnessOracle, grid: Grid):
             ScalarField.constant(grid, 1.0))
 
 
-def oracle_problem(oracle: SharpnessOracle, grid: Grid, eps: float,
-                   s: float | None = None) -> ProblemSpec:
-    """The Dirichlet problem whose eps = 0 limit is the oracle profile."""
+def oracle_problem(oracle: SharpnessOracle, grid: Grid, eps: float) -> ProblemSpec:
+    """The Dirichlet problem whose eps = 0 limit is the oracle profile, at s = p / 2."""
     u, _, f = oracle_fields(oracle, grid)
-    if s is None:
-        s = oracle.p / 2.0
-    params = PLapParams(p=oracle.p, eps=eps, s=s, theta=2.0 / oracle.p)
+    params = PLapParams(p=oracle.p, eps=eps, s=oracle.p / 2.0, theta=2.0 / oracle.p)
     return ProblemSpec(grid, params, f, u)
 
 
@@ -213,8 +210,7 @@ def run_theorem1_check(
         plan.append(("table", float(q), None))
     for th in (2.0 / p, 0.5 * (2.0 / p + 2.0 / (p - 1.0))):
         plan.append(("theta-target", 2.0 / th, float(th)))
-    if qc > 1.0:
-        plan.append(("w1q", 0.5 * (1.0 + qc), None))
+    plan.append(("w1q", 0.5 * (1.0 + qc), None))
     if include_qinf:
         plan.append(("holder", math.inf, None))
     plan.append(("negative-control", 2.0 * (p - 1.0), None))
@@ -280,9 +276,10 @@ def run_eps_sweep(
     """
     from .solver import solve
 
-    eps_values = tuple(sorted(set(float(e) for e in eps_values), reverse=True))
-    if not eps_values or eps_values[-1] <= 0.0:
-        raise ValueError("eps values must be positive")
+    eps_values = tuple(float(e) for e in eps_values)
+    if not (eps_values and all(0.0 < e < math.inf for e in eps_values)):
+        raise ValueError("eps values must be positive and finite")
+    eps_values = tuple(sorted(set(eps_values), reverse=True))
     p, s = template.params.p, template.params.s
     mode = template.params.mode
     interior_box(template.grid, delta)  # an empty interior fails before any solve
@@ -354,11 +351,8 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     p, s = spec.params.p, spec.params.s
-    with np.errstate(over="ignore"):
-        try:
-            f = lam ** (p - 1.0) * spec.f.values
-        except OverflowError:  # a float power overflows by raising
-            f = np.full_like(spec.f.values, math.inf)
+    with np.errstate(over="ignore"):  # an overflow is caught by the finite check below
+        f = np.float64(lam) ** (p - 1.0) * spec.f.values
         eps, g = lam * spec.params.eps, lam * spec.g.values
     if not (math.isfinite(eps) and np.isfinite(f).all() and np.isfinite(g).all()):
         raise ValueError(f"lambda = {lam:g} scales the problem out of floating-point range: "

@@ -142,28 +142,34 @@ class Grid:
         return Grid(self.dim, self.lower, self.upper, tuple(2 * n - 1 for n in self.nodes))
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
-class ScalarField:
-    """One real value per grid node; values are copied and frozen."""
+class _Field:
+    """Node values on a grid, copied as float, checked finite and frozen.
+
+    The values have shape ``grid.shape`` plus `_trailing` (``()`` for a
+    scalar, ``(dim,)`` for a vector).
+    """
 
     grid: Grid
     values: np.ndarray
 
+    def _trailing(self) -> tuple[int, ...]:
+        return ()
+
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
+        values = np.array(self.values, dtype=float)
+        shape = self.grid.shape + self._trailing()
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match {shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _freeze(values))
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+
+@dataclass(frozen=True)
+class ScalarField(_Field):
+    """One real value per grid node."""
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
@@ -176,22 +182,11 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """One n-vector per grid node, stored with a trailing component axis."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.shape + (self.grid.dim,):
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"{self.grid.shape + (self.grid.dim,)}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _freeze(values))
+    def _trailing(self) -> tuple[int, ...]:
+        return (self.grid.dim,)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "VectorField":

@@ -27,6 +27,8 @@ sparse product (`_assemble`).
 Minimization is damped Newton on the interior unknowns with the Hessian
 K_II, an Armijo backtracking line search, and a gradient
 descent fallback if a Newton direction ever fails to decrease the energy.
+The line search returns the energy of the iterate it accepts, so the
+energy of each iterate is evaluated once.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
 takes its columns in that order.  In 1D K_II is a tridiagonal band, and
@@ -384,19 +386,20 @@ class _LinearSolves:
     A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
     band, SuperLU on a 2D K, whose factor is kept.  The next Newton step
     solves its own K by CG preconditioned with the kept factor, to the
-    Eisenstat-Walker forcing term; when CG reaches `_PCG_CAP` iterations or
-    returns a non-finite step, the step is solved directly and the new
-    factor replaces the old.  `solve` drops the factor as each level starts,
-    so neither the harmonic start's factor nor a coarser level's
-    preconditions a new K.  The factor lives only as long as this object,
-    and the old one is released before SuperLU allocates the new one, so at
-    most one is ever held.  A 1D band has no factor to keep (it costs less
-    to solve than CG to iterate), so there every step is direct.
+    Eisenstat-Walker forcing term, set by the gradient norms of this step
+    and the previous one, both of which `solve` passes in; when CG reaches
+    `_PCG_CAP` iterations or returns a non-finite step, the step is solved
+    directly and the new factor replaces the old.  `solve` drops the factor
+    as each level starts, so neither the harmonic start's factor nor a
+    coarser level's preconditions a new K.  The factor lives only as long
+    as this object, and the old one is released before SuperLU allocates the
+    new one, so at most one is ever held.  A 1D band has no factor to keep
+    (it costs less to solve than CG to iterate), so there every step is
+    direct.
     """
 
     def __init__(self):
         self.lu = None
-        self.prev_g_norm = None
         self.factorizations = 0
         self.cg_iterations = 0
 
@@ -425,9 +428,9 @@ class _LinearSolves:
         return self.lu.solve(rhs)
 
     def newton_step(self, K: np.ndarray | sp.csc_matrix, g_int: np.ndarray,
-                    g_norm: float) -> np.ndarray:
-        """The Newton step K^{-1} (-g_int); g_norm = ||g_int||."""
-        prev, self.prev_g_norm = self.prev_g_norm, g_norm
+                    g_norm: float, prev: float) -> np.ndarray:
+        """The Newton step K^{-1} (-g_int); g_norm = ||g_int||, and prev is
+        the norm at the previous step, which sets the CG forcing term."""
         rhs = -g_int
         if self.lu is not None:
             eta = min(_ETA_MAX, _ETA_GAMMA * (g_norm / prev) ** 2)
@@ -438,16 +441,12 @@ class _LinearSolves:
 
     def _pcg(self, K, rhs, rtol):
         """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
-        its = 0
-
-        def count(_):
-            nonlocal its
-            its += 1
-
+        its = []  # one entry per CG iteration
         M = spla.LinearOperator(K.shape, matvec=self.lu.solve, dtype=float)
-        step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M, callback=count)
-        self.cg_iterations += its
-        return step if its < _PCG_CAP and np.isfinite(step).all() else None
+        step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M,
+                          callback=lambda _: its.append(None))
+        self.cg_iterations += len(its)
+        return step if len(its) < _PCG_CAP and np.isfinite(step).all() else None
 
 
 def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
@@ -540,6 +539,7 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     it_total = 0
     level = None
     rows = {}  # level nodes -> its row of `SolveResult.levels`
+    prev_g_norm = np.inf  # the gradient norm at the last Newton step
 
     stages = [(levels[0], p_k, eps_k) for p_k, eps_k in _path(spec.params.p, spec.params.eps)]
     stages += [(level_k, spec.params.p, spec.params.eps) for level_k in levels[1:]]
@@ -559,11 +559,10 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
         spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
         # intermediate stages only need a rough minimizer to warm start
         stage_scale = 1.0 if final else 1e6
-        prev_g_norm = np.inf
         polishing = False
         stall = 0
+        e_val = _energy_raw(spec_k, vals)
         while True:
-            e_val = _energy_raw(spec_k, vals)
             g_full = _gradient_raw(spec_k, vals)
             g_int = g_full.ravel()[order]
             g_norm = float(np.linalg.norm(g_int))
@@ -582,9 +581,10 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
                 if stall >= 8:
                     stop = "stalled"  # at the rounding floor of the gradient
                     break
-            prev_g_norm = g_norm
 
-            step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm)
+            step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm,
+                                      prev_g_norm)
+            prev_g_norm = g_norm
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
@@ -593,11 +593,12 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
                 # the full Newton step and let the gradient norm decide
                 vals = vals.copy()
                 vals.ravel()[order] += step
+                e_val = _energy_raw(spec_k, vals)
             else:
-                vals, ok = _line_search(spec_k, vals, order, step, e_val, g_int)
+                vals, ok, e_val = _line_search(spec_k, vals, order, step, e_val, g_int)
                 if not ok:
                     # fallback: gradient descent direction, same Armijo search
-                    vals, ok = _line_search(spec_k, vals, order, -g_int, e_val, g_int)
+                    vals, ok, e_val = _line_search(spec_k, vals, order, -g_int, e_val, g_int)
                     if not ok:
                         stop = "no_descent"  # at numerical stationarity
                         break
@@ -619,11 +620,12 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
 
 
 def _line_search(spec, vals, order, direction, e0, g_int):
-    """Armijo backtracking along an interior direction (indexed like `order`);
-    returns (new_vals, ok)."""
+    """Armijo backtracking along an interior direction (indexed like `order`)
+    from vals, whose energy is e0; returns (new_vals, ok, new_energy), where
+    new_energy is the energy of new_vals (e0 when no trial is accepted)."""
     slope = float(np.dot(g_int, direction))
     if slope >= 0.0:
-        return vals, False
+        return vals, False, e0
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
@@ -632,9 +634,9 @@ def _line_search(spec, vals, order, direction, e0, g_int):
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution
         if e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:
-            return trial, True
+            return trial, True, e_trial
         t *= 0.5
-    return vals, False
+    return vals, False, e0
 
 
 # ---------------------------------------------------------------------------

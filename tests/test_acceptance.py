@@ -7,6 +7,7 @@ lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -179,7 +180,8 @@ def test_07_transformed_norms_uniform_in_eps():
         orc = SharpnessOracle(p=p)
         g = Grid.line(-1.0, 1.0, 4097)
         for s in (p / 2.0, (p - 1.0) / 2.0 + 0.1):
-            template = oracle_problem(orc, g, eps=1e-2, s=s)
+            template = oracle_problem(orc, g, eps=1e-2)
+            template = replace(template, params=replace(template.params, s=s))
             res = run_eps_sweep(template, (1e-2, 1e-3, 1e-4))
             ok = ok and res.verdict == "pass" and res.uniformity_factor < 2.0
             rows.append(f"p={p:g},s={s:g}: x{res.uniformity_factor:.3f}")

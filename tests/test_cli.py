@@ -303,6 +303,17 @@ def test_sweep_missing_p(capsys):
     assert "requires --p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0.1,nan", "nan,0.1", "0.1,inf"])
+def test_sweep_non_finite_eps_exits_two_before_any_solve(tmp_path, capsys, monkeypatch, eps):
+    import plapreg.solver
+
+    monkeypatch.setattr(plapreg.solver, "solve", lambda *a, **k: pytest.fail("solve called"))
+    out = tmp_path / "out"
+    assert run("sweep", "--p", "3", "--eps", eps, "--out", str(out)) == 2
+    assert "sweep requires positive, finite eps values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

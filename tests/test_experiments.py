@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_oracle_problem_wiring():
     assert spec.params.s == 2.0  # defaults to p / 2
     assert spec.params.theta == pytest.approx(0.5)
     np.testing.assert_allclose(spec.g.values, orc.u(g.axis(0)))
-    assert oracle_problem(orc, g, eps=1e-3, s=1.7).params.s == 1.7
+    assert replace(spec.params, s=1.7).s == 1.7
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,8 @@ def test_theorem1_report_roundtrip(tmp_path):
 
 
 def small_oracle_template(p=3.0, nodes=257, eps=0.1, s=None):
-    orc = SharpnessOracle(p=p)
-    return oracle_problem(orc, Grid.line(-1.0, 1.0, nodes), eps=eps, s=s)
+    spec = oracle_problem(SharpnessOracle(p=p), Grid.line(-1.0, 1.0, nodes), eps=eps)
+    return spec if s is None else replace(spec, params=replace(spec.params, s=s))
 
 
 def test_eps_sweep_uniform_in_regime():
@@ -244,6 +245,20 @@ def test_eps_sweep_validation():
         run_eps_sweep(template, eps_values=(0.0, 0.1))
     with pytest.raises(ValueError, match="interior"):
         run_eps_sweep(template, eps_values=(0.1,), delta=3.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eps_sweep_rejects_a_non_finite_eps_before_any_solve(monkeypatch, bad):
+    import plapreg.solver
+
+    def no_solve(spec, max_iter=200):
+        raise AssertionError(f"solved eps = {spec.params.eps:g}")
+
+    monkeypatch.setattr(plapreg.solver, "solve", no_solve)
+    template = small_oracle_template(nodes=65)
+    for eps_values in ((0.1, bad), (bad, 0.1)):
+        with pytest.raises(ValueError, match="eps values must be positive and finite"):
+            run_eps_sweep(template, eps_values=eps_values)
 
 
 def test_sweep_result_roundtrip(tmp_path):

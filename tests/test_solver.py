@@ -1,5 +1,6 @@
 """Discrete energy, its exact gradient, and the Newton continuation solve."""
 
+import collections
 import csv
 import itertools
 import json
@@ -508,9 +509,37 @@ def test_stop_reason_no_descent(monkeypatch):
     the solve at once."""
     import plapreg.solver as solver_mod
 
-    monkeypatch.setattr(solver_mod, "_line_search", lambda spec, vals, *rest: (vals, False))
+    monkeypatch.setattr(solver_mod, "_line_search",
+                        lambda spec, vals, order, direction, e0, g_int: (vals, False, e0))
     r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
+
+
+def test_no_iterate_energy_is_evaluated_twice(monkeypatch):
+    """Each stage evaluates its start once and then carries the energy that
+    the line search accepted (a polishing step evaluates its own iterate):
+    no (p, eps, grid, iterate) is evaluated twice."""
+    import plapreg.solver as solver_mod
+
+    real = solver_mod._energy_raw
+    seen = collections.Counter()
+
+    def counted(spec, vals):
+        seen[spec.params.p, spec.params.eps, spec.grid.nodes, vals.tobytes()] += 1
+        return real(spec, vals)
+
+    monkeypatch.setattr(solver_mod, "_energy_raw", counted)
+    line = Grid.line(-1.0, 1.0, 257)
+    for spec in (
+        torsion_spec(line, 3.0, 1e-3),
+        oracle_problem(SharpnessOracle(p=5.0), line, eps=1e-4),
+        torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
+        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
+    ):
+        seen.clear()
+        solve(spec)
+        assert seen
+        assert [key[:3] for key, count in seen.items() if count > 1] == []
 
 
 def test_solve_result_is_its_last_evaluation():
@@ -836,7 +865,7 @@ def test_1d_newton_steps_are_direct_solves(monkeypatch):
     r = solve(spec)
     assert r.factorizations == r.iterations + 1 and r.cg_iterations == 0
 
-    def fresh_band_step(self, K, g_int, g_norm):
+    def fresh_band_step(self, K, g_int, g_norm, prev):
         return scipy.linalg.solve_banded((1, 1), K, -g_int)
 
     monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_band_step)
