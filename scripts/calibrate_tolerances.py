@@ -1,184 +1,113 @@
 #!/usr/bin/env python3
-"""Regenerate every frozen numerical constant used by the test suite.
+"""Measure every frozen constant of the test suite against its interval.
 
-Run from the repository root:
-
-    python3 scripts/calibrate_tolerances.py
-
-Each section prints the measured quantity next to the constant frozen in
-the tests (and, for the composition constant, in the package itself), so
-a change in discretization or solver behavior shows up as a drifted
-number rather than a silent test failure.
+Run from the repository root: ``PYTHONPATH=src python3 scripts/calibrate_tolerances.py``.
+The constants live in one table, ``tests/frozen.py``, beside the measurement
+functions the tests call.  Each entry prints a line with its measurement (the
+point nearest an end of the interval), its frozen value and its [lo, hi]; the
+script exits 1 when any measurement leaves its interval.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.integrate import quad
 
-from plapreg.fields import (
-    Grid,
-    ProblemSpec,
-    ScalarField,
-    VectorField,
-    gradient,
-)
-from plapreg.pointwise import PLapParams, alpha_s
-from plapreg.smoothness import (
-    HOLDER_M,
-    composition_bound_check,
-    dyadic_shifts,
-    fit_smoothness_exponent,
-    sobolev_w12_seminorm,
-)
-from plapreg.solver import el_residual, energy, solve
-from plapreg.experiments import SharpnessOracle, oracle_fields, oracle_problem
+from plapreg.experiments import SharpnessOracle, oracle_fields
+from plapreg.fields import Grid, VectorField
+from plapreg.pointwise import alpha_s
+from plapreg.smoothness import COMPOSITION_C, composition_bound_check
+
+_spec = importlib.util.spec_from_file_location(
+    "frozen", Path(__file__).resolve().parents[1] / "tests" / "frozen.py")
+frozen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(frozen)
 
 
-def section(title):
-    print()
-    print("=" * 72)
-    print(title)
-    print("=" * 72)
-
-
-def calibrate_oracle_solve():
-    section("oracle solve error (frozen: sup err <= 2e-6 at 4097, ratio <= 0.5)")
-    orc = SharpnessOracle(p=3.0)
-    prev = None
-    for nodes in (1025, 2049, 4097):
-        g = Grid.line(-1.0, 1.0, nodes)
-        r = solve(oracle_problem(orc, g, eps=1e-4))
-        err = float(np.max(np.abs(r.u.values - orc.u(g.axis(0)))))
-        ratio = "" if prev is None else f"  ratio={err / prev:.3f}"
-        print(f"  nodes={nodes:5d}  sup err={err:.3e}  iters={r.iterations}{ratio}")
-        prev = err
-
-
-def calibrate_interpolant_residual():
-    section("interpolant EL residual (frozen: 3.94e-3 at 1025, ratio ~ 0.707)")
-    orc = SharpnessOracle(p=3.0)
-    prev = None
-    for nodes in (513, 1025, 2049):
-        g = Grid.line(-1.0, 1.0, nodes)
-        spec = oracle_problem(orc, g, eps=1e-4)
-        res = el_residual(spec, ScalarField.from_function(g, orc.u))
-        ratio = "" if prev is None else f"  ratio={res / prev:.4f}"
-        print(f"  nodes={nodes:5d}  rms residual={res:.3e}{ratio}")
-        prev = res
-
-
-def calibrate_energy_quadrature():
-    section("discrete energy vs adaptive quadrature (frozen: err <= 180 h^2)")
-    p, eps = 3.0, 0.1
-    du = lambda x: 2 * np.pi * np.cos(2 * np.pi * x)
-    exact = (
-        quad(lambda x: (eps**2 + du(x) ** 2) ** (p / 2) / p, 0.5, 1.5, limit=400)[0]
-        + quad(lambda x: np.sin(2 * np.pi * x) * x, 0.5, 1.5, limit=400)[0]
-    )
-    for nodes in (129, 257, 513):
-        g = Grid.line(0.5, 1.5, nodes)
-        spec = ProblemSpec(
-            g,
-            PLapParams(p=p, eps=eps),
-            ScalarField.from_function(g, lambda x: x),
-            ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x)),
-        )
-        err = abs(energy(spec, ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x))) - exact)
-        print(f"  nodes={nodes:4d}  err={err:.3e}  err/h^2={err / g.h[0] ** 2:.1f}")
-
-
-def calibrate_gradient_stencil():
-    section("gradient stencil on sin(2 pi x) (frozen: err <= 85 h^2)")
-    for nodes in (101, 201, 401):
-        g = Grid.line(0.0, 1.0, nodes)
-        u = ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x))
-        exact = 2 * np.pi * np.cos(2 * np.pi * g.axis(0))
-        err = np.max(np.abs(gradient(u).values[:, 0] - exact))
-        print(f"  nodes={nodes:4d}  err={err:.3e}  err/h^2={err / g.h[0] ** 2:.2f}")
-
-
-def calibrate_composition_constant():
-    section(f"composition constant (frozen: C = 1.6 per dim, M = {HOLDER_M:g})")
+def composition_ratios():
+    """The worst lhs / (M |V|_{W^{1,2}}^theta) of the composition bound per
+    dimension, over the oracle's transformed gradients and seeded
+    trigonometric fields."""
     worst = {1: 0.0, 2: 0.0}
 
-    def probe(V, theta, label):
-        lhs, _ = composition_bound_check(V, theta)
-        denom = HOLDER_M * sobolev_w12_seminorm(V) ** theta
-        if denom == 0.0:
-            return
-        ratio = lhs / denom
-        dim = V.grid.dim
-        if ratio > worst[dim]:
-            worst[dim] = ratio
-            print(f"  new worst dim={dim}: ratio={ratio:.4f}  ({label})")
+    def probe(V, thetas):
+        for theta in thetas:
+            lhs, rhs = composition_bound_check(V, float(theta))
+            if rhs > 0.0:  # rhs is C M |V|^theta
+                worst[V.grid.dim] = max(worst[V.grid.dim], COMPOSITION_C[V.grid.dim] * lhs / rhs)
 
     g1 = Grid.line(-1.0, 1.0, 2049)
     for p in (3.0, 4.0, 5.0):
         _, G, _ = oracle_fields(SharpnessOracle(p=p), g1)
-        lo, hi = 2.0 / p, 2.0 / (p - 1.0)
-        for theta in np.linspace(lo, hi, 6, endpoint=False):
-            V = VectorField(g1, alpha_s(G.values, 0.0, 1.0 / theta))
-            probe(V, float(theta), f"oracle p={p:g}")
+        for theta in np.linspace(2.0 / p, 2.0 / (p - 1.0), 6, endpoint=False):
+            probe(VectorField(g1, alpha_s(G.values, 0.0, 1.0 / theta)), [theta])
     rng = np.random.default_rng(1)
-    for trial in range(8):
-        coef = rng.standard_normal((2, 6)) / np.arange(1, 7)
-        def trig(x, a=coef):
-            return (
-                sum(a[0, k] * np.sin((k + 1) * np.pi * x) for k in range(6)),
-            )
-        V = VectorField.from_function(g1, trig)
-        for theta in (0.3, 0.5, 0.7, 0.9):
-            probe(V, theta, f"trig 1D #{trial}")
-    V = VectorField.from_function(g1, lambda x: (0.8 * x + 0.1,))
-    for theta in (0.3, 0.6, 0.9):
-        probe(V, theta, "affine 1D")
+    x = g1.axis(0)
+    for _ in range(8):
+        a = rng.standard_normal((2, 6)) / np.arange(1, 7)
+        trig = sum(a[0, k] * np.sin((k + 1) * np.pi * x) for k in range(6))
+        probe(VectorField(g1, trig[:, None]), (0.3, 0.5, 0.7, 0.9))
+    probe(VectorField(g1, (0.8 * x + 0.1)[:, None]), (0.3, 0.6, 0.9))
 
     g2 = Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129))
-    for trial in range(4):
-        coef = rng.standard_normal((2, 3, 3)) / 3.0
-        def trig2(x, y, a=coef):
-            u = sum(
-                a[0, j, k] * np.sin((j + 1) * np.pi * x) * np.sin((k + 1) * np.pi * y)
-                for j in range(3) for k in range(3)
-            )
-            v = sum(
-                a[1, j, k] * np.cos((j + 1) * np.pi * x) * np.sin((k + 1) * np.pi * y)
-                for j in range(3) for k in range(3)
-            )
-            return (u, v)
-        V = VectorField.from_function(g2, trig2)
-        for theta in (0.4, 0.6, 0.8):
-            probe(V, theta, f"trig 2D #{trial}")
+    X, Y = np.moveaxis(g2.coords(), -1, 0)
+    modes = [(j, k) for j in range(3) for k in range(3)]
+    for _ in range(4):
+        a = rng.standard_normal((2, 3, 3)) / 3.0
+        u = sum(a[0, j, k] * np.sin((j + 1) * np.pi * X) * np.sin((k + 1) * np.pi * Y)
+                for j, k in modes)
+        v = sum(a[1, j, k] * np.cos((j + 1) * np.pi * X) * np.sin((k + 1) * np.pi * Y)
+                for j, k in modes)
+        probe(VectorField(g2, np.stack([u, v], axis=-1)), (0.4, 0.6, 0.8))
     _, G2, _ = oracle_fields(SharpnessOracle(p=3.0), g2)
     for theta in (2.0 / 3.0, 0.8):
-        V = VectorField(g2, alpha_s(G2.values, 0.0, 1.0 / theta))
-        probe(V, float(theta), "oracle 2D p=3")
-    print(f"  worst ratios: dim1={worst[1]:.4f}  dim2={worst[2]:.4f}  "
-          f"(frozen C=1.6 covers both with margin)")
+        probe(VectorField(g2, alpha_s(G2.values, 0.0, 1.0 / theta)), [theta])
+    return worst
 
 
-def calibrate_fit_behaviors():
-    section("fit behaviors (frozen: affine 0.987, noise slope < 0 -> clipped)")
-    g = Grid.line(-1.0, 1.0, 1025)
-    sh = dyadic_shifts(g, 0.125)
-    rep = fit_smoothness_exponent(
-        ScalarField.from_function(g, lambda x: 0.7 * x + 0.1), 2.0, sh
-    )
-    print(f"  affine: theta_hat={rep.fitted_theta:.4f}  flag={rep.flag}")
-    rep = fit_smoothness_exponent(
-        ScalarField(g, np.random.default_rng(0).standard_normal(g.shape)), 2.0, sh
-    )
-    print(f"  iid noise (seed 0): raw={rep.raw_slope:.4f}  flag={rep.flag}")
+def measure():
+    """Each table entry's values, at the points the tests measure."""
+    err = {n: frozen.oracle_solve(n)[2] for n in (1025, 2049, 4097)}
+    res = {n: frozen.interpolant_residual(n) for n in (513, 1025, 2049)}
+    energy = {n: frozen.energy_error(n) for n in (257, 513)}
+    stencil = {n: frozen.stencil_error(n, 1) for n in (101, 201)}
+    w12 = {n: frozen.w12_error(n) for n in (33, 65)}
+    composition = composition_ratios()
+    dyadic, dense = frozen.dyadic_and_dense()
+    return {
+        "solve_err_4097": [err[4097]],
+        "solve_ratio_4097": [err[4097] / err[2049]],
+        "solve_err_1025": [err[1025]],
+        "solve_ratio_2049": [err[2049] / err[1025]],
+        "residual_1025": [res[1025]],
+        "residual_ratio": [res[1025] / res[513], res[2049] / res[1025]],
+        "energy_h2": [e / h**2 for e, h in energy.values()],
+        "energy_ratio": [energy[513][0] / energy[257][0]],
+        "stencil_h2": [e / h**2 for e, h in [*stencil.values(), frozen.stencil_error(65, 2)]],
+        "stencil_ratio": [stencil[201][0] / stencil[101][0]],
+        "composition_dim1": [composition[1]],
+        "composition_dim2": [composition[2]],
+        "fit_affine": [frozen.line_fit("affine").fitted_theta],
+        "noise_slope": [frozen.line_fit("noise").raw_slope],
+        "dyadic_to_dense": [dyadic / dense],
+        "w12_h": [e / h for e, h in w12.values()],
+        "w12_ratio": [w12[65][0] / w12[33][0]],
+        "high_p_steps": [frozen.high_p_solve(*case)[1].iterations
+                         for case in frozen.HIGH_P_CASES],
+    }
 
 
 def main():
-    calibrate_oracle_solve()
-    calibrate_interpolant_residual()
-    calibrate_energy_quadrature()
-    calibrate_gradient_stencil()
-    calibrate_composition_constant()
-    calibrate_fit_behaviors()
-    print()
+    values, code = measure(), 0
+    for name, (lo, hi, measured, bounds) in frozen.TABLE.items():
+        nearest = min(values[name], key=lambda v: min(v - lo, hi - v))
+        ok = frozen.within(name, *values[name])
+        code = code if ok else 1
+        print(f"{'ok   ' if ok else 'DRIFT'} {name:17s} measured {nearest:<10.4g} "
+              f"frozen {measured:<10.4g} [{lo:.4g}, {hi:.4g}]  {bounds}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -88,9 +88,12 @@ def dyadic_shifts(grid: Grid, delta: float) -> tuple:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     slack = 1.0 + 1e-12
     steps = [(1,)] if grid.dim == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
+    # no k past this fits a delta below the box diameter; doubling on for a
+    # huge delta would overflow k * length
+    reach = 2.0 * math.dist(grid.lower, grid.upper) / min(grid.h)
     out, k = [], 1
-    while fits := [tuple(k * o for o in step) for step in steps
-                   if k * _offset_length(grid, step) <= delta * slack]:
+    while k <= reach and (fits := [tuple(k * o for o in step) for step in steps
+                                   if k * _offset_length(grid, step) <= delta * slack]):
         out += fits
         k *= 2
     if not out:

@@ -471,7 +471,8 @@ def _eps_path(eps: float) -> list[float]:
     """Geometric continuation path ending exactly at eps, starting no higher than 0.1."""
     if eps >= 0.1:
         return [eps]
-    n_dec = int(np.ceil(np.log10(0.1 / eps)))
+    ratio = 0.1 / float(eps)  # inf, with no warning, for eps below about 5.6e-310
+    n_dec = int(np.ceil(np.log10(ratio) if ratio < np.inf else np.log10(0.1) - np.log10(eps)))
     return [0.1 * (eps / 0.1) ** (k / n_dec) for k in range(n_dec)] + [eps]
 
 

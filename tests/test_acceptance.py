@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from frozen import TABLE, oracle_solve, within
 from plapreg.fields import Grid, VectorField
 from plapreg.pointwise import (
     alpha_s,
@@ -23,7 +24,6 @@ from plapreg.pointwise import (
     monotonicity_gap,
 )
 from plapreg.smoothness import composition_bound_check
-from plapreg.solver import solve
 from plapreg.experiments import (
     SharpnessOracle,
     oracle_fields,
@@ -141,18 +141,14 @@ def test_04_transform_inequalities():
 
 def test_05_solver_tracks_degenerate_profile():
     t0 = time.perf_counter()
-    orc = SharpnessOracle(p=3.0)
     errs = {}
     for nodes in (2049, 4097):
-        g = Grid.line(-1.0, 1.0, nodes)
-        spec = oracle_problem(orc, g, eps=1e-4)
-        r = solve(spec)
+        _, r, errs[nodes] = oracle_solve(nodes)
         assert r.converged
-        errs[nodes] = float(np.max(np.abs(r.u.values - orc.u(g.axis(0)))))
     ratio = errs[4097] / errs[2049]
-    ok = errs[4097] <= 2e-6 and ratio <= 0.5
-    _report(ok, f"oracle-solve: sup err {errs[4097]:.2e} (tol 2e-06), "
-                f"refinement ratio {ratio:.3f} (tol 0.5)",
+    ok = within("solve_err_4097", errs[4097]) and within("solve_ratio_4097", ratio)
+    _report(ok, f"oracle-solve: sup err {errs[4097]:.2e} (tol {TABLE['solve_err_4097'].hi:g}), "
+                f"refinement ratio {ratio:.3f} (tol {TABLE['solve_ratio_4097'].hi:g})",
             time.perf_counter() - t0, 30.0)
 
 

@@ -7,6 +7,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapreg.cli import _FLAGS, _PATHS, _build_parser, _configure, main
 from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
@@ -314,6 +316,26 @@ def test_sweep_non_finite_eps_exits_two_before_any_solve(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--p", "3", "--eps", "1e-320"], 0),
+    (["solve", "--p", "2.5", "--oracle", "torsion", "--eps", "1e-320"], 0),
+    (["sweep", "--p", "3", "--eps", "1e-320"], 0),
+    (["verify", "--suite", "eps-uniform", "--eps", "1e-320"], 0),
+    (["verify", "--suite", "scaling", "--lambda", "1e-320"], 0),
+    (["estimate", "--p", "4", "--delta", "1e308"], 2),
+    (["verify", "--suite", "theorem1", "--delta", "1e308"], 2),
+])
+def test_extreme_eps_and_delta_end_with_a_documented_exit_code(tmp_path, capsys, argv, code):
+    """A subnormal eps, where 0.1 / eps is inf, and a delta of 1e308, which
+    doubled the shift length past the float range, each ended in an
+    OverflowError traceback."""
+    out = tmp_path / "out"
+    assert run(*argv, "--nodes", "65", "--out", str(out)) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert "error: interior of radius 2 is empty" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -461,3 +483,39 @@ def test_reports_are_deterministic(tmp_path):
 def test_unknown_subcommand_exits_two(capsys):
     assert run("frobnicate") == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed numeric flags
+
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e-320", "1e308", "2", "3", "true", "",
+               "1,2"]
+
+
+@pytest.fixture(scope="module")
+def field_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("field")
+    g = Grid.line(-1.0, 1.0, 65)
+    write_grid_json(g, root / "grid.json")
+    write_field_csv(ScalarField.from_function(g, lambda x: abs(x) ** 0.5), root / "field.csv")
+    return ["--field", str(root / "field.csv"), "--grid", str(root / "grid.json")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_numeric_flag_exits_zero_one_or_two(field_files, tmp_path_factory, data):
+    """One numeric flag of one command path set to an odd value, the rest
+    valid: `main` raises nothing, returns 0, 1 or 2, and writes nothing when
+    it returns 2."""
+    path = data.draw(st.sampled_from(sorted(_PATHS)), label="path")
+    numeric = {"p", "eps", "s", "theta", "q", "nodes", "delta", "lam"} & set(_PATHS[path])
+    dest = data.draw(st.sampled_from(sorted(numeric)), label="flag")
+    value = data.draw(st.sampled_from(FUZZ_VALUES) | st.floats().map(repr), label="value")
+    argv = {"estimate (sharp oracle)": ["estimate"],
+            "estimate --field": ["estimate", *field_files]}.get(path, path.split())
+    flags = {k: v for k, v in (("p", "3"), ("nodes", "65")) if k in _PATHS[path]}
+    out = tmp_path_factory.mktemp("out") / "out"
+    argv += [f"{_FLAGS[k][0]}={v}" for k, v in {**flags, dest: value}.items()]
+    code = main([*argv, "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert code != 2 or not out.exists()

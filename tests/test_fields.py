@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from frozen import stencil_error, within
 from plapreg.fields import (
     Grid,
     ScalarField,
@@ -147,32 +148,15 @@ def test_gradient_exact_on_per_axis_quadratic():
 
 
 def test_gradient_second_order_on_sine_1d():
-    errs = {}
-    for nodes in (101, 201):
-        g = Grid.line(0.0, 1.0, nodes)
-        u = ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x))
-        exact = 2 * np.pi * np.cos(2 * np.pi * g.axis(0))
-        errs[nodes] = np.max(np.abs(gradient(u).values[:, 0] - exact))
-        # one-sided boundary stencil dominates: constant ~ (2 pi)^3 / 3
-        assert errs[nodes] <= 85.0 * g.h[0] ** 2
-    assert errs[201] / errs[101] <= 0.27
+    errs = {nodes: stencil_error(nodes, 1) for nodes in (101, 201)}
+    # one-sided boundary stencil dominates: constant ~ (2 pi)^3 / 3
+    assert within("stencil_h2", *(err / h**2 for err, h in errs.values()))
+    assert within("stencil_ratio", errs[201][0] / errs[101][0])
 
 
 def test_gradient_second_order_on_sine_2d():
-    g = Grid.box((0.0, 0.0), (1.0, 1.0), (65, 65))
-    u = ScalarField.from_function(
-        g, lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    )
-    X, Y = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
-    exact = np.stack(
-        [
-            2 * np.pi * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y),
-            -2 * np.pi * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y),
-        ],
-        axis=-1,
-    )
-    err = np.max(np.abs(gradient(u).values - exact))
-    assert err <= 85.0 * g.h[0] ** 2
+    err, h = stencil_error(65, 2)
+    assert within("stencil_h2", err / h**2)
 
 
 # ---------------------------------------------------------------------------

@@ -51,16 +51,22 @@ def test_exponent_table_script_runs(tmp_path, monkeypatch, capsys):
 
 def test_calibration_script_runs(capsys):
     """main() of the calibration script runs against the package's current
-    signatures (`solve`, `energy`, `el_residual`, `composition_bound_check`,
-    the fit) and prints every section it regenerates."""
-    load_script("calibrate_tolerances").main()
-    out = capsys.readouterr().out
-    titles = [line.split(" (")[0] for line in out.splitlines() if line[:1].isalpha()]
-    assert titles == ["oracle solve error", "interpolant EL residual",
-                      "discrete energy vs adaptive quadrature", "gradient stencil on sin(2 pi x)",
-                      "composition constant", "fit behaviors"]
-    assert "nodes= 4097  sup err=" in out and "worst ratios: dim1=" in out
-    assert "affine: theta_hat=" in out and "flag=clipped" in out
+    signatures, prints one line per frozen entry and finds none drifted."""
+    script = load_script("calibrate_tolerances")
+    assert script.main() == 0
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["ok", name] for name in script.frozen.TABLE]
+
+
+def test_calibration_script_exits_one_on_drift(monkeypatch, capsys):
+    """An entry whose interval excludes its measurement fails the run."""
+    script = load_script("calibrate_tolerances")
+    table = dict(script.frozen.TABLE)
+    table["fit_affine"] = table["fit_affine"]._replace(lo=0.99)  # above the fitted theta
+    monkeypatch.setattr(script.frozen, "TABLE", table)
+    assert script.main() == 1
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert [name for tag, name in rows if tag == "DRIFT"] == ["fit_affine"]
 
 
 @pytest.mark.parametrize("name", ["plapreg", *(f"plapreg.{m}" for m in MODULES)])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import dblquad
 
+from frozen import dyadic_and_dense, line_fit, w12_error, within
 from plapreg.fields import Grid, ScalarField, VectorField, gradient, interior_box
 from plapreg.pointwise import beta_theta
 from plapreg.smoothness import (
@@ -106,6 +106,22 @@ def test_dyadic_shifts_match_two_loop_enumerator(grid):
                 dyadic_shifts(grid, delta)
             continue
         assert dyadic_shifts(grid, delta) == expected, delta
+
+
+@pytest.mark.parametrize("grid", [Grid.line(-1.0, 1.0, 65),
+                                  Grid.box((0.0, 0.0), (1.0, 1.0), (101, 101)),
+                                  Grid.box((0.0, 0.0), (100.0, 1.0), (65, 5))],
+                         ids=["1d", "square", "flat"])
+def test_dyadic_shifts_stop_for_a_huge_delta(grid):
+    """delta = 1e308 doubled k until k * |v| overflowed.  k now stops at
+    twice the box diameter in shortest spacings, which no delta below the
+    diameter reaches, so there the family is the enumerator's (the square's
+    (128, 0) at delta 1.35 included)."""
+    diam = math.dist(grid.lower, grid.upper)
+    for delta in (0.5 * diam, 0.95 * diam, np.nextafter(diam, 0.0)):
+        assert dyadic_shifts(grid, delta) == _two_loop_shifts(grid, delta), delta
+    shifts = dyadic_shifts(grid, 1e308)
+    assert max(abs(c) for o in shifts for c in o) <= 2.0 * diam / min(grid.h)
 
 
 def test_dyadic_shifts_2d():
@@ -317,23 +333,15 @@ def test_nikolskii_quotient_monotone_in_theta():
 
 def test_nikolskii_dyadic_family_is_dense_enough():
     """The dyadic max quotient should essentially match an every-k family."""
-    g = line()
-    orc = SharpnessOracle(p=4.0)
-    _, G, _ = oracle_fields(orc, g)
-    theta = 2.0 / 3.0
-    dense = [(k,) for k in range(1, 65)]
-    full = nikolskii_seminorm(G, 3.0, theta, dense)
-    dyadic = nikolskii_seminorm(G, 3.0, theta, dyadic_shifts(g, 0.125))
+    dyadic, full = dyadic_and_dense()
     assert dyadic <= full + 1e-12
-    assert dyadic >= 0.98 * full  # measured ratio 1.0000
+    assert within("dyadic_to_dense", dyadic / full)
 
 
 def test_fit_affine_gradient_slope_one():
-    g = line()
-    u = ScalarField.from_function(g, lambda x: 0.7 * x + 0.1)
-    rep = fit_smoothness_exponent(u, 2.0, dyadic_shifts(g, 0.125))
-    # the shrinking interior pulls the slope a hair under 1 (measured 0.9866)
-    assert abs(rep.fitted_theta - 1.0) <= 0.02
+    rep = line_fit("affine")
+    # the shrinking interior pulls the slope a hair under 1
+    assert within("fit_affine", rep.fitted_theta)
     assert rep.flag == "ok"
     assert rep.fit_r2 >= 0.9999
 
@@ -372,13 +380,10 @@ def test_fit_constant_field_flagged():
 
 def test_fit_noise_clips_at_zero():
     # iid noise has flat difference norms; the sampled slope is slightly
-    # negative (seed 0 measured -0.017) and must clip to 0
-    g = line()
-    vals = np.random.default_rng(0).standard_normal(g.shape)
-    rep = fit_smoothness_exponent(ScalarField(g, vals), 2.0, dyadic_shifts(g, 0.125))
-    assert rep.flag == "clipped"
-    assert rep.fitted_theta == 0.0
-    assert rep.raw_slope < 0.0
+    # negative and must clip to 0
+    rep = line_fit("noise")
+    assert within("noise_slope", rep.raw_slope) and rep.flag == "clipped"
+    assert rep.fitted_theta == 0.0  # with the flag: raw_slope < 0
 
 
 def test_fit_window_defaults_and_fallback():
@@ -452,21 +457,9 @@ def test_sobolev_seminorm_constant_is_zero():
 
 
 def test_sobolev_seminorm_matches_dense_quadrature():
-    exact2 = dblquad(
-        lambda y, x: np.cos(x) ** 2 * np.sin(y) ** 2
-        + np.sin(x) ** 2 * np.cos(y) ** 2,
-        0.0,
-        1.0,
-        0.0,
-        1.0,
-    )[0]
-    errs = {}
-    for n in (33, 65):
-        g = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
-        V = VectorField.from_function(g, lambda x, y: (np.sin(x) * np.sin(y), 0.0 * x))
-        errs[n] = abs(sobolev_w12_seminorm(V) ** 2 - exact2)
-        assert errs[n] <= 1.0 * g.h[0]  # measured 0.87 h
-    assert errs[65] / errs[33] == pytest.approx(0.5, abs=0.05)
+    errs = {n: w12_error(n) for n in (33, 65)}
+    assert within("w12_h", *(err / h for err, h in errs.values()))
+    assert within("w12_ratio", errs[65][0] / errs[33][0])
 
 
 def test_sobolev_w1p_norm_constant():

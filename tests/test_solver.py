@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
 
+from frozen import (HIGH_P_CASES, energy_error, high_p_solve, interpolant_residual,
+                    oracle_solve, torsion_spec, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -25,16 +26,6 @@ from plapreg.solver import (
     _path,
 )
 from plapreg.experiments import SharpnessOracle, oracle_problem
-
-
-def torsion_spec(grid, p, eps):
-    """f = 1, g = 0."""
-    return ProblemSpec(
-        grid,
-        PLapParams(p=p, eps=eps),
-        ScalarField.constant(grid, 1.0),
-        ScalarField.constant(grid, 0.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +245,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     rng = np.random.default_rng(33)
     for nodes in ((257,), (33, 33)):
         g = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
-        spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
-                           ScalarField.constant(g, 0.0))
+        spec = torsion_spec(g, 3.0, 1e-2)
         vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
         D, order = gradient_matrix(g), _gradient_operator(g)[2]
         interior = ~g.boundary_flags().ravel()
@@ -353,25 +343,9 @@ def test_1d_solve_calls_no_superlu(monkeypatch):
 def test_energy_matches_dense_quadrature():
     """Cell-centered bulk + trapezoid source agree with adaptive quadrature
     to O(h^2) on a smooth profile."""
-    p, eps = 3.0, 0.1
-    du = lambda x: 2 * np.pi * np.cos(2 * np.pi * x)
-    exact = (
-        quad(lambda x: (eps**2 + du(x) ** 2) ** (p / 2) / p, 0.5, 1.5, limit=400)[0]
-        + quad(lambda x: np.sin(2 * np.pi * x) * x, 0.5, 1.5, limit=400)[0]
-    )
-    errs = {}
-    for nodes in (257, 513):
-        g = Grid.line(0.5, 1.5, nodes)
-        spec = ProblemSpec(
-            g,
-            PLapParams(p=p, eps=eps),
-            ScalarField.from_function(g, lambda x: x),
-            ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x)),
-        )
-        u = ScalarField.from_function(g, lambda x: np.sin(2 * np.pi * x))
-        errs[nodes] = abs(energy(spec, u) - exact)
-        assert errs[nodes] <= 180.0 * g.h[0] ** 2  # measured 173.7 h^2
-    assert 0.2 <= errs[513] / errs[257] <= 0.3
+    errs = {nodes: energy_error(nodes) for nodes in (257, 513)}
+    assert within("energy_h2", *(err / h**2 for err, h in errs.values()))
+    assert within("energy_ratio", errs[513][0] / errs[257][0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +376,14 @@ def test_solve_tracks_degenerate_oracle():
     """p = 3 profile with flux exactly x: the eps-regularized minimizer on
     4097-class grids tracks it to a few times 1e-6 and tightens under
     refinement faster than first order."""
-    orc = SharpnessOracle(p=3.0)
     errs = {}
     for nodes in (1025, 2049):
-        g = Grid.line(-1.0, 1.0, nodes)
-        spec = oracle_problem(orc, g, eps=1e-4)
-        r = solve(spec)
+        spec, r, errs[nodes] = oracle_solve(nodes)
         assert r.converged
         assert r.el_residual <= residual_tolerance(spec)
-        errs[nodes] = float(np.max(np.abs(r.u.values - orc.u(g.axis(0)))))
         print(f"nodes={nodes}: sup err={errs[nodes]:.3e} iters={r.iterations}")
-    assert errs[1025] <= 8.0e-6  # measured 5.17e-6
-    assert errs[2049] / errs[1025] <= 0.45  # measured 0.355
+    assert within("solve_err_1025", errs[1025])
+    assert within("solve_ratio_2049", errs[2049] / errs[1025])
 
 
 def test_solve_is_init_independent(monkeypatch):
@@ -455,6 +425,15 @@ def test_eps_path_ends_exactly_at_eps():
         assert path[-1] == eps and path[0] == 0.1 and len(path) >= 2
 
 
+@pytest.mark.parametrize("eps", [5e-310, 1e-320, 5e-324])
+def test_eps_path_reaches_a_subnormal_eps(eps):
+    """Below about 5.6e-310, 0.1 / eps is inf; the decades are still counted
+    and the path still falls from 0.1 to exactly eps, a decade a stage."""
+    path = _eps_path(eps)
+    assert path[0] == 0.1 and path[-1] == eps
+    assert all(1.0 < a / b <= 10.5 for a, b in zip(path, path[1:]))
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 3.7e-5, 1e-6])
 def test_path_continues_in_p_only_above_18(eps):
     """Up to p = 18 the (p, eps) path is the eps path at p.  Above, it starts
@@ -472,21 +451,14 @@ def test_path_continues_in_p_only_above_18(eps):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("eps", [1e-2, 1e-6])
-@pytest.mark.parametrize("p", [20.0, 40.0])
-@pytest.mark.parametrize("problem", ["torsion", "sharp"])
+@pytest.mark.parametrize("problem, p, eps", HIGH_P_CASES)
 def test_high_p_solve_converges(problem, p, eps):
     """Continuation in p: above p = 18 a direct Newton solve from the harmonic
-    start overflows and reaches the iteration cap; the p path converges in
-    at most 40 steps, raising no floating-point warning."""
-    g = Grid.line(-1.0, 1.0, 1025)
-    if problem == "torsion":
-        spec = torsion_spec(g, p, eps)
-    else:
-        spec = oracle_problem(SharpnessOracle(p=p), g, eps=eps)
-    r = solve(spec)
+    start overflows and reaches the iteration cap; the p path converges within
+    the frozen step bound, raising no floating-point warning."""
+    spec, r = high_p_solve(problem, p, eps)
     assert r.converged and r.stop_reason == "converged"
-    assert r.iterations <= 40  # measured 24-31
+    assert within("high_p_steps", r.iterations)
     assert r.el_residual <= residual_tolerance(spec)
 
 
@@ -926,15 +898,9 @@ def test_el_residual_of_interpolant_is_kink_limited():
     """Interpolating the degenerate profile leaves an RMS residual that
     decays like h^(1/2): the kink cell contributes an O(1) pointwise error
     on an O(h) window."""
-    orc = SharpnessOracle(p=3.0)
-    res = {}
-    for nodes in (513, 1025, 2049):
-        g = Grid.line(-1.0, 1.0, nodes)
-        spec = oracle_problem(orc, g, eps=1e-4)
-        res[nodes] = el_residual(spec, ScalarField.from_function(g, orc.u))
-    assert res[1025] == pytest.approx(3.94e-3, rel=0.05)
-    for a, b in ((513, 1025), (1025, 2049)):
-        assert res[b] / res[a] == pytest.approx(2.0**-0.5, abs=0.03)
+    res = {nodes: interpolant_residual(nodes) for nodes in (513, 1025, 2049)}
+    assert within("residual_1025", res[1025])
+    assert within("residual_ratio", res[1025] / res[513], res[2049] / res[1025])
 
 
 def test_grad_and_residual_tolerances_scale():
