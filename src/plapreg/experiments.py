@@ -27,7 +27,7 @@ from .fields import (
     Grid, ProblemSpec, ScalarField, VectorField, gradient, interior_box, write_json,
     write_table,
 )
-from .pointwise import PLapParams, alpha_s
+from .pointwise import EPS_MAX, PLapParams, alpha_s
 from .smoothness import (
     dyadic_shifts,
     fit_smoothness_exponent,
@@ -292,8 +292,7 @@ def run_eps_sweep(
                 f"{result.stop_reason} after {result.iterations} iterations, "
                 f"residual {result.el_residual:.3e}"
             )
-        grad_u = gradient(result.u)
-        V = VectorField(template.grid, alpha_s(grad_u.values, eps, s))
+        V = _transformed(template.grid, gradient(result.u).values, eps, s)
         return SweepCell(
             eps=eps,
             w1p_norm=sobolev_w1p_norm(result.u, p),
@@ -322,6 +321,17 @@ def run_eps_sweep(
         uniformity_factor=float(uniformity), trend_factor=float(trend),
         verdict=verdict,
     )
+
+
+def _transformed(grid: Grid, w: np.ndarray, eps: float, s: float) -> VectorField:
+    """alpha_s(w) = l_eps(w)^(s-1) w on grid.  An s that takes it out of
+    floating-point range is a usage error, and the message names s."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        alpha = alpha_s(w, eps, s)
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"s = {s:g} takes l_eps(grad u)^(s-1) grad u out of "
+                         "floating-point range")
+    return VectorField(grid, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +364,10 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     with np.errstate(over="ignore"):  # an overflow is caught by the finite check below
         f = np.float64(lam) ** (p - 1.0) * spec.f.values
         eps, g = lam * spec.params.eps, lam * spec.g.values
-    if not (math.isfinite(eps) and np.isfinite(f).all() and np.isfinite(g).all()):
+    if not (eps <= EPS_MAX and np.isfinite(f).all() and np.isfinite(g).all()):
         raise ValueError(f"lambda = {lam:g} scales the problem out of floating-point range: "
-                         "lambda^(p-1) f, lambda eps and lambda g must be finite")
+                         f"lambda^(p-1) f and lambda g must be finite, lambda eps at most "
+                         f"{EPS_MAX:.4g}")
     from .solver import residual_tolerance, solve
 
     base = solve(spec)
@@ -367,8 +378,8 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     u_tol = 10.0 * residual_tolerance(scaled_spec)
 
     w = gradient(base.u).values
-    lhs = sobolev_w12_norm(VectorField(spec.grid, alpha_s(lam * w, 0.0, s)))
-    rhs = lam**s * sobolev_w12_norm(VectorField(spec.grid, alpha_s(w, 0.0, s)))
+    lhs = sobolev_w12_norm(_transformed(spec.grid, lam * w, 0.0, s))
+    rhs = lam**s * sobolev_w12_norm(_transformed(spec.grid, w, 0.0, s))
     alpha_gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
     passed = (base.converged and scaled.converged

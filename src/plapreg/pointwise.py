@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "EPS_MAX",
     "PLapParams",
     "sq_norm",
     "l_eps",
@@ -32,6 +33,9 @@ __all__ = [
     "coercivity_constant",
     "integrand_lower_bound_check",
 ]
+
+# the largest eps whose square is finite: l_eps squares eps
+EPS_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def sq_norm(w) -> np.ndarray:
@@ -191,8 +195,8 @@ class PLapParams:
 
     The parameter regimes "thm2" (where p - 2s + 2 lies in [2, 3)) and
     "thm3" are defined in `_REGIMES`.  Construction checks only the basic
-    ranges; :attr:`mode` classifies (p, s) and :meth:`require_mode`
-    enforces a regime.
+    ranges (eps at most `EPS_MAX`); :attr:`mode` classifies (p, s) and
+    :meth:`require_mode` enforces a regime.
     """
 
     p: float
@@ -210,6 +214,9 @@ class PLapParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if self.eps > EPS_MAX:
+            raise ValueError(f"eps must be at most {EPS_MAX:.4g}, where eps^2 overflows, "
+                             f"got {self.eps}")
 
     @property
     def mode(self) -> str:

@@ -57,21 +57,24 @@ returned iterate at the requested (p, eps), and `stop_reason` says why
 the final stage stopped: it converged, reached the cap, stalled at the
 rounding floor of the gradient, or found no descent direction.
 
-A 2D solve uses nested iteration (Briggs, Henson & McCormick, *A
-Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and
-the halved grid keeps at least `_COARSEST` = 33 nodes per axis, the grid is
-halved; the levels are the coarsest grid refined back to the problem grid,
-with f and g injected (a coarse node is a fine node), so 257^2 nests as
-33^2, 65^2, 129^2, 257^2.  The coarsest level starts from the harmonic
+A solve uses nested iteration (Briggs, Henson & McCormick, *A Multigrid
+Tutorial*, ch. 3).  While every (n - 1) is even and the halved grid keeps
+at least the coarsest node count of `_LEVEL_RULE` per axis, the grid is
+halved; the levels are the coarsest grid and the problem grid, with every
+halving between them in 2D, and f and g are injected (a coarse node is a
+fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2, and a 4097-node
+line as 257, 4097; a line that halves fewer than three times (513 or 1025
+nodes) is its own only level.  The coarsest level starts from the harmonic
 extension of g and walks the whole (p, eps) path; each finer level starts
-from the bilinear prolongation of the coarser iterate, its boundary reset to
-g, and runs the final (p, eps) stage alone.
+from the coarser iterate, prolonged by linear interpolation (one midpoint
+pass per axis and halving), its boundary reset to g, and runs the final
+(p, eps) stage alone.
 The stage list is one list of (level, p, eps), so a coarse level ends at
 the loose tolerance of an intermediate stage.  The iteration cap counts
 Newton steps over all levels; a capped iterate is prolonged to the problem
 grid and evaluated there.  `SolveResult.levels` records each level's nodes,
-steps, factorizations and final energy.  A 1D grid, or a 2D grid that
-does not nest, is its own only level.
+steps, factorizations and final energy.  A grid that does not nest is its
+own only level.
 
 The cell gradient is the only difference operator the solve uses; the node
 gradient in :mod:`plapreg.fields` serves the analysis of a solution (its
@@ -133,14 +136,29 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
 # reaches the 200-step cap with ~1,800 overflows
 _P_DIRECT = 18.0
-# a 2D solve halves its grid while every (n - 1) is even and the
-# coarse grid keeps at least this many nodes per axis (`_levels`).  At 257^2
-# (2-core Xeon, warm) a coarsest grid of 17, 33 or 65 nodes makes no
-# difference to seeded torsion (p = 3, eps = 1e-3: 0.94-1.01 s, against
-# 1.45-1.69 s on one level), where the finest level's 4-5 steps dominate; on
-# the sharp oracle (p = 5, eps = 1e-4) 65 costs 10% more (0.98 s against
-# 0.87-0.89 s), as the whole (p, eps) path then runs on 65^2
-_COARSEST = 33
+# the level rule of a nested solve (`_levels`), per dimension: (coarsest,
+# fewest, every).  A grid is halved while every (n - 1) is even and the
+# halved grid keeps at least `coarsest` nodes per axis; it nests if it was
+# halved at least `fewest` times, and then its levels are the coarsest grid,
+# every halving between if `every`, and the problem grid.
+# 2D: at 257^2 (2-core Xeon, warm) a coarsest grid of 17, 33 or 65 nodes
+# makes no difference to seeded torsion (p = 3, eps = 1e-3: 0.94-1.01 s,
+# against 1.45-1.69 s on one level), where the finest level's 4-5 steps
+# dominate; on the sharp oracle (p = 5, eps = 1e-4) 65 costs 10% more (0.98 s
+# against 0.87-0.89 s), as the whole (p, eps) path then runs on 65^2.  Going
+# from 33^2 straight to 257^2 costs two fine factorizations (38.7 against
+# 22.8 ref on seeded torsion), so every halving is a level.
+# 1D: the whole path runs on a line of at least 257 nodes and the problem
+# line takes the final stage alone, in 6-7 steps against 9-26 on one level
+# (sharp oracle, 4097 nodes, p <= 18).  On perfbench sweep1d (4097 nodes, p
+# from 2 to 40) this raised the solves per ref unit by 40%; halving down
+# to 129 nodes with every line a level gained 15% (each middle line takes 2
+# steps), strides of 4 (257, 1025, 4097) 30%, a 513-node coarse line 29%,
+# and a 129-node one matched 257.  Nested on 257, in interleaved warm
+# solves of 7 problems (60 rounds), a 513-node line was 5% slower than on
+# one level, 1025 2% slower (faster in 17-24 of 60 rounds), 2049 10% faster
+# (56 of 60) and 4097 20-25% faster, hence fewest = 3
+_LEVEL_RULE = {1: (257, 3, False), 2: (33, 1, True)}
 
 
 @dataclass(frozen=True)
@@ -156,8 +174,9 @@ class SolveResult:
     factorizations: int = 0
     cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
-    # first; the last row is the problem grid's.  A solve capped on a coarse
-    # level has no row for the levels it skipped on its way to the problem grid
+    # first (`_levels`; a nested line has two); the last row is the problem
+    # grid's.  A solve capped on a coarse level has no row for the levels it
+    # skipped on its way to the problem grid
     levels: tuple = ()
 
     def __post_init__(self):
@@ -172,7 +191,7 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # the cell-gradient operator
 
-# sized to hold every level of a nested solve: 513^2 has 5 (`_levels`)
+# sized to hold every level of a nested solve: 513^2 has 5, a line 2 (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> tuple:
     """(G, fill, order): the corner weights of the cell gradient, how a 2D
@@ -494,31 +513,37 @@ def _path(p: float, eps: float) -> list[tuple[float, float]]:
 def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
     """The problems of a nested solve, coarsest first, ending with spec itself.
 
-    A 2D grid is halved while every (n - 1) is even and the coarse grid keeps
-    at least `_COARSEST` nodes per axis; the levels are the coarsest grid
-    refined back up to spec.grid.  A coarse node is a fine node, so f and g
-    are injected.  A 1D grid is its own only level.
+    The grid is halved as the dimension's entry of `_LEVEL_RULE` says; the
+    levels are the coarsest grid, in 2D every halving between, and
+    spec.grid.  A coarse node is a fine node, so f and g are injected.  A
+    grid halved fewer times than the rule's fewest is its own only level.
     """
+    coarsest, fewest, every = _LEVEL_RULE[spec.grid.dim]
     k, nodes = 0, spec.grid.nodes
-    while spec.grid.dim == 2 and all(n % 2 and (n + 1) // 2 >= _COARSEST for n in nodes):
+    while all(n % 2 and (n + 1) // 2 >= coarsest for n in nodes):
         k, nodes = k + 1, tuple((n + 1) // 2 for n in nodes)
-    level = replace(spec.grid, nodes=nodes)
+    if k < fewest:
+        return [spec]
     levels = []
-    for stride in (2**j for j in range(k, 0, -1)):
-        f, g = (ScalarField(level, field.values[::stride, ::stride])
+    for stride in [2**j for j in range(k, 0, -1)] if every else [2**k]:
+        level = replace(spec.grid, nodes=tuple((n - 1) // stride + 1 for n in spec.grid.nodes))
+        f, g = (ScalarField(level, field.values[(slice(None, None, stride),) * level.dim])
                 for field in (spec.f, spec.g))
         levels.append(ProblemSpec(level, spec.params, f, g))
-        level = level.refine()
     return levels + [spec]
 
 
 def _prolong(vals: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of 2D node values onto the grid refined by 2."""
-    fine = np.empty(tuple(2 * n - 1 for n in vals.shape))
-    fine[::2, ::2] = vals
-    fine[1::2, ::2] = 0.5 * (vals[:-1] + vals[1:])
-    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
-    return fine
+    """Linear interpolation of node values onto the grid refined by 2: one
+    midpoint pass per axis (bilinear in 2D)."""
+    for axis in range(vals.ndim):
+        head = (slice(None),) * axis
+        fine = np.empty(vals.shape[:axis] + (2 * vals.shape[axis] - 1,) + vals.shape[axis + 1:])
+        fine[head + (slice(None, None, 2),)] = vals
+        fine[head + (slice(1, None, 2),)] = 0.5 * (vals[head + (slice(None, -1),)]
+                                                   + vals[head + (slice(1, None),)])
+        vals = fine
+    return vals
 
 
 def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
@@ -528,8 +553,8 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     the start is no choice of the caller's: the coarsest level starts from
     the harmonic extension of g.  A result with converged = False and its
     `stop_reason` is returned if the final stage stops short of the
-    tolerances.  A 2D grid that nests is solved coarse to fine (see the
-    module docstring).
+    tolerances.  A grid that nests is solved coarse to fine (see the module
+    docstring).
     """
     if spec.params.eps <= 0.0:
         raise ValueError("solve requires eps > 0")
@@ -548,9 +573,13 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
         final = stage == len(stages) - 1
         if level_k is not level:
             # the coarsest level starts from the harmonic extension of g, a finer
-            # one from the prolonged iterate; either is reset to g on its boundary
+            # one from the coarser iterate, prolonged until it has the level's
+            # shape; either is reset to g on its boundary
             level_start = (it_total, solves.factorizations)
-            vals = _harmonic_extension(level_k, solves) if level is None else _prolong(vals)
+            if level is None:
+                vals = _harmonic_extension(level_k, solves)
+            while vals.shape != level_k.grid.shape:
+                vals = _prolong(vals)
             level, grid = level_k, level_k.grid
             order = _gradient_operator(grid)[2]
             vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
@@ -647,7 +676,7 @@ def write_solve_result(result: SolveResult, spec: ProblemSpec, outdir) -> dict:
     """Write solution.csv/.json, grid.json and trace.csv; returns the summary.
 
     The summary's `levels` holds one row per level of the solve, coarsest
-    first (one row in 1D).
+    first (one row for a grid that does not nest).
     """
     outdir = Path(outdir)
     write_grid_json(spec.grid, outdir / "grid.json")  # creates outdir

@@ -336,6 +336,43 @@ def test_extreme_eps_and_delta_end_with_a_documented_exit_code(tmp_path, capsys,
         assert "error: interior of radius 2 is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "3"],
+    ["sweep", "--p", "3", "--eps", "1e-3,1e200"],
+    ["verify", "--suite", "eps-uniform"],
+])
+def test_eps_whose_square_overflows_exits_two_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    """eps = 1e200 squared is inf: it ended as an unconverged solve (exit 1,
+    residual nan); it is now a usage error naming eps."""
+    import plapreg.solver
+
+    monkeypatch.setattr(plapreg.solver, "solve", lambda *a, **k: pytest.fail("solve called"))
+    out = tmp_path / "out"
+    eps = [] if "--eps" in argv else ["--eps", "1e200"]
+    assert run(*argv, *eps, "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: eps must be at most 1.341e+154, where eps^2 "
+                                       "overflows, got 1e+200\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p", "3"],
+    ["verify", "--suite", "eps-uniform"],
+    ["verify", "--suite", "scaling"],
+])
+def test_s_that_overflows_the_transform_exits_two_naming_s(tmp_path, capsys, argv):
+    """s = 1e200 overflowed l_eps(grad u)^(s-1) with a RuntimeWarning and
+    ended in "field values must be finite", which does not say which input
+    was at fault."""
+    out = tmp_path / "out"
+    assert run(*argv, "--s", "1e200", "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: s = 1e+200 takes l_eps(grad u)^(s-1) grad u "
+                                       "out of floating-point range\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

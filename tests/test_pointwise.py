@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plapreg.pointwise import (
+    EPS_MAX,
     PLapParams,
     L_eps,
     alpha_s,
@@ -344,6 +345,15 @@ def test_params_validation():
         PLapParams(p=1.5)
     with pytest.raises(ValueError):
         PLapParams(p=3.0, eps=-0.1)
+
+
+def test_params_reject_an_eps_whose_square_overflows():
+    """l_eps squares eps, so the largest eps is the one whose square is finite."""
+    assert EPS_MAX * EPS_MAX < math.inf and PLapParams(p=3.0, eps=EPS_MAX).eps == EPS_MAX
+    too_big = math.nextafter(EPS_MAX, math.inf)
+    assert too_big * too_big == math.inf
+    with pytest.raises(ValueError, match="^eps must be at most 1.341e[+]154, where eps"):
+        PLapParams(p=3.0, eps=too_big)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

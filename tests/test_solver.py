@@ -388,23 +388,25 @@ def test_solve_tracks_degenerate_oracle():
 
 def test_solve_is_init_independent(monkeypatch):
     """Started from g plus an interior bump instead of the harmonic
-    extension, the solve reaches the same minimizer."""
+    extension, the solve reaches the same minimizer.  A 2049-node line nests,
+    so the start is made on its 257-node coarsest level, from that level's
+    own grid."""
     import plapreg.solver as solver_mod
 
     orc = SharpnessOracle(p=3.0)
-    g = Grid.line(-1.0, 1.0, 513)
-    spec = oracle_problem(orc, g, eps=1e-3)
+    spec = oracle_problem(orc, Grid.line(-1.0, 1.0, 2049), eps=1e-3)
     r1 = solve(spec)
-    bump = 0.3 * np.sin(np.pi * (g.axis(0) + 1.0) / 2.0)
 
     def bumped_start(level, solves):
-        vals = level.g.values + bump
-        vals[g.boundary_flags()] = level.g.values[g.boundary_flags()]
+        bnd = level.grid.boundary_flags()
+        vals = level.g.values + 0.3 * np.sin(np.pi * (level.grid.axis(0) + 1.0) / 2.0)
+        vals[bnd] = level.g.values[bnd]
         return vals
 
     monkeypatch.setattr(solver_mod, "_harmonic_extension", bumped_start)
     r2 = solve(spec)
     assert r1.converged and r2.converged
+    assert r1.levels[0][0] == r2.levels[0][0] == (257,)
     assert r2.trace[0][1] != r1.trace[0][1]  # the bumped start was taken
     gap = float(np.max(np.abs(r1.u.values - r2.u.values)))
     assert gap <= 10.0 * residual_tolerance(spec)
@@ -696,6 +698,29 @@ def test_levels_halve_down_to_33_and_fit_the_operator_cache():
     assert len(levels) <= _gradient_operator.cache_parameters()["maxsize"]
 
 
+@pytest.mark.parametrize("nodes, expected", [
+    (4097, [257, 4097]), (2049, [257, 2049]), (3073, [385, 3073]), (1025, [1025]),
+    (513, [513]), (257, [257]),
+])
+def test_a_line_nests_on_one_coarse_line_of_at_least_257_nodes(nodes, expected):
+    """A line is halved while the halved line keeps 257 nodes.  Halved at
+    least three times, it nests as the coarsest line and then the problem
+    line, with f and g injected; otherwise it is its own only level."""
+    from plapreg.solver import _levels
+
+    grid = Grid.line(-1.0, 1.0, nodes)
+    x = grid.axis(0)
+    spec = ProblemSpec(grid, PLapParams(p=3.0, eps=1e-3), ScalarField(grid, np.cos(3.0 * x)),
+                       ScalarField(grid, x**2))
+    levels = _levels(spec)
+    assert [level.grid.nodes for level in levels] == [(n,) for n in expected]
+    assert levels[-1] is spec
+    assert levels[0].grid == Grid.line(-1.0, 1.0, expected[0])
+    stride = (nodes - 1) // (expected[0] - 1)
+    np.testing.assert_array_equal(levels[0].f.values, spec.f.values[::stride])
+    np.testing.assert_array_equal(levels[0].g.values, spec.g.values[::stride])
+
+
 def test_prolongation_is_exact_on_bilinear_fields():
     from plapreg.solver import _prolong
 
@@ -708,22 +733,58 @@ def test_prolongation_is_exact_on_bilinear_fields():
     np.testing.assert_allclose(fine, bilinear(coarse.refine().coords()), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("nodes", [65, 129])
-def test_nested_solve_matches_single_level(nodes, monkeypatch):
-    """A nested solve reaches the single-level minimizer of its own grid."""
+@pytest.mark.parametrize("passes", [1, 2, 4])
+def test_line_prolongation_is_exact_on_affine_fields(passes):
+    """Each pass interpolates linearly, so a line refined by 2**k in k passes
+    (by 16 from 257 to 4097 nodes) reproduces an affine field."""
+    from plapreg.solver import _prolong
+
+    grid = Grid.line(-1.0, 3.0, 9)
+    vals = 0.3 - 2.0 * grid.axis(0)
+    for _ in range(passes):
+        vals, grid = _prolong(vals), grid.refine()
+    np.testing.assert_allclose(vals, 0.3 - 2.0 * grid.axis(0), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (65, 129), (5, 3)])
+def test_2d_prolongation_is_bitwise_the_bilinear_formula(shape):
+    """The per-axis passes give the bilinear formula of one 2D prolongation
+    bit for bit, as a C-ordered array."""
+    from plapreg.solver import _prolong
+
+    vals = np.random.default_rng(sum(shape)).standard_normal(shape)
+    fine = np.empty(tuple(2 * n - 1 for n in shape))
+    fine[::2, ::2] = vals
+    fine[1::2, ::2] = 0.5 * (vals[:-1] + vals[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
+    out = _prolong(vals)
+    np.testing.assert_array_equal(out, fine)
+    assert out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("nodes, p, coarse", [
+    pytest.param((65, 65), 3.0, (33, 33), id="65"),
+    pytest.param((129, 129), 3.0, (65, 65), id="129"),
+    *(pytest.param((4097,), p, (257,), id=f"4097-p{p:g}") for p in (3.0, 10.0, 20.0)),
+])
+def test_nested_solve_matches_single_level(nodes, p, coarse, monkeypatch):
+    """A nested solve reaches the single-level minimizer of its own grid: to
+    1e-9 in 2D, whose lagged-factor steps solve by CG to a forcing term, and
+    to 1e-11 (1 + max |u|) on a line, whose steps are direct solves."""
     import plapreg.solver as solver_mod
 
-    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
-    spec = torsion_spec(grid, 3.0, 1e-3)
+    grid = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
+    spec = torsion_spec(grid, p, 1e-3)
     nested = solve(spec)
     monkeypatch.setattr(solver_mod, "_levels", lambda spec: [spec])
     single = solve(spec)
     assert nested.converged and single.converged
-    assert [row[0] for row in nested.levels][-2:] == [((nodes + 1) // 2,) * 2, (nodes, nodes)]
+    assert [row[0] for row in nested.levels][-2:] == [coarse, nodes]
     assert single.levels == ((grid.nodes, single.iterations, single.factorizations,
                               single.energy),)
     assert nested.energy == pytest.approx(single.energy, rel=1e-14)
-    assert np.max(np.abs(nested.u.values - single.u.values)) <= 1e-9
+    tol = 1e-9 if grid.dim == 2 else 1e-11 * (1.0 + float(np.max(np.abs(single.u.values))))
+    assert np.max(np.abs(nested.u.values - single.u.values)) <= tol
     # the rows sum to the solve's counts and end with the problem grid's energy
     assert sum(row[1] for row in nested.levels) == nested.iterations
     assert sum(row[2] for row in nested.levels) == nested.factorizations
@@ -733,22 +794,25 @@ def test_nested_solve_matches_single_level(nodes, monkeypatch):
 @pytest.mark.parametrize("max_iter", [0, 3, 7])
 def test_capped_nested_solve_returns_a_fine_iterate(max_iter):
     """Capped on a coarse level, a nested solve prolongs its iterate to the
-    problem grid and evaluates it there once, at the target (p, eps)."""
-    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129))
-    spec = torsion_spec(grid, 3.0, 1e-3)
-    r = solve(spec, max_iter=max_iter)
-    assert r.u.grid == grid and r.iterations == max_iter
-    assert (r.converged, r.stop_reason) == (False, "max_iter")
-    assert r.trace[-1][:2] == (max_iter, energy(spec, r.u)) and r.energy == r.trace[-1][1]
-    assert r.el_residual == el_residual(spec, r.u)
-    assert r.levels[-1][:2] == (grid.nodes, 0)
+    problem grid (a box level by level, a line by 16 in four passes) and
+    evaluates it there once, at the target (p, eps)."""
+    for grid in (Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129)), Grid.line(-1.0, 1.0, 4097)):
+        spec = torsion_spec(grid, 3.0, 1e-3)
+        r = solve(spec, max_iter=max_iter)
+        assert r.u.grid == grid and r.iterations == max_iter
+        assert (r.converged, r.stop_reason) == (False, "max_iter")
+        assert r.trace[-1][:2] == (max_iter, energy(spec, r.u)) and r.energy == r.trace[-1][1]
+        assert r.el_residual == el_residual(spec, r.u)
+        assert r.levels[-1][:2] == (grid.nodes, 0)
 
 
-@pytest.mark.parametrize("nodes", [(257,), (33, 33), (64, 64), (65, 33), (7, 6)])
+@pytest.mark.parametrize("nodes", [(257,), (33, 33), (64, 64), (65, 33), (7, 6), (513,),
+                                   (1025,)])
 def test_grid_that_does_not_nest_solves_as_from_g(nodes):
-    """1D grids and 2D grids that do not nest are one level, which starts
-    from the harmonic extension of g (here g itself, g = 0), and the solve
-    reports one row, the problem grid's."""
+    """A grid that does not nest (a line that halves fewer than three times
+    down to 257 nodes, a box that cannot halve down to 33 per axis) is one
+    level, which starts from the harmonic extension of g (here g itself,
+    g = 0), and the solve reports one row, the problem grid's."""
     from plapreg.solver import _levels
 
     spec = torsion_spec(Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes), 3.0, 1e-3)
