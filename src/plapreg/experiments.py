@@ -361,13 +361,15 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
     p, s = spec.params.p, spec.params.s
-    with np.errstate(over="ignore"):  # an overflow is caught by the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         f = np.float64(lam) ** (p - 1.0) * spec.f.values
         eps, g = lam * spec.params.eps, lam * spec.g.values
-    if not (eps <= EPS_MAX and np.isfinite(f).all() and np.isfinite(g).all()):
+        # the squares that `residual_tolerance` sums
+        f_sq = np.sum(spec.grid.quad_weights() * f**2)
+    if not (eps <= EPS_MAX and np.isfinite(f_sq) and np.isfinite(g).all()):
         raise ValueError(f"lambda = {lam:g} scales the problem out of floating-point range: "
-                         f"lambda^(p-1) f and lambda g must be finite, lambda eps at most "
-                         f"{EPS_MAX:.4g}")
+                         f"lambda^(p-1) f, the sum of its squares and lambda g must be "
+                         f"finite, lambda eps at most {EPS_MAX:.4g}")
     from .solver import residual_tolerance, solve
 
     base = solve(spec)

@@ -128,7 +128,11 @@ def _lq(field, values: np.ndarray, q: float) -> float:
     mag = np.sqrt(sq_norm(values)) if isinstance(field, VectorField) else np.abs(values)
     if np.isinf(q):
         return float(np.max(mag))
-    return _riemann_sum(mag**q, field.grid) ** (1.0 / q)
+    with np.errstate(over="ignore"):  # caught by the check below
+        total = _riemann_sum(mag**q, field.grid)
+    if total == np.inf:
+        raise ValueError(f"q = {q:g} takes |u(. + v) - u|^q out of floating-point range")
+    return total ** (1.0 / q)
 
 
 def shift_difference_norm(field, offset, q: float) -> float:

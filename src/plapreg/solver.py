@@ -25,10 +25,8 @@ discrete minimizer.  K_II is filled from the cell blocks directly, with no
 sparse product (`_assemble`).
 
 Minimization is damped Newton on the interior unknowns with the Hessian
-K_II, an Armijo backtracking line search, and a gradient
-descent fallback if a Newton direction ever fails to decrease the energy.
-The line search returns the energy of the iterate it accepts, so the
-energy of each iterate is evaluated once.
+K_II and an Armijo backtracking line search, which returns the energy of
+the iterate it accepts, so the energy of each iterate is evaluated once.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
 takes its columns in that order.  In 1D K_II is a tridiagonal band, and
@@ -47,15 +45,19 @@ doubles p from the first p / 2**n at or below 18, at the eps path's first
 eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci. Comput.
 32, 2007).  A stage is its own ProblemSpec, whose params carry the
 stage's (p, eps); the energy, gradient, Hessian and line search read p and
-eps from the spec alone.  Only the final stage is held to the convergence
-tolerances.
+eps from the spec alone.
 The path ends exactly at the requested (p, eps).  Each stage begins by
 evaluating its iterate; once the iteration cap is reached the remaining
 stages are skipped but the last, where the iterate is evaluated once more.
 So the energy, residual and last trace row of a result are those of the
 returned iterate at the requested (p, eps), and `stop_reason` says why
-the final stage stopped: it converged, reached the cap, stalled at the
-rounding floor of the gradient, or found no descent direction.
+the final stage stopped.  A stage converges when its gradient norm meets
+`grad_tolerance` (times 1e6 on all but the final stage) or at the rounding
+floor, where a polishing step (the full Newton step, taken once its
+predicted decrease is below the energy's float resolution) fails to halve
+the gradient norm; the final stage also needs the EL residual within
+`residual_tolerance`, and without it stops `stalled` at the floor.  A
+Newton step that the line search rejects stops a stage `no_descent`.
 
 A solve uses nested iteration (Briggs, Henson & McCormick, *A Multigrid
 Tutorial*, ch. 3).  While every (n - 1) is even and the halved grid keeps
@@ -167,7 +169,9 @@ class SolveResult:
     energy: float
     el_residual: float
     iterations: int
-    stop_reason: str  # why the final stage stopped: converged, max_iter, stalled, no_descent
+    # why the final stage stopped: converged, max_iter, stalled (at the rounding
+    # floor, EL residual above its tolerance) or no_descent (Newton step rejected)
+    stop_reason: str
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
     # direct factorizations, harmonic start included: LAPACK tridiagonal in 1D,
     # SuperLU in 2D
@@ -429,9 +433,8 @@ class _LinearSolves:
         The 1D band is solved by `scipy.linalg.solve_banded` (LAPACK gtsv).
         A 2D K, its unknowns in elimination order, is factored by SuperLU in
         symmetric mode with no fill-reducing permutation of its own.  An
-        exactly singular K gives a NaN solution instead of an exception: a
-        Newton step through it fails the line search and the solve falls back
-        to the gradient direction.
+        exactly singular K gives a NaN solution instead of an exception: the
+        line search rejects its NaN slope and the stage stops `no_descent`.
         """
         self.lu = None  # release the old factor before SuperLU allocates a new one
         self.factorizations += 1
@@ -554,10 +557,14 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     the harmonic extension of g.  A result with converged = False and its
     `stop_reason` is returned if the final stage stops short of the
     tolerances.  A grid that nests is solved coarse to fine (see the module
-    docstring).
+    docstring).  Raises ValueError if eps <= 0 or every iterate's energy overflows.
     """
-    if spec.params.eps <= 0.0:
+    p, eps = spec.params.p, spec.params.eps
+    if eps <= 0.0:
         raise ValueError("solve requires eps > 0")
+    with np.errstate(over="ignore"):  # a cell's energy density is at least L_eps(0) = eps^p / p
+        if np.sum(L_eps(_cell_gradients(spec.grid, np.zeros(spec.grid.shape)), eps, p)) == np.inf:
+            raise ValueError(f"the energy overflows at p = {p}, eps = {eps} on this grid")
     levels = _levels(spec)
     solves = _LinearSolves()
     tol_res = residual_tolerance(spec)
@@ -567,8 +574,8 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     rows = {}  # level nodes -> its row of `SolveResult.levels`
     prev_g_norm = np.inf  # the gradient norm at the last Newton step
 
-    stages = [(levels[0], p_k, eps_k) for p_k, eps_k in _path(spec.params.p, spec.params.eps)]
-    stages += [(level_k, spec.params.p, spec.params.eps) for level_k in levels[1:]]
+    stages = [(levels[0], p_k, eps_k) for p_k, eps_k in _path(p, eps)]
+    stages += [(level_k, p, eps) for level_k in levels[1:]]
     for stage, (level_k, p_k, eps_k) in enumerate(stages):
         final = stage == len(stages) - 1
         if level_k is not level:
@@ -587,10 +594,8 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
         if it_total >= max_iter and not final:
             continue  # capped: evaluate the iterate once more, at the target
         spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
-        # intermediate stages only need a rough minimizer to warm start
-        stage_scale = 1.0 if final else 1e6
+        stage_scale = 1.0 if final else 1e6  # a warm start needs only a rough minimizer
         polishing = False
-        stall = 0
         e_val = _energy_raw(spec_k, vals)
         while True:
             g_full = _gradient_raw(spec_k, vals)
@@ -598,19 +603,15 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
             g_norm = float(np.linalg.norm(g_int))
             res = _residual_rms(grid, g_full)
             trace.append((it_total, e_val, g_norm))
-            if g_norm <= grad_tolerance(e_val) * stage_scale and (
-                not final or res <= tol_res
-            ):
+            # a polishing step that fails to halve the gradient norm hit the rounding floor
+            at_floor = polishing and g_norm >= 0.5 * prev_g_norm
+            if (at_floor or g_norm <= grad_tolerance(e_val) * stage_scale) and (
+                    not final or res <= tol_res):
                 stop = "converged"
                 break
-            if it_total >= max_iter:
-                stop = "max_iter"
+            if at_floor or it_total >= max_iter:
+                stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
                 break
-            if polishing:
-                stall = stall + 1 if g_norm >= 0.5 * prev_g_norm else 0
-                if stall >= 8:
-                    stop = "stalled"  # at the rounding floor of the gradient
-                    break
 
             step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm,
                                       prev_g_norm)
@@ -618,20 +619,16 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
             slope = float(np.dot(g_int, step))
             polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
             if polishing:
-                # predicted decrease is below the energy's float resolution:
-                # the line search would only compare rounding noise, so take
-                # the full Newton step and let the gradient norm decide
+                # the line search would only compare rounding noise: take the
+                # full Newton step and let the gradient norm decide
                 vals = vals.copy()
                 vals.ravel()[order] += step
                 e_val = _energy_raw(spec_k, vals)
             else:
-                vals, ok, e_val = _line_search(spec_k, vals, order, step, e_val, g_int)
+                vals, ok, e_val = _line_search(spec_k, vals, order, step, e_val, slope)
                 if not ok:
-                    # fallback: gradient descent direction, same Armijo search
-                    vals, ok, e_val = _line_search(spec_k, vals, order, -g_int, e_val, g_int)
-                    if not ok:
-                        stop = "no_descent"  # at numerical stationarity
-                        break
+                    stop = "no_descent"
+                    break
             it_total += 1
         rows[grid.nodes] = (grid.nodes, it_total - level_start[0],
                             solves.factorizations - level_start[1], e_val)
@@ -649,18 +646,20 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     )
 
 
-def _line_search(spec, vals, order, direction, e0, g_int):
+def _line_search(spec, vals, order, direction, e0, slope):
     """Armijo backtracking along an interior direction (indexed like `order`)
-    from vals, whose energy is e0; returns (new_vals, ok, new_energy), where
-    new_energy is the energy of new_vals (e0 when no trial is accepted)."""
-    slope = float(np.dot(g_int, direction))
-    if slope >= 0.0:
+    from vals, whose energy is e0, with slope g_int . direction (a slope not
+    below 0, NaN included, fails at once, and a trial energy that overflows
+    fails like any other); returns (new_vals, ok, new_energy), new_energy
+    the energy of new_vals (e0 when no trial is accepted)."""
+    if not slope < 0.0:
         return vals, False, e0
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
         trial.ravel()[order] += t * direction
-        e_trial = _energy_raw(spec, trial)
+        with np.errstate(over="ignore"):
+            e_trial = _energy_raw(spec, trial)
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution
         if e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:

@@ -373,6 +373,21 @@ def test_s_that_overflows_the_transform_exits_two_naming_s(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", ["1e150", "5.643803094122362e+102", "2.0349431468493997e+102"])
+def test_eps_whose_energy_overflows_exits_two_naming_p_and_eps(tmp_path, capsys, eps):
+    """A cell's energy density is at least eps^p / p, so at p = 3 on 65 nodes
+    no iterate has a finite energy once eps passes about 2.03e102.  Such an
+    eps ended as a `stalled` solve (exit 1) after a RuntimeWarning: in `**`,
+    or for the last value only in the sum over the cells.  It is now a usage
+    error naming p and eps."""
+    out = tmp_path / "out"
+    assert run("solve", "--p", "3", "--eps", eps, "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: the energy overflows at p = 3.0, "
+                                       f"eps = {float(eps)!r} on this grid\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -405,8 +420,22 @@ def test_verify_scaling(tmp_path):
     assert (tmp_path / "scaling.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_scaling_at_high_p_raises_no_overflow_warning(tmp_path):
+    """At p = 17.3 the scaled problem's source is 0.5^16.3, about 1.2e-5, and
+    its trial energies overflowed with a RuntimeWarning.  An overflowing
+    trial now fails the Armijo test silently.  The check still fails (exit
+    1): a source this small is not solved yet, and its rejected Newton step
+    ends the solve `no_descent`."""
+    assert run("verify", "--suite", "scaling", "--p", "17.3", "--nodes", "65",
+               "--out", str(tmp_path)) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["passed"] is False
+
+
 @pytest.mark.parametrize("lam, message", [
     ("1e200", "lambda = 1e+200 scales the problem out of floating-point range"),
+    # lambda^2 f is finite, but the sum of its squares in residual_tolerance is not
+    ("1e100", "lambda = 1e+100 scales the problem out of floating-point range"),
     ("inf", "lambda must be positive and finite, got inf"),
     ("nan", "lambda must be positive and finite, got nan"),
 ])
@@ -415,6 +444,18 @@ def test_verify_scaling_rejects_lambda_out_of_range(tmp_path, capsys, lam, messa
     assert run("verify", "--suite", "scaling", "--lambda", lam, "--nodes", "65",
                "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_theorem1_with_q_that_overflows_exits_two_naming_q(tmp_path, capsys):
+    """At p = 1000 the negative-control cell's q = 2 (p - 1) = 1998 overflowed
+    |u(. + v) - u|^q with a RuntimeWarning."""
+    out = tmp_path / "out"
+    assert run("verify", "--suite", "theorem1", "--p", "1000", "--nodes", "65",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: q = 1998 takes |u(. + v) - u|^q out of "
+                                       "floating-point range\n")
     assert not out.exists()
 
 

@@ -464,27 +464,52 @@ def test_high_p_solve_converges(problem, p, eps):
     assert r.el_residual <= residual_tolerance(spec)
 
 
-def test_stop_reasons():
-    """`stop_reason` names why the final stage stopped, one case per reason."""
+def test_stop_reasons(monkeypatch):
+    """`stop_reason` names why the final stage stopped, one case per reason
+    (no_descent: `test_stop_reason_no_descent`)."""
+    import plapreg.solver as solver_mod
+
     g = Grid.line(-1.0, 1.0, 257)
     assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "converged"
     assert solve(torsion_spec(g, 3.0, 1e-3), max_iter=3).stop_reason == "max_iter"
-    # the gradient norm of the p = 40 oracle at 4097 nodes stalls at ~2.2e-10,
-    # just above grad_tolerance = 2.0e-10, with the EL residual far below its
-    # tolerance
+    # the gradient norm of the p = 40 oracle at 4097 nodes meets its rounding
+    # floor at ~2.2e-10, just above grad_tolerance = 2.0e-10: a polishing step
+    # fails to halve it, and with the EL residual far below its tolerance the
+    # solve converges there
     spec = oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5)
     r = solve(spec)
-    assert (r.converged, r.stop_reason) == (False, "stalled")
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.trace[-1][2] > grad_tolerance(r.energy)
     assert r.el_residual <= 1e-2 * residual_tolerance(spec)
+    # held to an EL residual of 0, the same floor stalls at the same iterate
+    monkeypatch.setattr(solver_mod, "residual_tolerance", lambda spec: 0.0)
+    stalled = solve(spec)
+    assert (stalled.converged, stalled.stop_reason) == (False, "stalled")
+    assert stalled.trace == r.trace
+    np.testing.assert_array_equal(stalled.u.values, r.u.values)
+
+
+@pytest.mark.parametrize("problem", ["torsion", "sharp"])
+@pytest.mark.parametrize("p", [40.0, 80.0])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_high_p_converges_at_4097_nodes(problem, p, eps):
+    """At 4097 nodes the gradient norm of a p = 40 or 80 solve meets its
+    rounding floor above grad_tolerance; the solve converges there, with
+    the EL residual within its tolerance."""
+    g = Grid.line(-1.0, 1.0, 4097)
+    spec = (torsion_spec(g, p, eps) if problem == "torsion"
+            else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual <= residual_tolerance(spec)
 
 
 def test_stop_reason_no_descent(monkeypatch):
-    """A Newton step and a gradient step that both fail the line search end
-    the solve at once."""
+    """A Newton step that fails the line search ends the solve at once."""
     import plapreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_line_search",
-                        lambda spec, vals, order, direction, e0, g_int: (vals, False, e0))
+                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0))
     r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
 
@@ -559,30 +584,33 @@ def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
 
 
 def test_solve_survives_singular_newton_system(monkeypatch):
-    """Started directly at p = 80, a Newton system becomes exactly singular in
-    floating point; the NaN step fails the line search, the step falls
-    back to the gradient direction, and the solve reports unconverged
-    instead of raising."""
+    """Started directly at p = 400, eps = 0.1, the Newton system at the
+    harmonic start is exactly singular in floating point (its entries carry
+    l^398 <= 0.1^398); the line search rejects the NaN step at once,
+    evaluating no trial energy, no other step is tried, and the solve
+    returns `no_descent`, unconverged, instead of raising."""
     import plapreg.solver as solver_mod
 
-    calls = []
-    real_line_search = solver_mod._line_search
+    calls, energies = [], []
+    real_line_search, real_energy = solver_mod._line_search, solver_mod._energy_raw
 
-    def line_search(spec, vals, order, direction, e0, g_int):
-        out = real_line_search(spec, vals, order, direction, e0, g_int)
-        calls.append((np.isnan(direction).any(), np.array_equal(direction, -g_int), out[1]))
+    def line_search(spec, vals, order, direction, e0, slope):
+        before = len(energies)
+        out = real_line_search(spec, vals, order, direction, e0, slope)
+        calls.append((bool(np.isnan(direction).any()), out[1], len(energies) - before))
         return out
 
+    def energy_raw(spec, vals):
+        energies.append(None)
+        return real_energy(spec, vals)
+
     monkeypatch.setattr(solver_mod, "_line_search", line_search)
-    monkeypatch.setattr(solver_mod, "_P_DIRECT", 80.0)
-    spec = oracle_problem(SharpnessOracle(p=80.0), Grid.line(-1.0, 1.0, 129), eps=1e-2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = solve(spec, max_iter=5)
-    assert not r.converged
-    assert r.iterations == 5
-    nan_step = next(i for i, (nan, _, _) in enumerate(calls) if nan)
-    assert calls[nan_step][2] is False  # the NaN Newton step is rejected
-    assert calls[nan_step + 1][1:] == (True, True)  # the gradient fallback is taken
+    monkeypatch.setattr(solver_mod, "_energy_raw", energy_raw)
+    monkeypatch.setattr(solver_mod, "_P_DIRECT", 400.0)
+    spec = oracle_problem(SharpnessOracle(p=400.0), Grid.line(-1.0, 1.0, 129), eps=0.1)
+    r = solve(spec, max_iter=5)
+    assert (r.converged, r.stop_reason, r.iterations) == (False, "no_descent", 0)
+    assert calls == [(True, False, 0)]  # one NaN step, rejected with no trial
 
 
 def test_solve_2d_torsion():
