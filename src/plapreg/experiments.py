@@ -292,11 +292,10 @@ def run_eps_sweep(
                 f"{result.stop_reason} after {result.iterations} iterations, "
                 f"residual {result.el_residual:.3e}"
             )
-        V = _transformed(template.grid, gradient(result.u).values, eps, s)
         return SweepCell(
             eps=eps,
             w1p_norm=sobolev_w1p_norm(result.u, p),
-            alpha_w12=sobolev_w12_norm(V, delta),
+            alpha_w12=_transformed_norm(template.grid, gradient(result.u).values, eps, s, delta),
             el_residual=result.el_residual,
             iterations=result.iterations,
         )
@@ -323,15 +322,20 @@ def run_eps_sweep(
     )
 
 
-def _transformed(grid: Grid, w: np.ndarray, eps: float, s: float) -> VectorField:
-    """alpha_s(w) = l_eps(w)^(s-1) w on grid.  An s that takes it out of
-    floating-point range is a usage error, and the message names s."""
+def _transformed_norm(grid: Grid, w: np.ndarray, eps: float, s: float,
+                      delta: float | None = None) -> float:
+    """The W^{1,2} norm of alpha_s(w) = l_eps(w)^(s-1) w on grid, over the
+    delta-interior if delta is given.  An s that takes alpha_s or its norm
+    out of floating-point range, to inf or to 0, is a usage error, and the
+    message names s."""
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
         alpha = alpha_s(w, eps, s)
-    if not np.isfinite(alpha).all():
+        finite = np.isfinite(alpha).all()
+        norm = sobolev_w12_norm(VectorField(grid, alpha), delta) if finite else math.inf
+    if not 0.0 < norm < math.inf:
         raise ValueError(f"s = {s:g} takes l_eps(grad u)^(s-1) grad u out of "
                          "floating-point range")
-    return VectorField(grid, alpha)
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +361,8 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     solver accuracy; and the s-power transform of the scaled gradient must
     carry the factor lam^s to rounding precision (checked at eps = 0 on
     the same gradient array, pure algebra with no second solve involved).
+    A lam or s that takes lam^s or a transformed norm out of floating-point
+    range, to inf or to 0, raises ValueError: the check would be vacuous.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam:g}")
@@ -380,8 +386,14 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
     u_tol = 10.0 * residual_tolerance(scaled_spec)
 
     w = gradient(base.u).values
-    lhs = sobolev_w12_norm(_transformed(spec.grid, lam * w, 0.0, s))
-    rhs = lam**s * sobolev_w12_norm(_transformed(spec.grid, w, 0.0, s))
+    rhs = _transformed_norm(spec.grid, w, 0.0, s)
+    with np.errstate(over="ignore"):  # caught by the check below
+        lam_s = float(np.float64(lam) ** s)
+    if not 0.0 < lam_s < math.inf:
+        raise ValueError(f"lambda = {lam:g} and s = {s:g} take lambda^s out of "
+                         "floating-point range")
+    rhs *= lam_s
+    lhs = _transformed_norm(spec.grid, lam * w, 0.0, s)
     alpha_gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
     passed = (base.converged and scaled.converged

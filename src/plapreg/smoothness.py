@@ -130,7 +130,8 @@ def _lq(field, values: np.ndarray, q: float) -> float:
         return float(np.max(mag))
     with np.errstate(over="ignore"):  # caught by the check below
         total = _riemann_sum(mag**q, field.grid)
-    if total == np.inf:
+    # a sum of 0 from a difference that is not 0 has underflowed
+    if total == np.inf or total == 0.0 and mag.any():
         raise ValueError(f"q = {q:g} takes |u(. + v) - u|^q out of floating-point range")
     return total ** (1.0 / q)
 

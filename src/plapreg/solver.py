@@ -25,8 +25,11 @@ discrete minimizer.  K_II is filled from the cell blocks directly, with no
 sparse product (`_assemble`).
 
 Minimization is damped Newton on the interior unknowns with the Hessian
-K_II and an Armijo backtracking line search, which returns the energy of
-the iterate it accepts, so the energy of each iterate is evaluated once.
+K_II, and every Newton step is one Armijo backtracking line search, which
+returns the energy of the iterate it accepts, so the energy of each iterate
+is evaluated once.  Once a step's predicted decrease is below the energy's
+float resolution the step polishes: the line search accepts its first
+trial, the full Newton step, as it is.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
 takes its columns in that order.  In 1D K_II is a tridiagonal band, and
@@ -47,15 +50,14 @@ eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci. Comput.
 stage's (p, eps); the energy, gradient, Hessian and line search read p and
 eps from the spec alone.
 The path ends exactly at the requested (p, eps).  Each stage begins by
-evaluating its iterate; once the iteration cap is reached the remaining
-stages are skipped but the last, where the iterate is evaluated once more.
-So the energy, residual and last trace row of a result are those of the
-returned iterate at the requested (p, eps), and `stop_reason` says why
-the final stage stopped.  A stage converges when its gradient norm meets
-`grad_tolerance` (times 1e6 on all but the final stage) or at the rounding
-floor, where a polishing step (the full Newton step, taken once its
-predicted decrease is below the energy's float resolution) fails to halve
-the gradient norm; the final stage also needs the EL residual within
+evaluating its iterate; once the solve has taken `MAX_ITER` Newton steps
+the remaining stages are skipped but the last, where the iterate is
+evaluated once more.  So the energy, residual and last trace row of a
+result are those of the returned iterate at the requested (p, eps), and
+`stop_reason` says why the final stage stopped.  A stage converges when
+its gradient norm meets `grad_tolerance` (times 1e6 on all but the final
+stage) or at the rounding floor, where a polishing step fails to halve the
+gradient norm; the final stage also needs the EL residual within
 `residual_tolerance`, and without it stops `stalled` at the floor.  A
 Newton step that the line search rejects stops a stage `no_descent`.
 
@@ -71,10 +73,10 @@ extension of g and walks the whole (p, eps) path; each finer level starts
 from the coarser iterate, prolonged by linear interpolation (one midpoint
 pass per axis and halving), its boundary reset to g, and runs the final
 (p, eps) stage alone.
-The stage list is one list of (level, p, eps), so a coarse level ends at
-the loose tolerance of an intermediate stage.  The iteration cap counts
-Newton steps over all levels; a capped iterate is prolonged to the problem
-grid and evaluated there.  `SolveResult.levels` records each level's nodes,
+Only the problem grid's stage is final, so a coarse level ends at the
+loose tolerance of an intermediate stage.  The iteration cap counts Newton
+steps over all levels; a capped iterate is prolonged to the problem grid
+and evaluated there.  `SolveResult.levels` records each level's nodes,
 steps, factorizations and final energy.  A grid that does not nest is its
 own only level.
 
@@ -111,7 +113,7 @@ __all__ = [
     "write_solve_result",
 ]
 
-MAX_ITER_DEFAULT = 200
+MAX_ITER = 200  # Newton steps of a solve, over all its levels and stages
 _ARMIJO_C = 1e-4
 _BACKTRACK_MAX = 60
 # boundary values of u are compared against g with this absolute slack
@@ -121,16 +123,18 @@ _BOUNDARY_ATOL = 1e-12
 _ND_LEAF = 4
 # a 2D Newton step solved by CG with the last factor as preconditioner falls
 # back to a fresh factorization once CG reaches this many iterations.  On
-# the 257^2 torsion solve (p = 3, eps = 1e-3) the lagged steps take 2-10 CG
-# iterations, 0.03-0.09 s a step, against 0.25-0.30 s per factorization;
-# the cap is reached once, at the first step of the eps = 1e-2 stage, so 2
-# factorizations serve 8 steps
+# the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm) each level
+# factors at its first step, and the other 8 of the 12 steps (5, 2, 1 and 4
+# on 33^2 ... 257^2) take 3-7 CG iterations, on 257^2 0.05-0.11 s a step
+# against 0.31 s for its factorization; the cap is never reached, so 4
+# factorizations serve 12 steps
 _PCG_CAP = 15
 # Eisenstat-Walker forcing term (their choice 2): CG stops once
 # ||K s + g|| <= eta ||g||, eta = gamma (||g|| / ||g_prev||)^2 clipped to
 # [_ETA_MIN, _ETA_MAX], g_prev the gradient of the previous Newton step.
-# At 257^2 gamma = 0.1 and 0.01 cost 15% and 40% more CG iterations for
-# the same 8 steps; energies agree with factoring every step to rel 5e-16
+# On that solve gamma = 0.1 and 0.01 cost 16% and 43% more CG iterations
+# (51 and 63 against 44) for the same 12 steps, and the energy is that of
+# factoring every step (12 factorizations, 1.6 s against 0.75 s)
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # above this p the solve first doubles p up from the first p / 2**n at or
 # below it (`_path`).  Newton from the harmonic start, on 1D torsion and the
@@ -549,7 +553,7 @@ def _prolong(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
+def solve(spec: ProblemSpec) -> SolveResult:
     """Minimize the discrete energy over interior nodes at fixed trace g.
 
     The minimizer is unique (the energy is strictly convex for eps > 0), so
@@ -570,68 +574,57 @@ def solve(spec: ProblemSpec, max_iter: int = MAX_ITER_DEFAULT) -> SolveResult:
     tol_res = residual_tolerance(spec)
     trace: list[tuple[int, float, float]] = []
     it_total = 0
-    level = None
     rows = {}  # level nodes -> its row of `SolveResult.levels`
     prev_g_norm = np.inf  # the gradient norm at the last Newton step
 
-    stages = [(levels[0], p_k, eps_k) for p_k, eps_k in _path(p, eps)]
-    stages += [(level_k, p, eps) for level_k in levels[1:]]
-    for stage, (level_k, p_k, eps_k) in enumerate(stages):
-        final = stage == len(stages) - 1
-        if level_k is not level:
-            # the coarsest level starts from the harmonic extension of g, a finer
-            # one from the coarser iterate, prolonged until it has the level's
-            # shape; either is reset to g on its boundary
-            level_start = (it_total, solves.factorizations)
-            if level is None:
-                vals = _harmonic_extension(level_k, solves)
-            while vals.shape != level_k.grid.shape:
-                vals = _prolong(vals)
-            level, grid = level_k, level_k.grid
-            order = _gradient_operator(grid)[2]
-            vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
-            solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
-        if it_total >= max_iter and not final:
-            continue  # capped: evaluate the iterate once more, at the target
-        spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
-        stage_scale = 1.0 if final else 1e6  # a warm start needs only a rough minimizer
-        polishing = False
-        e_val = _energy_raw(spec_k, vals)
-        while True:
-            g_full = _gradient_raw(spec_k, vals)
-            g_int = g_full.ravel()[order]
-            g_norm = float(np.linalg.norm(g_int))
-            res = _residual_rms(grid, g_full)
-            trace.append((it_total, e_val, g_norm))
-            # a polishing step that fails to halve the gradient norm hit the rounding floor
-            at_floor = polishing and g_norm >= 0.5 * prev_g_norm
-            if (at_floor or g_norm <= grad_tolerance(e_val) * stage_scale) and (
-                    not final or res <= tol_res):
-                stop = "converged"
-                break
-            if at_floor or it_total >= max_iter:
-                stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
-                break
-
-            step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm,
-                                      prev_g_norm)
-            prev_g_norm = g_norm
-            slope = float(np.dot(g_int, step))
-            polishing = slope < 0.0 and _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e_val))
-            if polishing:
-                # the line search would only compare rounding noise: take the
-                # full Newton step and let the gradient norm decide
-                vals = vals.copy()
-                vals.ravel()[order] += step
-                e_val = _energy_raw(spec_k, vals)
-            else:
-                vals, ok, e_val = _line_search(spec_k, vals, order, step, e_val, slope)
+    for n, level in enumerate(levels):
+        # the coarsest level starts from the harmonic extension of g, a finer
+        # one from the coarser iterate, prolonged until it has the level's
+        # shape; either is reset to g on its boundary
+        grid = level.grid
+        level_start = (it_total, solves.factorizations)
+        if n == 0:
+            vals = _harmonic_extension(level, solves)
+        while vals.shape != grid.shape:
+            vals = _prolong(vals)
+        order = _gradient_operator(grid)[2]
+        vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
+        solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
+        path = [(p, eps)] if n else _path(p, eps)
+        for k, (p_k, eps_k) in enumerate(path):
+            final = n == len(levels) - 1 and k == len(path) - 1
+            if it_total >= MAX_ITER and not final:
+                continue  # capped: evaluate the iterate once more, at the target
+            spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
+            stage_scale = 1.0 if final else 1e6  # a warm start needs only a rough minimizer
+            polished = False
+            e_val = _energy_raw(spec_k, vals)
+            while True:
+                g_full = _gradient_raw(spec_k, vals)
+                g_int = g_full.ravel()[order]
+                g_norm = float(np.linalg.norm(g_int))
+                res = _residual_rms(grid, g_full)
+                trace.append((it_total, e_val, g_norm))
+                # a polishing step that fails to halve the gradient norm hit the rounding floor
+                at_floor = polished and g_norm >= 0.5 * prev_g_norm
+                if (at_floor or g_norm <= grad_tolerance(e_val) * stage_scale) and (
+                        not final or res <= tol_res):
+                    stop = "converged"
+                    break
+                if at_floor or it_total >= MAX_ITER:
+                    stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
+                    break
+                step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm,
+                                          prev_g_norm)
+                prev_g_norm = g_norm
+                vals, ok, e_val, polished = _line_search(spec_k, vals, order, step, e_val,
+                                                         float(np.dot(g_int, step)))
                 if not ok:
                     stop = "no_descent"
                     break
-            it_total += 1
-        rows[grid.nodes] = (grid.nodes, it_total - level_start[0],
-                            solves.factorizations - level_start[1], e_val)
+                it_total += 1
+            rows[grid.nodes] = (grid.nodes, it_total - level_start[0],
+                                solves.factorizations - level_start[1], e_val)
 
     return SolveResult(
         u=ScalarField(grid, vals),
@@ -650,10 +643,14 @@ def _line_search(spec, vals, order, direction, e0, slope):
     """Armijo backtracking along an interior direction (indexed like `order`)
     from vals, whose energy is e0, with slope g_int . direction (a slope not
     below 0, NaN included, fails at once, and a trial energy that overflows
-    fails like any other); returns (new_vals, ok, new_energy), new_energy
-    the energy of new_vals (e0 when no trial is accepted)."""
+    fails like any other); returns (new_vals, ok, new_energy, polished),
+    new_energy the energy of new_vals (e0 when no trial is accepted).  A step
+    whose predicted decrease is below the energy's float resolution, where
+    the Armijo test would compare rounding noise, polishes: its first trial,
+    the full step, is accepted as it is."""
     if not slope < 0.0:
-        return vals, False, e0
+        return vals, False, e0, False
+    polish = _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e0))
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
@@ -662,10 +659,10 @@ def _line_search(spec, vals, order, direction, e0, slope):
             e_trial = _energy_raw(spec, trial)
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution
-        if e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:
-            return trial, True, e_trial
+        if polish or e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:
+            return trial, True, e_trial, polish
         t *= 0.5
-    return vals, False, e0
+    return vals, False, e0, False
 
 
 # ---------------------------------------------------------------------------

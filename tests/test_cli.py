@@ -109,9 +109,9 @@ def test_solve_unconverged_exits_one(tmp_path, monkeypatch, capsys):
     import plapreg.solver
     from plapreg.solver import SolveResult
 
-    def fake_solve(spec, max_iter=200):
+    def fake_solve(spec):
         u = ScalarField(spec.grid, spec.g.values)
-        return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=max_iter,
+        return SolveResult(u=u, energy=0.0, el_residual=1.0, iterations=200,
                            stop_reason="max_iter", trace=[(0, 0.0, 1.0)])
 
     monkeypatch.setattr(plapreg.solver, "solve", fake_solve)
@@ -202,6 +202,17 @@ def test_estimate_malformed_grid_exits_two(tmp_path, capsys, grid_text, message)
              "--grid", str(tmp_path / "grid.json"), "--out", str(out))
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_with_q_that_underflows_exits_two_naming_q(tmp_path, capsys):
+    """At q = 1e308 every |u(. + v) - u|^q of the oracle gradient underflowed
+    to 0, and the gradient was reported constant-like with fitted_theta 1."""
+    out = tmp_path / "out"
+    assert run("estimate", "--p", "3", "--q", "1e308", "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == ("error: q = 1e+308 takes |u(. + v) - u|^q out of "
+                                       "floating-point range\n")
     assert not out.exists()
 
 
@@ -321,7 +332,8 @@ def test_sweep_non_finite_eps_exits_two_before_any_solve(tmp_path, capsys, monke
     (["solve", "--p", "2.5", "--oracle", "torsion", "--eps", "1e-320"], 0),
     (["sweep", "--p", "3", "--eps", "1e-320"], 0),
     (["verify", "--suite", "eps-uniform", "--eps", "1e-320"], 0),
-    (["verify", "--suite", "scaling", "--lambda", "1e-320"], 0),
+    # lambda^s and both transformed norms underflow to 0: a vacuous check
+    (["verify", "--suite", "scaling", "--lambda", "1e-320"], 2),
     (["estimate", "--p", "4", "--delta", "1e308"], 2),
     (["verify", "--suite", "theorem1", "--delta", "1e308"], 2),
 ])
@@ -332,7 +344,7 @@ def test_extreme_eps_and_delta_end_with_a_documented_exit_code(tmp_path, capsys,
     out = tmp_path / "out"
     assert run(*argv, "--nodes", "65", "--out", str(out)) == code
     assert out.exists() == (code == 0)
-    if code == 2:
+    if "--delta" in argv:
         assert "error: interior of radius 2 is empty" in capsys.readouterr().err
 
 
@@ -370,6 +382,26 @@ def test_s_that_overflows_the_transform_exits_two_naming_s(tmp_path, capsys, arg
     assert run(*argv, "--s", "1e200", "--nodes", "65", "--out", str(out)) == 2
     assert capsys.readouterr().err == ("error: s = 1e+200 takes l_eps(grad u)^(s-1) grad u "
                                        "out of floating-point range\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, s, message", [
+    (["sweep", "--p", "3"], "1e5", "s = 100000 takes l_eps(grad u)^(s-1) grad u"),
+    (["verify", "--suite", "eps-uniform"], "1e5", "s = 100000 takes l_eps(grad u)^(s-1) grad u"),
+    (["verify", "--suite", "scaling"], "1e5", "lambda = 0.5 and s = 100000 take lambda^s"),
+    (["verify", "--suite", "scaling", "--lambda", "1e-10"], "40",
+     "lambda = 1e-10 and s = 40 take lambda^s"),
+    (["verify", "--suite", "scaling", "--lambda", "0.5"], "1100",
+     "lambda = 0.5 and s = 1100 take lambda^s"),
+], ids=["sweep", "eps-uniform", "scaling", "scaling-lambda-1e-10", "scaling-s-1100"])
+def test_s_that_underflows_the_transform_exits_two_naming_s(tmp_path, capsys, argv, s, message):
+    """l_eps(grad u)^(s-1) grad u, its W^{1,2} norm or lambda^s underflowed
+    to 0: the sweeps ended in a ZeroDivisionError traceback, and the scaling
+    check, with lambda^s and both norms 0, passed with alpha_rel_gap 0."""
+    out = tmp_path / "out"
+    assert run(*argv, "--s", s, "--nodes", "65", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message} out of floating-point range\n"
     assert not out.exists()
 
 

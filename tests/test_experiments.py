@@ -225,11 +225,11 @@ def test_eps_sweep_single_tail_value_is_inconclusive():
 def test_eps_sweep_aborts_on_unconverged(monkeypatch):
     import plapreg.solver
 
-    def fake_solve(spec, max_iter=200):
+    def fake_solve(spec):
         from plapreg.solver import SolveResult
 
         return SolveResult(
-            u=spec.g, energy=0.0, el_residual=1.0, iterations=max_iter,
+            u=spec.g, energy=0.0, el_residual=1.0, iterations=200,
             stop_reason="stalled", trace=[],
         )
 
@@ -251,7 +251,7 @@ def test_eps_sweep_validation():
 def test_eps_sweep_rejects_a_non_finite_eps_before_any_solve(monkeypatch, bad):
     import plapreg.solver
 
-    def no_solve(spec, max_iter=200):
+    def no_solve(spec):
         raise AssertionError(f"solved eps = {spec.params.eps:g}")
 
     monkeypatch.setattr(plapreg.solver, "solve", no_solve)

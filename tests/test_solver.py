@@ -412,10 +412,13 @@ def test_solve_is_init_independent(monkeypatch):
     assert gap <= 10.0 * residual_tolerance(spec)
 
 
-def test_solve_unconverged_is_flagged():
+def test_solve_unconverged_is_flagged(monkeypatch):
+    import plapreg.solver as solver_mod
+
     g = Grid.line(-1.0, 1.0, 257)
     spec = torsion_spec(g, 4.0, 1e-4)
-    r = solve(spec, max_iter=2)
+    monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
+    r = solve(spec)
     assert not r.converged
     assert r.iterations == 2
 
@@ -471,7 +474,9 @@ def test_stop_reasons(monkeypatch):
 
     g = Grid.line(-1.0, 1.0, 257)
     assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "converged"
-    assert solve(torsion_spec(g, 3.0, 1e-3), max_iter=3).stop_reason == "max_iter"
+    with monkeypatch.context() as capped:
+        capped.setattr(solver_mod, "MAX_ITER", 3)
+        assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "max_iter"
     # the gradient norm of the p = 40 oracle at 4097 nodes meets its rounding
     # floor at ~2.2e-10, just above grad_tolerance = 2.0e-10: a polishing step
     # fails to halve it, and with the EL residual far below its tolerance the
@@ -509,15 +514,39 @@ def test_stop_reason_no_descent(monkeypatch):
     import plapreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_line_search",
-                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0))
+                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False))
     r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
 
 
+def test_every_newton_step_is_one_line_search(monkeypatch):
+    """Each Newton step, a polishing one included, is one `_line_search`
+    call: a converged solve makes as many calls as it takes steps."""
+    import plapreg.solver as solver_mod
+
+    real = solver_mod._line_search
+    outs = []
+
+    def line_search(*args):
+        outs.append(real(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(solver_mod, "_line_search", line_search)
+    for spec in (
+        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
+        torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
+    ):
+        outs.clear()
+        r = solve(spec)
+        assert r.converged and len(outs) == r.iterations
+        assert all(ok for _, ok, _, _ in outs)
+        assert any(polished for *_, polished in outs)  # both solves end by polishing
+
+
 def test_no_iterate_energy_is_evaluated_twice(monkeypatch):
     """Each stage evaluates its start once and then carries the energy that
-    the line search accepted (a polishing step evaluates its own iterate):
-    no (p, eps, grid, iterate) is evaluated twice."""
+    the line search accepted (a polishing step's included): no (p, eps,
+    grid, iterate) is evaluated twice."""
     import plapreg.solver as solver_mod
 
     real = solver_mod._energy_raw
@@ -541,25 +570,29 @@ def test_no_iterate_energy_is_evaluated_twice(monkeypatch):
         assert [key[:3] for key, count in seen.items() if count > 1] == []
 
 
-def test_solve_result_is_its_last_evaluation():
+def test_solve_result_is_its_last_evaluation(monkeypatch):
     """A solve capped before its final stage evaluates the iterate it returns
     once more, at the requested (p, eps), and nowhere else; one capped at the
     step where it converges reports convergence."""
+    import plapreg.solver as solver_mod
+
     g = Grid.line(-1.0, 1.0, 257)
     spec = torsion_spec(g, 4.0, 1e-4)
-    capped = solve(spec, max_iter=2)
+    full = solve(spec)
+    monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
+    capped = solve(spec)
     assert capped.trace[-1][:2] == (2, capped.energy)
     assert capped.energy == energy(spec, capped.u)
     assert capped.el_residual == el_residual(spec, capped.u)
     # capped in the first of four eps stages, and of six (p, eps) stages
     for spec_k in (spec, torsion_spec(g, 40.0, 1e-4)):
-        capped = solve(spec_k, max_iter=2)
+        capped = solve(spec_k)
         assert [row[0] for row in capped.trace] == [0, 1, 2, 2]
         assert capped.stop_reason == "max_iter"
         assert capped.energy == energy(spec_k, capped.u)
-    full = solve(spec)
     assert full.converged
-    at_cap = solve(spec, max_iter=full.iterations)
+    monkeypatch.setattr(solver_mod, "MAX_ITER", full.iterations)
+    at_cap = solve(spec)
     assert at_cap.converged and at_cap.trace == full.trace
     np.testing.assert_array_equal(at_cap.u.values, full.u.values)
 
@@ -608,7 +641,8 @@ def test_solve_survives_singular_newton_system(monkeypatch):
     monkeypatch.setattr(solver_mod, "_energy_raw", energy_raw)
     monkeypatch.setattr(solver_mod, "_P_DIRECT", 400.0)
     spec = oracle_problem(SharpnessOracle(p=400.0), Grid.line(-1.0, 1.0, 129), eps=0.1)
-    r = solve(spec, max_iter=5)
+    monkeypatch.setattr(solver_mod, "MAX_ITER", 5)
+    r = solve(spec)
     assert (r.converged, r.stop_reason, r.iterations) == (False, "no_descent", 0)
     assert calls == [(True, False, 0)]  # one NaN step, rejected with no trial
 
@@ -819,17 +853,20 @@ def test_nested_solve_matches_single_level(nodes, p, coarse, monkeypatch):
     assert nested.levels[-1][3] == nested.energy
 
 
-@pytest.mark.parametrize("max_iter", [0, 3, 7])
-def test_capped_nested_solve_returns_a_fine_iterate(max_iter):
+@pytest.mark.parametrize("cap", [0, 3, 7])
+def test_capped_nested_solve_returns_a_fine_iterate(cap, monkeypatch):
     """Capped on a coarse level, a nested solve prolongs its iterate to the
     problem grid (a box level by level, a line by 16 in four passes) and
     evaluates it there once, at the target (p, eps)."""
+    import plapreg.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "MAX_ITER", cap)
     for grid in (Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129)), Grid.line(-1.0, 1.0, 4097)):
         spec = torsion_spec(grid, 3.0, 1e-3)
-        r = solve(spec, max_iter=max_iter)
-        assert r.u.grid == grid and r.iterations == max_iter
+        r = solve(spec)
+        assert r.u.grid == grid and r.iterations == cap
         assert (r.converged, r.stop_reason) == (False, "max_iter")
-        assert r.trace[-1][:2] == (max_iter, energy(spec, r.u)) and r.energy == r.trace[-1][1]
+        assert r.trace[-1][:2] == (cap, energy(spec, r.u)) and r.energy == r.trace[-1][1]
         assert r.el_residual == el_residual(spec, r.u)
         assert r.levels[-1][:2] == (grid.nodes, 0)
 
