@@ -393,7 +393,13 @@ def run_scaling_check(spec: ProblemSpec, lam: float) -> ScalingReport:
         raise ValueError(f"lambda = {lam:g} and s = {s:g} take lambda^s out of "
                          "floating-point range")
     rhs *= lam_s
-    lhs = _transformed_norm(spec.grid, lam * w, 0.0, s)
+    with np.errstate(over="ignore"):  # an infinite lam * w fails the transform's check
+        lam_w = lam * w
+    try:
+        lhs = _transformed_norm(spec.grid, lam_w, 0.0, s)
+    except ValueError:  # s alone passed on grad u above: lambda is at fault too
+        raise ValueError(f"lambda = {lam:g} and s = {s:g} take l_eps(lambda grad u)^(s-1) "
+                         "lambda grad u out of floating-point range") from None
     alpha_gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
     passed = (base.converged and scaled.converged

@@ -35,11 +35,14 @@ The interior unknowns are numbered once per grid in elimination order
 takes its columns in that order.  In 1D K_II is a tridiagonal band, and
 each Newton step is one LAPACK tridiagonal solve of it.  A 2D K_II has a
 fixed 9-point pattern and arrives ordered for a SuperLU factorization in
-symmetric mode with no fill-reducing permutation of its own.  The 2D
-Hessians change little from step to step, so a step after the first
-solves K_II by CG preconditioned with the last factor, to an
-Eisenstat-Walker forcing term (inexact Newton), and factors afresh only
-when CG reaches an iteration cap or returns a non-finite step.
+symmetric mode with no fill-reducing permutation of its own.  That factor
+is single precision: K_II is scaled to unit diagonal, so that its entries
+fit float32, and factored in float32, which halves the memory its values
+take; a direct step is refined to double precision by two float64 sweeps
+(`_LinearSolves`).  The 2D Hessians change little from step to step, so
+a step after the first solves K_II by CG preconditioned with the last
+factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
+afresh only when CG reaches an iteration cap or returns a non-finite step.
 The solve walks one (p, eps) continuation path, warm starting each stage.
 For small eps it is a geometric eps path, which keeps Newton steps well
 scaled even when the initial iterate has vanishing gradient.  Above
@@ -123,18 +126,19 @@ _BOUNDARY_ATOL = 1e-12
 _ND_LEAF = 4
 # a 2D Newton step solved by CG with the last factor as preconditioner falls
 # back to a fresh factorization once CG reaches this many iterations.  On
-# the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm) each level
-# factors at its first step, and the other 8 of the 12 steps (5, 2, 1 and 4
-# on 33^2 ... 257^2) take 3-7 CG iterations, on 257^2 0.05-0.11 s a step
-# against 0.31 s for its factorization; the cap is never reached, so 4
-# factorizations serve 12 steps
+# the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm) with the
+# float32 factor, each level factors at its first step, and the other 8 of
+# the 12 steps (5, 2, 1 and 4 on 33^2 ... 257^2) take 3-7 CG iterations, on
+# 257^2 0.04-0.10 s a step against 0.31 s for the direct step (factorization
+# and two refinement sweeps); the cap is never reached, so 4 factorizations
+# serve 12 steps
 _PCG_CAP = 15
 # Eisenstat-Walker forcing term (their choice 2): CG stops once
 # ||K s + g|| <= eta ||g||, eta = gamma (||g|| / ||g_prev||)^2 clipped to
 # [_ETA_MIN, _ETA_MAX], g_prev the gradient of the previous Newton step.
 # On that solve gamma = 0.1 and 0.01 cost 16% and 43% more CG iterations
 # (51 and 63 against 44) for the same 12 steps, and the energy is that of
-# factoring every step (12 factorizations, 1.6 s against 0.75 s)
+# factoring every step, within 2e-16 (12 factorizations, 1.46 s against 0.80 s)
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # above this p the solve first doubles p up from the first p / 2**n at or
 # below it (`_path`).  Newton from the harmonic start, on 1D torsion and the
@@ -411,22 +415,23 @@ class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
     A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
-    band, SuperLU on a 2D K, whose factor is kept.  The next Newton step
-    solves its own K by CG preconditioned with the kept factor, to the
-    Eisenstat-Walker forcing term, set by the gradient norms of this step
-    and the previous one, both of which `solve` passes in; when CG reaches
-    `_PCG_CAP` iterations or returns a non-finite step, the step is solved
-    directly and the new factor replaces the old.  `solve` drops the factor
-    as each level starts, so neither the harmonic start's factor nor a
-    coarser level's preconditions a new K.  The factor lives only as long
-    as this object, and the old one is released before SuperLU allocates the
-    new one, so at most one is ever held.  A 1D band has no factor to keep
-    (it costs less to solve than CG to iterate), so there every step is
-    direct.
+    band, SuperLU on a 2D K, whose float32 factor is kept and applied only
+    through `precondition`.  The next Newton step solves its own K by CG
+    preconditioned with it, to the Eisenstat-Walker forcing term, set by the
+    gradient norms of this step and the previous one, both of which `solve`
+    passes in; when CG reaches `_PCG_CAP` iterations or returns a
+    non-finite step, the step is solved directly and the new factor
+    replaces the old.  `solve` drops the factor as each level starts, so
+    neither the harmonic start's factor nor a coarser level's preconditions
+    a new K.  The factor lives only as long as this object, and the old one
+    is released before SuperLU allocates the new one, so at most one is ever
+    held.  A 1D band has no factor to keep (it costs less to solve than CG
+    to iterate), so there every step is direct.
     """
 
     def __init__(self):
         self.lu = None
+        self.d = None  # diag(K)^-1/2 of the K that `lu` factors
         self.factorizations = 0
         self.cg_iterations = 0
 
@@ -435,10 +440,19 @@ class _LinearSolves:
         SuperLU factor is kept as the preconditioner.
 
         The 1D band is solved by `scipy.linalg.solve_banded` (LAPACK gtsv).
-        A 2D K, its unknowns in elimination order, is factored by SuperLU in
-        symmetric mode with no fill-reducing permutation of its own.  An
-        exactly singular K gives a NaN solution instead of an exception: the
-        line search rejects its NaN slope and the stage stops `no_descent`.
+        A 2D K, its unknowns in elimination order, is scaled to unit diagonal
+        on its own pattern, d K d with d = diag(K)^-1/2, so that every entry
+        lies in [-1, 1] and none under- or overflows float32 (Higham, Pranesh
+        & Zounon, SIAM J. Sci. Comput. 41, 2019); it is cast to float32 and
+        factored by SuperLU in symmetric mode with no fill-reducing
+        permutation of its own.  The step is M rhs (`precondition`) and two
+        float64 refinement sweeps x += M (rhs - K x), which bring it to
+        double precision (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
+        An exactly singular K gives a NaN solution instead of an exception:
+        the line search rejects its NaN slope and the stage stops
+        `no_descent`.  So does a 2D K whose diagonal is not positive and
+        finite, unfactored (K is positive semidefinite, so a zero diagonal
+        entry heads a zero row).
         """
         self.lu = None  # release the old factor before SuperLU allocates a new one
         self.factorizations += 1
@@ -447,11 +461,36 @@ class _LinearSolves:
                 return sla.solve_banded((1, 1), K, rhs, check_finite=False)
             except np.linalg.LinAlgError:  # gtsv: "singular matrix"
                 return np.full(rhs.shape, np.nan)
+        d = K.diagonal()
+        if not ((d > 0.0) & (d < np.inf)).all():
+            return np.full(rhs.shape, np.nan)
+        d = 1.0 / np.sqrt(d)
+        # one statement, so that no float64 temporary is alive while SuperLU runs
+        scaled = sp.csc_matrix(
+            ((K.data * d[K.indices] * np.repeat(d, np.diff(K.indptr))).astype(np.float32),
+             K.indices, K.indptr), shape=K.shape)
         try:
-            self.lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+            self.lu = spla.splu(scaled, permc_spec="NATURAL", options={"SymmetricMode": True})
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             return np.full(rhs.shape, np.nan)
-        return self.lu.solve(rhs)
+        self.d = d
+        x = self.precondition(rhs)
+        for _ in range(2):
+            x += self.precondition(rhs - K @ x)
+        return x
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """M r = d * LU^-1 (d * r) with the kept float32 factor, in float64.
+
+        d * r is divided by its largest magnitude before the float32 cast,
+        and the solve multiplied by it after, so the cast neither under- nor
+        overflows.  A zero r gives 0 and a non-finite r a non-finite M r.
+        """
+        y = self.d * r
+        s = float(np.max(np.abs(y)))
+        if not 0.0 < s < np.inf:
+            return np.full(r.shape, np.nan if s else 0.0)
+        return self.d * self.lu.solve((y / s).astype(np.float32)) * s
 
     def newton_step(self, K: np.ndarray | sp.csc_matrix, g_int: np.ndarray,
                     g_norm: float, prev: float) -> np.ndarray:
@@ -468,7 +507,7 @@ class _LinearSolves:
     def _pcg(self, K, rhs, rtol):
         """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
         its = []  # one entry per CG iteration
-        M = spla.LinearOperator(K.shape, matvec=self.lu.solve, dtype=float)
+        M = spla.LinearOperator(K.shape, matvec=self.precondition, dtype=float)
         step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M,
                           callback=lambda _: its.append(None))
         self.cg_iterations += len(its)

@@ -406,6 +406,20 @@ def test_s_that_underflows_the_transform_exits_two_naming_s(tmp_path, capsys, ar
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, s", [("1e-100", "3"), ("1e-150", "2"), ("1e10", "30")])
+def test_lambda_that_takes_the_scaled_transform_out_of_range_is_named(tmp_path, capsys, lam, s):
+    """s alone keeps l_eps(grad u)^(s-1) grad u in range, but not on lambda
+    grad u: the message named s only."""
+    out = tmp_path / "out"
+    assert run("verify", "--suite", "scaling", "--lambda", lam, "--s", s, "--nodes", "65",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: lambda = {float(lam):g} and s = {s} take l_eps(lambda grad u)^(s-1) "
+        "lambda grad u out of floating-point range\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eps", ["1e150", "5.643803094122362e+102", "2.0349431468493997e+102"])
 def test_eps_whose_energy_overflows_exits_two_naming_p_and_eps(tmp_path, capsys, eps):
     """A cell's energy density is at least eps^p / p, so at p = 3 on 65 nodes

@@ -302,6 +302,17 @@ def test_scaling_law_holds(lam):
     assert rep.alpha_rel_gap <= 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-15, 1e15])
+def test_scaling_law_holds_at_extreme_lambda_in_2d(lam):
+    """At p = 5 the scaled problem's Hessians carry lam^(p-2) = 1e-45 or
+    1e+45, outside float32's range; the 2D factor, taken in float32 after
+    scaling K to unit diagonal, still solves both problems to the law."""
+    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    rep = run_scaling_check(oracle_problem(SharpnessOracle(p=5.0), g, eps=1e-3), lam=lam)
+    assert rep.passed
+
+
 def test_scaling_scales_the_source():
     # lam^{p-1} on f is what makes the minimizer scale linearly; feeding
     # the wrong power must break the match by far more than the tolerance

@@ -329,6 +329,63 @@ def test_singular_1d_band_gives_a_nan_step():
     assert solves.factorizations == 1 and solves.lu is None
 
 
+def test_singular_2d_hessian_gives_a_nan_step():
+    """The unit-diagonal scaling of a 2D K divides by diag(K): a zero
+    diagonal still gives a NaN step, with no exception, no RuntimeWarning
+    and no factor kept."""
+    from plapreg.solver import _LinearSolves, _assemble
+
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
+    solves = _LinearSolves()
+    step = solves.direct(_assemble(g, np.zeros((64, 2, 2))), np.ones(49))
+    assert step.shape == (49,) and np.isnan(step).all()
+    assert solves.factorizations == 1 and solves.lu is None
+
+
+def test_2d_preconditioner_keeps_zero_and_non_finite_residuals():
+    """M 0 = 0, and a residual with an inf or NaN entry gives a non-finite
+    M r, so PCG's finiteness check still refactors; neither warns."""
+    from plapreg.solver import _LinearSolves, _assemble
+
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
+    solves = _LinearSolves()
+    solves.direct(_assemble(g, np.broadcast_to(np.eye(2), (64, 2, 2))), np.ones(49))
+    np.testing.assert_array_equal(solves.precondition(np.zeros(49)), np.zeros(49))
+    for bad in (np.inf, np.nan):
+        r = np.ones(49)
+        r[7] = bad
+        assert not np.isfinite(solves.precondition(r)).any()
+
+
+def test_2d_factor_is_single_precision_and_pcg_steps_meet_their_forcing(monkeypatch):
+    """Every 2D factor of the 65^2 torsion solve is float32, and every
+    lagged-factor PCG step meets its Eisenstat-Walker forcing term in the
+    float64 residual: ||K s + g|| <= eta ||g||."""
+    import plapreg.solver as solver_mod
+
+    real_direct, real_pcg = solver_mod._LinearSolves.direct, solver_mod._LinearSolves._pcg
+    dtypes, ratios = [], []
+
+    def direct(self, K, rhs):
+        step = real_direct(self, K, rhs)
+        dtypes.append(self.lu.L.dtype)
+        return step
+
+    def pcg(self, K, rhs, rtol):
+        step = real_pcg(self, K, rhs, rtol)
+        if step is not None:
+            ratios.append(np.linalg.norm(K @ step - rhs) / (rtol * np.linalg.norm(rhs)))
+        return step
+
+    monkeypatch.setattr(solver_mod._LinearSolves, "direct", direct)
+    monkeypatch.setattr(solver_mod._LinearSolves, "_pcg", pcg)
+    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3))
+    assert r.converged and len(dtypes) == r.factorizations >= 2
+    assert all(dtype == np.float32 for dtype in dtypes)
+    assert len(ratios) == r.iterations - r.factorizations > 0
+    assert max(ratios) <= 1.0
+
+
 def test_1d_solve_calls_no_superlu(monkeypatch):
     """1D Newton steps and the harmonic start solve the tridiagonal band
     with LAPACK, so a solve converges with SuperLU unavailable."""
