@@ -32,13 +32,13 @@ float resolution the step polishes: the line search accepts its first
 trial, the full Newton step, as it is.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
-takes its columns in that order.  In 1D K_II is a tridiagonal band, and
-each Newton step is one LAPACK tridiagonal solve of it.  A 2D K_II has a
-fixed 9-point pattern and arrives ordered for a SuperLU factorization in
-symmetric mode with no fill-reducing permutation of its own.  That factor
-is single precision: K_II is scaled to unit diagonal, so that its entries
-fit float32, and factored in float32, which halves the memory its values
-take; a direct step is refined to double precision by two float64 sweeps
+takes its columns in that order.  A 1D K_II is solved by two prefix sums
+in numpy alone (scipy loads only in 2D).  A 2D K_II has a fixed 9-point
+pattern and arrives ordered for a SuperLU factorization in symmetric mode
+with no fill-reducing permutation of its own.  That factor is single
+precision: K_II is scaled to unit diagonal, so that its entries fit
+float32, and factored in float32, which halves the memory its values take;
+a direct step is refined to double precision by two float64 sweeps
 (`_LinearSolves`).  The 2D Hessians change little from step to step, so
 a step after the first solves K_II by CG preconditioned with the last
 factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
@@ -96,9 +96,6 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import (
     Grid, ProblemSpec, ScalarField,
@@ -181,8 +178,7 @@ class SolveResult:
     # floor, EL residual above its tolerance) or no_descent (Newton step rejected)
     stop_reason: str
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
-    # direct factorizations, harmonic start included: LAPACK tridiagonal in 1D,
-    # SuperLU in 2D
+    # direct solves, harmonic start included: prefix sums in 1D, SuperLU in 2D
     factorizations: int = 0
     cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
@@ -215,7 +211,7 @@ def _gradient_operator(grid: Grid) -> tuple:
     flat ids of the interior nodes in elimination order (see
     `_elimination_order`); interior vectors and the Hessian K_II are indexed
     by position in `order`.  `fill` is `_stencil_fill`'s (C, indptr,
-    indices, src) in 2D and None in 1D, where K_II is a band (`_assemble`).
+    indices, src) in 2D and None in 1D, where `_assemble` needs no pattern.
     The cached arrays are shared by every caller and must not be modified.
     """
     G = np.array([[(2 * corner[k] - 1) / (2 ** (grid.dim - 1) * h)
@@ -268,7 +264,7 @@ def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
 def _elimination_order(ids: np.ndarray) -> np.ndarray:
     """The interior node ids `ids` (one axis per grid axis) in elimination order.
 
-    1D: natural order; the Hessian is tridiagonal and factors without fill.
+    1D: natural order, in which `direct` solves by prefix sums.
     2D: nested dissection.  A block is split at the middle row or column of
     its longer side; the two halves are ordered recursively and the
     separator line last.  A cell spans two adjacent rows (columns), so no
@@ -338,35 +334,30 @@ def _gradient_raw(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray:
     return _gradient_adjoint(grid, flux) + grid.quad_weights() * spec.f.values
 
 
-def _interior_hessian(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray | sp.csc_matrix:
+def _interior_hessian(spec: ProblemSpec, vals: np.ndarray):
     """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns.
 
-    Rows and columns follow the interior elimination order of the grid.
+    Rows and columns in elimination order; a 1D K_II is its cell weights.
     """
     grid = spec.grid
     return _assemble(grid, grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals),
                                                          spec.params.eps, spec.params.p))
 
 
-def _assemble(grid: Grid, Hc: np.ndarray) -> np.ndarray | sp.csc_matrix:
+def _assemble(grid: Grid, Hc: np.ndarray):
     """D_I^T blockdiag(Hc) D_I from the cell blocks Hc, shape (cells, dim, dim).
 
-    1D: the tridiagonal band, laid out for `scipy.linalg.solve_banded` with
-    one sub- and one superdiagonal.  With t = Hc * (1/h) * (1/h) per cell,
-    the diagonal is t[:-1] + t[1:] and the off-diagonals are -t[1:-1]: the
-    products and sums of the sparse product, so bitwise its result.  2D: a
-    CSC matrix with the fixed pattern of `_stencil_fill`.  Each cell's
-    corner stiffness G^T H G is added into the 9-point stencil S of its
-    corners, and K_II's data are gathered from S; the sums run in another
-    order than the sparse product's.
+    1D: the n + 1 cell weights t = Hc * (1/h) * (1/h), from which `direct`
+    solves; K_II's diagonal t[:-1] + t[1:] and off-diagonals -t[1:-1] are
+    bitwise the sparse product's.  2D: a CSC matrix with the fixed pattern
+    of `_stencil_fill`.  Each cell's corner stiffness G^T H G is added into
+    the 9-point stencil S of its corners, and K_II's data are gathered from
+    S; the sums run in another order than the sparse product's.
     """
     if grid.dim == 1:
         c = 1.0 / grid.h[0]
-        t = Hc.ravel() * c * c
-        band = np.zeros((3, len(t) - 1))
-        band[0, 1:] = band[2, :-1] = -t[1:-1]
-        band[1] = t[:-1] + t[1:]
-        return band
+        return Hc.ravel() * c * c
+    import scipy.sparse as sp
     C, indptr, indices, src = _gradient_operator(grid)[1]
     n0, n1 = grid.nodes
     H = Hc.reshape(-1, 4)
@@ -414,8 +405,8 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
-    A direct solve factors K afresh: LAPACK's tridiagonal solver on the 1D
-    band, SuperLU on a 2D K, whose float32 factor is kept and applied only
+    A direct solve solves K afresh: by two prefix sums in 1D (`direct`), by
+    SuperLU on a 2D K, whose float32 factor is kept and applied only
     through `precondition`.  The next Newton step solves its own K by CG
     preconditioned with it, to the Eisenstat-Walker forcing term, set by the
     gradient norms of this step and the previous one, both of which `solve`
@@ -425,7 +416,7 @@ class _LinearSolves:
     neither the harmonic start's factor nor a coarser level's preconditions
     a new K.  The factor lives only as long as this object, and the old one
     is released before SuperLU allocates the new one, so at most one is ever
-    held.  A 1D band has no factor to keep (it costs less to solve than CG
+    held.  A 1D K has no factor to keep (it costs less to solve than CG
     to iterate), so there every step is direct.
     """
 
@@ -435,11 +426,15 @@ class _LinearSolves:
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def direct(self, K: np.ndarray | sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    def direct(self, K, rhs: np.ndarray) -> np.ndarray:
         """K^{-1} rhs for a K_II from `_assemble`, by a fresh factorization; a
         SuperLU factor is kept as the preconditioner.
 
-        The 1D band is solved by `scipy.linalg.solve_banded` (LAPACK gtsv).
+        A 1D K is its cell weights t, solved by two prefix sums: for S =
+        [0, cumsum(rhs)] less S[m], m the cell of least t, and w = 1 / t, the
+        increments D_I x are y = ((S . w) / sum(w) - S) w, which sum to 0; x
+        sums y from either end up to m, never adding y[m], which may dwarf x.
+        A weight not positive, normal and finite, or an overflow, gives NaN.
         A 2D K, its unknowns in elimination order, is scaled to unit diagonal
         on its own pattern, d K d with d = diag(K)^-1/2, so that every entry
         lies in [-1, 1] and none under- or overflows float32 (Higham, Pranesh
@@ -448,19 +443,24 @@ class _LinearSolves:
         permutation of its own.  The step is M rhs (`precondition`) and two
         float64 refinement sweeps x += M (rhs - K x), which bring it to
         double precision (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
-        An exactly singular K gives a NaN solution instead of an exception:
-        the line search rejects its NaN slope and the stage stops
-        `no_descent`.  So does a 2D K whose diagonal is not positive and
-        finite, unfactored (K is positive semidefinite, so a zero diagonal
-        entry heads a zero row).
+        An exactly singular 2D K, or one whose diagonal is not positive and
+        finite (K is positive semidefinite, so a zero diagonal entry heads a
+        zero row; it is not factored), gives NaN, not an exception: the line
+        search rejects a NaN slope and the stage stops `no_descent`.
         """
         self.lu = None  # release the old factor before SuperLU allocates a new one
         self.factorizations += 1
-        if isinstance(K, np.ndarray):
-            try:
-                return sla.solve_banded((1, 1), K, rhs, check_finite=False)
-            except np.linalg.LinAlgError:  # gtsv: "singular matrix"
-                return np.full(rhs.shape, np.nan)
+        if isinstance(K, np.ndarray):  # 1D: the cell weights t
+            with np.errstate(all="ignore"):  # a bad weight or sum fails the check below
+                w, m = 1.0 / K, int(np.argmin(K))  # K[m]: the least weight, or a NaN
+                S = np.concatenate(([0.0], np.cumsum(rhs)))
+                S -= S[m]
+                y = (S @ w / w.sum() - S) * w
+                x = np.concatenate((np.cumsum(y[:m]), -np.cumsum(y[:m:-1])[::-1]))
+            ok = K[m] >= np.finfo(float).tiny and K.max() < np.inf and np.isfinite(x).all()
+            return x if ok else np.full(rhs.shape, np.nan)
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         d = K.diagonal()
         if not ((d > 0.0) & (d < np.inf)).all():
             return np.full(rhs.shape, np.nan)
@@ -492,8 +492,7 @@ class _LinearSolves:
             return np.full(r.shape, np.nan if s else 0.0)
         return self.d * self.lu.solve((y / s).astype(np.float32)) * s
 
-    def newton_step(self, K: np.ndarray | sp.csc_matrix, g_int: np.ndarray,
-                    g_norm: float, prev: float) -> np.ndarray:
+    def newton_step(self, K, g_int: np.ndarray, g_norm: float, prev: float) -> np.ndarray:
         """The Newton step K^{-1} (-g_int); g_norm = ||g_int||, and prev is
         the norm at the previous step, which sets the CG forcing term."""
         rhs = -g_int
@@ -506,6 +505,7 @@ class _LinearSolves:
 
     def _pcg(self, K, rhs, rtol):
         """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
+        import scipy.sparse.linalg as spla
         its = []  # one entry per CG iteration
         M = spla.LinearOperator(K.shape, matvec=self.precondition, dtype=float)
         step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M,

@@ -9,6 +9,7 @@ and exits 1 when one leaves its interval.  Moving a constant is one edit of
 `TABLE`, logged in CHANGES.md.
 """
 
+import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -49,6 +50,8 @@ TABLE = {
     "w12_h": Frozen(0, 1.0, 0.880, "|W^{1,2} seminorm^2 error| / h, 33^2 and 65^2"),
     "w12_ratio": Frozen(0.5 - 0.05, 0.5 + 0.05, 0.496, "that error at 65^2 over 33^2"),
     "high_p_steps": Frozen(0, 40, 31, "Newton steps of the p = 20 and 40 solves"),
+    "line_solve_rel": Frozen(0, 2e-14, 5.62e-15, "worst relative error of the 1D prefix-sum "
+                             "solve, weights over 20 decades, n = 1, 2, 255, 4095"),
 }
 
 
@@ -146,3 +149,46 @@ def high_p_solve(problem, p, eps):
     spec = (torsion_spec(g, p, eps) if problem == "torsion"
             else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
     return spec, solve(spec)
+
+
+def line_reference(t, rhs):
+    """K^{-1} rhs for the 1D K_II of cell weights t (diagonal t[:-1] + t[1:],
+    off-diagonals -t[1:-1]) by LDL^T elimination in long double.  Pivot i is
+    t[i + 1] plus the series conductance of cells 0..i, a sum of positive
+    terms, so no weight ratio costs accuracy to cancellation."""
+    t, r = t.astype(np.longdouble), rhs.astype(np.longdouble)
+    n = len(r)
+    pivot, z, x = (np.empty(n, np.longdouble) for _ in range(3))
+    q = t[0]
+    for i in range(n):
+        q = q if i == 0 else 1 / (1 / q + 1 / t[i])
+        pivot[i] = q + t[i + 1]
+        z[i] = r[i] + (t[i] * z[i - 1] / pivot[i - 1] if i else 0)
+    for i in range(n - 1, -1, -1):
+        x[i] = (z[i] + (t[i + 1] * x[i + 1] if i < n - 1 else 0)) / pivot[i]
+    return x
+
+
+def line_solve_errors(n):
+    """max |x - x_ref| / max |x_ref| of `_LinearSolves.direct` on a 1D K with
+    n unknowns against `line_reference`, rhs standard normal: five seeded
+    draws of weights 10^U(-10, 10) with 1e-10 and 1e10 at two random cells,
+    and for n <= 2 every choice of weights from {1e-10, 1, 1e10}, the
+    stiff-soft-stiff line (1e10, 1e-10, 1e10) among them."""
+    from plapreg.solver import _LinearSolves
+
+    rng = np.random.default_rng(n)
+    cases = []
+    for _ in range(5):
+        exponent = rng.uniform(-10.0, 10.0, n + 1)
+        exponent[rng.permutation(n + 1)[:2]] = (-10.0, 10.0)
+        cases.append(10.0**exponent)
+    if n <= 2:
+        cases += [np.array(t) for t in itertools.product((1e-10, 1.0, 1e10), repeat=n + 1)]
+    errors = []
+    for t in cases:
+        rhs = rng.standard_normal(n)
+        ref = line_reference(t, rhs)
+        x = _LinearSolves().direct(t, rhs)
+        errors.append(float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
+    return errors

@@ -12,6 +12,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -107,41 +109,56 @@ def test_import_graph():
     assert sci_cli == [], f"experiments and cli loaded {sci_cli}"
 
 
-def test_only_solving_commands_load_scipy(tmp_path):
-    """The commands that never solve (both estimates, the theorem-1 suite and
-    usage errors, also those found once the problem is built) run without
-    loading scipy; a solve does load it."""
+def test_only_2d_solves_load_scipy(tmp_path):
+    """No command loads scipy: not the README's, the five that solve on a
+    line included (the solver loads, its 1D steps are prefix sums), nor a
+    usage error, also one found once the problem is built.  A 2D solve
+    through the API loads scipy.sparse.linalg."""
     from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
 
     grid = Grid.line(-1.0, 1.0, 257)
     write_grid_json(grid, tmp_path / "grid.json")
     write_field_csv(ScalarField.from_function(grid, lambda x: abs(x) ** 0.5),
-                    tmp_path / "field.csv")
-    code = (
-        "import json, sys\n"
-        "from plapreg.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        f"print(json.dumps([codes, {SCIPY_LOADED}]))\n"
-    )
-    non_solving = [
-        ["estimate", "--p", "4", "--q", "3", "--out", "estimate-oracle"],
-        ["estimate", "--field", "field.csv", "--grid", "grid.json", "--q", "2",
-         "--delta", "0.25", "--out", "estimate-field"],
-        ["verify", "--suite", "theorem1", "--out", "theorem1"],
+                    tmp_path / "u.csv")
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line) for line in re.findall(r"^plapreg (.+)$", block, flags=re.M)]
+    solving = [c for c in commands if c[0] in ("solve", "sweep") or "eps-uniform" in c
+               or "scaling" in c]
+    assert len(commands) == 8 and len(solving) == 5
+    usage_errors = [
         ["solve", "--p", "2.5", "--mode", "thm2", "--out", "bad-mode"],
         ["solve", "--p", "2.5", "--oracle", "torsion", "--mode", "thm2",
          "--out", "bad-mode-torsion"],
         ["solve", "--out", "bad-missing-p"],
         ["estimate", "--q", "0.5", "--out", "bad-q"],
-        ["estimate", "--field", "field.csv", "--q", "2", "--out", "bad-field-without-grid"],
+        ["estimate", "--field", "u.csv", "--q", "2", "--out", "bad-field-without-grid"],
         ["verify", "--suite", "scaling", "--lambda", "inf", "--out", "bad-lambda"],
     ]
-    codes, sci = json.loads(run_python(code, json.dumps(non_solving), cwd=tmp_path))
-    assert codes == [0, 0, 0, 2, 2, 2, 2, 2, 2]
-    assert sci == [], f"a command that does not solve loaded {sci}"
-    solving = [["solve", "--p", "3", "--oracle", "torsion", "--nodes", "65", "--out", "solve"]]
-    codes, sci = json.loads(run_python(code, json.dumps(solving), cwd=tmp_path))
-    assert codes == [0]
+    code = (
+        "import json, sys\n"
+        "from plapreg.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        f"print(json.dumps([codes, 'plapreg.solver' in sys.modules, {SCIPY_LOADED}]))\n"
+    )
+    codes, solver_loaded, sci = json.loads(
+        run_python(code, json.dumps(commands + usage_errors), cwd=tmp_path))
+    assert codes == [0] * len(commands) + [2] * len(usage_errors)
+    assert solver_loaded
+    assert sci == [], f"a command loaded {sci}"
+    code = (
+        "import json, sys\n"
+        "from plapreg.fields import Grid, ProblemSpec, ScalarField\n"
+        "from plapreg.pointwise import PLapParams\n"
+        "from plapreg.solver import solve\n"
+        f"before = {SCIPY_LOADED}\n"
+        "g = Grid.box((-1.0, -1.0), (1.0, 1.0), (17, 17))\n"
+        "r = solve(ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),\n"
+        "                      ScalarField.constant(g, 0.0)))\n"
+        f"print(json.dumps([r.converged, before, {SCIPY_LOADED}]))\n"
+    )
+    converged, before, sci = json.loads(run_python(code))
+    assert converged and before == []
     assert "scipy.sparse.linalg" in sci
 
 

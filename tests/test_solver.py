@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from frozen import (HIGH_P_CASES, energy_error, high_p_solve, interpolant_residual,
-                    oracle_solve, torsion_spec, within)
+                    line_solve_errors, oracle_solve, torsion_spec, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -118,9 +118,11 @@ def test_cell_gradient_is_exact_at_cell_centers(dim):
 
 
 def dense_hessian(K):
-    """A K_II from the solver as a dense array: the 1D band or a 2D sparse matrix."""
+    """A K_II from the solver as a dense array: from the 1D cell weights t,
+    the diagonal t[:-1] + t[1:] and the off-diagonals -t[1:-1]; a 2D
+    sparse matrix as it is."""
     if isinstance(K, np.ndarray):
-        return np.diag(K[1]) + np.diag(K[0, 1:], 1) + np.diag(K[2, :-1], -1)
+        return np.diag(K[:-1] + K[1:]) + np.diag(-K[1:-1], 1) + np.diag(-K[1:-1], -1)
     return K.toarray()
 
 
@@ -234,8 +236,8 @@ def test_elimination_order_is_a_permutation_of_the_interior(shape):
 
 
 def test_ordered_newton_step_matches_c_order_spsolve():
-    """The step solved in elimination order, on the 1D band and on the 2D
-    stencil matrix, equals spsolve of the Hessian assembled by sparse
+    """The step solved in elimination order, from the 1D cell weights and on
+    the 2D stencil matrix, equals spsolve of the Hessian assembled by sparse
     products with interior unknowns in C order."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import (
@@ -269,9 +271,10 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     ((-2.0, 0.5), (1.0, 1.25), (33, 17)),
 ])
 def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
-    """K_II filled from the cell Hessians (the 1D band, the 2D 9-point
-    stencil) equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|, and the
-    1D band, made of the same products and sums, bitwise."""
+    """K_II filled from the cell Hessians (the 1D cell weights, the 2D
+    9-point stencil) equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|,
+    and the 1D K read from its weights, the same products and sums,
+    bitwise."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import _assemble, _cell_gradients, _interior_hessian
 
@@ -327,6 +330,67 @@ def test_singular_1d_band_gives_a_nan_step():
     step = solves.direct(_assemble(g, np.zeros((8, 1, 1))), np.ones(7))
     assert step.shape == (7,) and np.isnan(step).all()
     assert solves.factorizations == 1 and solves.lu is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 4095])
+def test_1d_solve_matches_a_long_double_reference(n):
+    """The prefix-sum solve of a 1D K whose cell weights span 20 decades
+    stays within the frozen relative error of a long-double elimination,
+    also on the stiff-soft-stiff line, where x is 1e-10 times the increment
+    across the soft cell and a prefix sum from the left end alone kept none
+    of x's digits (relative error 1.3e4)."""
+    assert within("line_solve_rel", *line_solve_errors(n))
+
+
+def one_bad_weight(bad):
+    t = np.ones(9)
+    t[3] = bad
+    return t
+
+
+@pytest.mark.parametrize("t, rhs", [
+    *((one_bad_weight(bad), np.ones(8)) for bad in (0.0, -1.0, np.inf, np.nan, 5e-320, 2e-308)),
+    (np.full(21, 1e-307), np.ones(20)),  # sum(w) overflows
+    (np.full(9, 1e-300), np.full(8, 1e300)),  # S . w overflows
+    (np.ones(9), np.full(8, np.inf)),
+], ids=["0", "negative", "inf", "nan", "5e-320", "2e-308", "sum-w-overflows",
+        "S-dot-w-overflows", "rhs-inf"])
+def test_1d_solve_without_a_finite_step_gives_nan_and_no_warning(t, rhs):
+    """A cell weight that is 0, negative, inf, NaN or subnormal, or a sum
+    that overflows, gives a NaN step with no RuntimeWarning, as a singular
+    K does; 1 / 5e-320 overflows."""
+    import warnings
+
+    from plapreg.solver import _LinearSolves
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _LinearSolves().direct(t, rhs)
+    assert step.shape == rhs.shape and np.isnan(step).all()
+
+
+def test_1d_solve_reaching_a_subnormal_weight_warns_nothing(monkeypatch):
+    """The p = 40 small-source solve (f = 1e-4, eps = 1e-10) assembles a
+    subnormal cell weight, and the solve ends with a stop reason and no
+    RuntimeWarning, where an unguarded 1 / t overflows in "divide"."""
+    import warnings
+
+    import plapreg.solver as solver_mod
+
+    real_direct, subnormal = solver_mod._LinearSolves.direct, []
+
+    def direct(self, K, rhs):
+        subnormal.append(bool((K < np.finfo(float).tiny).any()))
+        return real_direct(self, K, rhs)
+
+    monkeypatch.setattr(solver_mod._LinearSolves, "direct", direct)
+    g = Grid.line(-1.0, 1.0, 257)
+    spec = ProblemSpec(g, PLapParams(p=40.0, eps=1e-10), ScalarField.constant(g, 1e-4),
+                       ScalarField.constant(g, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(spec)
+    assert any(subnormal) and r.stop_reason
 
 
 def test_singular_2d_hessian_gives_a_nan_step():
@@ -387,8 +451,8 @@ def test_2d_factor_is_single_precision_and_pcg_steps_meet_their_forcing(monkeypa
 
 
 def test_1d_solve_calls_no_superlu(monkeypatch):
-    """1D Newton steps and the harmonic start solve the tridiagonal band
-    with LAPACK, so a solve converges with SuperLU unavailable."""
+    """1D Newton steps and the harmonic start solve the cell weights by
+    prefix sums, so a solve converges with SuperLU unavailable."""
     def splu(*args, **kwargs):
         raise AssertionError("SuperLU called")
 
@@ -1013,20 +1077,33 @@ def test_old_factor_is_released_before_refactoring(monkeypatch):
         assert all(ref() is None for ref in refs)
 
 
+def prefix_sum_solve(t, rhs):
+    """K^{-1} rhs for the 1D K_II of cell weights t, by the prefix sums of
+    `_LinearSolves.direct` written out: the cell increments y, then the
+    nodes left of the softest cell m from the left end and the others from
+    the right end."""
+    w, m = 1.0 / t, int(np.argmin(t))
+    S = np.concatenate(([0.0], np.cumsum(rhs)))
+    S = S - S[m]
+    y = (np.dot(S, w) / np.sum(w) - S) * w
+    right = np.cumsum(y[::-1][:len(y) - 1 - m])  # y[n], ..., y[m + 1]
+    return np.concatenate((np.cumsum(y[:m]), -right[::-1]))
+
+
 def test_1d_newton_steps_are_direct_solves(monkeypatch):
     """1D solves every Newton step directly and never runs CG: its iterates
-    are bitwise those of one fresh tridiagonal solve of the band per step."""
-    import scipy.linalg
+    are bitwise those of one fresh prefix-sum solve of the cell weights per
+    step."""
     import plapreg.solver as solver_mod
 
     spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
     r = solve(spec)
     assert r.factorizations == r.iterations + 1 and r.cg_iterations == 0
 
-    def fresh_band_step(self, K, g_int, g_norm, prev):
-        return scipy.linalg.solve_banded((1, 1), K, -g_int)
+    def fresh_prefix_sum_step(self, K, g_int, g_norm, prev):
+        return prefix_sum_solve(K, -g_int)
 
-    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_band_step)
+    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_prefix_sum_step)
     ref = solve(spec)
     assert r.trace == ref.trace
     np.testing.assert_array_equal(r.u.values, ref.u.values)
