@@ -17,6 +17,7 @@ module also owns the report format: every JSON artifact is written by
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -90,7 +91,10 @@ class Grid:
         lower = tuple(lower)
         return cls(len(lower), lower, tuple(upper), tuple(nodes))
 
-    @property
+    # h and cell_volume are computed once per grid: cached_property writes the
+    # instance __dict__, which a frozen dataclass leaves open, and stays out of
+    # the fields that equality, hashing and `dataclasses.replace` read
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         """Spacing per axis, (upper - lower) / (nodes - 1)."""
         return tuple(
@@ -105,7 +109,7 @@ class Grid:
     def num_nodes(self) -> int:
         return int(np.prod(self.nodes))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 

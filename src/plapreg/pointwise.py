@@ -25,6 +25,7 @@ __all__ = [
     "sq_norm",
     "l_eps",
     "L_eps",
+    "flux_weight",
     "grad_L_eps",
     "hess_L_eps",
     "alpha_s",
@@ -57,32 +58,40 @@ def l_eps(w, eps) -> np.ndarray:
     return np.sqrt(np.square(eps) + sq_norm(w))
 
 
-def L_eps(w, eps, p) -> np.ndarray:
-    """l_eps(w)^p / p."""
-    return l_eps(w, eps) ** p / p
+def L_eps(w, eps, p, *, l=None) -> np.ndarray:
+    """l_eps(w)^p / p; l, if given, is l_eps(w, eps)."""
+    return (l_eps(w, eps) if l is None else l) ** p / p
 
 
-def grad_L_eps(w, eps, p) -> np.ndarray:
-    """Gradient l_eps(w)^(p-2) w, shape (..., n)."""
+def flux_weight(w, eps, p, *, l=None) -> np.ndarray:
+    """l_eps(w)^(p-2), shape (...): the weight of w in grad L_eps and of I in
+    its Hessian; l, if given, is l_eps(w, eps)."""
+    return (l_eps(w, eps) if l is None else l) ** (np.asarray(p, dtype=float) - 2.0)
+
+
+def grad_L_eps(w, eps, p, *, lp2=None) -> np.ndarray:
+    """Gradient l_eps(w)^(p-2) w, shape (..., n); lp2, if given, is
+    flux_weight(w, eps, p) and is not computed again."""
     w = np.asarray(w, dtype=float)
-    return (l_eps(w, eps) ** (np.asarray(p, dtype=float) - 2.0))[..., None] * w
+    return (flux_weight(w, eps, p) if lp2 is None else lp2)[..., None] * w
 
 
-def hess_L_eps(w, eps, p) -> np.ndarray:
+def hess_L_eps(w, eps, p, *, l=None, lp2=None) -> np.ndarray:
     """Hessian l^(p-2) I + (p-2) l^(p-4) w w^T, shape (..., n, n).
 
     Symmetric positive definite for eps > 0.  The point eps = 0, w = 0 is
     singular when p < 4 (the rank-one factor carries l^(p-4)); that case is
-    rejected rather than patched.
+    rejected rather than patched.  l and lp2, if given, are l_eps(w, eps)
+    and flux_weight(w, eps, p), and are not computed again.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[-1]
-    l = l_eps(w, eps)
+    l = l_eps(w, eps) if l is None else l
     p_arr = np.asarray(p, dtype=float)
     if np.any((l == 0.0) & (p_arr < 4.0)):
         raise ValueError("hess_L_eps is singular at w = 0 with eps = 0 and p < 4")
     lsafe = np.where(l > 0.0, l, 1.0)
-    diag = l ** (p_arr - 2.0)
+    diag = flux_weight(w, eps, p, l=l) if lp2 is None else lp2
     rank1 = np.where(l > 0.0, (p_arr - 2.0) * lsafe ** (p_arr - 4.0), 0.0)
     eye = np.eye(n)
     return (

@@ -8,9 +8,11 @@ where c(u) is the cell-centered gradient (forward difference per cell in
 1D, corner-averaged differences per cell in 2D) and w are trapezoid node
 weights for the source term.  The cell gradient is a linear map D, never
 stored as a matrix: component k of a cell's gradient is sum_a G[k, a] u[a]
-over the cell's 2**dim corners a, with weights G built once per grid, and
-corner a of every cell is one slice of the node array (`_corners`).  So
-everything the solve needs is a sum of G-weighted corner slices:
+over the cell's 2**dim corners a, and corner a of every cell is one slice
+of the node array.  G, the corner slices, the interior order, the 2D
+Hessian pattern, the node weights and the boundary masks are built once per
+grid, cached read-only (`_gradient_operator`, `_GridOps`).  So everything
+the solve needs is a sum of G-weighted corner slices:
 
     c = D u
     grad E = D^T (vol * flux(c)) + w * f
@@ -25,11 +27,13 @@ discrete minimizer.  K_II is filled from the cell blocks directly, with no
 sparse product (`_assemble`).
 
 Minimization is damped Newton on the interior unknowns with the Hessian
-K_II, and every Newton step is one Armijo backtracking line search, which
-returns the energy of the iterate it accepts, so the energy of each iterate
-is evaluated once.  Once a step's predicted decrease is below the energy's
-float resolution the step polishes: the line search accepts its first
-trial, the full Newton step, as it is.
+K_II, and every Newton step is one Armijo backtracking line search.  It
+returns the energy and the cell state (c and l = l_eps(c), `_cell_state`)
+of the iterate it accepts.  So an iterate's state is computed once per eps
+and shared by its energy, gradient and Hessian, which also share l^(p-2),
+and its energy is evaluated once.  Once a step's predicted decrease is
+below the energy's float resolution the step polishes: the line search
+accepts its first trial, the full Newton step, as it is.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
 takes its columns in that order.  A 1D K_II is solved by two prefix sums
@@ -92,6 +96,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 import functools
 import itertools
 
@@ -101,7 +106,7 @@ from .fields import (
     Grid, ProblemSpec, ScalarField,
     write_field_csv, write_grid_json, write_json, write_table,
 )
-from .pointwise import L_eps, grad_L_eps, hess_L_eps
+from .pointwise import L_eps, flux_weight, grad_L_eps, hess_L_eps, l_eps
 
 __all__ = [
     "SolveResult",
@@ -199,40 +204,61 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # the cell-gradient operator
 
+class _GridOps(NamedTuple):
+    """What the solve needs of one grid, built once per grid by `_gradient_operator`."""
+
+    G: np.ndarray  # G[k, a]: the weight of corner a in component k of a cell's gradient
+    fill: tuple | None  # how `_assemble` fills a 2D K_II (`_stencil_fill`); None in 1D
+    order: np.ndarray  # the flat ids of the interior nodes in elimination order
+    # (corner, cells) per cell corner in `itertools.product` order: cells is
+    # the slice of the node array that holds that corner of every cell, cells
+    # in C order
+    corners: tuple
+    adjoint: tuple  # (a, cells) per corner a in reverse, as `_gradient_adjoint` sums them
+    cell_shape: tuple[int, ...]  # cells per axis
+    weights: np.ndarray  # the trapezoid node weights, `Grid.quad_weights`
+    boundary: np.ndarray  # `Grid.boundary_flags`
+    interior: np.ndarray  # ~boundary
+    interior_weights: np.ndarray  # weights[interior]
+
+
 # sized to hold every level of a nested solve: 513^2 has 5, a line 2 (`_levels`)
 @functools.lru_cache(maxsize=8)
-def _gradient_operator(grid: Grid) -> tuple:
-    """(G, fill, order): the corner weights of the cell gradient, how a 2D
-    K_II is filled, and the interior order.
+def _gradient_operator(grid: Grid) -> _GridOps:
+    """The grid's `_GridOps`: the corner weights of the cell gradient, how a
+    2D K_II is filled, the interior order, and the grid's constants.
 
     Per axis a cell's gradient is the difference along that axis averaged
     over the cell's 2**(dim-1) edges parallel to it: G[k, a] is the weight
-    of corner a (in `_corners` order) in component k.  `order` holds the
+    of corner a (in `corners` order) in component k.  `order` holds the
     flat ids of the interior nodes in elimination order (see
     `_elimination_order`); interior vectors and the Hessian K_II are indexed
-    by position in `order`.  `fill` is `_stencil_fill`'s (C, indptr,
-    indices, src) in 2D and None in 1D, where `_assemble` needs no pattern.
-    The cached arrays are shared by every caller and must not be modified.
+    by position in `order`.  The cached arrays are shared by every caller,
+    so they are read-only.
     """
-    G = np.array([[(2 * corner[k] - 1) / (2 ** (grid.dim - 1) * h)
-                   for corner, _ in _corners(grid)] for k, h in enumerate(grid.h)])
+    corners = tuple((corner, tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes)))
+                    for corner in itertools.product((0, 1), repeat=grid.dim))
+    G = np.array([[(2 * corner[k] - 1) / (2 ** (grid.dim - 1) * h) for corner, _ in corners]
+                  for k, h in enumerate(grid.h)])
     order = _elimination_order(
         np.arange(grid.num_nodes).reshape(grid.shape)[(slice(1, -1),) * grid.dim])
-    return G, _stencil_fill(grid, G, order) if grid.dim == 2 else None, order
-
-
-def _corners(grid: Grid) -> list[tuple[tuple[int, ...], tuple[slice, ...]]]:
-    """A cell's corners in `itertools.product` order, each with the slice of
-    the node array that holds that corner of every cell, cells in C order."""
-    return [(corner, tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes)))
-            for corner in itertools.product((0, 1), repeat=grid.dim)]
+    fill = _stencil_fill(grid, G, order) if grid.dim == 2 else None
+    weights, boundary = grid.quad_weights(), grid.boundary_flags()
+    ops = _GridOps(G, fill, order, corners,
+                   tuple((a, cells) for a, (_, cells) in reversed(list(enumerate(corners)))),
+                   tuple(n - 1 for n in grid.nodes),
+                   weights, boundary, ~boundary, weights[~boundary])
+    for a in (*ops, *(fill or ())):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return ops
 
 
 def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
     """(C, indptr, indices, src): how `_assemble` fills a 2D K_II.
 
     C (4 x 16) maps a cell's Hessian block H, flattened, to its corner
-    stiffness G^T H G (4 x 4, corners in `_corners` order),
+    stiffness G^T H G (4 x 4, corners in `_GridOps.corners` order),
     flattened.  K_II has the structural 9-point pattern of the interior
     nodes whatever its values: CSC, columns and rows in elimination order,
     rows sorted in each column, (3 (n0 - 2) - 2) (3 (n1 - 2) - 2) entries.
@@ -285,10 +311,9 @@ def _cell_gradients(grid: Grid, vals: np.ndarray) -> np.ndarray:
     Component k is 0 + sum_a G[k, a] u[corner a], corners in order: the
     order of a CSR product with D, which also turns -0.0 into 0.0.
     """
-    G = _gradient_operator(grid)[0]
-    corners = _corners(grid)
-    return np.stack([sum((G[k, a] * vals[cells] for a, (_, cells) in enumerate(corners)), 0.0)
-                     for k in range(grid.dim)], axis=-1).reshape(-1, grid.dim)
+    ops = _gradient_operator(grid)
+    return np.stack([sum((ops.G[k, a] * vals[cells] for a, (_, cells) in enumerate(ops.corners)),
+                         0.0) for k in range(grid.dim)], axis=-1).reshape(-1, grid.dim)
 
 
 def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
@@ -297,51 +322,64 @@ def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
     A node sums its cells in C order and each cell's components in order,
     as a CSC product with D^T does: corners in reverse, components inner.
     """
-    G = _gradient_operator(grid)[0]
-    w = w.reshape(*(n - 1 for n in grid.nodes), grid.dim)
+    ops = _gradient_operator(grid)
+    w = w.reshape(*ops.cell_shape, grid.dim)
     out = np.zeros(grid.shape)
-    for a, (_, cells) in reversed(list(enumerate(_corners(grid)))):
+    for a, cells in ops.adjoint:
         for k in range(grid.dim):
-            out[cells] += G[k, a] * w[..., k]
+            out[cells] += ops.G[k, a] * w[..., k]
     return out
 
 
 def _check_boundary(spec: ProblemSpec, u: ScalarField) -> None:
-    bnd = spec.grid.boundary_flags()
+    bnd = _gradient_operator(spec.grid).boundary
     scale = 1.0 + float(np.max(np.abs(spec.g.values)))
     gap = np.max(np.abs(u.values[bnd] - spec.g.values[bnd]))
     if gap > _BOUNDARY_ATOL * scale:
         raise ValueError(f"u does not match g on the boundary (max gap {gap:.3e})")
 
 
+def _cell_state(spec: ProblemSpec, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, l): the cell gradients c = D u of node values vals and l = l_eps(c)
+    at spec's eps, which the energy, gradient and Hessian at vals share."""
+    c = _cell_gradients(spec.grid, vals)
+    return c, l_eps(c, spec.params.eps)
+
+
 def energy(spec: ProblemSpec, u: ScalarField) -> float:
     """Discrete energy of an admissible field (u = g on the boundary)."""
     _check_boundary(spec, u)
-    return _energy_raw(spec, u.values)
+    return _energy_raw(spec, u.values, _cell_state(spec, u.values))
 
 
-def _energy_raw(spec: ProblemSpec, vals: np.ndarray) -> float:
-    c = _cell_gradients(spec.grid, vals)
-    e_cells = spec.grid.cell_volume * float(np.sum(L_eps(c, spec.params.eps, spec.params.p)))
-    w = spec.grid.quad_weights()
-    return e_cells + float(np.sum(w * vals * spec.f.values))
+def _energy_raw(spec: ProblemSpec, vals: np.ndarray, cells: tuple) -> float:
+    """The energy at vals, whose `_cell_state` is cells."""
+    ops = _gradient_operator(spec.grid)
+    c, l = cells
+    e_cells = spec.grid.cell_volume * float(np.sum(L_eps(c, spec.params.eps, spec.params.p, l=l)))
+    return e_cells + float(np.sum(ops.weights * vals * spec.f.values))
 
 
-def _gradient_raw(spec: ProblemSpec, vals: np.ndarray) -> np.ndarray:
-    grid = spec.grid
-    flux = grid.cell_volume * grad_L_eps(_cell_gradients(grid, vals), spec.params.eps,
-                                         spec.params.p)
-    return _gradient_adjoint(grid, flux) + grid.quad_weights() * spec.f.values
+def _gradient_raw(spec: ProblemSpec, cells: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(grad E, lp2): the nodal energy gradient at the iterate whose
+    `_cell_state` is cells, and the flux weight lp2 = l^(p-2) per cell,
+    which its Hessian reuses."""
+    ops = _gradient_operator(spec.grid)
+    c, l = cells
+    lp2 = flux_weight(c, spec.params.eps, spec.params.p, l=l)
+    flux = spec.grid.cell_volume * grad_L_eps(c, spec.params.eps, spec.params.p, lp2=lp2)
+    return _gradient_adjoint(spec.grid, flux) + ops.weights * spec.f.values, lp2
 
 
-def _interior_hessian(spec: ProblemSpec, vals: np.ndarray):
-    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior unknowns.
+def _interior_hessian(spec: ProblemSpec, cells: tuple, lp2: np.ndarray):
+    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior
+    unknowns, at the iterate whose `_cell_state` is cells and flux weight lp2.
 
     Rows and columns in elimination order; a 1D K_II is its cell weights.
     """
-    grid = spec.grid
-    return _assemble(grid, grid.cell_volume * hess_L_eps(_cell_gradients(grid, vals),
-                                                         spec.params.eps, spec.params.p))
+    c, l = cells
+    return _assemble(spec.grid, spec.grid.cell_volume * hess_L_eps(
+        c, spec.params.eps, spec.params.p, l=l, lp2=lp2))
 
 
 def _assemble(grid: Grid, Hc: np.ndarray):
@@ -358,13 +396,13 @@ def _assemble(grid: Grid, Hc: np.ndarray):
         c = 1.0 / grid.h[0]
         return Hc.ravel() * c * c
     import scipy.sparse as sp
-    C, indptr, indices, src = _gradient_operator(grid)[1]
-    n0, n1 = grid.nodes
+    ops = _gradient_operator(grid)
+    C, indptr, indices, src = ops.fill
     H = Hc.reshape(-1, 4)
-    S = np.zeros((3, 3, n0, n1))
-    corners = enumerate(_corners(grid))
+    S = np.zeros((3, 3, *grid.nodes))
+    corners = enumerate(ops.corners)
     for (a, ((a0, a1), cells)), (b, ((b0, b1), _)) in itertools.product(corners, repeat=2):
-        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(n0 - 1, n1 - 1)
+        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(ops.cell_shape)
     n = len(indptr) - 1
     return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(n, n))
 
@@ -389,14 +427,14 @@ def el_residual(spec: ProblemSpec, u: ScalarField) -> float:
     at an interior node is minus the energy gradient divided by the node
     weight, which is the conservative flux-difference form of the operator.
     """
-    return _residual_rms(spec.grid, _gradient_raw(spec, u.values))
+    return _residual_rms(spec.grid, _gradient_raw(spec, _cell_state(spec, u.values))[0])
 
 
 def _residual_rms(grid: Grid, g: np.ndarray) -> float:
     """RMS of g / w over the interior nodes in C order: the EL residual of
     a nodal energy gradient g."""
-    interior = ~grid.boundary_flags()
-    return float(np.sqrt(np.mean((g[interior] / grid.quad_weights()[interior]) ** 2)))
+    ops = _gradient_operator(grid)
+    return float(np.sqrt(np.mean((g[ops.interior] / ops.interior_weights) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +560,7 @@ def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     torsion problem); then nothing is factored.
     """
     grid = spec.grid
-    order = _gradient_operator(grid)[2]
+    order = _gradient_operator(grid).order
     vals = spec.g.values.copy()
     c = _cell_gradients(grid, vals)
     rhs = _gradient_adjoint(grid, c).ravel()[order]
@@ -626,9 +664,10 @@ def solve(spec: ProblemSpec) -> SolveResult:
             vals = _harmonic_extension(level, solves)
         while vals.shape != grid.shape:
             vals = _prolong(vals)
-        order = _gradient_operator(grid)[2]
-        vals[grid.boundary_flags()] = level.g.values[grid.boundary_flags()]
+        ops = _gradient_operator(grid)
+        vals[ops.boundary] = level.g.values[ops.boundary]
         solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
+        cells = None  # the iterate's cell state (`_cell_state`), at eps `cells_eps`
         path = [(p, eps)] if n else _path(p, eps)
         for k, (p_k, eps_k) in enumerate(path):
             final = n == len(levels) - 1 and k == len(path) - 1
@@ -637,10 +676,16 @@ def solve(spec: ProblemSpec) -> SolveResult:
             spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
             stage_scale = 1.0 if final else 1e6  # a warm start needs only a rough minimizer
             polished = False
-            e_val = _energy_raw(spec_k, vals)
+            # the state is shared by the iterate's energy, gradient and
+            # Hessian: it comes from the line search that accepted the
+            # iterate, or from the stage before if that ended at this eps (l
+            # depends on eps, not p)
+            if cells is None or cells_eps != eps_k:
+                cells, cells_eps = _cell_state(spec_k, vals), eps_k
+            e_val = _energy_raw(spec_k, vals, cells)
             while True:
-                g_full = _gradient_raw(spec_k, vals)
-                g_int = g_full.ravel()[order]
+                g_full, lp2 = _gradient_raw(spec_k, cells)
+                g_int = g_full.ravel()[ops.order]
                 g_norm = float(np.linalg.norm(g_int))
                 res = _residual_rms(grid, g_full)
                 trace.append((it_total, e_val, g_norm))
@@ -653,11 +698,17 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 if at_floor or it_total >= MAX_ITER:
                     stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
                     break
-                step = solves.newton_step(_interior_hessian(spec_k, vals), g_int, g_norm,
-                                          prev_g_norm)
+                K = _interior_hessian(spec_k, cells, lp2)
+                # neither the state nor K stays alive through the linear solve
+                # and the line search, where a 2D solve's memory peaks: held,
+                # they raised the 257^2 torsion solve's peak RSS by 2-4 MB.
+                # The line search returns the next iterate's state
+                cells = lp2 = None
+                step = solves.newton_step(K, g_int, g_norm, prev_g_norm)
+                del K
                 prev_g_norm = g_norm
-                vals, ok, e_val, polished = _line_search(spec_k, vals, order, step, e_val,
-                                                         float(np.dot(g_int, step)))
+                vals, ok, e_val, polished, cells = _line_search(
+                    spec_k, vals, ops.order, step, e_val, float(np.dot(g_int, step)))
                 if not ok:
                     stop = "no_descent"
                     break
@@ -682,26 +733,28 @@ def _line_search(spec, vals, order, direction, e0, slope):
     """Armijo backtracking along an interior direction (indexed like `order`)
     from vals, whose energy is e0, with slope g_int . direction (a slope not
     below 0, NaN included, fails at once, and a trial energy that overflows
-    fails like any other); returns (new_vals, ok, new_energy, polished),
-    new_energy the energy of new_vals (e0 when no trial is accepted).  A step
-    whose predicted decrease is below the energy's float resolution, where
-    the Armijo test would compare rounding noise, polishes: its first trial,
-    the full step, is accepted as it is."""
+    fails like any other); returns (new_vals, ok, new_energy, polished,
+    cells), new_energy and cells the energy and `_cell_state` of new_vals (e0
+    and None when no trial is accepted).  A step whose predicted decrease is
+    below the energy's float resolution, where the Armijo test would compare
+    rounding noise, polishes: its first trial, the full step, is accepted as
+    it is."""
     if not slope < 0.0:
-        return vals, False, e0, False
+        return vals, False, e0, False, None
     polish = _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e0))
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
         trial.ravel()[order] += t * direction
         with np.errstate(over="ignore"):
-            e_trial = _energy_raw(spec, trial)
+            cells = _cell_state(spec, trial)
+            e_trial = _energy_raw(spec, trial, cells)
         # strict decrease: sufficient-decrease alone can round to equality
         # once t*slope underflows the energy's resolution
         if polish or e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:
-            return trial, True, e_trial, polish
+            return trial, True, e_trial, polish, cells
         t *= 0.5
-    return vals, False, e0, False
+    return vals, False, e0, False, None
 
 
 # ---------------------------------------------------------------------------

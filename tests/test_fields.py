@@ -1,5 +1,6 @@
 """Grid geometry, the node gradient, interior boxes, and field serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -58,6 +59,24 @@ def test_grid_box_basic():
 def test_grid_rejects_bad_geometry(bad):
     with pytest.raises(ValueError):
         Grid(**bad)
+
+
+def test_cached_spacing_leaves_equality_hashing_and_replace_as_they_were():
+    """h and cell_volume are computed once per grid and kept outside its
+    fields: a grid that has read them equals and hashes like a fresh one,
+    and a grid made by `dataclasses.replace` computes its own."""
+    g = Grid.box((0.0, -1.0), (2.0, 1.0), (5, 3))
+    fresh = Grid.box((0.0, -1.0), (2.0, 1.0), (5, 3))
+    assert (g.h, g.cell_volume) == ((0.5, 1.0), 0.5)
+    assert g.h is g.h  # computed once
+    assert g == fresh and hash(g) == hash(fresh) and {g: 1}[fresh] == 1
+    assert dataclasses.astuple(g) == (2, (0.0, -1.0), (2.0, 1.0), (5, 3))
+    finer = dataclasses.replace(g, nodes=(9, 5))
+    assert (finer.h, finer.cell_volume) == ((0.25, 0.5), 0.125)
+    assert finer != g and (g.h, g.cell_volume) == ((0.5, 1.0), 0.5)
+    assert dataclasses.replace(g) == g and hash(dataclasses.replace(g)) == hash(g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes = (9, 5)
 
 
 def test_quad_weights_sum_to_volume():

@@ -14,6 +14,7 @@ from plapreg.pointwise import (
     alpha_s,
     beta_theta,
     coercivity_constant,
+    flux_weight,
     grad_L_eps,
     hess_L_eps,
     integrand_lower_bound_check,
@@ -141,6 +142,24 @@ def test_hess_rayleigh_sandwich():
         rayleigh = float(xi @ H @ xi) / float(xi @ xi)
         lp2 = l_eps(w, eps) ** (p - 2.0)
         assert lp2 * (1.0 - 1e-10) <= rayleigh <= (p - 1.0) * lp2 * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.7])
+def test_kernels_given_l_and_flux_weight_are_bitwise_their_own(p, eps):
+    """L_eps, grad_L_eps and hess_L_eps handed l = l_eps(w) and lp2 =
+    flux_weight(w) return bitwise what they compute alone, and
+    flux_weight is the l^(p-2) of the gradient and the Hessian's diagonal."""
+    rng = np.random.default_rng(int(10 * p) + int(1e3 * eps))
+    w = rng.standard_normal((64, 2)) * 10.0 ** rng.uniform(-4, 1, (64, 1))
+    l = l_eps(w, eps)
+    lp2 = flux_weight(w, eps, p, l=l)
+    assert lp2.tobytes() == flux_weight(w, eps, p).tobytes()
+    assert lp2.tobytes() == (l ** (p - 2.0)).tobytes()
+    assert L_eps(w, eps, p, l=l).tobytes() == L_eps(w, eps, p).tobytes()
+    assert grad_L_eps(w, eps, p, lp2=lp2).tobytes() == grad_L_eps(w, eps, p).tobytes()
+    assert (hess_L_eps(w, eps, p, l=l, lp2=lp2).tobytes()
+            == hess_L_eps(w, eps, p).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,24 @@ from plapreg.experiments import SharpnessOracle, oracle_problem
 # ---------------------------------------------------------------------------
 # energy and gradient
 
+def energy_at(spec, vals):
+    """The energy at node values vals, boundary unchecked, from their cell state."""
+    from plapreg.solver import _cell_state, _energy_raw
+    return _energy_raw(spec, vals, _cell_state(spec, vals))
+
+
+def gradient_at(spec, vals):
+    """The nodal energy gradient at vals, from their cell state."""
+    from plapreg.solver import _cell_state, _gradient_raw
+    return _gradient_raw(spec, _cell_state(spec, vals))[0]
+
+
+def hessian_at(spec, vals):
+    """K_II at vals, from their cell state and flux weight, as `solve` takes it."""
+    from plapreg.solver import _cell_state, _gradient_raw, _interior_hessian
+    cells = _cell_state(spec, vals)
+    return _interior_hessian(spec, cells, _gradient_raw(spec, cells)[1])
+
 
 def test_energy_of_constant_field():
     # cells see a zero gradient: E = |domain| * eps^p / p + integral of c * f
@@ -67,8 +85,6 @@ def test_problem_spec_rejects_foreign_fields():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_energy_gradient_matches_difference_quotient(dim):
-    from plapreg.solver import _energy_raw, _gradient_raw
-
     rng = np.random.default_rng(10 + dim)
     if dim == 1:
         g = Grid.line(0.0, 1.0, 17)
@@ -81,7 +97,7 @@ def test_energy_gradient_matches_difference_quotient(dim):
     bump = rng.standard_normal(g.shape) * 0.3
     bump[g.boundary_flags()] = 0.0
     vals += bump
-    grad = _gradient_raw(spec, vals)
+    grad = gradient_at(spec, vals)
 
     flat = vals.ravel()
     step = 1e-5  # balances truncation against energy-difference roundoff
@@ -91,8 +107,8 @@ def test_energy_gradient_matches_difference_quotient(dim):
         hi[idx] += step
         # raw energies: nudged boundary nodes are no longer admissible
         fd = (
-            _energy_raw(spec, hi.reshape(g.shape))
-            - _energy_raw(spec, lo.reshape(g.shape))
+            energy_at(spec, hi.reshape(g.shape))
+            - energy_at(spec, lo.reshape(g.shape))
         ) / (2 * step)
         assert grad.ravel()[idx] == pytest.approx(fd, rel=1e-6, abs=1e-5)
 
@@ -196,7 +212,7 @@ def sparse_product_hessian(grid, Hc):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_interior_hessian_matches_gradient_difference_quotient(dim):
-    from plapreg.solver import _gradient_operator, _gradient_raw, _interior_hessian
+    from plapreg.solver import _gradient_operator
 
     rng = np.random.default_rng(20 + dim)
     if dim == 1:
@@ -209,7 +225,7 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
     vals = gb.values + rng.standard_normal(g.shape) * 0.3
     # K_II's rows and columns follow the interior elimination order
     order = _gradient_operator(g)[2]
-    K = dense_hessian(_interior_hessian(spec, vals))
+    K = dense_hessian(hessian_at(spec, vals))
     assert K.shape == (len(order),) * 2
     np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
 
@@ -218,7 +234,7 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
         lo, hi = vals.copy(), vals.copy()
         lo.ravel()[idx] -= step
         hi.ravel()[idx] += step
-        fd = (_gradient_raw(spec, hi) - _gradient_raw(spec, lo)).ravel()[order] / (2 * step)
+        fd = (gradient_at(spec, hi) - gradient_at(spec, lo)).ravel()[order] / (2 * step)
         np.testing.assert_allclose(K[:, col], fd, rtol=1e-6, atol=1e-6 * np.abs(K).max())
 
 
@@ -240,9 +256,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     the 2D stencil matrix, equals spsolve of the Hessian assembled by sparse
     products with interior unknowns in C order."""
     from plapreg.pointwise import hess_L_eps
-    from plapreg.solver import (
-        _LinearSolves, _cell_gradients, _gradient_operator, _gradient_raw, _interior_hessian,
-    )
+    from plapreg.solver import _LinearSolves, _cell_gradients, _gradient_operator
 
     rng = np.random.default_rng(33)
     for nodes in ((257,), (33, 33)):
@@ -251,7 +265,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
         vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
         D, order = gradient_matrix(g), _gradient_operator(g)[2]
         interior = ~g.boundary_flags().ravel()
-        grad = _gradient_raw(spec, vals).ravel()
+        grad = gradient_at(spec, vals).ravel()
 
         Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
         m = len(Hc)
@@ -260,7 +274,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
         ref = np.zeros(g.num_nodes)
         ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-        step = _LinearSolves().direct(_interior_hessian(spec, vals), -grad[order])
+        step = _LinearSolves().direct(hessian_at(spec, vals), -grad[order])
         np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -276,7 +290,7 @@ def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
     and the 1D K read from its weights, the same products and sums,
     bitwise."""
     from plapreg.pointwise import hess_L_eps
-    from plapreg.solver import _assemble, _cell_gradients, _interior_hessian
+    from plapreg.solver import _assemble, _cell_gradients
 
     rng = np.random.default_rng(len(nodes) + int(10 * p))
     g = Grid.box(lo, hi, nodes)
@@ -285,10 +299,36 @@ def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
     vals = gb.values + 0.3 * rng.standard_normal(g.shape)
     Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 0.1, p)
     unit = np.broadcast_to(np.eye(g.dim), Hc.shape)
-    for K, Hc_k in ((_interior_hessian(spec, vals), Hc), (_assemble(g, unit), unit)):
+    for K, Hc_k in ((hessian_at(spec, vals), Hc), (_assemble(g, unit), unit)):
         ref = sparse_product_hessian(g, np.ascontiguousarray(Hc_k)).toarray()
         ulp = np.spacing(np.abs(ref).max())
         assert np.abs(dense_hessian(K) - ref).max() <= (0 if g.dim == 1 else 4 * ulp)
+
+
+@pytest.mark.parametrize("nodes", [(257,), (33, 33)])
+def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
+    """The solver's per-grid arrays are shared by every call on an equal
+    grid, so they are read-only; `Grid.quad_weights` and `boundary_flags`
+    still return fresh, writable arrays, and a caller that writes to them
+    leaves a second solve on an equal grid bitwise the first."""
+    from plapreg.solver import _gradient_operator
+
+    box = ((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
+    g = Grid.box(*box)
+    first = solve(torsion_spec(g, 3.0, 1e-3))
+    ops = _gradient_operator(g)
+    arrays = [a for a in (*ops, *(ops.fill or ())) if isinstance(a, np.ndarray)]
+    assert len(arrays) == (6 if g.dim == 1 else 10)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.ravel()[:1] = 0
+    for fresh in (g.quad_weights(), g.boundary_flags()):
+        assert fresh.flags.writeable
+        fresh[...] = 0
+    assert g.quad_weights().any() and g.boundary_flags().any()
+    again = solve(torsion_spec(Grid.box(*box), 3.0, 1e-3))
+    assert again.u.values.tobytes() == first.u.values.tobytes()
+    assert (again.energy, again.trace, again.levels) == (first.energy, first.trace, first.levels)
 
 
 def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
@@ -635,7 +675,8 @@ def test_stop_reason_no_descent(monkeypatch):
     import plapreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_line_search",
-                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False))
+                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False,
+                                                                          None))
     r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
 
@@ -660,8 +701,19 @@ def test_every_newton_step_is_one_line_search(monkeypatch):
         outs.clear()
         r = solve(spec)
         assert r.converged and len(outs) == r.iterations
-        assert all(ok for _, ok, _, _ in outs)
-        assert any(polished for *_, polished in outs)  # both solves end by polishing
+        assert all(ok for _, ok, *_ in outs)
+        assert any(polished for _, _, _, polished, _ in outs)  # both solves end by polishing
+
+
+def evaluation_specs():
+    """Lines and a box, one and several levels, up to the p-doubling path."""
+    line = Grid.line(-1.0, 1.0, 257)
+    return (
+        torsion_spec(line, 3.0, 1e-3),
+        oracle_problem(SharpnessOracle(p=5.0), line, eps=1e-4),
+        torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
+        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
+    )
 
 
 def test_no_iterate_energy_is_evaluated_twice(monkeypatch):
@@ -673,22 +725,41 @@ def test_no_iterate_energy_is_evaluated_twice(monkeypatch):
     real = solver_mod._energy_raw
     seen = collections.Counter()
 
-    def counted(spec, vals):
+    def counted(spec, vals, cells):
         seen[spec.params.p, spec.params.eps, spec.grid.nodes, vals.tobytes()] += 1
-        return real(spec, vals)
+        return real(spec, vals, cells)
 
     monkeypatch.setattr(solver_mod, "_energy_raw", counted)
-    line = Grid.line(-1.0, 1.0, 257)
-    for spec in (
-        torsion_spec(line, 3.0, 1e-3),
-        oracle_problem(SharpnessOracle(p=5.0), line, eps=1e-4),
-        torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
-        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
-    ):
+    for spec in evaluation_specs():
         seen.clear()
         solve(spec)
         assert seen
         assert [key[:3] for key, count in seen.items() if count > 1] == []
+
+
+def test_no_iterate_cell_state_is_computed_twice(monkeypatch):
+    """l = l_eps(c) of an iterate's cell gradients c = D u is computed once
+    per eps, by the line search that accepts the iterate or at the start of
+    a stage, and then shared by its energy, gradient and Hessian: over the
+    solves above no (eps, c) reaches `l_eps` twice."""
+    import plapreg.pointwise as pointwise_mod
+    import plapreg.solver as solver_mod
+
+    real = pointwise_mod.l_eps
+    seen = collections.Counter()
+
+    def counted(w, eps):
+        w = np.asarray(w, dtype=float)
+        seen[eps, w.shape, w.tobytes()] += 1
+        return real(w, eps)
+
+    monkeypatch.setattr(pointwise_mod, "l_eps", counted)
+    monkeypatch.setattr(solver_mod, "l_eps", counted, raising=False)
+    for spec in evaluation_specs():
+        seen.clear()
+        solve(spec)
+        assert len(seen) > 10
+        assert [key[:2] for key, count in seen.items() if count > 1] == []
 
 
 def test_solve_result_is_its_last_evaluation(monkeypatch):
@@ -727,9 +798,9 @@ def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
     seen = []
     real_gradient_raw = solver_mod._gradient_raw
 
-    def gradient_raw(spec, vals):
+    def gradient_raw(spec, cells):
         seen.append((spec.params.p, spec.params.eps))
-        return real_gradient_raw(spec, vals)
+        return real_gradient_raw(spec, cells)
 
     monkeypatch.setattr(solver_mod, "_gradient_raw", gradient_raw)
     r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), p, 1e-4))
@@ -754,9 +825,9 @@ def test_solve_survives_singular_newton_system(monkeypatch):
         calls.append((bool(np.isnan(direction).any()), out[1], len(energies) - before))
         return out
 
-    def energy_raw(spec, vals):
+    def energy_raw(spec, vals, cells):
         energies.append(None)
-        return real_energy(spec, vals)
+        return real_energy(spec, vals, cells)
 
     monkeypatch.setattr(solver_mod, "_line_search", line_search)
     monkeypatch.setattr(solver_mod, "_energy_raw", energy_raw)
