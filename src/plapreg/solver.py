@@ -41,12 +41,12 @@ in numpy alone (scipy loads only in 2D).  A 2D K_II has a fixed 9-point
 pattern and arrives ordered for a SuperLU factorization in symmetric mode
 with no fill-reducing permutation of its own.  That factor is single
 precision: K_II is scaled to unit diagonal, so that its entries fit
-float32, and factored in float32, which halves the memory its values take;
-a direct step is refined to double precision by two float64 sweeps
-(`_LinearSolves`).  The 2D Hessians change little from step to step, so
-a step after the first solves K_II by CG preconditioned with the last
-factor, to an Eisenstat-Walker forcing term (inexact Newton), and factors
-afresh only when CG reaches an iteration cap or returns a non-finite step.
+float32, and factored in float32, which halves the memory its values take.
+It only preconditions CG in float64 (`_LinearSolves`): the step right after
+a factorization runs CG to rtol `_ETA_MIN`.  The 2D Hessians change little
+from step to step, so later steps keep the factor and run CG to an
+Eisenstat-Walker forcing term (inexact Newton), factoring afresh only when
+CG reaches an iteration cap or returns a non-finite step.
 The solve walks one (p, eps) continuation path, warm starting each stage.
 For small eps it is a geometric eps path, which keeps Newton steps well
 scaled even when the initial iterate has vanishing gradient.  Above
@@ -126,14 +126,13 @@ _BOUNDARY_ATOL = 1e-12
 # nested dissection leaves blocks of at most this many nodes per side in C
 # order; measured fastest among 1-32 on the 257^2 torsion Hessian
 _ND_LEAF = 4
-# a 2D Newton step solved by CG with the last factor as preconditioner falls
-# back to a fresh factorization once CG reaches this many iterations.  On
-# the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm) with the
-# float32 factor, each level factors at its first step, and the other 8 of
-# the 12 steps (5, 2, 1 and 4 on 33^2 ... 257^2) take 3-7 CG iterations, on
-# 257^2 0.04-0.10 s a step against 0.31 s for the direct step (factorization
-# and two refinement sweeps); the cap is never reached, so 4 factorizations
-# serve 12 steps
+# the CG iterations of a 2D step.  With the last factor, CG that reaches it
+# factors afresh; right after a factorization, CG's iterate there is the
+# step.  On the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm)
+# each level factors at its first step, whose CG takes 2 iterations; the
+# other 8 of the 12 steps (5, 2, 1 and 4 on 33^2 ... 257^2) take 3-7, on
+# 257^2 0.04-0.08 s a step against 0.25 s for a factorization and its step;
+# the cap is never reached, so 4 factorizations serve 12 steps
 _PCG_CAP = 15
 # Eisenstat-Walker forcing term (their choice 2): CG stops once
 # ||K s + g|| <= eta ||g||, eta = gamma (||g|| / ||g_prev||)^2 clipped to
@@ -183,9 +182,9 @@ class SolveResult:
     # floor, EL residual above its tolerance) or no_descent (Newton step rejected)
     stop_reason: str
     trace: tuple = ()  # (iteration, energy, grad_norm) rows
-    # direct solves, harmonic start included: prefix sums in 1D, SuperLU in 2D
+    # prefix-sum solves in 1D, SuperLU factorizations in 2D; harmonic start included
     factorizations: int = 0
-    cg_iterations: int = 0  # PCG iterations of the lagged-factor Newton steps
+    cg_iterations: int = 0  # PCG iterations of every 2D step, harmonic start included
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
     # first (`_levels`; a nested line has two); the last row is the problem
     # grid's.  A solve capped on a coarse level has no row for the levels it
@@ -415,7 +414,7 @@ def grad_tolerance(energy_value: float) -> float:
 
 
 def residual_tolerance(spec: ProblemSpec) -> float:
-    w = spec.grid.quad_weights()
+    w = _gradient_operator(spec.grid).weights
     f_l2 = float(np.sqrt(np.sum(w * spec.f.values**2)))
     return 1e-6 * f_l2 + 1e-10
 
@@ -443,19 +442,17 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 class _LinearSolves:
     """The linear solves of one `solve` call, and their counts.
 
-    A direct solve solves K afresh: by two prefix sums in 1D (`direct`), by
-    SuperLU on a 2D K, whose float32 factor is kept and applied only
-    through `precondition`.  The next Newton step solves its own K by CG
-    preconditioned with it, to the Eisenstat-Walker forcing term, set by the
-    gradient norms of this step and the previous one, both of which `solve`
-    passes in; when CG reaches `_PCG_CAP` iterations or returns a
-    non-finite step, the step is solved directly and the new factor
-    replaces the old.  `solve` drops the factor as each level starts, so
-    neither the harmonic start's factor nor a coarser level's preconditions
-    a new K.  The factor lives only as long as this object, and the old one
-    is released before SuperLU allocates the new one, so at most one is ever
-    held.  A 1D K has no factor to keep (it costs less to solve than CG
-    to iterate), so there every step is direct.
+    A 1D K is solved afresh by two prefix sums (`direct`), which costs less
+    than CG iterations.  Every 2D solve, the harmonic start included, is CG
+    preconditioned by a kept float32 SuperLU factor, used only through
+    `precondition`; a factorization (`factor`) only refreshes it.  The step
+    right after one runs CG to rtol `_ETA_MIN`, a later step runs CG with
+    the same factor to its Eisenstat-Walker forcing term and factors afresh
+    when that CG fails (`newton_step`).  `solve` drops the factor as each
+    level starts, so neither the harmonic start's factor nor a coarser
+    level's preconditions a new K.  The factor lives only as long as this
+    object, and the old one is released before SuperLU allocates the new
+    one, so at most one is ever held.
     """
 
     def __init__(self):
@@ -465,44 +462,44 @@ class _LinearSolves:
         self.cg_iterations = 0
 
     def direct(self, K, rhs: np.ndarray) -> np.ndarray:
-        """K^{-1} rhs for a K_II from `_assemble`, by a fresh factorization; a
-        SuperLU factor is kept as the preconditioner.
+        """K^{-1} rhs for a 1D K_II from `_assemble`, its cell weights t, by
+        two prefix sums: for S = [0, cumsum(rhs)] less S[m], m the cell of
+        least t, and w = 1 / t, the increments D_I x are y = ((S . w) /
+        sum(w) - S) w, which sum to 0; x sums y from either end up to m,
+        never adding y[m], which may dwarf x.  A weight not positive, normal
+        and finite, or an overflow, gives NaN.
+        """
+        self.factorizations += 1
+        with np.errstate(all="ignore"):  # a bad weight or sum fails the check below
+            w, m = 1.0 / K, int(np.argmin(K))  # K[m]: the least weight, or a NaN
+            S = np.concatenate(([0.0], np.cumsum(rhs)))
+            S -= S[m]
+            y = (S @ w / w.sum() - S) * w
+            x = np.concatenate((np.cumsum(y[:m]), -np.cumsum(y[:m:-1])[::-1]))
+        ok = K[m] >= np.finfo(float).tiny and K.max() < np.inf and np.isfinite(x).all()
+        return x if ok else np.full(rhs.shape, np.nan)
 
-        A 1D K is its cell weights t, solved by two prefix sums: for S =
-        [0, cumsum(rhs)] less S[m], m the cell of least t, and w = 1 / t, the
-        increments D_I x are y = ((S . w) / sum(w) - S) w, which sum to 0; x
-        sums y from either end up to m, never adding y[m], which may dwarf x.
-        A weight not positive, normal and finite, or an overflow, gives NaN.
-        A 2D K, its unknowns in elimination order, is scaled to unit diagonal
-        on its own pattern, d K d with d = diag(K)^-1/2, so that every entry
+    def factor(self, K) -> None:
+        """Keep a fresh factor of a 2D K_II from `_assemble`, or none.
+
+        K, its unknowns in elimination order, is scaled to unit diagonal on
+        its own pattern, d K d with d = diag(K)^-1/2, so that every entry
         lies in [-1, 1] and none under- or overflows float32 (Higham, Pranesh
         & Zounon, SIAM J. Sci. Comput. 41, 2019); it is cast to float32 and
         factored by SuperLU in symmetric mode with no fill-reducing
-        permutation of its own.  The step is M rhs (`precondition`) and two
-        float64 refinement sweeps x += M (rhs - K x), which bring it to
-        double precision (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
-        An exactly singular 2D K, or one whose diagonal is not positive and
-        finite (K is positive semidefinite, so a zero diagonal entry heads a
-        zero row; it is not factored), gives NaN, not an exception: the line
-        search rejects a NaN slope and the stage stops `no_descent`.
+        permutation of its own.  A K that SuperLU finds exactly singular, or
+        whose diagonal is not positive and finite (K is positive
+        semidefinite, so a zero diagonal entry heads a zero row), is not
+        factored.
         """
-        self.lu = None  # release the old factor before SuperLU allocates a new one
-        self.factorizations += 1
-        if isinstance(K, np.ndarray):  # 1D: the cell weights t
-            with np.errstate(all="ignore"):  # a bad weight or sum fails the check below
-                w, m = 1.0 / K, int(np.argmin(K))  # K[m]: the least weight, or a NaN
-                S = np.concatenate(([0.0], np.cumsum(rhs)))
-                S -= S[m]
-                y = (S @ w / w.sum() - S) * w
-                x = np.concatenate((np.cumsum(y[:m]), -np.cumsum(y[:m:-1])[::-1]))
-            ok = K[m] >= np.finfo(float).tiny and K.max() < np.inf and np.isfinite(x).all()
-            return x if ok else np.full(rhs.shape, np.nan)
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
+        self.lu = None  # release the old factor before SuperLU allocates a new one
+        self.factorizations += 1
         d = K.diagonal()
         if not ((d > 0.0) & (d < np.inf)).all():
-            return np.full(rhs.shape, np.nan)
-        d = 1.0 / np.sqrt(d)
+            return
+        self.d = d = 1.0 / np.sqrt(d)
         # one statement, so that no float64 temporary is alive while SuperLU runs
         scaled = sp.csc_matrix(
             ((K.data * d[K.indices] * np.repeat(d, np.diff(K.indptr))).astype(np.float32),
@@ -510,12 +507,7 @@ class _LinearSolves:
         try:
             self.lu = spla.splu(scaled, permc_spec="NATURAL", options={"SymmetricMode": True})
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            return np.full(rhs.shape, np.nan)
-        self.d = d
-        x = self.precondition(rhs)
-        for _ in range(2):
-            x += self.precondition(rhs - K @ x)
-        return x
+            pass
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """M r = d * LU^-1 (d * r) with the kept float32 factor, in float64.
@@ -531,29 +523,36 @@ class _LinearSolves:
         return self.d * self.lu.solve((y / s).astype(np.float32)) * s
 
     def newton_step(self, K, g_int: np.ndarray, g_norm: float, prev: float) -> np.ndarray:
-        """The Newton step K^{-1} (-g_int); g_norm = ||g_int||, and prev is
-        the norm at the previous step, which sets the CG forcing term."""
+        """The Newton step K^{-1} (-g_int); g_norm = ||g_int||, and prev, the
+        norm at the previous step (inf for none), sets the CG forcing term.
+        A K not factored, or a step not finite, gives NaN: the line search
+        rejects a NaN slope, and the stage stops `no_descent`."""
         rhs = -g_int
+        if isinstance(K, np.ndarray):  # 1D: the cell weights t
+            return self.direct(K, rhs)
         if self.lu is not None:
             eta = min(_ETA_MAX, _ETA_GAMMA * (g_norm / prev) ** 2)
-            step = self._pcg(K, rhs, max(_ETA_MIN, eta))
-            if step is not None:
+            step, met = self._pcg(K, rhs, max(_ETA_MIN, eta))
+            if met:
                 return step
-        return self.direct(K, rhs)
+        self.factor(K)
+        step = self._pcg(K, rhs, _ETA_MIN)[0] if self.lu is not None else None
+        return step if step is not None and np.isfinite(step).all() else np.full(rhs.shape, np.nan)
 
     def _pcg(self, K, rhs, rtol):
-        """CG from 0 preconditioned by the kept factor; None if capped or non-finite."""
+        """(step, met): CG from 0 preconditioned by the kept factor; met if
+        it reached rtol within `_PCG_CAP` iterations with a finite step."""
         import scipy.sparse.linalg as spla
         its = []  # one entry per CG iteration
         M = spla.LinearOperator(K.shape, matvec=self.precondition, dtype=float)
         step, _ = spla.cg(K, rhs, rtol=rtol, maxiter=_PCG_CAP, M=M,
                           callback=lambda _: its.append(None))
         self.cg_iterations += len(its)
-        return step if len(its) < _PCG_CAP and np.isfinite(step).all() else None
+        return step, len(its) < _PCG_CAP and np.isfinite(step).all()
 
 
 def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
-    """Minimize the p = 2 energy with f = 0 and trace g: at most one linear solve.
+    """Minimize the p = 2 energy with f = 0 and trace g: one Newton step from g.
 
     Its K_II is D_I^T D_I, assembled from unit cell blocks.  g itself is the
     minimizer when the interior gradient D_I^T D g vanishes (g = 0 in every
@@ -563,10 +562,10 @@ def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     order = _gradient_operator(grid).order
     vals = spec.g.values.copy()
     c = _cell_gradients(grid, vals)
-    rhs = _gradient_adjoint(grid, c).ravel()[order]
-    if rhs.any():
+    g_int = _gradient_adjoint(grid, c).ravel()[order]
+    if g_int.any():
         unit = np.broadcast_to(np.eye(grid.dim), (len(c), grid.dim, grid.dim))
-        vals.ravel()[order] -= solves.direct(_assemble(grid, unit), rhs)
+        vals.ravel()[order] += solves.newton_step(_assemble(grid, unit), g_int, 0.0, np.inf)
     return vals
 
 
@@ -687,12 +686,12 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 g_full, lp2 = _gradient_raw(spec_k, cells)
                 g_int = g_full.ravel()[ops.order]
                 g_norm = float(np.linalg.norm(g_int))
-                res = _residual_rms(grid, g_full)
                 trace.append((it_total, e_val, g_norm))
                 # a polishing step that fails to halve the gradient norm hit the rounding floor
                 at_floor = polished and g_norm >= 0.5 * prev_g_norm
+                # the EL residual is taken only where it is read: here and in the result
                 if (at_floor or g_norm <= grad_tolerance(e_val) * stage_scale) and (
-                        not final or res <= tol_res):
+                        not final or _residual_rms(grid, g_full) <= tol_res):
                     stop = "converged"
                     break
                 if at_floor or it_total >= MAX_ITER:
@@ -719,7 +718,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
     return SolveResult(
         u=ScalarField(grid, vals),
         energy=e_val,
-        el_residual=res,
+        el_residual=_residual_rms(grid, g_full),
         iterations=it_total,
         stop_reason=stop,
         trace=trace,

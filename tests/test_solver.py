@@ -252,11 +252,13 @@ def test_elimination_order_is_a_permutation_of_the_interior(shape):
 
 
 def test_ordered_newton_step_matches_c_order_spsolve():
-    """The step solved in elimination order, from the 1D cell weights and on
-    the 2D stencil matrix, equals spsolve of the Hessian assembled by sparse
-    products with interior unknowns in C order."""
+    """The step solved in elimination order matches spsolve of the Hessian
+    assembled by sparse products with interior unknowns in C order: from
+    the 1D cell weights it equals that solve, and the 2D step, PCG from a
+    fresh factor, meets the solve's equations in C order to rtol `_ETA_MIN`
+    in the float64 residual."""
     from plapreg.pointwise import hess_L_eps
-    from plapreg.solver import _LinearSolves, _cell_gradients, _gradient_operator
+    from plapreg.solver import _ETA_MIN, _LinearSolves, _cell_gradients, _gradient_operator
 
     rng = np.random.default_rng(33)
     for nodes in ((257,), (33, 33)):
@@ -274,8 +276,16 @@ def test_ordered_newton_step_matches_c_order_spsolve():
         ref = np.zeros(g.num_nodes)
         ref[interior] = spla.spsolve(K_C, -grad[interior])
 
-        step = _LinearSolves().direct(hessian_at(spec, vals), -grad[order])
-        np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
+        solves = _LinearSolves()
+        step = solves.newton_step(hessian_at(spec, vals), grad[order], 0.0, np.inf)
+        if g.dim == 1:
+            np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
+            continue
+        assert solves.factorizations == 1 and solves.cg_iterations > 0
+        c_order = np.zeros(g.num_nodes)
+        c_order[order] = step
+        residual = K_C @ c_order[interior] + grad[interior]
+        assert np.linalg.norm(residual) <= _ETA_MIN * np.linalg.norm(grad[interior])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5])
@@ -435,15 +445,18 @@ def test_1d_solve_reaching_a_subnormal_weight_warns_nothing(monkeypatch):
 
 def test_singular_2d_hessian_gives_a_nan_step():
     """The unit-diagonal scaling of a 2D K divides by diag(K): a zero
-    diagonal still gives a NaN step, with no exception, no RuntimeWarning
-    and no factor kept."""
+    diagonal is not factored, and the step is NaN, with no exception, no
+    RuntimeWarning, no CG iteration and no factor kept."""
     from plapreg.solver import _LinearSolves, _assemble
 
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
+    K = _assemble(g, np.zeros((64, 2, 2)))
     solves = _LinearSolves()
-    step = solves.direct(_assemble(g, np.zeros((64, 2, 2))), np.ones(49))
+    step = solves.newton_step(K, np.ones(49), 7.0, np.inf)
     assert step.shape == (49,) and np.isnan(step).all()
-    assert solves.factorizations == 1 and solves.lu is None
+    assert (solves.factorizations, solves.cg_iterations) == (1, 0) and solves.lu is None
+    solves.factor(K)
+    assert solves.lu is None and solves.factorizations == 2
 
 
 def test_2d_preconditioner_keeps_zero_and_non_finite_residuals():
@@ -453,7 +466,7 @@ def test_2d_preconditioner_keeps_zero_and_non_finite_residuals():
 
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
     solves = _LinearSolves()
-    solves.direct(_assemble(g, np.broadcast_to(np.eye(2), (64, 2, 2))), np.ones(49))
+    solves.factor(_assemble(g, np.broadcast_to(np.eye(2), (64, 2, 2))))
     np.testing.assert_array_equal(solves.precondition(np.zeros(49)), np.zeros(49))
     for bad in (np.inf, np.nan):
         r = np.ones(49)
@@ -462,31 +475,35 @@ def test_2d_preconditioner_keeps_zero_and_non_finite_residuals():
 
 
 def test_2d_factor_is_single_precision_and_pcg_steps_meet_their_forcing(monkeypatch):
-    """Every 2D factor of the 65^2 torsion solve is float32, and every
-    lagged-factor PCG step meets its Eisenstat-Walker forcing term in the
-    float64 residual: ||K s + g|| <= eta ||g||."""
+    """Every 2D factor of the 65^2 torsion solve is float32, and every 2D
+    step is PCG that meets its rtol in the float64 residual, ||K s + g|| <=
+    rtol ||g||: `_ETA_MIN` right after a factorization, the Eisenstat-Walker
+    forcing term with the kept factor."""
     import plapreg.solver as solver_mod
 
-    real_direct, real_pcg = solver_mod._LinearSolves.direct, solver_mod._LinearSolves._pcg
-    dtypes, ratios = [], []
+    real_factor, real_pcg = solver_mod._LinearSolves.factor, solver_mod._LinearSolves._pcg
+    events, ratios = [], []
 
-    def direct(self, K, rhs):
-        step = real_direct(self, K, rhs)
-        dtypes.append(self.lu.L.dtype)
-        return step
+    def factor(self, K):
+        real_factor(self, K)
+        events.append(("factor", self.lu.L.dtype))
 
     def pcg(self, K, rhs, rtol):
-        step = real_pcg(self, K, rhs, rtol)
-        if step is not None:
-            ratios.append(np.linalg.norm(K @ step - rhs) / (rtol * np.linalg.norm(rhs)))
-        return step
+        step, met = real_pcg(self, K, rhs, rtol)
+        events.append(("pcg", rtol))
+        ratios.append(np.linalg.norm(K @ step - rhs) / (rtol * np.linalg.norm(rhs)))
+        return step, met
 
-    monkeypatch.setattr(solver_mod._LinearSolves, "direct", direct)
+    monkeypatch.setattr(solver_mod._LinearSolves, "factor", factor)
     monkeypatch.setattr(solver_mod._LinearSolves, "_pcg", pcg)
     r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3))
-    assert r.converged and len(dtypes) == r.factorizations >= 2
-    assert all(dtype == np.float32 for dtype in dtypes)
-    assert len(ratios) == r.iterations - r.factorizations > 0
+    kinds = [kind for kind, _ in events]
+    assert r.converged and kinds.count("factor") == r.factorizations >= 2
+    assert all(dtype == np.float32 for kind, dtype in events if kind == "factor")
+    # one PCG per step, and the step right after a factorization runs to _ETA_MIN
+    assert kinds.count("pcg") == r.iterations > r.factorizations
+    assert all(after == ("pcg", solver_mod._ETA_MIN)
+               for (kind, _), after in zip(events, events[1:]) if kind == "factor")
     assert max(ratios) <= 1.0
 
 
@@ -665,6 +682,19 @@ def test_high_p_converges_at_4097_nodes(problem, p, eps):
     g = Grid.line(-1.0, 1.0, 4097)
     spec = (torsion_spec(g, p, eps) if problem == "torsion"
             else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual <= residual_tolerance(spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_high_p_2d_torsion_converges():
+    """65^2 torsion at p = 80, eps = 1e-6, where max/min of diag(K) on the
+    fine level spans 13 to 25 decades, converges with the EL contract.
+    Each 2D step is PCG preconditioned by the float32 factor; a step refined
+    from that factor by float64 sweeps alone diverged here, and the solve
+    stopped `no_descent`."""
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 80.0, 1e-6)
     r = solve(spec)
     assert (r.converged, r.stop_reason) == (True, "converged")
     assert r.el_residual <= residual_tolerance(spec)
@@ -878,17 +908,24 @@ def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
 
 def test_lagged_factor_matches_factoring_every_step(monkeypatch):
     """Reusing the last factor as a CG preconditioner takes the same Newton
-    steps to the same minimizer as factoring every Hessian."""
+    steps to the same minimizer as factoring every Hessian, where each step
+    is PCG to `_ETA_MIN` from its own fresh factor."""
     import plapreg.solver as solver_mod
 
     spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3)
     lagged = solve(spec)
-    monkeypatch.setattr(solver_mod, "_PCG_CAP", 0)
+    real_step = solver_mod._LinearSolves.newton_step
+
+    def fresh_step(self, K, g_int, g_norm, prev):
+        self.lu = None  # no kept factor: the step factors K
+        return real_step(self, K, g_int, g_norm, prev)
+
+    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_step)
     direct = solve(spec)
     assert lagged.converged and direct.converged
     assert lagged.iterations == direct.iterations
     assert lagged.factorizations < direct.factorizations == direct.iterations
-    assert lagged.cg_iterations > 0 and direct.cg_iterations == 0
+    assert lagged.cg_iterations > 0 and direct.cg_iterations > 0
     assert lagged.energy == pytest.approx(direct.energy, rel=1e-12)
     # level by level (33^2, then 65^2): the same steps, and on the fine level
     # fewer factorizations than steps
@@ -899,9 +936,10 @@ def test_lagged_factor_matches_factoring_every_step(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["capped", "non-finite"])
 def test_failed_pcg_step_refactors_once(monkeypatch, failure):
-    """A PCG solve that reaches the cap or returns a non-finite step is
-    followed by exactly one factorization, whose direct solve is the step;
-    a PCG solve that succeeds is followed by none."""
+    """A lagged-factor PCG solve that reaches the cap or returns a non-finite
+    step is followed by exactly one factorization, and every factorization
+    by one PCG solve from it that meets its rtol and is the step; a lagged
+    PCG solve that succeeds is followed by no factorization."""
     import plapreg.solver as solver_mod
 
     events = []
@@ -913,9 +951,13 @@ def test_failed_pcg_step_refactors_once(monkeypatch, failure):
 
     def cg(*args, **kwargs):
         step, info = real_cg(*args, **kwargs)
-        if failure == "non-finite" and events.count("cg ok") == 2 and "cg failed" not in events:
+        fresh = events[-1] == "splu"
+        if (failure == "non-finite" and not fresh and events.count("cg ok") == 2
+                and "cg failed" not in events):
             step = np.full_like(step, np.nan)
-        events.append("cg ok" if info == 0 and np.isfinite(step).all() else "cg failed")
+        ok = info == 0 and np.isfinite(step).all()
+        events.append(("cg fresh" if ok else "cg fresh failed") if fresh
+                      else "cg ok" if ok else "cg failed")
         return step, info
 
     monkeypatch.setattr(spla, "splu", splu)
@@ -926,10 +968,11 @@ def test_failed_pcg_step_refactors_once(monkeypatch, failure):
     assert r.converged
     assert events[0] == "splu" and "cg failed" in events
     for event, after in zip(events, events[1:] + ["end"]):
-        expected = "splu" if event == "cg failed" else ("cg ok", "cg failed", "end")
+        expected = {"cg failed": ("splu",), "splu": ("cg fresh",)}.get(
+            event, ("cg ok", "cg failed", "end"))
         assert after in expected, events
     assert r.factorizations == events.count("splu") == 1 + events.count("cg failed")
-    assert r.iterations == events.count("splu") + events.count("cg ok")
+    assert r.iterations == events.count("cg fresh") + events.count("cg ok")
 
 
 # ---------------------------------------------------------------------------
@@ -1081,9 +1124,11 @@ def test_grid_that_does_not_nest_solves_as_from_g(nodes):
 
 
 def test_harmonic_start_factor_preconditions_no_newton_step(monkeypatch):
-    """A non-harmonic 2D trace factors in the harmonic start, and the first
-    Newton step factors its own Hessian instead of running CG on that
-    factor."""
+    """A non-harmonic 2D trace factors in the harmonic start, which is PCG to
+    `_ETA_MIN` from that factor, and the first Newton step factors its own
+    Hessian instead of running CG on the harmonic start's factor."""
+    from plapreg.solver import _ETA_MIN
+
     events = []
     real_splu, real_cg = spla.splu, spla.cg
 
@@ -1092,7 +1137,7 @@ def test_harmonic_start_factor_preconditions_no_newton_step(monkeypatch):
         return real_splu(*args, **kwargs)
 
     def cg(*args, **kwargs):
-        events.append("cg")
+        events.append(("cg", kwargs["rtol"]))
         return real_cg(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", splu)
@@ -1102,8 +1147,9 @@ def test_harmonic_start_factor_preconditions_no_newton_step(monkeypatch):
     spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-3), ScalarField.constant(g, 1.0),
                        ScalarField(g, np.sin(2.0 * x[..., 0]) + x[..., 1] ** 2))
     r = solve(spec)
-    assert r.converged and "cg" in events
-    assert events[:3] == ["splu", "splu", "cg"]
+    assert r.converged
+    assert events[:4] == ["splu", ("cg", _ETA_MIN), "splu", ("cg", _ETA_MIN)]
+    assert any(event[0] == "cg" and event[1] > _ETA_MIN for event in events)
     # the level's row counts the harmonic start's factorization
     assert r.levels == ((g.nodes, r.iterations, r.factorizations, r.energy),)
 
