@@ -95,6 +95,7 @@ def measure():
         "w12_ratio": [w12[65][0] / w12[33][0]],
         "high_p_steps": [frozen.high_p_solve(*case)[1].iterations
                          for case in frozen.HIGH_P_CASES],
+        "backtrack_trials": [frozen.line_search_trials()],
         "line_solve_rel": [max(e for n in (1, 2, 255, 4095) for e in frozen.line_solve_errors(n))],
     }
 

@@ -27,13 +27,15 @@ discrete minimizer.  K_II is filled from the cell blocks directly, with no
 sparse product (`_assemble`).
 
 Minimization is damped Newton on the interior unknowns with the Hessian
-K_II, and every Newton step is one Armijo backtracking line search.  It
-returns the energy and the cell state (c and l = l_eps(c), `_cell_state`)
-of the iterate it accepts.  So an iterate's state is computed once per eps
-and shared by its energy, gradient and Hessian, which also share l^(p-2),
-and its energy is evaluated once.  Once a step's predicted decrease is
-below the energy's float resolution the step polishes: the line search
-accepts its first trial, the full Newton step, as it is.
+K_II, and every Newton step is one Armijo backtracking line search, whose
+next trial after a rejected one minimizes a model of the energy's t^p
+growth along the ray (`_line_search`).  It returns the energy and the cell
+state (c and l = l_eps(c), `_cell_state`) of the iterate it accepts.  So an
+iterate's state is computed once per eps and shared by its energy,
+gradient and Hessian, which also share l^(p-2), and its energy is
+evaluated once.  Once a step's predicted decrease is below the energy's
+float resolution the step polishes: the line search accepts its first
+trial, the full Newton step, as it is.
 The interior unknowns are numbered once per grid in elimination order
 (natural in 1D; George's nested dissection of the mesh in 2D), and D_I
 takes its columns in that order.  A 1D K_II is solved by two prefix sums
@@ -119,6 +121,10 @@ __all__ = [
 ]
 
 MAX_ITER = 200  # Newton steps of a solve, over all its levels and stages
+# the line search's sufficient-decrease constant and its trials per step.
+# Each rejected trial shrinks t by a factor in [2, 10] (`_line_search`), so
+# the last trial is at t >= 1e-59: the small source's first step (65 nodes,
+# p = 10, eps = 1e-4, f = 1e-4) needs t ~ 4e-29, 30 trials, past halving's 2^-59
 _ARMIJO_C = 1e-4
 _BACKTRACK_MAX = 60
 # boundary values of u are compared against g with this absolute slack
@@ -737,10 +743,22 @@ def _line_search(spec, vals, order, direction, e0, slope):
     and None when no trial is accepted).  A step whose predicted decrease is
     below the energy's float resolution, where the Armijo test would compare
     rounding noise, polishes: its first trial, the full step, is accepted as
-    it is."""
+    it is.
+
+    The first trial is t = 1.  Far along the ray the energy density
+    l_eps^p / p grows like t^p, so after a rejected trial t with energy e_t
+    the next minimizes the power-law model e0 + slope s + R (s / t)^p, R =
+    e_t - e0 - slope t (>= 0 by convexity): s* = t (-slope t / (p R))^(1 /
+    (p - 1)), safeguarded to [0.1 t, 0.5 t] (Dennis & Schnabel, *Numerical
+    Methods for Unconstrained Optimization and Nonlinear Equations*, Alg.
+    A6.3.1, with the integrand's own growth as the model; at p = 2 the
+    quadratic backtrack).  The ratio form keeps t^p from under- or
+    overflowing; where s* is undefined (R <= 0, e_t not finite, or a ratio
+    that is not finite) the next trial is 0.1 t."""
     if not slope < 0.0:
         return vals, False, e0, False, None
     polish = _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e0))
+    p = spec.params.p
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()
@@ -752,7 +770,10 @@ def _line_search(spec, vals, order, direction, e0, slope):
         # once t*slope underflows the energy's resolution
         if polish or e_trial <= e0 + _ARMIJO_C * t * slope and e_trial < e0:
             return trial, True, e_trial, polish, cells
-        t *= 0.5
+        R = e_trial - e0 - slope * t  # inf or NaN with e_trial
+        ratio = -slope * t / (p * R) if R > 0.0 else np.inf
+        s = t * ratio ** (1.0 / (p - 1.0)) if ratio < np.inf else 0.0
+        t = min(0.5 * t, max(0.1 * t, s))
     return vals, False, e0, False, None
 
 

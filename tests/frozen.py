@@ -9,6 +9,7 @@ and exits 1 when one leaves its interval.  Moving a constant is one edit of
 `TABLE`, logged in CHANGES.md.
 """
 
+import contextlib
 import itertools
 from collections import namedtuple
 
@@ -49,7 +50,9 @@ TABLE = {
     "dyadic_to_dense": Frozen(0.98, np.inf, 1.0000, "dyadic over every-k seminorm"),
     "w12_h": Frozen(0, 1.0, 0.880, "|W^{1,2} seminorm^2 error| / h, 33^2 and 65^2"),
     "w12_ratio": Frozen(0.5 - 0.05, 0.5 + 0.05, 0.496, "that error at 65^2 over 33^2"),
-    "high_p_steps": Frozen(0, 40, 31, "Newton steps of the p = 20 and 40 solves"),
+    "high_p_steps": Frozen(0, 40, 30, "Newton steps of the p = 20 and 40 solves"),
+    "backtrack_trials": Frozen(0, 260, 223, "line-search trials of seven 4097-node solves, "
+                               "p from 2 to 40 (halving took 393)"),
     "line_solve_rel": Frozen(0, 2e-14, 5.62e-15, "worst relative error of the 1D prefix-sum "
                              "solve, weights over 20 decades, n = 1, 2, 255, 4095"),
 }
@@ -142,13 +145,57 @@ def line_fit(kind):
 HIGH_P_CASES = [(problem, p, eps) for problem in ("torsion", "sharp")
                 for p in (20.0, 40.0) for eps in (1e-2, 1e-6)]
 
+LINE_SEARCH_CASES = [("torsion", 2.0, 1e-2), ("torsion", 2.5, 1e-4), ("sharp", 3.0, 1e-5),
+                     ("sharp", 5.0, 1e-4), ("sharp", 10.0, 1e-3), ("sharp", 20.0, 1e-6),
+                     ("sharp", 40.0, 1e-5)]
+
+
+def line_problem(problem, p, eps, nodes):
+    """The torsion or sharp-oracle problem at (p, eps) on [-1, 1]."""
+    g = Grid.line(-1.0, 1.0, nodes)
+    return (torsion_spec(g, p, eps) if problem == "torsion"
+            else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
+
 
 def high_p_solve(problem, p, eps):
     """The torsion or sharp-oracle problem at (p, eps) on 1025 nodes, and its solve."""
-    g = Grid.line(-1.0, 1.0, 1025)
-    spec = (torsion_spec(g, p, eps) if problem == "torsion"
-            else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
+    spec = line_problem(problem, p, eps, 1025)
     return spec, solve(spec)
+
+
+@contextlib.contextmanager
+def line_search_steps():
+    """Within the block, the trial step lengths t of each call of
+    `plapreg.solver._line_search`, in order: one list per call."""
+    import plapreg.solver as solver_mod
+
+    real, searches = solver_mod._line_search, []
+
+    class Ray(np.ndarray):
+        """A search direction that records the t of each trial t * direction."""
+
+        def __rmul__(self, t):
+            searches[-1].append(t)
+            return t * self.view(np.ndarray)
+
+    def line_search(spec, vals, order, direction, e0, slope):
+        searches.append([])
+        return real(spec, vals, order, direction.view(Ray), e0, slope)
+
+    solver_mod._line_search = line_search
+    try:
+        yield searches
+    finally:
+        solver_mod._line_search = real
+
+
+def line_search_trials():
+    """The trials of every line search of the `LINE_SEARCH_CASES` solves on
+    4097 nodes, in total."""
+    with line_search_steps() as searches:
+        for case in LINE_SEARCH_CASES:
+            solve(line_problem(*case, 4097))
+    return sum(map(len, searches))
 
 
 def line_reference(t, rhs):

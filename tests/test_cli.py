@@ -470,12 +470,12 @@ def test_verify_scaling(tmp_path):
 def test_verify_scaling_at_high_p_raises_no_overflow_warning(tmp_path):
     """At p = 17.3 the scaled problem's source is 0.5^16.3, about 1.2e-5, and
     its trial energies overflowed with a RuntimeWarning.  An overflowing
-    trial now fails the Armijo test silently.  The check still fails (exit
-    1): a source this small is not solved yet, and its rejected Newton step
-    ends the solve `no_descent`."""
+    trial fails the Armijo test silently, and the line search's power-law
+    backtracking reaches the tiny step the small source's first Newton step
+    needs, so both problems are solved and the check passes (exit 0)."""
     assert run("verify", "--suite", "scaling", "--p", "17.3", "--nodes", "65",
-               "--out", str(tmp_path)) == 1
-    assert json.loads((tmp_path / "report.json").read_text())["result"]["passed"] is False
+               "--out", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["passed"] is True
 
 
 @pytest.mark.parametrize("lam, message", [

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from frozen import (HIGH_P_CASES, energy_error, high_p_solve, interpolant_residual,
-                    line_solve_errors, oracle_solve, torsion_spec, within)
+                    line_problem, line_search_steps, line_search_trials, line_solve_errors,
+                    oracle_solve, torsion_spec, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -698,6 +699,66 @@ def test_high_p_2d_torsion_converges():
     r = solve(spec)
     assert (r.converged, r.stop_reason) == (True, "converged")
     assert r.el_residual <= residual_tolerance(spec)
+
+
+@pytest.mark.parametrize("f", [1e-4, 1e-8])
+def test_small_source_at_high_p_converges(f):
+    """65-node torsion at p = 10, eps = 1e-4 with f = 1e-4 or 1e-8: u = 0
+    meets the loose stage tolerance, so the final stage starts there, where
+    the Newton step along the flat energy is some 1e28 too long.  The power-
+    law backtrack reaches it, and the solve converges with the EL contract to
+    the eps = 0 profile, max |u| = f^(1/(p-1)) (p-1)/p."""
+    g = Grid.line(-1.0, 1.0, 65)
+    spec = ProblemSpec(g, PLapParams(p=10.0, eps=1e-4), ScalarField.constant(g, f),
+                       ScalarField.constant(g, 0.0))
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual <= residual_tolerance(spec)
+    assert np.max(np.abs(r.u.values)) == pytest.approx(f ** (1 / 9) * 9 / 10, rel=2e-3)
+
+
+def test_line_search_backtracks_along_the_power_law():
+    """After a rejected trial t the next minimizes the ray's power-law model
+    e0 + slope s + R (s / t)^p, kept within [0.1 t, 0.5 t].  On the 257-node
+    sharp oracle at p = 10, eps = 0.1, where halving took up to 28 trials a
+    search, none takes more than 10.  A trial whose energy overflows is
+    followed by exactly 0.1 t, with no warning."""
+    import plapreg.solver as solver_mod
+
+    with line_search_steps() as searches:
+        r = solve(line_problem("sharp", 10.0, 0.1, 257))
+    assert r.converged and max(map(len, searches)) <= 10
+    for steps in searches:
+        assert steps[0] == 1.0
+        assert all(0.1 * t <= s <= 0.5 * t for t, s in zip(steps, steps[1:]))
+    # 65-node torsion at p = 80 from u = 0 along a direction whose first
+    # trials overflow the energy
+    spec = torsion_spec(Grid.line(-1.0, 1.0, 65), 80.0, 0.1)
+    order = solver_mod._gradient_operator(spec.grid).order
+    vals = np.zeros(spec.grid.shape)
+    direction = np.full(len(order), -1e6)
+    slope = float(gradient_at(spec, vals).ravel()[order] @ direction)
+    with line_search_steps() as searches:
+        out = solver_mod._line_search(spec, vals, order, direction, energy_at(spec, vals),
+                                      slope)
+    (steps,) = searches
+    assert out[1]
+
+    def trial(t):
+        moved = vals.copy()
+        moved.ravel()[order] += t * direction
+        return moved
+
+    with np.errstate(over="ignore"):
+        overflows = [energy_at(spec, trial(t)) == np.inf for t in steps]
+    assert sum(overflows) >= 3
+    assert all(s == 0.1 * t for t, s, over in zip(steps, steps[1:], overflows) if over)
+
+
+def test_line_search_trials_of_the_frozen_solves():
+    """The line searches of seven 4097-node solves, p from 2 to 40, take
+    their frozen total of trials, well below halving's."""
+    assert within("backtrack_trials", line_search_trials())
 
 
 def test_stop_reason_no_descent(monkeypatch):
