@@ -15,6 +15,8 @@ Submodules:
   difference quotients, log-log exponent fits.
 * :mod:`plapreg.experiments` - the exact torsion-type oracle, exponent
   table verification, eps sweeps and scaling checks.
+* :mod:`plapreg.defaults` - the commands' defaults and ``SolverError``, with
+  no imports, so the CLI reads them before numpy loads.
 * :mod:`plapreg.cli` - the ``plapreg`` command line front end.
 """
 

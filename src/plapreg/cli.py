@@ -17,6 +17,14 @@ JSON config file can supply those flags (keys named like the command's
 flags, without dashes); explicit flags win over the file.  A sweep with
 fewer than two eps values within a factor 100 of the smallest reports
 "inconclusive" and exits 0.
+
+At module level this module imports only the standard library and
+:mod:`plapreg.defaults`.  Parsing, ``--help``, the config-file checks and
+each command's own flag checks run before numpy loads; a command imports
+the modules that compute (fields, pointwise, smoothness, experiments and,
+where it solves, the solver) once its flags have passed.  Checks that need
+the problem itself, such as the sharp oracle's p >= 3 and ``--mode``, run
+after that import.
 """
 
 from __future__ import annotations
@@ -26,32 +34,15 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .fields import (
-    Grid, ProblemSpec, ScalarField, read_field_csv, read_grid_json, write_json,
-)
-from .pointwise import PLapParams
-from .smoothness import (
-    dyadic_shifts,
-    fit_smoothness_exponent,
-    nikolskii_seminorm,
-    write_seminorm_report,
-)
-from .experiments import (
-    DEFAULT_DELTA_EXPONENTS,
-    DEFAULT_DELTA_SWEEP,
-    DEFAULT_EPS_SWEEP,
-    DEFAULT_NODES_1D,
-    SharpnessOracle,
+from .defaults import (
+    DEFAULT_DELTA_EXPONENTS, DEFAULT_DELTA_SWEEP, DEFAULT_EPS_SWEEP, DEFAULT_NODES_1D,
     SolverError,
-    oracle_fields,
-    run_eps_sweep,
-    run_scaling_check,
-    run_theorem1_check,
-    write_scaling_report,
-    write_sweep_result,
-    write_theorem1_report,
 )
+
+if TYPE_CHECKING:
+    from .fields import ProblemSpec
 
 __all__ = ["main", "entry"]
 
@@ -125,7 +116,10 @@ def _configure(args: argparse.Namespace) -> tuple[dict, dict]:
     """
     values = {}
     if args.config is not None:
-        payload = json.loads(Path(args.config).read_text())
+        try:
+            payload = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"config file {args.config}: {exc}") from None
         _require(isinstance(payload, dict), "config file must contain a JSON object")
         dests = {option[2:]: dest for dest, (option, _) in _FLAGS.items()}
         for key, val in payload.items():
@@ -174,15 +168,22 @@ def _is_number(val) -> bool:
 
 
 def _eps_list(raw) -> tuple:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(e) for e in raw)
-    return tuple(float(part) for part in str(raw).split(",") if part.strip())
+    parts = raw if isinstance(raw, (list, tuple)) else [
+        part for part in str(raw).split(",") if part.strip()]
+    try:
+        return tuple(float(e) for e in parts)
+    except ValueError:
+        raise ValueError(f"--eps must be a list of numbers, got {raw!r}") from None
 
 
 def _problem(cfg: dict, eps: float) -> ProblemSpec:
     """The run's built-in problem, f = 1 with the trace g of the sharp oracle's
     profile or of torsion (g = 0); resolves cfg["s"] (default p/2) and checks
     (p, s) against cfg["mode"], if the path reads one."""
+    from .experiments import SharpnessOracle, oracle_fields
+    from .fields import Grid, ProblemSpec, ScalarField
+    from .pointwise import PLapParams
+
     grid = Grid.line(-1.0, 1.0, cfg["nodes"])
     p, s = cfg["p"], cfg["s"]
     oracle = SharpnessOracle(p=p) if cfg["oracle"] == "sharp" else None
@@ -216,9 +217,17 @@ def _cmd_estimate(head: dict, cfg: dict) -> tuple[int, dict]:
     _require(cfg["q"] >= 1.0, "estimate requires q >= 1")
     if "field" in cfg:
         _require(cfg["grid"] is not None, "--field requires --grid")
-        field = read_field_csv(cfg["field"], read_grid_json(cfg["grid"]))
     else:
         _require(cfg["p"] is not None, "estimate requires --p or --field")
+    from .experiments import SharpnessOracle, oracle_fields
+    from .fields import Grid, read_field_csv, read_grid_json
+    from .smoothness import (
+        dyadic_shifts, fit_smoothness_exponent, nikolskii_seminorm, write_seminorm_report,
+    )
+
+    if "field" in cfg:
+        field = read_field_csv(cfg["field"], read_grid_json(cfg["grid"]))
+    else:
         grid = Grid.line(-1.0, 1.0, cfg["nodes"])
         _, field, _ = oracle_fields(SharpnessOracle(p=cfg["p"]), grid)
     shifts = dyadic_shifts(field.grid, cfg["delta"])
@@ -237,6 +246,8 @@ def _sweep(head: dict, cfg: dict) -> tuple[int, dict]:
     _require(bool(eps_values) and all(0.0 < e < math.inf for e in eps_values),
              "sweep requires positive, finite eps values")
     cfg["eps"] = list(eps_values)
+    from .experiments import run_eps_sweep, write_sweep_result
+
     template = _problem(cfg, eps_values[0])
     result = run_eps_sweep(template, eps_values, cfg["delta"])
     write_sweep_result(result, cfg["out"])
@@ -246,6 +257,10 @@ def _sweep(head: dict, cfg: dict) -> tuple[int, dict]:
 def _cmd_verify(head: dict, cfg: dict) -> tuple[int, dict]:
     if head["suite"] == "eps-uniform":
         return _sweep(head, cfg)
+    from .experiments import (
+        run_scaling_check, run_theorem1_check, write_scaling_report, write_theorem1_report,
+    )
+
     if head["suite"] == "theorem1":
         report = run_theorem1_check(cfg["p"], nodes=cfg["nodes"], delta=cfg["delta"])
         write_theorem1_report(report, cfg["out"])
@@ -272,6 +287,8 @@ def main(argv=None) -> int:
     try:
         head, cfg = _configure(args)
         code, body = _COMMANDS[args.command][0](head, cfg)
+        from .fields import write_json
+
         write_json({**head, "config": cfg, **body}, Path(cfg["out"]) / "report.json")
         return code
     except (ValueError, OSError) as exc:

@@ -23,6 +23,10 @@ import math
 
 import numpy as np
 
+from .defaults import (
+    DEFAULT_DELTA_EXPONENTS, DEFAULT_DELTA_SWEEP, DEFAULT_EPS_SWEEP, DEFAULT_NODES_1D,
+    SolverError,
+)
 from .fields import (
     Grid, ProblemSpec, ScalarField, VectorField, gradient, interior_box, write_json,
     write_table,
@@ -42,7 +46,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "ScalingReport",
-    "SolverError",
     "oracle_fields",
     "oracle_problem",
     "table_exponent",
@@ -52,17 +55,9 @@ __all__ = [
     "write_theorem1_report",
     "write_sweep_result",
     "write_scaling_report",
-    "DEFAULT_NODES_1D",
-    "DEFAULT_EPS_SWEEP",
-    "DEFAULT_DELTA_EXPONENTS",
-    "DEFAULT_DELTA_SWEEP",
     "R2_MIN",
 ]
 
-DEFAULT_NODES_1D = 4097
-DEFAULT_EPS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
-DEFAULT_DELTA_EXPONENTS = 0.125
-DEFAULT_DELTA_SWEEP = 0.25
 R2_MIN = 0.98
 
 EXPONENT_TOL = 0.05
@@ -230,10 +225,6 @@ def run_theorem1_check(
 
 # ---------------------------------------------------------------------------
 # eps sweep
-
-class SolverError(RuntimeError):
-    """A solve failed in a context that cannot continue (e.g. inside a sweep)."""
-
 
 @dataclass(frozen=True)
 class SweepCell:

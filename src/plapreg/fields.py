@@ -292,7 +292,10 @@ def write_grid_json(grid: Grid, path) -> None:
 
 def read_grid_json(path) -> Grid:
     """Read a grid written by :func:`write_grid_json`; ValueError if malformed."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"{path}: not a JSON grid: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a grid must be a JSON object, not a "
                          f"{type(payload).__name__}")

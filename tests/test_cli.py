@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plapreg
 from plapreg.cli import _FLAGS, _PATHS, _build_parser, _configure, main
 from plapreg.fields import Grid, ScalarField, write_field_csv, write_grid_json
 
@@ -511,15 +515,16 @@ def test_verify_requires_suite(capsys):
 
 
 def test_verify_failed_suite_exits_one(tmp_path, monkeypatch):
-    import plapreg.cli as cli
     import plapreg.experiments as exp
 
+    check = exp.run_theorem1_check
+
     def failing_check(p, qs=None, **kw):
-        real = exp.run_theorem1_check(p, qs, nodes=257, delta=kw.get("delta", 0.125))
+        real = check(p, qs, nodes=257, delta=kw.get("delta", 0.125))
         object.__setattr__(real, "passed", False)
         return real
 
-    monkeypatch.setattr(cli, "run_theorem1_check", failing_check)
+    monkeypatch.setattr(exp, "run_theorem1_check", failing_check)
     rc = run("verify", "--suite", "theorem1", "--out", str(tmp_path))
     assert rc == 1
 
@@ -592,6 +597,67 @@ def test_path_errors_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error: [Errno") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv"]
     assert (tmp_path / "field.csv").read_bytes() == field
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--p", "3", "--eps", "1e-2,abc"],
+     "--eps must be a list of numbers, got '1e-2,abc'"),
+    (["solve", "--p", "3", "--config", "{dir}/broken.json"],
+     "config file {dir}/broken.json: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["estimate", "--field", "{dir}/field.csv", "--grid", "{dir}/field.csv"],
+     "{dir}/field.csv: not a JSON grid: Expecting value: line 1 column 1 (char 0)"),
+], ids=["eps-list", "config-not-json", "grid-not-json"])
+def test_unreadable_input_names_its_source(tmp_path, capsys, argv, message):
+    """An eps list, config file or grid file that cannot be read is named in
+    the error; json and float() alone named neither the flag nor the file."""
+    write_field_csv(ScalarField.constant(Grid.line(0.0, 1.0, 9), 2.0), tmp_path / "field.csv")
+    (tmp_path / "broken.json").write_text("{not json")
+    out = tmp_path / "out"
+    assert run(*(a.format(dir=tmp_path) for a in argv), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
+    assert not out.exists()
+
+
+NUMPY_BLOCKED = (
+    "import json, sys\n"
+    "sys.modules['numpy'] = None  # every import of numpy now raises ImportError\n"
+    "from plapreg.cli import main\n"
+    "sys.exit(main(json.loads(sys.argv[1])))\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["solve"], 2, "error: solve requires --p\n"),
+    (["estimate", "--q", "0.5"], 2, "error: estimate requires q >= 1\n"),
+    (["estimate", "--field", "f.csv", "--q", "2"], 2, "error: --field requires --grid\n"),
+    (["--help"], 0, "usage: plapreg"),
+    (["solve", "--bogus"], 2, "error: unrecognized arguments: --bogus\n"),
+    (["solve", "--theta", "0.7"], 2, "error: unrecognized arguments: --theta 0.7\n"),
+    (["solve", "--p", "3", "--config", "cfg.json"], 2, "error: unknown config key 'nonsense'\n"),
+    (["verify"], 2, "error: verify requires --suite\n"),
+    (["sweep", "--p", "3", "--eps", "1e-2,abc"], 2,
+     "error: --eps must be a list of numbers, got '1e-2,abc'\n"),
+], ids=["solve-without-p", "q-below-one", "field-without-grid", "help", "unknown-flag",
+        "unread-flag", "bad-config-key", "verify-without-suite", "eps-not-a-number"])
+def test_usage_errors_need_no_numpy(tmp_path, monkeypatch, capsys, argv, code, message):
+    """Parsing, --help, the config-file checks and each command's own flag
+    checks run before numpy loads: in a fresh process where every import of
+    numpy fails, the command exits with the code and output it has with
+    numpy, and writes nothing."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"nonsense": 1}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # the same help text width in both processes
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    assert message in expected.out + expected.err
+    src = str(Path(plapreg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    blocked = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(argv)], env=env,
+                             cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (code, *expected)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plapreg.defaults import SolverError
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.experiments import (
     SharpnessOracle,
-    SolverError,
     oracle_fields,
     oracle_problem,
     run_eps_sweep,

@@ -109,6 +109,21 @@ def test_import_graph():
     assert sci_cli == [], f"experiments and cli loaded {sci_cli}"
 
 
+def test_cli_import_loads_no_numpy():
+    """``import plapreg.cli`` loads the standard library and plapreg alone,
+    so a usage error or --help pays for no numpy import."""
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import plapreg.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps(['numpy' in sys.modules, sorted(new - sys.stdlib_module_names)]))\n"
+    )
+    numpy_loaded, non_stdlib = json.loads(run_python(code))
+    assert not numpy_loaded
+    assert non_stdlib == ["plapreg"]
+
+
 def test_only_2d_solves_load_scipy(tmp_path):
     """No command loads scipy: not the README's, the five that solve on a
     line included (the solver loads, its 1D steps are prefix sums), nor a
