@@ -18,6 +18,7 @@ from plapreg.experiments import SharpnessOracle, oracle_fields
 from plapreg.fields import Grid, VectorField
 from plapreg.pointwise import alpha_s
 from plapreg.smoothness import COMPOSITION_C, composition_bound_check
+from plapreg.solver import solve
 
 _spec = importlib.util.spec_from_file_location(
     "frozen", Path(__file__).resolve().parents[1] / "tests" / "frozen.py")
@@ -75,6 +76,7 @@ def measure():
     w12 = {n: frozen.w12_error(n) for n in (33, 65)}
     composition = composition_ratios()
     dyadic, dense = frozen.dyadic_and_dense()
+    box_line = [frozen.box_line_gaps(*case) for case in frozen.BOX_LINE_CASES]
     return {
         "solve_err_4097": [err[4097]],
         "solve_ratio_4097": [err[4097] / err[2049]],
@@ -96,7 +98,15 @@ def measure():
         "high_p_steps": [frozen.high_p_solve(*case)[1].iterations
                          for case in frozen.HIGH_P_CASES],
         "backtrack_trials": [frozen.line_search_trials()],
-        "line_solve_rel": [max(e for n in (1, 2, 255, 4095) for e in frozen.line_solve_errors(n))],
+        "line_exact_rel": [max(e for n in (2, 3, 256, 257, 4096, 4097)
+                               for e in frozen.line_exact_errors(n))],
+        "box_line_u": [u_gap for u_gap, _ in box_line],
+        "box_line_energy": [e_gap for _, e_gap in box_line],
+        "offcentre_calls": [solve(frozen.offcentre_line(80.0, eps)).iterations
+                            for eps in frozen.OFFCENTRE_EPS],
+        "line_floor": [solve(frozen.steep_line(10.0, 1e-4)).el_residual],
+        "line_calls": [solve(frozen.warning_case(*case)).iterations
+                       for case in frozen.WARNING_CASES],
     }
 
 

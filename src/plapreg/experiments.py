@@ -232,7 +232,7 @@ class SweepCell:
     w1p_norm: float
     alpha_w12: float
     el_residual: float
-    iterations: int
+    iterations: int  # `SolveResult.iterations`: outer calls on a line, Newton steps on a box
 
 
 @dataclass(frozen=True)

@@ -26,30 +26,41 @@ reported here is the first variation of the energy and vanishes at the
 discrete minimizer.  K_II is filled from the cell blocks directly, with no
 sparse product (`_assemble`).
 
-Minimization is damped Newton on the interior unknowns with the Hessian
-K_II, and every Newton step is one Armijo backtracking line search, whose
-next trial after a rejected one minimizes a model of the energy's t^p
-growth along the ray (`_line_search`).  It returns the energy and the cell
-state (c and l = l_eps(c), `_cell_state`) of the iterate it accepts.  So an
-iterate's state is computed once per eps and shared by its energy,
+A line is solved exactly, by the first integral of its Euler-Lagrange
+equation (`_solve_line`; Lindqvist, *Notes on the p-Laplace equation*, on
+the one-dimensional equation).  At an interior node the equation is
+flux(c_{j-1}) - flux(c_j) + w_j f_j = 0, flux(c) = l_eps(c)^(p-2) c, so
+cell j carries the flux sigma_j = sigma_0 + S_j, S_j the sum of w f over
+the interior nodes up to j, and its slope c_j is the root of the monotone
+r (eps^2 + r^2)^((p-2)/2) = |sigma_j|.  sigma_0 is the root of the monotone
+Phi(sigma_0) = h sum(c) - (g_R - g_L), found inside a bracket, and u is g
+plus h times the running sums of c from both ends, the cell of least
+|sigma| taking up the rounding remainder.  So a line needs no
+continuation, nesting, line search or linear solve, and scipy never loads.
+
+A box is minimized by damped Newton on the interior unknowns with the
+Hessian K_II, and every Newton step is one Armijo backtracking line search,
+whose next trial after a rejected one minimizes a model of the energy's
+t^p growth along the ray (`_line_search`).  It returns the energy and the
+cell state (c and l = l_eps(c), `_cell_state`) of the iterate it accepts.
+So an iterate's state is computed once per eps and shared by its energy,
 gradient and Hessian, which also share l^(p-2), and its energy is
 evaluated once.  Once a step's predicted decrease is below the energy's
 float resolution the step polishes: the line search accepts its first
 trial, the full Newton step, as it is.
-The interior unknowns are numbered once per grid in elimination order
-(natural in 1D; George's nested dissection of the mesh in 2D), and D_I
-takes its columns in that order.  A 1D K_II is solved by two prefix sums
-in numpy alone (scipy loads only in 2D).  A 2D K_II has a fixed 9-point
-pattern and arrives ordered for a SuperLU factorization in symmetric mode
-with no fill-reducing permutation of its own.  That factor is single
-precision: K_II is scaled to unit diagonal, so that its entries fit
-float32, and factored in float32, which halves the memory its values take.
+The interior unknowns of a box are numbered once per grid by George's
+nested dissection of the mesh, and D_I takes its columns in that order.
+K_II has a fixed 9-point pattern and arrives ordered for a SuperLU
+factorization in symmetric mode with no fill-reducing permutation of its
+own.  That factor is single precision: K_II is scaled to unit diagonal, so
+that its entries fit float32, and factored in float32, which halves the
+memory its values take.
 It only preconditions CG in float64 (`_LinearSolves`): the step right after
-a factorization runs CG to rtol `_ETA_MIN`.  The 2D Hessians change little
+a factorization runs CG to rtol `_ETA_MIN`.  The Hessians change little
 from step to step, so later steps keep the factor and run CG to an
 Eisenstat-Walker forcing term (inexact Newton), factoring afresh only when
 CG reaches an iteration cap or returns a non-finite step.
-The solve walks one (p, eps) continuation path, warm starting each stage.
+A box solve walks one (p, eps) continuation path, warm starting each stage.
 For small eps it is a geometric eps path, which keeps Newton steps well
 scaled even when the initial iterate has vanishing gradient.  Above
 p = 18 a Newton step from the harmonic start overflows, so the path first
@@ -70,18 +81,15 @@ gradient norm; the final stage also needs the EL residual within
 `residual_tolerance`, and without it stops `stalled` at the floor.  A
 Newton step that the line search rejects stops a stage `no_descent`.
 
-A solve uses nested iteration (Briggs, Henson & McCormick, *A Multigrid
-Tutorial*, ch. 3).  While every (n - 1) is even and the halved grid keeps
-at least the coarsest node count of `_LEVEL_RULE` per axis, the grid is
-halved; the levels are the coarsest grid and the problem grid, with every
-halving between them in 2D, and f and g are injected (a coarse node is a
-fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2, and a 4097-node
-line as 257, 4097; a line that halves fewer than three times (513 or 1025
-nodes) is its own only level.  The coarsest level starts from the harmonic
-extension of g and walks the whole (p, eps) path; each finer level starts
-from the coarser iterate, prolonged by linear interpolation (one midpoint
-pass per axis and halving), its boundary reset to g, and runs the final
-(p, eps) stage alone.
+A box solve uses nested iteration (Briggs, Henson & McCormick, *A
+Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and the halved
+grid keeps at least `_COARSEST` nodes per axis, the grid is halved; the
+levels are every halving and the problem grid, and f and g are injected (a
+coarse node is a fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2.
+The coarsest level starts from the harmonic extension of g and walks the
+whole (p, eps) path; each finer level starts from the coarser iterate,
+prolonged by bilinear interpolation (one midpoint pass per axis), its
+boundary reset to g, and runs the final (p, eps) stage alone.
 Only the problem grid's stage is final, so a coarse level ends at the
 loose tolerance of an intermediate stage.  The iteration cap counts Newton
 steps over all levels; a capped iterate is prolonged to the problem grid
@@ -120,11 +128,14 @@ __all__ = [
     "write_solve_result",
 ]
 
-MAX_ITER = 200  # Newton steps of a solve, over all its levels and stages
+# the Newton steps of a box solve, over all its levels and stages, and the
+# outer calls (evaluations of Phi) of a line solve
+MAX_ITER = 200
 # the line search's sufficient-decrease constant and its trials per step.
 # Each rejected trial shrinks t by a factor in [2, 10] (`_line_search`), so
-# the last trial is at t >= 1e-59: the small source's first step (65 nodes,
-# p = 10, eps = 1e-4, f = 1e-4) needs t ~ 4e-29, 30 trials, past halving's 2^-59
+# the last trial is at t >= 1e-59: when lines still took Newton steps, the
+# first step of a small source (65 nodes, p = 10, eps = 1e-4, f = 1e-4)
+# needed t ~ 4e-29, 30 trials, past halving's 2^-59
 _ARMIJO_C = 1e-4
 _BACKTRACK_MAX = 60
 # boundary values of u are compared against g with this absolute slack
@@ -153,29 +164,22 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
 # reaches the 200-step cap with ~1,800 overflows
 _P_DIRECT = 18.0
-# the level rule of a nested solve (`_levels`), per dimension: (coarsest,
-# fewest, every).  A grid is halved while every (n - 1) is even and the
-# halved grid keeps at least `coarsest` nodes per axis; it nests if it was
-# halved at least `fewest` times, and then its levels are the coarsest grid,
-# every halving between if `every`, and the problem grid.
-# 2D: at 257^2 (2-core Xeon, warm) a coarsest grid of 17, 33 or 65 nodes
-# makes no difference to seeded torsion (p = 3, eps = 1e-3: 0.94-1.01 s,
-# against 1.45-1.69 s on one level), where the finest level's 4-5 steps
-# dominate; on the sharp oracle (p = 5, eps = 1e-4) 65 costs 10% more (0.98 s
-# against 0.87-0.89 s), as the whole (p, eps) path then runs on 65^2.  Going
-# from 33^2 straight to 257^2 costs two fine factorizations (38.7 against
-# 22.8 ref on seeded torsion), so every halving is a level.
-# 1D: the whole path runs on a line of at least 257 nodes and the problem
-# line takes the final stage alone, in 6-7 steps against 9-26 on one level
-# (sharp oracle, 4097 nodes, p <= 18).  On perfbench sweep1d (4097 nodes, p
-# from 2 to 40) this raised the solves per ref unit by 40%; halving down
-# to 129 nodes with every line a level gained 15% (each middle line takes 2
-# steps), strides of 4 (257, 1025, 4097) 30%, a 513-node coarse line 29%,
-# and a 129-node one matched 257.  Nested on 257, in interleaved warm
-# solves of 7 problems (60 rounds), a 513-node line was 5% slower than on
-# one level, 1025 2% slower (faster in 17-24 of 60 rounds), 2049 10% faster
-# (56 of 60) and 4097 20-25% faster, hence fewest = 3
-_LEVEL_RULE = {1: (257, 3, False), 2: (33, 1, True)}
+# the coarsest level of a nested box solve (`_levels`): a box is halved
+# while every (n - 1) is even and the halved box keeps at least this many
+# nodes per axis, and every halving is a level.  At 257^2 (2-core Xeon, warm)
+# a coarsest grid of 17, 33 or 65 nodes makes no difference to seeded torsion
+# (p = 3, eps = 1e-3: 0.94-1.01 s, against 1.45-1.69 s on one level), where
+# the finest level's 4-5 steps dominate; on the sharp oracle (p = 5, eps =
+# 1e-4) 65 costs 10% more (0.98 s against 0.87-0.89 s), as the whole (p, eps)
+# path then runs on 65^2.  Going from 33^2 straight to 257^2 costs two fine
+# factorizations (38.7 against 22.8 ref on seeded torsion), so every
+# halving is a level
+_COARSEST = 33
+# the Newton iterations of one call of `_line_slopes`, which stops once a
+# step is at the rounding of its terms.  On 65- and 4097-node torsion, the
+# sharp oracle and three off-centre sources (p from 2 to 200, eps from 0.1
+# to 1e-12) a call took at most 5 from the cold bound and 6 warm
+_INNER_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -183,18 +187,24 @@ class SolveResult:
     u: ScalarField
     energy: float
     el_residual: float
+    # a box: Newton steps over all levels and stages.  A line: outer calls,
+    # the evaluations of Phi (`_solve_line`), at least 1
     iterations: int
     # why the final stage stopped: converged, max_iter, stalled (at the rounding
-    # floor, EL residual above its tolerance) or no_descent (Newton step rejected)
+    # floor, EL residual above its tolerance) or no_descent (Newton step
+    # rejected).  A line is converged when its EL residual meets its tolerance,
+    # and stalled otherwise
     stop_reason: str
-    trace: tuple = ()  # (iteration, energy, grad_norm) rows
-    # prefix-sum solves in 1D, SuperLU factorizations in 2D; harmonic start included
+    # (iteration, energy, grad_norm) rows: a box's per Newton iterate, a line's
+    # one row, for the returned u
+    trace: tuple = ()
+    # SuperLU factorizations of a box, harmonic start included; 0 on a line
     factorizations: int = 0
-    cg_iterations: int = 0  # PCG iterations of every 2D step, harmonic start included
+    cg_iterations: int = 0  # PCG iterations of every box step, harmonic start included
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
-    # first (`_levels`; a nested line has two); the last row is the problem
-    # grid's.  A solve capped on a coarse level has no row for the levels it
-    # skipped on its way to the problem grid
+    # first (`_levels`); the last row is the problem grid's.  A box solve
+    # capped on a coarse level has no row for the levels it skipped on its way
+    # to the problem grid.  A line has one row
     levels: tuple = ()
 
     def __post_init__(self):
@@ -214,7 +224,9 @@ class _GridOps(NamedTuple):
 
     G: np.ndarray  # G[k, a]: the weight of corner a in component k of a cell's gradient
     fill: tuple | None  # how `_assemble` fills a 2D K_II (`_stencil_fill`); None in 1D
-    order: np.ndarray  # the flat ids of the interior nodes in elimination order
+    # the flat ids of the interior nodes of a box in elimination order; None in
+    # 1D, where no Hessian is assembled
+    order: np.ndarray | None
     # (corner, cells) per cell corner in `itertools.product` order: cells is
     # the slice of the node array that holds that corner of every cell, cells
     # in C order
@@ -231,12 +243,12 @@ class _GridOps(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> _GridOps:
     """The grid's `_GridOps`: the corner weights of the cell gradient, how a
-    2D K_II is filled, the interior order, and the grid's constants.
+    2D K_II is filled, the interior order of a box, and the grid's constants.
 
     Per axis a cell's gradient is the difference along that axis averaged
     over the cell's 2**(dim-1) edges parallel to it: G[k, a] is the weight
-    of corner a (in `corners` order) in component k.  `order` holds the
-    flat ids of the interior nodes in elimination order (see
+    of corner a (in `corners` order) in component k.  On a box, `order`
+    holds the flat ids of the interior nodes in elimination order (see
     `_elimination_order`); interior vectors and the Hessian K_II are indexed
     by position in `order`.  The cached arrays are shared by every caller,
     so they are read-only.
@@ -245,9 +257,10 @@ def _gradient_operator(grid: Grid) -> _GridOps:
                     for corner in itertools.product((0, 1), repeat=grid.dim))
     G = np.array([[(2 * corner[k] - 1) / (2 ** (grid.dim - 1) * h) for corner, _ in corners]
                   for k, h in enumerate(grid.h)])
-    order = _elimination_order(
-        np.arange(grid.num_nodes).reshape(grid.shape)[(slice(1, -1),) * grid.dim])
-    fill = _stencil_fill(grid, G, order) if grid.dim == 2 else None
+    order = fill = None
+    if grid.dim == 2:
+        order = _elimination_order(np.arange(grid.num_nodes).reshape(grid.shape)[1:-1, 1:-1])
+        fill = _stencil_fill(grid, G, order)
     weights, boundary = grid.quad_weights(), grid.boundary_flags()
     ops = _GridOps(G, fill, order, corners,
                    tuple((a, cells) for a, (_, cells) in reversed(list(enumerate(corners)))),
@@ -293,16 +306,14 @@ def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
 
 
 def _elimination_order(ids: np.ndarray) -> np.ndarray:
-    """The interior node ids `ids` (one axis per grid axis) in elimination order.
-
-    1D: natural order, in which `direct` solves by prefix sums.
-    2D: nested dissection.  A block is split at the middle row or column of
-    its longer side; the two halves are ordered recursively and the
+    """The interior node ids `ids` of a box (shape (n0, n1)) in elimination
+    order: nested dissection.  A block is split at the middle row or column
+    of its longer side; the two halves are ordered recursively and the
     separator line last.  A cell spans two adjacent rows (columns), so no
     Hessian entry couples the halves and fill stays inside them and the
     separator.
     """
-    if ids.ndim == 1 or max(ids.shape) <= _ND_LEAF:
+    if max(ids.shape) <= _ND_LEAF:
         return ids.ravel()
     axis = int(ids.shape[1] > ids.shape[0])
     mid = ids.shape[axis] // 2
@@ -377,29 +388,21 @@ def _gradient_raw(spec: ProblemSpec, cells: tuple) -> tuple[np.ndarray, np.ndarr
 
 
 def _interior_hessian(spec: ProblemSpec, cells: tuple, lp2: np.ndarray):
-    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian in the interior
-    unknowns, at the iterate whose `_cell_state` is cells and flux weight lp2.
-
-    Rows and columns in elimination order; a 1D K_II is its cell weights.
-    """
+    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian of a box in the
+    interior unknowns, at the iterate whose `_cell_state` is cells and flux
+    weight lp2; rows and columns in elimination order."""
     c, l = cells
     return _assemble(spec.grid, spec.grid.cell_volume * hess_L_eps(
         c, spec.params.eps, spec.params.p, l=l, lp2=lp2))
 
 
 def _assemble(grid: Grid, Hc: np.ndarray):
-    """D_I^T blockdiag(Hc) D_I from the cell blocks Hc, shape (cells, dim, dim).
-
-    1D: the n + 1 cell weights t = Hc * (1/h) * (1/h), from which `direct`
-    solves; K_II's diagonal t[:-1] + t[1:] and off-diagonals -t[1:-1] are
-    bitwise the sparse product's.  2D: a CSC matrix with the fixed pattern
-    of `_stencil_fill`.  Each cell's corner stiffness G^T H G is added into
-    the 9-point stencil S of its corners, and K_II's data are gathered from
-    S; the sums run in another order than the sparse product's.
+    """D_I^T blockdiag(Hc) D_I of a box from the cell blocks Hc, shape
+    (cells, 2, 2): a CSC matrix with the fixed pattern of `_stencil_fill`.
+    Each cell's corner stiffness G^T H G is added into the 9-point stencil S
+    of its corners, and K_II's data are gathered from S; the sums run in
+    another order than the sparse product's.
     """
-    if grid.dim == 1:
-        c = 1.0 / grid.h[0]
-        return Hc.ravel() * c * c
     import scipy.sparse as sp
     ops = _gradient_operator(grid)
     C, indptr, indices, src = ops.fill
@@ -446,19 +449,18 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 # the solve
 
 class _LinearSolves:
-    """The linear solves of one `solve` call, and their counts.
+    """The linear solves of one box `solve` call, and their counts.
 
-    A 1D K is solved afresh by two prefix sums (`direct`), which costs less
-    than CG iterations.  Every 2D solve, the harmonic start included, is CG
-    preconditioned by a kept float32 SuperLU factor, used only through
-    `precondition`; a factorization (`factor`) only refreshes it.  The step
-    right after one runs CG to rtol `_ETA_MIN`, a later step runs CG with
-    the same factor to its Eisenstat-Walker forcing term and factors afresh
-    when that CG fails (`newton_step`).  `solve` drops the factor as each
-    level starts, so neither the harmonic start's factor nor a coarser
-    level's preconditions a new K.  The factor lives only as long as this
-    object, and the old one is released before SuperLU allocates the new
-    one, so at most one is ever held.
+    Every solve, the harmonic start included, is CG preconditioned by a kept
+    float32 SuperLU factor, used only through `precondition`; a
+    factorization (`factor`) only refreshes it.  The step right after one
+    runs CG to rtol `_ETA_MIN`, a later step runs CG with the same factor to
+    its Eisenstat-Walker forcing term and factors afresh when that CG fails
+    (`newton_step`).  `solve` drops the factor as each level starts, so
+    neither the harmonic start's factor nor a coarser level's preconditions
+    a new K.  The factor lives only as long as this object, and the old one
+    is released before SuperLU allocates the new one, so at most one is ever
+    held.
     """
 
     def __init__(self):
@@ -466,24 +468,6 @@ class _LinearSolves:
         self.d = None  # diag(K)^-1/2 of the K that `lu` factors
         self.factorizations = 0
         self.cg_iterations = 0
-
-    def direct(self, K, rhs: np.ndarray) -> np.ndarray:
-        """K^{-1} rhs for a 1D K_II from `_assemble`, its cell weights t, by
-        two prefix sums: for S = [0, cumsum(rhs)] less S[m], m the cell of
-        least t, and w = 1 / t, the increments D_I x are y = ((S . w) /
-        sum(w) - S) w, which sum to 0; x sums y from either end up to m,
-        never adding y[m], which may dwarf x.  A weight not positive, normal
-        and finite, or an overflow, gives NaN.
-        """
-        self.factorizations += 1
-        with np.errstate(all="ignore"):  # a bad weight or sum fails the check below
-            w, m = 1.0 / K, int(np.argmin(K))  # K[m]: the least weight, or a NaN
-            S = np.concatenate(([0.0], np.cumsum(rhs)))
-            S -= S[m]
-            y = (S @ w / w.sum() - S) * w
-            x = np.concatenate((np.cumsum(y[:m]), -np.cumsum(y[:m:-1])[::-1]))
-        ok = K[m] >= np.finfo(float).tiny and K.max() < np.inf and np.isfinite(x).all()
-        return x if ok else np.full(rhs.shape, np.nan)
 
     def factor(self, K) -> None:
         """Keep a fresh factor of a 2D K_II from `_assemble`, or none.
@@ -534,8 +518,6 @@ class _LinearSolves:
         A K not factored, or a step not finite, gives NaN: the line search
         rejects a NaN slope, and the stage stops `no_descent`."""
         rhs = -g_int
-        if isinstance(K, np.ndarray):  # 1D: the cell weights t
-            return self.direct(K, rhs)
         if self.lu is not None:
             eta = min(_ETA_MAX, _ETA_GAMMA * (g_norm / prev) ** 2)
             step, met = self._pcg(K, rhs, max(_ETA_MIN, eta))
@@ -600,24 +582,21 @@ def _path(p: float, eps: float) -> list[tuple[float, float]]:
 
 
 def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
-    """The problems of a nested solve, coarsest first, ending with spec itself.
+    """The problems of a nested box solve, coarsest first, ending with spec
+    itself.
 
-    The grid is halved as the dimension's entry of `_LEVEL_RULE` says; the
-    levels are the coarsest grid, in 2D every halving between, and
-    spec.grid.  A coarse node is a fine node, so f and g are injected.  A
-    grid halved fewer times than the rule's fewest is its own only level.
+    The box is halved while every (n - 1) is even and the halved box keeps
+    at least `_COARSEST` nodes per axis; every halving is a level.  A coarse
+    node is a fine node, so f and g are injected.  A box that does not halve
+    is its own only level.
     """
-    coarsest, fewest, every = _LEVEL_RULE[spec.grid.dim]
     k, nodes = 0, spec.grid.nodes
-    while all(n % 2 and (n + 1) // 2 >= coarsest for n in nodes):
+    while all(n % 2 and (n + 1) // 2 >= _COARSEST for n in nodes):
         k, nodes = k + 1, tuple((n + 1) // 2 for n in nodes)
-    if k < fewest:
-        return [spec]
     levels = []
-    for stride in [2**j for j in range(k, 0, -1)] if every else [2**k]:
+    for stride in [2**j for j in range(k, 0, -1)]:
         level = replace(spec.grid, nodes=tuple((n - 1) // stride + 1 for n in spec.grid.nodes))
-        f, g = (ScalarField(level, field.values[(slice(None, None, stride),) * level.dim])
-                for field in (spec.f, spec.g))
+        f, g = (ScalarField(level, field.values[::stride, ::stride]) for field in (spec.f, spec.g))
         levels.append(ProblemSpec(level, spec.params, f, g))
     return levels + [spec]
 
@@ -635,15 +614,152 @@ def _prolong(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _line_slopes(sigma: np.ndarray, p: float, log_eps: float, warm):
+    """(c, dc, state): the cell slopes c with flux(c) = sigma, flux(c) =
+    l_eps(c)^(p-2) c, their derivatives dc/dsigma, and the state that warm
+    starts the next call (warm None: a cold start).
+
+    In tau = log(r / eps), r = |c|, the equation r (eps^2 + r^2)^((p-2)/2) =
+    |sigma| reads tau + k log(1 + e^(2 tau)) = la, with k = (p - 2) / 2 and
+    la = log(|sigma| / eps^(p-1)).  Its left side is convex and increasing,
+    with slope in [1, p - 1], so Newton from an upper bound of the root
+    descends to it monotonically.  The cold bound is min(la, la / (p - 1)).
+    The root moves by at most the change of la, and by at least that change
+    over p - 1, so the last root plus the larger of the two is a warm bound.
+    sigma = 0 gives c = 0 exactly, and dc its limit eps^(2-p), capped at
+    e^600 so that a sum of dc stays finite.
+    """
+    la = np.log(np.maximum(np.abs(sigma), np.finfo(float).tiny)) - (p - 1.0) * log_eps
+    tau = np.minimum(la, la / (p - 1.0))
+    if warm is not None:
+        d = la - warm[1]
+        tau = np.minimum(tau, warm[0] + np.maximum(d, d / (p - 1.0)))
+    k = 0.5 * (p - 2.0)
+    for _ in range(_INNER_MAX):
+        x = 2.0 * tau
+        sp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x), no overflow
+        slope = 1.0 + (p - 2.0) * (0.5 + 0.5 * np.tanh(tau))  # 1 + (p - 2) t^2 / (1 + t^2)
+        step = (tau + k * sp - la) / slope
+        tau = tau - step
+        if np.all(np.abs(step) <= 1e-15 * (np.abs(tau) + k * sp + np.abs(la))):
+            break
+    c = np.where(sigma != 0.0, np.copysign(np.exp(tau + log_eps), sigma), 0.0)
+    # dc/dsigma = (r / |sigma|) / slope, with r / |sigma| = e^(tau - la) / eps^(p-2)
+    dc = np.exp(np.minimum(tau - la - (p - 2.0) * log_eps, 600.0)) / slope
+    return c, dc, (tau, la)
+
+
+def _slope_step(dc: np.ndarray, m: int, phi: float, h: float) -> float:
+    """The Newton step of cell m's slope for Phi = phi: -phi dc_m / dPhi,
+    with dPhi/dsigma_0 = h sum(dc), dc = 1 / t for the cell weights t =
+    dflux/dc.  A weight that is not positive, normal and finite, or a sum or
+    step that overflows, gives NaN with no RuntimeWarning, and the caller
+    takes a bracketing step.  `_line_slopes` caps dc at e^600, so no weight
+    it returns is subnormal.
+    """
+    with np.errstate(all="ignore"):  # a bad weight or sum fails the check below
+        total = float(np.sum(dc))
+        step = -phi * float(dc[m]) / (h * total)
+    ok = dc.min() > 0.0 and dc.max() <= 1.0 / np.finfo(float).tiny and np.isfinite(total)
+    return step if ok and np.isfinite(step) else np.nan
+
+
+def _solve_line(spec: ProblemSpec) -> SolveResult:
+    """The exact discrete minimizer of a line (see the module docstring),
+    evaluated once; `iterations` counts the evaluations of Phi.
+
+    With sigma_a the flux of the mean slope (g_R - g_L) / L, Phi(sigma_a -
+    max S) <= 0 <= Phi(sigma_a - min S): a bracket.  The first iterate is
+    sigma_a - mean(S), the affine interpolant's flux.  Each next one is a
+    Newton step in t, the slope of the cell m of least |sigma|, with sigma_0
+    = flux(t) - S_m: near sigma_m = 0 that slope is steep in sigma_0, and Phi
+    a smoothed step, but Phi is smooth in t.  A step that leaves the
+    bracket, is NaN (`_slope_step`) or follows a Newton step that failed to
+    halve |Phi|, is an Illinois step (Dowell & Jarratt, BIT 11, 1971), or
+    bisection while an end of the bracket has no value.  The iteration
+    stops when |Phi| is at its rounding floor, the bracket is within the
+    resolution of sigma_0, a step is for the second time, or after
+    `MAX_ITER` evaluations; cell m takes up what is left.
+    """
+    grid, p, eps = spec.grid, spec.params.p, spec.params.eps
+    h, g, ops = grid.h[0], spec.g.values, _gradient_operator(grid)
+    S = np.concatenate(([0.0], np.cumsum((ops.weights * spec.f.values)[1:-1])))
+    rise, log_eps = float(g[-1] - g[0]), float(np.log(eps))
+
+    def flux(t):
+        return float(np.exp((p - 2.0) * np.log(np.hypot(eps, t))) * t)
+
+    calls, warm, side, newton, phi_prev, unresolved = 0, None, 0, False, np.inf, False
+    ends = {}  # Phi at the bracket's ends: -1 at lo, 1 at hi, Illinois-halved
+    # an overflowing flux or Newton step is an iterate outside the bracket
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma_a = flux(rise / (h * len(S)))
+        lo, hi = sigma_a - float(S.max()), sigma_a - float(S.min())
+        tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), float(np.max(np.abs(S))))
+        x = sigma_a - float(np.mean(S))
+        while True:
+            c, dc, warm = _line_slopes(x + S, p, log_eps, warm)
+            calls += 1
+            phi = h * float(np.sum(c)) - rise
+            floor = 8.0 * np.finfo(float).eps * (h * float(np.sum(np.abs(c))) + abs(rise))
+            if abs(phi) <= floor or calls >= MAX_ITER:
+                break
+            now = 1 if phi > 0.0 else -1
+            lo, hi = (lo, x) if now > 0 else (x, hi)
+            if now == side and -now in ends:
+                ends[-now] *= 0.5
+            ends[now], side = phi, now
+            if hi - lo <= tol:
+                break
+            m = int(np.argmin(np.abs(x + S)))
+            nxt = flux(c[m] + _slope_step(dc, m, phi, h)) - S[m]
+            # a step within the resolution of sigma_0 is taken once: the root
+            # may be the sigma_0 that zeroes the flux of a stretch without
+            # source, where Phi jumps by h c per cell of that stretch
+            if abs(nxt - x) <= tol:
+                if unresolved or nxt == x:
+                    break
+                unresolved = True
+            newton = lo < nxt < hi and not (newton and abs(phi) > 0.5 * abs(phi_prev))
+            if not newton:
+                nxt = 0.5 * (lo + hi)
+                if len(ends) == 2:
+                    falsi = (lo * ends[1] - hi * ends[-1]) / (ends[1] - ends[-1])
+                    nxt = falsi if lo < falsi < hi else nxt
+            x, phi_prev = nxt, phi
+    m = int(np.argmin(np.abs(x + S)))
+    hc = h * c
+    u = np.empty(grid.shape)
+    u[0], u[-1] = g[0], g[-1]
+    u[1:m + 1] = g[0] + np.cumsum(hc[:m])
+    u[m + 1:-1] = g[-1] - np.cumsum(hc[:m:-1])[::-1]
+    with np.errstate(over="ignore"):  # an energy or residual that overflows reads inf: stalled
+        cells = _cell_state(spec, u)
+        e_val = _energy_raw(spec, u, cells)
+        g_full = _gradient_raw(spec, cells)[0]
+        res = _residual_rms(grid, g_full)
+        g_norm = float(np.linalg.norm(g_full[ops.interior]))
+    return SolveResult(
+        u=ScalarField(grid, u),
+        energy=e_val,
+        el_residual=res,
+        iterations=calls,
+        stop_reason="converged" if res <= residual_tolerance(spec) else "stalled",
+        trace=[(calls, e_val, g_norm)],
+        levels=[(grid.nodes, calls, 0, e_val)],
+    )
+
+
 def solve(spec: ProblemSpec) -> SolveResult:
     """Minimize the discrete energy over interior nodes at fixed trace g.
 
-    The minimizer is unique (the energy is strictly convex for eps > 0), so
+    The minimizer is unique (the energy is strictly convex for eps > 0).  A
+    line is solved exactly (`_solve_line`).  A box is solved by Newton, and
     the start is no choice of the caller's: the coarsest level starts from
     the harmonic extension of g.  A result with converged = False and its
-    `stop_reason` is returned if the final stage stops short of the
-    tolerances.  A grid that nests is solved coarse to fine (see the module
-    docstring).  Raises ValueError if eps <= 0 or every iterate's energy overflows.
+    `stop_reason` is returned if the solve stops short of the tolerances.
+    A box that nests is solved coarse to fine (see the module docstring).
+    Raises ValueError if eps <= 0 or every iterate's energy overflows.
     """
     p, eps = spec.params.p, spec.params.eps
     if eps <= 0.0:
@@ -651,6 +767,8 @@ def solve(spec: ProblemSpec) -> SolveResult:
     with np.errstate(over="ignore"):  # a cell's energy density is at least L_eps(0) = eps^p / p
         if np.sum(L_eps(_cell_gradients(spec.grid, np.zeros(spec.grid.shape)), eps, p)) == np.inf:
             raise ValueError(f"the energy overflows at p = {p}, eps = {eps} on this grid")
+    if spec.grid.dim == 1:
+        return _solve_line(spec)
     levels = _levels(spec)
     solves = _LinearSolves()
     tol_res = residual_tolerance(spec)
@@ -661,14 +779,11 @@ def solve(spec: ProblemSpec) -> SolveResult:
 
     for n, level in enumerate(levels):
         # the coarsest level starts from the harmonic extension of g, a finer
-        # one from the coarser iterate, prolonged until it has the level's
-        # shape; either is reset to g on its boundary
+        # one from the coarser iterate, prolonged; either is reset to g on its
+        # boundary
         grid = level.grid
         level_start = (it_total, solves.factorizations)
-        if n == 0:
-            vals = _harmonic_extension(level, solves)
-        while vals.shape != grid.shape:
-            vals = _prolong(vals)
+        vals = _prolong(vals) if n else _harmonic_extension(level, solves)
         ops = _gradient_operator(grid)
         vals[ops.boundary] = level.g.values[ops.boundary]
         solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one

@@ -50,11 +50,22 @@ TABLE = {
     "dyadic_to_dense": Frozen(0.98, np.inf, 1.0000, "dyadic over every-k seminorm"),
     "w12_h": Frozen(0, 1.0, 0.880, "|W^{1,2} seminorm^2 error| / h, 33^2 and 65^2"),
     "w12_ratio": Frozen(0.5 - 0.05, 0.5 + 0.05, 0.496, "that error at 65^2 over 33^2"),
-    "high_p_steps": Frozen(0, 40, 30, "Newton steps of the p = 20 and 40 solves"),
-    "backtrack_trials": Frozen(0, 260, 223, "line-search trials of seven 4097-node solves, "
-                               "p from 2 to 40 (halving took 393)"),
-    "line_solve_rel": Frozen(0, 2e-14, 5.62e-15, "worst relative error of the 1D prefix-sum "
-                             "solve, weights over 20 decades, n = 1, 2, 255, 4095"),
+    "high_p_steps": Frozen(0, 40, 38, "Newton steps of the p = 20 and 40 solves, 33^2 x1-only "
+                           "boxes"),
+    "backtrack_trials": Frozen(0, 260, 224, "line-search trials of seven 33^2 x1-only box solves, "
+                               "p from 2 to 40 (halving took 391)"),
+    "line_exact_rel": Frozen(0, 1e-12, 2.56e-13, "worst relative error of the exact line solve, "
+                             "sources over 20 decades, 2, 3, 256, 257, 4096 and 4097 cells"),
+    "box_line_u": Frozen(0, 1e-10, 5.60e-14, "max |u_box - v| / (1 + max |v|), x1-only "
+                         "boxes against the line solve v, 33^2 and 65^2, p = 3, 10, 40"),
+    "box_line_energy": Frozen(0, 1e-15, 0.0, "|E_box - 2 E_line| / (1 + |E_box|) on "
+                              "those boxes"),
+    "offcentre_calls": Frozen(0, 20, 11, "outer calls of the 4097-node p = 80 off-centre "
+                              "line solves"),
+    "line_floor": Frozen(1e-5, 1e-3, 1.04e-4, "EL residual of the stalled 4097-node line solve, "
+                         "g = 3x, p = 10, eps = 1e-4"),
+    "line_calls": Frozen(0, 20, 1, "outer calls of line solves at p = 2 to 200, eps down to "
+                         "1e-12"),
 }
 
 
@@ -157,9 +168,21 @@ def line_problem(problem, p, eps, nodes):
             else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
 
 
+def box_problem(problem, p, eps, nodes):
+    """The x1-only problem on the box [-1, 1]^2 of nodes^2 whose minimizer is
+    the line's extended in x2: the sharp oracle, or f = 1 with g the torsion
+    line's solve on every side."""
+    box = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
+    if problem == "sharp":
+        return oracle_problem(SharpnessOracle(p=p), box, eps=eps)
+    v = solve(line_problem("torsion", p, eps, nodes)).u.values
+    return ProblemSpec(box, PLapParams(p=p, eps=eps), ScalarField.constant(box, 1.0),
+                       ScalarField(box, np.repeat(v[:, None], nodes, axis=1)))
+
+
 def high_p_solve(problem, p, eps):
-    """The torsion or sharp-oracle problem at (p, eps) on 1025 nodes, and its solve."""
-    spec = line_problem(problem, p, eps, 1025)
+    """The x1-only torsion or sharp-oracle problem at (p, eps) on 33^2, and its solve."""
+    spec = box_problem(problem, p, eps, 33)
     return spec, solve(spec)
 
 
@@ -191,51 +214,116 @@ def line_search_steps():
 
 def line_search_trials():
     """The trials of every line search of the `LINE_SEARCH_CASES` solves on
-    4097 nodes, in total."""
+    33^2 x1-only boxes, in total."""
+    specs = [box_problem(*case, 33) for case in LINE_SEARCH_CASES]
     with line_search_steps() as searches:
-        for case in LINE_SEARCH_CASES:
-            solve(line_problem(*case, 4097))
+        for spec in specs:
+            solve(spec)
     return sum(map(len, searches))
 
 
-def line_reference(t, rhs):
-    """K^{-1} rhs for the 1D K_II of cell weights t (diagonal t[:-1] + t[1:],
-    off-diagonals -t[1:-1]) by LDL^T elimination in long double.  Pivot i is
-    t[i + 1] plus the series conductance of cells 0..i, a sum of positive
-    terms, so no weight ratio costs accuracy to cancellation."""
-    t, r = t.astype(np.longdouble), rhs.astype(np.longdouble)
-    n = len(r)
-    pivot, z, x = (np.empty(n, np.longdouble) for _ in range(3))
-    q = t[0]
-    for i in range(n):
-        q = q if i == 0 else 1 / (1 / q + 1 / t[i])
-        pivot[i] = q + t[i + 1]
-        z[i] = r[i] + (t[i] * z[i - 1] / pivot[i - 1] if i else 0)
-    for i in range(n - 1, -1, -1):
-        x[i] = (z[i] + (t[i + 1] * x[i + 1] if i < n - 1 else 0)) / pivot[i]
-    return x
+def line_minimizer_reference(spec):
+    """u of the discrete minimizer on a line, in long double and by other
+    means than `plapreg.solver`'s: sigma_0 by bisection of Phi in a bracket
+    where every cell slope lies below or above the mean slope, each cell
+    slope by Newton in log r, warm from the last sigma_0.  The cell of least
+    |sigma| takes up the remainder, so u meets g at both ends."""
+    ld = np.longdouble
+    grid, p, eps = spec.grid, ld(spec.params.p), ld(spec.params.eps)
+    h, k = ld(grid.h[0]), (p - 2) / 2
+    S = np.concatenate(([ld(0)], np.cumsum((grid.quad_weights().astype(ld)
+                                            * spec.f.values.astype(ld))[1:-1])))
+    g_left, g_right = ld(spec.g.values[0]), ld(spec.g.values[-1])
+    s = None  # log r per cell
+
+    def slopes(sigma):
+        nonlocal s
+        la = np.log(np.maximum(np.abs(sigma), np.finfo(ld).tiny))
+        if s is None:
+            s = np.minimum(la - (p - 2) * np.log(eps), la / (p - 1))
+        for _ in range(200):
+            r2 = np.exp(2 * s)
+            lg = np.log(eps * eps + r2)
+            step = (s + k * lg - la) / (1 + (p - 2) * r2 / (eps * eps + r2))
+            s = s - step
+            if np.all(np.abs(step) <= 4e-19 * (np.abs(s) + np.abs(k * lg) + np.abs(la))):
+                break
+        return np.where(sigma == 0, ld(0), np.copysign(np.exp(s), sigma))
+
+    mean = (g_right - g_left) / (h * len(S))
+    flux = (eps * eps + mean * mean) ** k * mean
+    lo, hi = flux - np.max(S), flux - np.min(S)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if h * np.sum(slopes(mid + S)) < g_right - g_left else (lo, mid)
+    hc, m = h * slopes(lo + S), int(np.argmin(np.abs(lo + S)))
+    u = np.empty(len(S) + 1, dtype=ld)
+    u[0], u[-1] = g_left, g_right
+    u[1:m + 1] = g_left + np.cumsum(hc[:m])
+    u[m + 1:-1] = g_right - np.cumsum(hc[:m:-1])[::-1]
+    return u
 
 
-def line_solve_errors(n):
-    """max |x - x_ref| / max |x_ref| of `_LinearSolves.direct` on a 1D K with
-    n unknowns against `line_reference`, rhs standard normal: five seeded
-    draws of weights 10^U(-10, 10) with 1e-10 and 1e10 at two random cells,
-    and for n <= 2 every choice of weights from {1e-10, 1, 1e10}, the
-    stiff-soft-stiff line (1e10, 1e-10, 1e10) among them."""
-    from plapreg.solver import _LinearSolves
-
-    rng = np.random.default_rng(n)
-    cases = []
-    for _ in range(5):
-        exponent = rng.uniform(-10.0, 10.0, n + 1)
-        exponent[rng.permutation(n + 1)[:2]] = (-10.0, 10.0)
-        cases.append(10.0**exponent)
-    if n <= 2:
-        cases += [np.array(t) for t in itertools.product((1e-10, 1.0, 1e10), repeat=n + 1)]
+def line_exact_errors(cells):
+    """max |u - u_ref| / max |u_ref| of `solve` on a line of `cells` cells
+    against `line_minimizer_reference`, at p = 2, 3 and 10, eps = 1e-3, g
+    standard normal at both ends: seeded sources of random sign and magnitude
+    10^U(-10, 10) (three draws, one above 257 cells), and for cells <= 3 every
+    choice of interior sources from {1e-10, -1e10, 1e10}."""
+    rng = np.random.default_rng(cells)
+    grid = Grid.line(0.0, 1.0, cells + 1)
+    sources = [np.sign(rng.standard_normal(cells + 1)) * 10.0 ** rng.uniform(-10, 10, cells + 1)
+               for _ in range(1 if cells > 257 else 3)]
+    if cells <= 3:
+        sources += [np.array([0.0, *f, 0.0])
+                    for f in itertools.product((1e-10, -1e10, 1e10), repeat=cells - 1)]
     errors = []
-    for t in cases:
-        rhs = rng.standard_normal(n)
-        ref = line_reference(t, rhs)
-        x = _LinearSolves().direct(t, rhs)
-        errors.append(float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
+    for p, f in itertools.product((2.0, 3.0, 10.0), sources):
+        spec = ProblemSpec(grid, PLapParams(p=p, eps=1e-3), ScalarField(grid, f),
+                           ScalarField(grid, rng.standard_normal(cells + 1)))
+        ref = line_minimizer_reference(spec)
+        errors.append(float(np.max(np.abs(solve(spec).u.values - ref)) / np.max(np.abs(ref))))
     return errors
+
+
+BOX_LINE_CASES = [(nodes, p) for nodes in (33, 65) for p in (3.0, 10.0, 40.0)]
+
+
+def box_line_gaps(nodes, p):
+    """(u gap, energy gap) of the 2D solve of the x1-only torsion box at
+    (p, eps = 1e-3), whose g is the line solve v extended in x2, against v:
+    max |u - v| / (1 + max |v|) and |E_box - 2 E_line| / (1 + |E_box|), the
+    box being 2 wide in x2."""
+    line = solve(line_problem("torsion", p, 1e-3, nodes))
+    box = solve(box_problem("torsion", p, 1e-3, nodes))
+    assert box.converged and line.converged
+    v = line.u.values[:, None]
+    return (float(np.max(np.abs(box.u.values - v)) / (1.0 + np.max(np.abs(v)))),
+            abs(box.energy - 2.0 * line.energy) / (1.0 + abs(box.energy)))
+
+
+OFFCENTRE_EPS = (0.1, 0.03, 0.01, 0.003)
+
+
+def offcentre_line(p, eps):
+    """f = 1 + x / 2 and g = 0.3 x on the 4097-node line [-1, 1]."""
+    g = Grid.line(-1.0, 1.0, 4097)
+    return ProblemSpec(g, PLapParams(p=p, eps=eps),
+                       ScalarField.from_function(g, lambda x: 1 + x / 2),
+                       ScalarField.from_function(g, lambda x: 0.3 * x))
+
+
+def steep_line(p, eps):
+    """f = 1 and g = 3 x on the 4097-node line [-1, 1]."""
+    g = Grid.line(-1.0, 1.0, 4097)
+    return ProblemSpec(g, PLapParams(p=p, eps=eps), ScalarField.constant(g, 1.0),
+                       ScalarField.from_function(g, lambda x: 3.0 * x))
+
+
+WARNING_CASES = [(kind, p, eps) for kind in ("torsion", "sharp", "offcentre")
+                 for p in (2.0, 17.3, 80.0, 200.0) for eps in (1e-2, 1e-6, 1e-12)
+                 if not (kind == "sharp" and p < 3.0)]
+
+
+def warning_case(kind, p, eps):
+    """A 4097-node line problem of `WARNING_CASES`."""
+    return offcentre_line(p, eps) if kind == "offcentre" else line_problem(kind, p, eps, 4097)

@@ -11,9 +11,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from frozen import (HIGH_P_CASES, energy_error, high_p_solve, interpolant_residual,
-                    line_problem, line_search_steps, line_search_trials, line_solve_errors,
-                    oracle_solve, torsion_spec, within)
+from frozen import (BOX_LINE_CASES, HIGH_P_CASES, OFFCENTRE_EPS, WARNING_CASES, box_line_gaps,
+                    box_problem, energy_error, high_p_solve, interpolant_residual,
+                    line_exact_errors, line_search_steps, line_search_trials, offcentre_line,
+                    oracle_solve, steep_line, torsion_spec, warning_case, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -134,15 +135,6 @@ def test_cell_gradient_is_exact_at_cell_centers(dim):
     np.testing.assert_allclose(_cell_gradients(g, u.values), expected, rtol=0, atol=1e-12)
 
 
-def dense_hessian(K):
-    """A K_II from the solver as a dense array: from the 1D cell weights t,
-    the diagonal t[:-1] + t[1:] and the off-diagonals -t[1:-1]; a 2D
-    sparse matrix as it is."""
-    if isinstance(K, np.ndarray):
-        return np.diag(K[:-1] + K[1:]) + np.diag(-K[1:-1], 1) + np.diag(-K[1:-1], -1)
-    return K.toarray()
-
-
 def gradient_matrix(grid):
     """The cell gradient as a CSR matrix D (cells * dim rows, cell-major with
     components fastest; one column per node), as the solver built it before
@@ -211,22 +203,21 @@ def sparse_product_hessian(grid, Hc):
     return D_I.T.tocsc() @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_I
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2])
 def test_interior_hessian_matches_gradient_difference_quotient(dim):
+    """A box's K_II is the difference quotient of its energy gradient (a
+    line assembles no Hessian: `_solve_line`)."""
     from plapreg.solver import _gradient_operator
 
     rng = np.random.default_rng(20 + dim)
-    if dim == 1:
-        g = Grid.line(0.0, 1.0, 17)
-    else:
-        g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 6))
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 6))
     f = ScalarField(g, rng.standard_normal(g.shape))
     gb = ScalarField(g, rng.standard_normal(g.shape))
     spec = ProblemSpec(g, PLapParams(p=3.5, eps=0.2), f, gb)
     vals = gb.values + rng.standard_normal(g.shape) * 0.3
     # K_II's rows and columns follow the interior elimination order
     order = _gradient_operator(g)[2]
-    K = dense_hessian(hessian_at(spec, vals))
+    K = hessian_at(spec, vals).toarray()
     assert K.shape == (len(order),) * 2
     np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
 
@@ -239,67 +230,58 @@ def test_interior_hessian_matches_gradient_difference_quotient(dim):
         np.testing.assert_allclose(K[:, col], fd, rtol=1e-6, atol=1e-6 * np.abs(K).max())
 
 
-@pytest.mark.parametrize("shape", [(17,), (3, 3), (4, 9), (7, 6), (33, 33)])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 9), (7, 6), (33, 33)],
+                         ids=["shape1", "shape2", "shape3", "shape4"])
 def test_elimination_order_is_a_permutation_of_the_interior(shape):
+    """A box numbers its interior nodes in elimination order; a line, which
+    assembles no Hessian, has none."""
     from plapreg.solver import _gradient_operator
 
-    if len(shape) == 1:
-        g = Grid.line(0.0, 1.0, shape[0])
-    else:
-        g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
     order = _gradient_operator(g)[2]
     interior = np.flatnonzero(~g.boundary_flags().ravel())
     np.testing.assert_array_equal(np.sort(order), interior)
+    assert _gradient_operator(Grid.line(0.0, 1.0, 17)).order is None
 
 
 def test_ordered_newton_step_matches_c_order_spsolve():
-    """The step solved in elimination order matches spsolve of the Hessian
-    assembled by sparse products with interior unknowns in C order: from
-    the 1D cell weights it equals that solve, and the 2D step, PCG from a
-    fresh factor, meets the solve's equations in C order to rtol `_ETA_MIN`
-    in the float64 residual."""
+    """The step solved in elimination order meets the equations of the
+    Hessian assembled by sparse products with interior unknowns in C order:
+    the step, PCG from a fresh factor, to rtol `_ETA_MIN` in the float64
+    residual."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import _ETA_MIN, _LinearSolves, _cell_gradients, _gradient_operator
 
     rng = np.random.default_rng(33)
-    for nodes in ((257,), (33, 33)):
-        g = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
-        spec = torsion_spec(g, 3.0, 1e-2)
-        vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
-        D, order = gradient_matrix(g), _gradient_operator(g)[2]
-        interior = ~g.boundary_flags().ravel()
-        grad = gradient_at(spec, vals).ravel()
+    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    spec = torsion_spec(g, 3.0, 1e-2)
+    vals = np.where(g.boundary_flags(), 0.0, 0.1 * rng.standard_normal(g.shape))
+    D, order = gradient_matrix(g), _gradient_operator(g)[2]
+    interior = ~g.boundary_flags().ravel()
+    grad = gradient_at(spec, vals).ravel()
 
-        Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
-        m = len(Hc)
-        D_C = D[:, interior].tocsc()
-        K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
-        ref = np.zeros(g.num_nodes)
-        ref[interior] = spla.spsolve(K_C, -grad[interior])
+    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
+    m = len(Hc)
+    D_C = D[:, interior].tocsc()
+    K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
 
-        solves = _LinearSolves()
-        step = solves.newton_step(hessian_at(spec, vals), grad[order], 0.0, np.inf)
-        if g.dim == 1:
-            np.testing.assert_allclose(step, ref[order], rtol=0, atol=1e-12 * np.abs(ref).max())
-            continue
-        assert solves.factorizations == 1 and solves.cg_iterations > 0
-        c_order = np.zeros(g.num_nodes)
-        c_order[order] = step
-        residual = K_C @ c_order[interior] + grad[interior]
-        assert np.linalg.norm(residual) <= _ETA_MIN * np.linalg.norm(grad[interior])
+    solves = _LinearSolves()
+    step = solves.newton_step(hessian_at(spec, vals), grad[order], 0.0, np.inf)
+    assert solves.factorizations == 1 and solves.cg_iterations > 0
+    c_order = np.zeros(g.num_nodes)
+    c_order[order] = step
+    residual = K_C @ c_order[interior] + grad[interior]
+    assert np.linalg.norm(residual) <= _ETA_MIN * np.linalg.norm(grad[interior])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.5])
 @pytest.mark.parametrize("lo, hi, nodes", [
-    ((-0.7,), (1.3,), (33,)),
     ((0.3, -1.2), (1.1, 0.4), (7, 6)),
     ((-2.0, 0.5), (1.0, 1.25), (33, 17)),
-])
+], ids=["lo1-hi1-nodes1", "lo2-hi2-nodes2"])
 def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
-    """K_II filled from the cell Hessians (the 1D cell weights, the 2D
-    9-point stencil) equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|,
-    and the 1D K read from its weights, the same products and sums,
-    bitwise."""
+    """K_II filled from the cell Hessians of a box by the 9-point stencil
+    equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|."""
     from plapreg.pointwise import hess_L_eps
     from plapreg.solver import _assemble, _cell_gradients
 
@@ -313,7 +295,7 @@ def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
     for K, Hc_k in ((hessian_at(spec, vals), Hc), (_assemble(g, unit), unit)):
         ref = sparse_product_hessian(g, np.ascontiguousarray(Hc_k)).toarray()
         ulp = np.spacing(np.abs(ref).max())
-        assert np.abs(dense_hessian(K) - ref).max() <= (0 if g.dim == 1 else 4 * ulp)
+        assert np.abs(K.toarray() - ref).max() <= 4 * ulp
 
 
 @pytest.mark.parametrize("nodes", [(257,), (33, 33)])
@@ -329,7 +311,7 @@ def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
     first = solve(torsion_spec(g, 3.0, 1e-3))
     ops = _gradient_operator(g)
     arrays = [a for a in (*ops, *(ops.fill or ())) if isinstance(a, np.ndarray)]
-    assert len(arrays) == (6 if g.dim == 1 else 10)
+    assert len(arrays) == (5 if g.dim == 1 else 10)  # a line has no `order` and no `fill`
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.ravel()[:1] = 0
@@ -373,24 +355,12 @@ def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
         np.testing.assert_array_equal(K.indices, harmonic.indices)
 
 
-def test_singular_1d_band_gives_a_nan_step():
-    from plapreg.solver import _LinearSolves, _assemble
-
-    g = Grid.line(0.0, 1.0, 9)
-    solves = _LinearSolves()
-    step = solves.direct(_assemble(g, np.zeros((8, 1, 1))), np.ones(7))
-    assert step.shape == (7,) and np.isnan(step).all()
-    assert solves.factorizations == 1 and solves.lu is None
-
-
-@pytest.mark.parametrize("n", [1, 2, 255, 4095])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 4095, 4096])
 def test_1d_solve_matches_a_long_double_reference(n):
-    """The prefix-sum solve of a 1D K whose cell weights span 20 decades
-    stays within the frozen relative error of a long-double elimination,
-    also on the stiff-soft-stiff line, where x is 1e-10 times the increment
-    across the soft cell and a prefix sum from the left end alone kept none
-    of x's digits (relative error 1.3e4)."""
-    assert within("line_solve_rel", *line_solve_errors(n))
+    """The exact line solve with n interior nodes (n + 1 cells), with
+    sources of either sign over 20 decades, stays within the frozen relative
+    error of a long-double minimizer found by bisection of Phi."""
+    assert within("line_exact_rel", *line_exact_errors(n + 1))
 
 
 def one_bad_weight(bad):
@@ -399,49 +369,89 @@ def one_bad_weight(bad):
     return t
 
 
-@pytest.mark.parametrize("t, rhs", [
-    *((one_bad_weight(bad), np.ones(8)) for bad in (0.0, -1.0, np.inf, np.nan, 5e-320, 2e-308)),
-    (np.full(21, 1e-307), np.ones(20)),  # sum(w) overflows
-    (np.full(9, 1e-300), np.full(8, 1e300)),  # S . w overflows
-    (np.ones(9), np.full(8, np.inf)),
+@pytest.mark.parametrize("t, phi", [
+    *((one_bad_weight(bad), 1.0) for bad in (0.0, -1.0, np.inf, np.nan, 5e-320, 2e-308)),
+    (np.full(21, 1e-307), 1.0),  # sum(1 / t) overflows
+    (np.full(9, 1e-300), 1e300),  # phi / t overflows
+    (np.ones(9), np.inf),
 ], ids=["0", "negative", "inf", "nan", "5e-320", "2e-308", "sum-w-overflows",
         "S-dot-w-overflows", "rhs-inf"])
-def test_1d_solve_without_a_finite_step_gives_nan_and_no_warning(t, rhs):
-    """A cell weight that is 0, negative, inf, NaN or subnormal, or a sum
-    that overflows, gives a NaN step with no RuntimeWarning, as a singular
-    K does; 1 / 5e-320 overflows."""
+def test_1d_solve_without_a_finite_step_gives_nan_and_no_warning(t, phi):
+    """The outer Newton step of a line solve, from cell weights t (dc = 1 /
+    t), gives NaN with no RuntimeWarning when a weight is 0, negative, inf,
+    NaN or subnormal, or a sum or product overflows; 1 / 5e-320 overflows.
+    The solve then takes a bracketing step, as for a step that leaves the
+    bracket."""
     import warnings
 
-    from plapreg.solver import _LinearSolves
+    from plapreg.solver import _slope_step
 
+    with np.errstate(divide="ignore", over="ignore"):
+        dc = 1.0 / t
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step = _LinearSolves().direct(t, rhs)
-    assert step.shape == rhs.shape and np.isnan(step).all()
+        step = _slope_step(dc, 0, phi, 0.125)
+    assert np.ndim(step) == 0 and np.isnan(step)
 
 
 def test_1d_solve_reaching_a_subnormal_weight_warns_nothing(monkeypatch):
-    """The p = 40 small-source solve (f = 1e-4, eps = 1e-10) assembles a
-    subnormal cell weight, and the solve ends with a stop reason and no
-    RuntimeWarning, where an unguarded 1 / t overflows in "divide"."""
+    """The p = 40 small-source line solve (f = 1e-4, eps = 1e-10) evaluates
+    its minimizer at cells whose flux weight l^(p-2) is subnormal, and ends
+    with a stop reason and no RuntimeWarning: its cell fluxes near 0 take the
+    capped limit slope derivative of `_line_slopes`."""
     import warnings
 
     import plapreg.solver as solver_mod
 
-    real_direct, subnormal = solver_mod._LinearSolves.direct, []
+    real_gradient, subnormal = solver_mod._gradient_raw, []
 
-    def direct(self, K, rhs):
-        subnormal.append(bool((K < np.finfo(float).tiny).any()))
-        return real_direct(self, K, rhs)
+    def gradient_raw(spec, cells):
+        grad, lp2 = real_gradient(spec, cells)
+        subnormal.append(bool((lp2 < np.finfo(float).tiny).any()))
+        return grad, lp2
 
-    monkeypatch.setattr(solver_mod._LinearSolves, "direct", direct)
-    g = Grid.line(-1.0, 1.0, 257)
-    spec = ProblemSpec(g, PLapParams(p=40.0, eps=1e-10), ScalarField.constant(g, 1e-4),
-                       ScalarField.constant(g, 0.0))
+    monkeypatch.setattr(solver_mod, "_gradient_raw", gradient_raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = solve(spec)
+        r = solve(sourceless_middle(40.0, 1e-10, 257))
     assert any(subnormal) and r.stop_reason
+
+
+def sourceless_middle(p, eps, nodes):
+    """f = 1e-4 on |x| >= 1/2 and 0 between, g = 0, on the line [-1, 1]: the
+    minimizer's flux is 0 on the sourceless middle."""
+    g = Grid.line(-1.0, 1.0, nodes)
+    return ProblemSpec(g, PLapParams(p=p, eps=eps),
+                       ScalarField.from_function(g, lambda x: 1e-4 * (np.abs(x) >= 0.5)),
+                       ScalarField.constant(g, 0.0))
+
+
+@pytest.mark.parametrize("nodes", [65, 257, 4097])
+@pytest.mark.parametrize("p, eps", [(3.0, 1e-6), (10.0, 1e-4), (40.0, 1e-10), (200.0, 1e-12)])
+def test_line_with_a_sourceless_stretch_converges(nodes, p, eps):
+    """The root sigma_0 zeroes the flux of the sourceless middle, and it lies
+    within the resolution of sigma_0 of the outer iterate that precedes it,
+    where Phi is h c per middle cell away from 0; that step is taken, and the
+    solve meets the EL contract.  Stopping short of it leaves slopes of 0.31
+    on the middle and an EL residual of 2.6e63 (257 nodes, p = 40)."""
+    spec = sourceless_middle(p, eps, nodes)
+    r = solve(spec)
+    assert r.stop_reason == "converged" and r.el_residual <= residual_tolerance(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, p, eps", WARNING_CASES)
+def test_line_solves_raise_no_runtime_warning(kind, p, eps):
+    """Line solves of torsion, the sharp oracle and the off-centre source at
+    p = 2, 17.3, 80 and 200, eps down to 1e-12, converge with the EL
+    contract and warn nothing, within the frozen outer calls: the inner root
+    and the flux of the mean slope are taken in logarithms, and a cell flux of
+    0 gives its limit slope."""
+    spec = warning_case(kind, p, eps)
+    r = solve(spec)
+    assert (r.stop_reason, r.factorizations, r.cg_iterations) == ("converged", 0, 0)
+    assert r.el_residual <= residual_tolerance(spec)
+    assert within("line_calls", r.iterations)
 
 
 def test_singular_2d_hessian_gives_a_nan_step():
@@ -509,14 +519,14 @@ def test_2d_factor_is_single_precision_and_pcg_steps_meet_their_forcing(monkeypa
 
 
 def test_1d_solve_calls_no_superlu(monkeypatch):
-    """1D Newton steps and the harmonic start solve the cell weights by
-    prefix sums, so a solve converges with SuperLU unavailable."""
+    """A line is solved by its first integral, with no Hessian and no linear
+    solve, so a solve converges with SuperLU unavailable and reports none."""
     def splu(*args, **kwargs):
         raise AssertionError("SuperLU called")
 
     monkeypatch.setattr(spla, "splu", splu)
     r = solve(oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3))
-    assert r.converged and r.factorizations == r.iterations + 1
+    assert r.converged and r.factorizations == r.cg_iterations == 0
 
 
 def test_energy_matches_dense_quadrature():
@@ -567,25 +577,25 @@ def test_solve_tracks_degenerate_oracle():
 
 def test_solve_is_init_independent(monkeypatch):
     """Started from g plus an interior bump instead of the harmonic
-    extension, the solve reaches the same minimizer.  A 2049-node line nests,
-    so the start is made on its 257-node coarsest level, from that level's
-    own grid."""
+    extension, a box solve reaches the same minimizer.  The x1-only 65^2
+    oracle box nests, so the start is made on its 33^2 coarsest level, from
+    that level's own grid."""
     import plapreg.solver as solver_mod
 
-    orc = SharpnessOracle(p=3.0)
-    spec = oracle_problem(orc, Grid.line(-1.0, 1.0, 2049), eps=1e-3)
+    spec = box_problem("sharp", 3.0, 1e-3, 65)
     r1 = solve(spec)
 
     def bumped_start(level, solves):
         bnd = level.grid.boundary_flags()
-        vals = level.g.values + 0.3 * np.sin(np.pi * (level.grid.axis(0) + 1.0) / 2.0)
+        bump = np.prod(np.sin(np.pi * (level.grid.coords() + 1.0) / 2.0), axis=-1)
+        vals = level.g.values + 0.3 * bump
         vals[bnd] = level.g.values[bnd]
         return vals
 
     monkeypatch.setattr(solver_mod, "_harmonic_extension", bumped_start)
     r2 = solve(spec)
     assert r1.converged and r2.converged
-    assert r1.levels[0][0] == r2.levels[0][0] == (257,)
+    assert r1.levels[0][0] == r2.levels[0][0] == (33, 33)
     assert r2.trace[0][1] != r1.trace[0][1]  # the bumped start was taken
     gap = float(np.max(np.abs(r1.u.values - r2.u.values)))
     assert gap <= 10.0 * residual_tolerance(spec)
@@ -594,8 +604,7 @@ def test_solve_is_init_independent(monkeypatch):
 def test_solve_unconverged_is_flagged(monkeypatch):
     import plapreg.solver as solver_mod
 
-    g = Grid.line(-1.0, 1.0, 257)
-    spec = torsion_spec(g, 4.0, 1e-4)
+    spec = box_problem("torsion", 4.0, 1e-4, 33)
     monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
     r = solve(spec)
     assert not r.converged
@@ -638,12 +647,25 @@ def test_path_continues_in_p_only_above_18(eps):
 @pytest.mark.parametrize("problem, p, eps", HIGH_P_CASES)
 def test_high_p_solve_converges(problem, p, eps):
     """Continuation in p: above p = 18 a direct Newton solve from the harmonic
-    start overflows and reaches the iteration cap; the p path converges within
-    the frozen step bound, raising no floating-point warning."""
+    start overflows and reaches the iteration cap; the p path converges on
+    the x1-only 33^2 box within the frozen step bound, raising no
+    floating-point warning."""
     spec, r = high_p_solve(problem, p, eps)
     assert r.converged and r.stop_reason == "converged"
     assert within("high_p_steps", r.iterations)
     assert r.el_residual <= residual_tolerance(spec)
+
+
+def lifted_box(p, lift, nodes):
+    """The x1-only box of nodes^2 with f = x1 and g the line solve for f = x1
+    and g = lift at both ends, extended in x2.  f has mean 0, so the lift
+    leaves the energy as it is and only raises the rounding of u."""
+    line = Grid.line(-1.0, 1.0, nodes)
+    v = solve(ProblemSpec(line, PLapParams(p=p, eps=1e-3), ScalarField.from_function(
+        line, lambda x: x), ScalarField.constant(line, lift))).u.values
+    box = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
+    return ProblemSpec(box, PLapParams(p=p, eps=1e-3), ScalarField.from_function(
+        box, lambda x, y: x), ScalarField(box, np.repeat(v[:, None], nodes, axis=1)))
 
 
 def test_stop_reasons(monkeypatch):
@@ -651,16 +673,16 @@ def test_stop_reasons(monkeypatch):
     (no_descent: `test_stop_reason_no_descent`)."""
     import plapreg.solver as solver_mod
 
-    g = Grid.line(-1.0, 1.0, 257)
-    assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "converged"
+    spec = box_problem("torsion", 3.0, 1e-3, 33)
+    assert solve(spec).stop_reason == "converged"
     with monkeypatch.context() as capped:
         capped.setattr(solver_mod, "MAX_ITER", 3)
-        assert solve(torsion_spec(g, 3.0, 1e-3)).stop_reason == "max_iter"
-    # the gradient norm of the p = 40 oracle at 4097 nodes meets its rounding
-    # floor at ~2.2e-10, just above grad_tolerance = 2.0e-10: a polishing step
+        assert solve(spec).stop_reason == "max_iter"
+    # with u near 1e5, the gradient norm of the p = 10 box meets its rounding
+    # floor at ~4.8e-10, above grad_tolerance = 1.4e-10: a polishing step
     # fails to halve it, and with the EL residual far below its tolerance the
     # solve converges there
-    spec = oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5)
+    spec = lifted_box(10.0, 1e5, 33)
     r = solve(spec)
     assert (r.converged, r.stop_reason) == (True, "converged")
     assert r.trace[-1][2] > grad_tolerance(r.energy)
@@ -677,15 +699,64 @@ def test_stop_reasons(monkeypatch):
 @pytest.mark.parametrize("p", [40.0, 80.0])
 @pytest.mark.parametrize("eps", [1e-2, 1e-6])
 def test_high_p_converges_at_4097_nodes(problem, p, eps):
-    """At 4097 nodes the gradient norm of a p = 40 or 80 solve meets its
-    rounding floor above grad_tolerance; the solve converges there, with
-    the EL residual within its tolerance."""
+    """At 4097 nodes a p = 40 or 80 line solve converges, with the EL
+    residual within its tolerance."""
     g = Grid.line(-1.0, 1.0, 4097)
     spec = (torsion_spec(g, p, eps) if problem == "torsion"
             else oracle_problem(SharpnessOracle(p=p), g, eps=eps))
     r = solve(spec)
     assert (r.converged, r.stop_reason) == (True, "converged")
     assert r.el_residual <= residual_tolerance(spec)
+
+
+@pytest.mark.parametrize("nodes, p", BOX_LINE_CASES)
+def test_box_solve_of_an_x1_only_problem_matches_the_line_solve(nodes, p):
+    """On an x1-only box whose g is the line solve v extended in x2, the
+    cell gradients of v extended are (c, 0) and the box's EL equation is h2
+    times the line's, so the 2D Newton solve lands on v, and its energy is
+    the box's width in x2 times the line's, within the frozen bounds."""
+    u_gap, e_gap = box_line_gaps(nodes, p)
+    assert within("box_line_u", u_gap) and within("box_line_energy", e_gap)
+
+
+@pytest.mark.parametrize("eps", OFFCENTRE_EPS)
+def test_offcentre_line_at_p80_converges(eps):
+    """The 4097-node off-centre line (f = 1 + x / 2, g = 0.3 x) at p = 80,
+    where Newton stopped `no_descent` at eps = 0.1 to 0.003, converges with
+    the EL contract within the frozen outer calls; its result is one
+    evaluation of u: one trace row and one level row, no factorization."""
+    spec = offcentre_line(80.0, eps)
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual == el_residual(spec, r.u) <= residual_tolerance(spec)
+    assert r.energy == energy(spec, r.u)
+    assert len(r.trace) == 1 and r.trace[0][:2] == (r.iterations, r.energy)
+    assert r.levels == ((spec.grid.nodes, r.iterations, 0, r.energy),)
+    assert within("offcentre_calls", r.iterations)
+
+
+def test_line_at_its_rounding_floor_reads_stalled():
+    """g = 3 x, p = 10, eps = 1e-4 on 4097 nodes: the EL residual of the
+    exact minimizer, rounded to float64, lies above its tolerance, so the
+    result reads `stalled` and carries the residual of the u it returns."""
+    spec = steep_line(10.0, 1e-4)
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (False, "stalled")
+    assert r.el_residual == el_residual(spec, r.u) > residual_tolerance(spec)
+    assert within("line_floor", r.el_residual)
+
+
+@pytest.mark.filterwarnings("error")
+def test_line_whose_residual_overflows_reads_stalled():
+    """g = 3 x at p = 200, eps = 10 on 17 nodes: the fluxes near 1e201 make
+    the EL residual of the rounded minimizer overflow, and the result reads
+    `stalled` with that infinite residual and no RuntimeWarning."""
+    g = Grid.line(-1.0, 1.0, 17)
+    spec = ProblemSpec(g, PLapParams(p=200.0, eps=10.0), ScalarField.constant(g, 1.0),
+                       ScalarField.from_function(g, lambda x: 3.0 * x))
+    r = solve(spec)
+    assert (r.converged, r.stop_reason, r.el_residual) == (False, "stalled", np.inf)
+    assert np.isfinite(r.energy) and np.isfinite(r.u.values).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -703,10 +774,8 @@ def test_high_p_2d_torsion_converges():
 
 @pytest.mark.parametrize("f", [1e-4, 1e-8])
 def test_small_source_at_high_p_converges(f):
-    """65-node torsion at p = 10, eps = 1e-4 with f = 1e-4 or 1e-8: u = 0
-    meets the loose stage tolerance, so the final stage starts there, where
-    the Newton step along the flat energy is some 1e28 too long.  The power-
-    law backtrack reaches it, and the solve converges with the EL contract to
+    """65-node torsion at p = 10, eps = 1e-4 with f = 1e-4 or 1e-8, whose
+    energy is flat to rounding near u = 0, converges with the EL contract to
     the eps = 0 profile, max |u| = f^(1/(p-1)) (p-1)/p."""
     g = Grid.line(-1.0, 1.0, 65)
     spec = ProblemSpec(g, PLapParams(p=10.0, eps=1e-4), ScalarField.constant(g, f),
@@ -719,22 +788,23 @@ def test_small_source_at_high_p_converges(f):
 
 def test_line_search_backtracks_along_the_power_law():
     """After a rejected trial t the next minimizes the ray's power-law model
-    e0 + slope s + R (s / t)^p, kept within [0.1 t, 0.5 t].  On the 257-node
-    sharp oracle at p = 10, eps = 0.1, where halving took up to 28 trials a
-    search, none takes more than 10.  A trial whose energy overflows is
-    followed by exactly 0.1 t, with no warning."""
+    e0 + slope s + R (s / t)^p, kept within [0.1 t, 0.5 t].  On the x1-only
+    33^2 sharp oracle box at p = 10, eps = 0.1, where halving took up to 22
+    trials a search, none takes more than 10.  A trial whose energy
+    overflows is followed by exactly 0.1 t, with no warning."""
     import plapreg.solver as solver_mod
 
+    spec = box_problem("sharp", 10.0, 0.1, 33)
     with line_search_steps() as searches:
-        r = solve(line_problem("sharp", 10.0, 0.1, 257))
+        r = solve(spec)
     assert r.converged and max(map(len, searches)) <= 10
     for steps in searches:
         assert steps[0] == 1.0
         assert all(0.1 * t <= s <= 0.5 * t for t, s in zip(steps, steps[1:]))
     # 65-node torsion at p = 80 from u = 0 along a direction whose first
-    # trials overflow the energy
+    # trials overflow the energy; the interior nodes in their own order
     spec = torsion_spec(Grid.line(-1.0, 1.0, 65), 80.0, 0.1)
-    order = solver_mod._gradient_operator(spec.grid).order
+    order = np.arange(1, 64)
     vals = np.zeros(spec.grid.shape)
     direction = np.full(len(order), -1e6)
     slope = float(gradient_at(spec, vals).ravel()[order] @ direction)
@@ -756,8 +826,8 @@ def test_line_search_backtracks_along_the_power_law():
 
 
 def test_line_search_trials_of_the_frozen_solves():
-    """The line searches of seven 4097-node solves, p from 2 to 40, take
-    their frozen total of trials, well below halving's."""
+    """The line searches of seven x1-only 33^2 box solves, p from 2 to 40,
+    take their frozen total of trials, well below halving's."""
     assert within("backtrack_trials", line_search_trials())
 
 
@@ -768,7 +838,7 @@ def test_stop_reason_no_descent(monkeypatch):
     monkeypatch.setattr(solver_mod, "_line_search",
                         lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False,
                                                                           None))
-    r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), 3.0, 1e-1))
+    r = solve(box_problem("torsion", 3.0, 1e-1, 33))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
 
 
@@ -786,7 +856,7 @@ def test_every_newton_step_is_one_line_search(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_line_search", line_search)
     for spec in (
-        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
+        box_problem("sharp", 40.0, 2e-5, 65),
         torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
     ):
         outs.clear()
@@ -797,13 +867,13 @@ def test_every_newton_step_is_one_line_search(monkeypatch):
 
 
 def evaluation_specs():
-    """Lines and a box, one and several levels, up to the p-doubling path."""
-    line = Grid.line(-1.0, 1.0, 257)
+    """Boxes, x1-only and not, one and several levels, up to the p-doubling
+    path."""
     return (
-        torsion_spec(line, 3.0, 1e-3),
-        oracle_problem(SharpnessOracle(p=5.0), line, eps=1e-4),
+        box_problem("torsion", 3.0, 1e-3, 33),
+        box_problem("sharp", 5.0, 1e-4, 33),
         torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
-        oracle_problem(SharpnessOracle(p=40.0), Grid.line(-1.0, 1.0, 4097), eps=2e-5),
+        box_problem("sharp", 40.0, 2e-5, 65),
     )
 
 
@@ -859,8 +929,7 @@ def test_solve_result_is_its_last_evaluation(monkeypatch):
     step where it converges reports convergence."""
     import plapreg.solver as solver_mod
 
-    g = Grid.line(-1.0, 1.0, 257)
-    spec = torsion_spec(g, 4.0, 1e-4)
+    spec, spec_p40 = (box_problem("torsion", p, 1e-4, 33) for p in (4.0, 40.0))
     full = solve(spec)
     monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
     capped = solve(spec)
@@ -868,7 +937,7 @@ def test_solve_result_is_its_last_evaluation(monkeypatch):
     assert capped.energy == energy(spec, capped.u)
     assert capped.el_residual == el_residual(spec, capped.u)
     # capped in the first of four eps stages, and of six (p, eps) stages
-    for spec_k in (spec, torsion_spec(g, 40.0, 1e-4)):
+    for spec_k in (spec, spec_p40):
         capped = solve(spec_k)
         assert [row[0] for row in capped.trace] == [0, 1, 2, 2]
         assert capped.stop_reason == "max_iter"
@@ -886,6 +955,7 @@ def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
     path, in order, and at no other (p, eps)."""
     import plapreg.solver as solver_mod
 
+    spec = box_problem("torsion", p, 1e-4, 33)
     seen = []
     real_gradient_raw = solver_mod._gradient_raw
 
@@ -894,7 +964,7 @@ def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
         return real_gradient_raw(spec, cells)
 
     monkeypatch.setattr(solver_mod, "_gradient_raw", gradient_raw)
-    r = solve(torsion_spec(Grid.line(-1.0, 1.0, 257), p, 1e-4))
+    r = solve(spec)
     assert r.converged
     assert [stage for stage, _ in itertools.groupby(seen)] == _path(p, 1e-4)
 
@@ -923,7 +993,7 @@ def test_solve_survives_singular_newton_system(monkeypatch):
     monkeypatch.setattr(solver_mod, "_line_search", line_search)
     monkeypatch.setattr(solver_mod, "_energy_raw", energy_raw)
     monkeypatch.setattr(solver_mod, "_P_DIRECT", 400.0)
-    spec = oracle_problem(SharpnessOracle(p=400.0), Grid.line(-1.0, 1.0, 129), eps=0.1)
+    spec = box_problem("sharp", 400.0, 0.1, 33)
     monkeypatch.setattr(solver_mod, "MAX_ITER", 5)
     r = solve(spec)
     assert (r.converged, r.stop_reason, r.iterations) == (False, "no_descent", 0)
@@ -944,9 +1014,9 @@ def test_solve_2d_torsion():
 def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
     """The harmonic start factors only when g is not already its own harmonic
     extension.  A zero trace is its own extension and factors nothing, and
-    its 2D Newton steps reuse factors, so there are fewer factorizations than
-    steps; the 1D oracle's kinked trace costs one harmonic-start
-    factorization plus one per Newton step."""
+    its Newton steps reuse factors, so there are fewer factorizations than
+    steps; the x1-only oracle box's kinked trace costs one harmonic-start
+    factorization, and its first Newton step factors afresh."""
     from plapreg.solver import _LinearSolves, _harmonic_extension
 
     g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
@@ -958,13 +1028,13 @@ def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
     assert r.converged and r.iterations == 7
     assert 1 <= r.factorizations < r.iterations
 
-    spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
+    spec = box_problem("sharp", 3.0, 1e-3, 33)
     solves = _LinearSolves()
     _harmonic_extension(spec, solves)
     assert solves.factorizations == 1
     r = solve(spec)
-    assert r.converged and r.iterations == 9
-    assert r.factorizations == r.iterations + 1
+    assert r.converged and r.iterations == 7
+    assert 2 <= r.factorizations < r.iterations
 
 
 def test_lagged_factor_matches_factoring_every_step(monkeypatch):
@@ -1056,29 +1126,6 @@ def test_levels_halve_down_to_33_and_fit_the_operator_cache():
     assert len(levels) <= _gradient_operator.cache_parameters()["maxsize"]
 
 
-@pytest.mark.parametrize("nodes, expected", [
-    (4097, [257, 4097]), (2049, [257, 2049]), (3073, [385, 3073]), (1025, [1025]),
-    (513, [513]), (257, [257]),
-])
-def test_a_line_nests_on_one_coarse_line_of_at_least_257_nodes(nodes, expected):
-    """A line is halved while the halved line keeps 257 nodes.  Halved at
-    least three times, it nests as the coarsest line and then the problem
-    line, with f and g injected; otherwise it is its own only level."""
-    from plapreg.solver import _levels
-
-    grid = Grid.line(-1.0, 1.0, nodes)
-    x = grid.axis(0)
-    spec = ProblemSpec(grid, PLapParams(p=3.0, eps=1e-3), ScalarField(grid, np.cos(3.0 * x)),
-                       ScalarField(grid, x**2))
-    levels = _levels(spec)
-    assert [level.grid.nodes for level in levels] == [(n,) for n in expected]
-    assert levels[-1] is spec
-    assert levels[0].grid == Grid.line(-1.0, 1.0, expected[0])
-    stride = (nodes - 1) // (expected[0] - 1)
-    np.testing.assert_array_equal(levels[0].f.values, spec.f.values[::stride])
-    np.testing.assert_array_equal(levels[0].g.values, spec.g.values[::stride])
-
-
 def test_prolongation_is_exact_on_bilinear_fields():
     from plapreg.solver import _prolong
 
@@ -1123,12 +1170,13 @@ def test_2d_prolongation_is_bitwise_the_bilinear_formula(shape):
 @pytest.mark.parametrize("nodes, p, coarse", [
     pytest.param((65, 65), 3.0, (33, 33), id="65"),
     pytest.param((129, 129), 3.0, (65, 65), id="129"),
-    *(pytest.param((4097,), p, (257,), id=f"4097-p{p:g}") for p in (3.0, 10.0, 20.0)),
+    *(pytest.param((4097,), p, None, id=f"4097-p{p:g}") for p in (3.0, 10.0, 20.0)),
 ])
 def test_nested_solve_matches_single_level(nodes, p, coarse, monkeypatch):
-    """A nested solve reaches the single-level minimizer of its own grid: to
-    1e-9 in 2D, whose lagged-factor steps solve by CG to a forcing term, and
-    to 1e-11 (1 + max |u|) on a line, whose steps are direct solves."""
+    """A nested box solve reaches the single-level minimizer of its own
+    grid, to 1e-9: its lagged-factor steps solve by CG to a forcing term.  A
+    line is not nested: its exact solve is the single-level one, bit for
+    bit, with one level row."""
     import plapreg.solver as solver_mod
 
     grid = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
@@ -1137,12 +1185,11 @@ def test_nested_solve_matches_single_level(nodes, p, coarse, monkeypatch):
     monkeypatch.setattr(solver_mod, "_levels", lambda spec: [spec])
     single = solve(spec)
     assert nested.converged and single.converged
-    assert [row[0] for row in nested.levels][-2:] == [coarse, nodes]
+    assert [row[0] for row in nested.levels][-2:] == [n for n in (coarse, nodes) if n]
     assert single.levels == ((grid.nodes, single.iterations, single.factorizations,
                               single.energy),)
     assert nested.energy == pytest.approx(single.energy, rel=1e-14)
-    tol = 1e-9 if grid.dim == 2 else 1e-11 * (1.0 + float(np.max(np.abs(single.u.values))))
-    assert np.max(np.abs(nested.u.values - single.u.values)) <= tol
+    assert np.max(np.abs(nested.u.values - single.u.values)) <= (1e-9 if coarse else 0.0)
     # the rows sum to the solve's counts and end with the problem grid's energy
     assert sum(row[1] for row in nested.levels) == nested.iterations
     assert sum(row[2] for row in nested.levels) == nested.factorizations
@@ -1151,34 +1198,35 @@ def test_nested_solve_matches_single_level(nodes, p, coarse, monkeypatch):
 
 @pytest.mark.parametrize("cap", [0, 3, 7])
 def test_capped_nested_solve_returns_a_fine_iterate(cap, monkeypatch):
-    """Capped on a coarse level, a nested solve prolongs its iterate to the
-    problem grid (a box level by level, a line by 16 in four passes) and
-    evaluates it there once, at the target (p, eps)."""
+    """Capped on a coarse level, a nested box solve prolongs its iterate to
+    the problem grid level by level and evaluates it there once, at the
+    target (p, eps)."""
     import plapreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "MAX_ITER", cap)
-    for grid in (Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129)), Grid.line(-1.0, 1.0, 4097)):
-        spec = torsion_spec(grid, 3.0, 1e-3)
-        r = solve(spec)
-        assert r.u.grid == grid and r.iterations == cap
-        assert (r.converged, r.stop_reason) == (False, "max_iter")
-        assert r.trace[-1][:2] == (cap, energy(spec, r.u)) and r.energy == r.trace[-1][1]
-        assert r.el_residual == el_residual(spec, r.u)
-        assert r.levels[-1][:2] == (grid.nodes, 0)
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129))
+    spec = torsion_spec(grid, 3.0, 1e-3)
+    r = solve(spec)
+    assert r.u.grid == grid and r.iterations == cap
+    assert (r.converged, r.stop_reason) == (False, "max_iter")
+    assert r.trace[-1][:2] == (cap, energy(spec, r.u)) and r.energy == r.trace[-1][1]
+    assert r.el_residual == el_residual(spec, r.u)
+    assert r.levels[-1][:2] == (grid.nodes, 0)
 
 
 @pytest.mark.parametrize("nodes", [(257,), (33, 33), (64, 64), (65, 33), (7, 6), (513,),
                                    (1025,)])
 def test_grid_that_does_not_nest_solves_as_from_g(nodes):
-    """A grid that does not nest (a line that halves fewer than three times
-    down to 257 nodes, a box that cannot halve down to 33 per axis) is one
-    level, which starts from the harmonic extension of g (here g itself,
-    g = 0), and the solve reports one row, the problem grid's."""
+    """A grid that does not nest (every line, and a box that cannot halve
+    down to 33 per axis) is one level, which on a box starts from the
+    harmonic extension of g (here g itself, g = 0), and the solve reports one
+    row, the problem grid's: on a line its outer calls and no factorization."""
     from plapreg.solver import _levels
 
     spec = torsion_spec(Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes), 3.0, 1e-3)
-    levels = _levels(spec)
-    assert len(levels) == 1 and levels[0] is spec
+    if len(nodes) == 2:
+        levels = _levels(spec)
+        assert len(levels) == 1 and levels[0] is spec
     r = solve(spec)
     assert r.converged
     assert r.levels == ((spec.grid.nodes, r.iterations, r.factorizations, r.energy),)
@@ -1255,41 +1303,8 @@ def test_old_factor_is_released_before_refactoring(monkeypatch):
         assert all(ref() is None for ref in refs)
 
 
-def prefix_sum_solve(t, rhs):
-    """K^{-1} rhs for the 1D K_II of cell weights t, by the prefix sums of
-    `_LinearSolves.direct` written out: the cell increments y, then the
-    nodes left of the softest cell m from the left end and the others from
-    the right end."""
-    w, m = 1.0 / t, int(np.argmin(t))
-    S = np.concatenate(([0.0], np.cumsum(rhs)))
-    S = S - S[m]
-    y = (np.dot(S, w) / np.sum(w) - S) * w
-    right = np.cumsum(y[::-1][:len(y) - 1 - m])  # y[n], ..., y[m + 1]
-    return np.concatenate((np.cumsum(y[:m]), -right[::-1]))
-
-
-def test_1d_newton_steps_are_direct_solves(monkeypatch):
-    """1D solves every Newton step directly and never runs CG: its iterates
-    are bitwise those of one fresh prefix-sum solve of the cell weights per
-    step."""
-    import plapreg.solver as solver_mod
-
-    spec = oracle_problem(SharpnessOracle(p=3.0), Grid.line(-1.0, 1.0, 257), eps=1e-3)
-    r = solve(spec)
-    assert r.factorizations == r.iterations + 1 and r.cg_iterations == 0
-
-    def fresh_prefix_sum_step(self, K, g_int, g_norm, prev):
-        return prefix_sum_solve(K, -g_int)
-
-    monkeypatch.setattr(solver_mod._LinearSolves, "newton_step", fresh_prefix_sum_step)
-    ref = solve(spec)
-    assert r.trace == ref.trace
-    np.testing.assert_array_equal(r.u.values, ref.u.values)
-
-
 def test_solve_trace_energy_monotone():
-    g = Grid.line(-1.0, 1.0, 513)
-    spec = torsion_spec(g, 3.0, 1e-3)
+    spec = box_problem("torsion", 3.0, 1e-3, 33)
     r = solve(spec)
     energies = [row[1] for row in r.trace]
     for a, b in zip(energies, energies[1:]):
