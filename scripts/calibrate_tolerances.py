@@ -77,6 +77,7 @@ def measure():
     composition = composition_ratios()
     dyadic, dense = frozen.dyadic_and_dense()
     box_line = [frozen.box_line_gaps(*case) for case in frozen.BOX_LINE_CASES]
+    offcentre_spec, offcentre_line = frozen.offcentre_box(*frozen.OFFCENTRE_BOX)
     return {
         "solve_err_4097": [err[4097]],
         "solve_ratio_4097": [err[4097] / err[2049]],
@@ -101,7 +102,8 @@ def measure():
         "line_exact_rel": [max(e for n in (2, 3, 256, 257, 4096, 4097)
                                for e in frozen.line_exact_errors(n))],
         "box_line_u": [u_gap for u_gap, _ in box_line],
-        "box_line_energy": [e_gap for _, e_gap in box_line],
+        "box_line_energy": [*(e_gap for _, e_gap in box_line),
+                            frozen.energy_gap(solve(offcentre_spec), offcentre_line)],
         "offcentre_calls": [solve(frozen.offcentre_line(80.0, eps)).iterations
                             for eps in frozen.OFFCENTRE_EPS],
         "line_floor": [solve(frozen.steep_line(10.0, 1e-4)).el_residual],

@@ -88,8 +88,8 @@ levels are every halving and the problem grid, and f and g are injected (a
 coarse node is a fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2.
 The coarsest level starts from the harmonic extension of g and walks the
 whole (p, eps) path; each finer level starts from the coarser iterate,
-prolonged by bilinear interpolation (one midpoint pass per axis), its
-boundary reset to g, and runs the final (p, eps) stage alone.
+prolonged by a slope-limited cubic (`_prolong`, one midpoint pass per
+axis), its boundary reset to g, and runs the final (p, eps) stage alone.
 Only the problem grid's stage is final, so a coarse level ends at the
 loose tolerance of an intermediate stage.  The iteration cap counts Newton
 steps over all levels; a capped iterate is prolonged to the problem grid
@@ -147,16 +147,17 @@ _ND_LEAF = 4
 # factors afresh; right after a factorization, CG's iterate there is the
 # step.  On the 257^2 torsion solve (p = 3, eps = 1e-3; 2-core Xeon, warm)
 # each level factors at its first step, whose CG takes 2 iterations; the
-# other 8 of the 12 steps (5, 2, 1 and 4 on 33^2 ... 257^2) take 3-7, on
-# 257^2 0.04-0.08 s a step against 0.25 s for a factorization and its step;
-# the cap is never reached, so 4 factorizations serve 12 steps
+# other 7 of the 11 steps (5, 2, 1 and 3 on 33^2 ... 257^2) take 3-10, on
+# 257^2 0.03-0.04 s a step against 0.18-0.20 s for a factorization and its
+# step; the cap is never reached, so 4 factorizations serve 11 steps
 _PCG_CAP = 15
 # Eisenstat-Walker forcing term (their choice 2): CG stops once
 # ||K s + g|| <= eta ||g||, eta = gamma (||g|| / ||g_prev||)^2 clipped to
 # [_ETA_MIN, _ETA_MAX], g_prev the gradient of the previous Newton step.
-# On that solve gamma = 0.1 and 0.01 cost 16% and 43% more CG iterations
-# (51 and 63 against 44) for the same 12 steps, and the energy is that of
-# factoring every step, within 2e-16 (12 factorizations, 1.46 s against 0.80 s)
+# On that solve gamma = 0.1 and 0.01 cost 6% and 25% more CG iterations
+# (51 and 60 against 48) for the same 11 steps, and the energy is that of
+# factoring every step, bit for bit (11 factorizations, 0.76 s against
+# 0.42-0.47 s)
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # above this p the solve first doubles p up from the first p / 2**n at or
 # below it (`_path`).  Newton from the harmonic start, on 1D torsion and the
@@ -167,13 +168,14 @@ _P_DIRECT = 18.0
 # the coarsest level of a nested box solve (`_levels`): a box is halved
 # while every (n - 1) is even and the halved box keeps at least this many
 # nodes per axis, and every halving is a level.  At 257^2 (2-core Xeon, warm)
-# a coarsest grid of 17, 33 or 65 nodes makes no difference to seeded torsion
-# (p = 3, eps = 1e-3: 0.94-1.01 s, against 1.45-1.69 s on one level), where
-# the finest level's 4-5 steps dominate; on the sharp oracle (p = 5, eps =
-# 1e-4) 65 costs 10% more (0.98 s against 0.87-0.89 s), as the whole (p, eps)
-# path then runs on 65^2.  Going from 33^2 straight to 257^2 costs two fine
-# factorizations (38.7 against 22.8 ref on seeded torsion), so every
-# halving is a level
+# on seeded torsion (p = 3, eps = 1e-3) a coarsest grid of 17, 33 or 65
+# nodes takes 0.43-0.47, 0.40-0.42 and 0.48-0.60 s, against 0.96-1.36 s on
+# one level, where 8 steps run on 257^2 against 4; on the sharp oracle
+# (p = 5, eps = 1e-4) 17 and 33 take 0.46-0.48 and 0.49-0.55 s, and 65
+# takes 0.89-0.91 s, as the whole (p, eps) path then runs on 65^2.  Going
+# from 33^2 straight to 257^2 costs two fine factorizations (38.7 against
+# 22.8 ref on seeded torsion, bilinear prolongation), so every halving is a
+# level
 _COARSEST = 33
 # the Newton iterations of one call of `_line_slopes`, which stops once a
 # step is at the rounding of its terms.  On 65- and 4097-node torsion, the
@@ -602,14 +604,31 @@ def _levels(spec: ProblemSpec) -> list[ProblemSpec]:
 
 
 def _prolong(vals: np.ndarray) -> np.ndarray:
-    """Linear interpolation of node values onto the grid refined by 2: one
-    midpoint pass per axis (bilinear in 2D)."""
+    """Node values on the grid refined by 2, by a slope-limited cubic: one
+    midpoint pass per axis, C-ordered.
+
+    Coarse nodes are injected.  With d_i = v_{i+1} - v_i along the axis, an
+    interior midpoint is (v_i + v_{i+1}) / 2 plus the correction of the
+    4-point cubic, -(d_{i+1} - d_{i-1}) / 16 (Trottenberg, Oosterlee &
+    Schueller, *Multigrid*, 2001, sec. 2.6), clipped to +-(M - |d_i|) / 2
+    with M the largest of |d_{i-1}|, |d_i|, |d_{i+1}|: so neither fine
+    difference beside it exceeds M / 2, and the cubic adds no slope steeper
+    than the coarse ones around it, a limit in the manner of Fritsch &
+    Carlson's monotone cubics (SIAM J. Numer. Anal. 17, 1980).  The two end
+    midpoints of an axis stay linear.  Data affine along an axis is
+    reproduced: its correction and its limit are 0.
+    """
     for axis in range(vals.ndim):
         head = (slice(None),) * axis
+        lo, hi = vals[head + (slice(None, -1),)], vals[head + (slice(1, None),)]
+        mid, d = 0.5 * (lo + hi), hi - lo
+        a = np.abs(d)
+        left, inner, right = (head + (s,) for s in (slice(None, -2), slice(1, -1), slice(2, None)))
+        bound = 0.5 * (np.maximum(np.maximum(a[left], a[inner]), a[right]) - a[inner])
+        mid[inner] += np.clip((d[left] - d[right]) / 16.0, -bound, bound)
         fine = np.empty(vals.shape[:axis] + (2 * vals.shape[axis] - 1,) + vals.shape[axis + 1:])
         fine[head + (slice(None, None, 2),)] = vals
-        fine[head + (slice(1, None, 2),)] = 0.5 * (vals[head + (slice(None, -1),)]
-                                                   + vals[head + (slice(1, None),)])
+        fine[head + (slice(1, None, 2),)] = mid
         vals = fine
     return vals
 

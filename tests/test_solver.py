@@ -11,10 +11,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from frozen import (BOX_LINE_CASES, HIGH_P_CASES, OFFCENTRE_EPS, WARNING_CASES, box_line_gaps,
-                    box_problem, energy_error, high_p_solve, interpolant_residual,
-                    line_exact_errors, line_search_steps, line_search_trials, offcentre_line,
-                    oracle_solve, steep_line, torsion_spec, warning_case, within)
+from frozen import (BOX_LINE_CASES, HIGH_P_CASES, OFFCENTRE_BOX, OFFCENTRE_EPS, WARNING_CASES,
+                    box_line_gaps, box_problem, energy_error, energy_gap, high_p_solve,
+                    interpolant_residual, line_exact_errors, line_search_steps,
+                    line_search_trials, offcentre_box, offcentre_line, oracle_solve, steep_line,
+                    torsion_spec, warning_case, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -735,6 +736,20 @@ def test_offcentre_line_at_p80_converges(eps):
     assert within("offcentre_calls", r.iterations)
 
 
+def test_offcentre_x1_only_box_at_p80_converges():
+    """The 129^2 x1-only box with f = 1 + x1 / 2 and g the off-centre line's
+    solve extended in x2, at p = 80, eps = 1e-2, converges at its exact
+    energy, twice the line's, within the frozen bound.  From the bilinear
+    prolongation of its 65^2 iterate the first 129^2 Newton step was
+    rejected, and the solve stopped `no_descent` 1.4e-4 (relative) above
+    that energy."""
+    spec, line = offcentre_box(*OFFCENTRE_BOX)
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual <= residual_tolerance(spec)
+    assert within("box_line_energy", energy_gap(r, line))
+
+
 def test_line_at_its_rounding_floor_reads_stalled():
     """g = 3 x, p = 10, eps = 1e-4 on 4097 nodes: the EL residual of the
     exact minimizer, rounded to float64, lies above its tolerance, so the
@@ -1151,20 +1166,76 @@ def test_line_prolongation_is_exact_on_affine_fields(passes):
     np.testing.assert_allclose(vals, 0.3 - 2.0 * grid.axis(0), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("shape", [(33, 33), (65, 129), (5, 3)])
-def test_2d_prolongation_is_bitwise_the_bilinear_formula(shape):
-    """The per-axis passes give the bilinear formula of one 2D prolongation
-    bit for bit, as a C-ordered array."""
+@pytest.mark.parametrize("shape", [(33, 33), (65, 129), (5, 3), (3, 3), (3, 9)])
+def test_prolongation_injects_coarse_nodes_into_a_c_ordered_array(shape):
+    """Every coarse node is a fine node with its value bit for bit, and the
+    fine array is C-ordered, also where an axis has 3 nodes and so only its
+    two linear end midpoints."""
     from plapreg.solver import _prolong
 
     vals = np.random.default_rng(sum(shape)).standard_normal(shape)
-    fine = np.empty(tuple(2 * n - 1 for n in shape))
-    fine[::2, ::2] = vals
-    fine[1::2, ::2] = 0.5 * (vals[:-1] + vals[1:])
-    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
     out = _prolong(vals)
-    np.testing.assert_array_equal(out, fine)
-    assert out.flags.c_contiguous
+    assert out.shape == tuple(2 * n - 1 for n in shape) and out.flags.c_contiguous
+    np.testing.assert_array_equal(out[::2, ::2], vals)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (17, 5), (3, 3)])
+def test_2d_prolongation_reproduces_per_axis_affine_data_bitwise(shape):
+    """a + b i + c j + e i j with dyadic coefficients on the integer lattice
+    (i, j) is affine along each axis and exact in floats: every midpoint is
+    its value at the half-integer point, bit for bit, since the cubic's
+    correction and its limit are both 0 there."""
+    from plapreg.solver import _prolong
+
+    def bilinear(i, j):
+        return 0.375 - 1.25 * i + 2.5 * j + 0.75 * i * j
+
+    i, j = np.meshgrid(*(np.arange(n, dtype=float) for n in shape), indexing="ij")
+    fi, fj = np.meshgrid(*(np.arange(2 * n - 1) / 2.0 for n in shape), indexing="ij")
+    np.testing.assert_array_equal(_prolong(bilinear(i, j)), bilinear(fi, fj))
+
+
+def test_prolongation_is_the_cubic_where_coarse_differences_are_monotone():
+    """Along axis 0, v = x^3 + x on x = 0 ... 8 has increasing differences,
+    where the limit never binds: every interior midpoint is the cubic's
+    value, bit for bit (all of it is exact in floats), and the two end
+    midpoints are the linear means.  Along axis 1 the data is constant."""
+    from plapreg.solver import _prolong
+
+    x = np.arange(9.0)
+    out = _prolong(np.repeat((x**3 + x)[:, None], 4, axis=1))
+    xm = np.arange(17) / 2.0
+    expected = xm**3 + xm
+    expected[[1, -2]] = 0.5 * (expected[[0, -3]] + expected[[2, -1]])
+    np.testing.assert_array_equal(out, np.repeat(expected[:, None], 7, axis=1))
+    assert np.all(out[[1, -2]] != (xm**3 + xm)[[1, -2], None])  # the ends are not the cubic
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prolongation_adds_no_slope_steeper_than_its_coarse_neighbours(seed):
+    """On random data (a line, and a box along its coarse rows and columns)
+    each fine difference is at most half the steepest of the coarse
+    differences beside its midpoint: the one it halves and the two next to
+    it, or fewer at an end of the axis; up to the rounding of the values."""
+    from plapreg.solver import _prolong
+
+    rng = np.random.default_rng(seed)
+
+    def check(coarse, fine):
+        a = np.abs(np.diff(coarse))
+        steepest = np.max([np.concatenate(([0.0], a[:-1])), a, np.concatenate((a[1:], [0.0]))],
+                          axis=0)
+        finediff = np.abs(np.diff(fine)).reshape(-1, 2).max(axis=1)
+        assert np.all(finediff <= 0.5 * steepest + 1e-15 * np.max(np.abs(coarse)))
+
+    line = rng.standard_normal(65) * 10.0 ** rng.uniform(-3, 3, 65)
+    check(line, _prolong(line))
+    box = rng.standard_normal((33, 17))
+    fine = _prolong(box)
+    for j in range(box.shape[1]):
+        check(box[:, j], fine[:, 2 * j])
+    for i in range(box.shape[0]):
+        check(box[i], fine[2 * i])
 
 
 @pytest.mark.parametrize("nodes, p, coarse", [
