@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solve the 2D comparison sets and print what each solve did.
+"""Solve the comparison sets and print what each solve did.
 
 Run from the repository root:
 
@@ -17,18 +17,25 @@ The sets:
 * ``torsion2d``: the benchmark's torsion2d problem (``perfbench/workloads.py``:
   257^2, p = 3, eps = 1e-3, f = 1 plus a seeded smooth perturbation, g = 0)
   for seeds 1 to 12.
+* ``lines``: lines on [-1, 1] of 65, 1025 and 4097 nodes, p in {2.5, 3, 10,
+  40, 80, 200}, eps in {1e-1, 1e-2, 1e-6, 1e-12}, four sources: f = 1 +
+  x / 2 with g = 0.3 x, f = 1 with g = 3 x, f = cos 3x with g = x^3, and
+  f = 1e-4 with g = 0: 288 solves.
 
 ``--smoke`` solves a quick subset instead: torsion and the sharp oracle on
 33^2 and 65^2 at p = 3 and 40, and the x1-only boxes there at p = 3 and 80,
 eps = 1e-2 throughout.
 
 One row per solve: its stop reason, its Newton steps per level (coarsest
-first), factorizations, CG iterations, wall seconds and energy; on an
-x1-only box also the algebraic error, (E - E*) / (1 + |E*|) and max |u -
-u*| / (1 + max |u*|).  Each set ends with its totals.  Every solve of these
-sets is expected to converge; the script exits 1 when one does not, or when
-an x1-only box ends above E* by more than the bound of ``box_line_energy``
-in ``tests/frozen.py``.
+first; a line's outer calls), factorizations, CG iterations, wall seconds
+and energy; on an x1-only box also the algebraic error, (E - E*) / (1 +
+|E*|) and max |u - u*| / (1 + max |u*|).  Each set ends with its totals.
+Every box solve of these sets is expected to converge; the script exits 1
+when one does not, or when an x1-only box ends above E* by more than the
+bound of ``box_line_energy`` in ``tests/frozen.py``.  A line is solved
+exactly, and the g = 3 x lines at p >= 10 on 1025 and 4097 nodes, and at
+p >= 40 on 65, stop ``stalled``: their EL residual at the rounded minimizer
+is above its tolerance.
 """
 
 import argparse
@@ -41,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from plapreg.experiments import SharpnessOracle, oracle_problem
-from plapreg.fields import Grid
+from plapreg.fields import Grid, ProblemSpec, ScalarField
+from plapreg.pointwise import PLapParams
 from plapreg.solver import solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +78,23 @@ def x1only(nodes, p, eps):
     return spec, (line.u.values[:, None], 2.0 * line.energy)
 
 
+# the (f, g) of the ``lines`` set at the nodes x
+LINE_SOURCES = {
+    "offcentre": lambda x: (1 + x / 2, 0.3 * x),
+    "steep": lambda x: (np.ones_like(x), 3.0 * x),
+    "cos": lambda x: (np.cos(3 * x), x**3),
+    "small": lambda x: (np.full_like(x, 1e-4), np.zeros_like(x)),
+}
+
+
+def line(source, nodes, p, eps):
+    """A line of the ``lines`` set on [-1, 1], and no exact answer."""
+    grid = Grid.line(-1.0, 1.0, nodes)
+    f, g = LINE_SOURCES[source](grid.axis(0))
+    return (ProblemSpec(grid, PLapParams(p=p, eps=eps), ScalarField(grid, f),
+                        ScalarField(grid, g)), None)
+
+
 def torsion2d(seed):
     """The benchmark's torsion2d problem for seed, and no exact answer."""
     workloads = load("workloads", "perfbench/workloads.py")
@@ -91,6 +116,11 @@ def sets(smoke):
     if not smoke:
         out["torsion2d"] = [(f"torsion2d seed {seed}", functools.partial(torsion2d, seed))
                             for seed in range(1, 13)]
+        out["lines"] = [(f"{source} {n} p={p:g} eps={eps:g}",
+                         functools.partial(line, source, n, p, eps))
+                        for source in LINE_SOURCES for n in (65, 1025, 4097)
+                        for p in (2.5, 3.0, 10.0, 40.0, 80.0, 200.0)
+                        for eps in (1e-1, 1e-2, 1e-6, 1e-12)]
     return out
 
 
@@ -101,7 +131,7 @@ def main(argv=None):
     e_bound = frozen.TABLE["box_line_energy"].hi
     code = 0
     print(f"{'set':9} {'solve':31} {'stop':10} {'steps per level':18} {'fact':>4} {'cg':>5} "
-          f"{'secs':>6} {'energy':>24} {'E gap':>9} {'u gap':>9}")
+          f"{'secs':>8} {'energy':>24} {'E gap':>9} {'u gap':>9}")
     for name, cases in sets(args.smoke).items():
         totals = np.zeros(4)
         for label, make in cases:
@@ -110,7 +140,7 @@ def main(argv=None):
             r = solve(spec)
             secs = time.perf_counter() - start
             totals += (r.iterations, r.factorizations, r.cg_iterations, secs)
-            gaps, bad = "", not r.converged
+            gaps, bad = "", not r.converged and spec.grid.dim == 2
             if exact is not None:
                 u_star, e_star = exact
                 e_gap = (r.energy - e_star) / (1.0 + abs(e_star))
@@ -118,11 +148,11 @@ def main(argv=None):
                 gaps, bad = f" {e_gap:9.2e} {u_gap:9.2e}", bad or e_gap > e_bound
             steps = ",".join(str(row[1]) for row in r.levels)
             print(f"{name:9} {label:31} {r.stop_reason:10} {steps:18} {r.factorizations:4d} "
-                  f"{r.cg_iterations:5d} {secs:6.2f} {r.energy:24.17g}{gaps}"
+                  f"{r.cg_iterations:5d} {secs:8.4f} {r.energy:24.17g}{gaps}"
                   f"{'  FAIL' if bad else ''}")
             code = 1 if bad else code
         print(f"{name:9} {f'total of {len(cases)}':31} {'':10} {int(totals[0]):<18d} "
-              f"{int(totals[1]):4d} {int(totals[2]):5d} {totals[3]:6.2f}")
+              f"{int(totals[1]):4d} {int(totals[2]):5d} {totals[3]:8.4f}")
     return code
 
 

@@ -141,10 +141,6 @@ class Grid:
         flags[(slice(1, -1),) * self.dim] = False
         return flags
 
-    def refine(self) -> "Grid":
-        """Same box with 2 (n - 1) + 1 nodes per axis."""
-        return Grid(self.dim, self.lower, self.upper, tuple(2 * n - 1 for n in self.nodes))
-
 
 @dataclass(frozen=True)
 class _Field:
@@ -176,11 +172,6 @@ class ScalarField(_Field):
     """One real value per grid node."""
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        """Evaluate ``fn(x1[, x2])`` on the node coordinates."""
-        return cls(grid, fn(*np.moveaxis(grid.coords(), -1, 0)))
-
-    @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
@@ -191,17 +182,6 @@ class VectorField(_Field):
 
     def _trailing(self) -> tuple[int, ...]:
         return (self.grid.dim,)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "VectorField":
-        """``fn`` may return the stacked array or a tuple of component arrays."""
-        out = fn(*np.moveaxis(grid.coords(), -1, 0))
-        if isinstance(out, (tuple, list)):
-            out = np.stack(
-                [np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in out],
-                axis=-1,
-            )
-        return cls(grid, out)
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,10 @@ CG reaches an iteration cap or returns a non-finite step.
 A box solve walks one (p, eps) continuation path, warm starting each stage.
 For small eps it is a geometric eps path, which keeps Newton steps well
 scaled even when the initial iterate has vanishing gradient.  Above
-p = 18 a Newton step from the harmonic start overflows, so the path first
-doubles p from the first p / 2**n at or below 18, at the eps path's first
-eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci. Comput.
-32, 2007).  A stage is its own ProblemSpec, whose params carry the
+p = 18 Newton from the harmonic start can fail (`_P_DIRECT`), so the path
+first doubles p from the first p / 2**n at or below 18, at the eps path's
+first eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci.
+Comput. 32, 2007).  A stage is its own ProblemSpec, whose params carry the
 stage's (p, eps); the energy, gradient, Hessian and line search read p and
 eps from the spec alone.
 The path ends exactly at the requested (p, eps).  Each stage begins by
@@ -133,9 +133,9 @@ __all__ = [
 MAX_ITER = 200
 # the line search's sufficient-decrease constant and its trials per step.
 # Each rejected trial shrinks t by a factor in [2, 10] (`_line_search`), so
-# the last trial is at t >= 1e-59: when lines still took Newton steps, the
-# first step of a small source (65 nodes, p = 10, eps = 1e-4, f = 1e-4)
-# needed t ~ 4e-29, 30 trials, past halving's 2^-59
+# the last trial is at t >= 1e-59.  Over the boxes of `scripts/solve_sets.py`
+# and x1-only boxes of the small source f = 1e-4 (33^2 and 65^2, p <= 40) a
+# step took at most 34 trials, on the 129^2 x1-only boxes at p = 80
 _ARMIJO_C = 1e-4
 _BACKTRACK_MAX = 60
 # boundary values of u are compared against g with this absolute slack
@@ -160,10 +160,10 @@ _PCG_CAP = 15
 # 0.42-0.47 s)
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # above this p the solve first doubles p up from the first p / 2**n at or
-# below it (`_path`).  Newton from the harmonic start, on 1D torsion and the
-# sharp oracle at 1025 nodes, eps in {1e-2, 1e-6}: 17-19 steps at p = 16
-# and 18; at p = 19 it overflows in `**` (20-27 steps); at p = 20 it
-# reaches the 200-step cap with ~1,800 overflows
+# below it (`_path`).  Newton from the harmonic start alone, on 33^2 torsion
+# and the sharp oracle, eps in {1e-2, 1e-6}: the oracle stops `no_descent`
+# at p = 22 and 24 (eps = 1e-2) and takes 127 steps at p = 40 against 38;
+# at p = 80 all four stop `no_descent` at the first step
 _P_DIRECT = 18.0
 # the coarsest level of a nested box solve (`_levels`): a box is halved
 # while every (n - 1) is even and the halved box keeps at least this many
@@ -179,8 +179,8 @@ _P_DIRECT = 18.0
 _COARSEST = 33
 # the Newton iterations of one call of `_line_slopes`, which stops once a
 # step is at the rounding of its terms.  On 65- and 4097-node torsion, the
-# sharp oracle and three off-centre sources (p from 2 to 200, eps from 0.1
-# to 1e-12) a call took at most 5 from the cold bound and 6 warm
+# sharp oracle, and the `lines` set of `scripts/solve_sets.py` (p from 2 to
+# 200, eps from 0.1 to 1e-12) a call took at most 5
 _INNER_MAX = 30
 
 
@@ -233,15 +233,12 @@ class _GridOps(NamedTuple):
     # the slice of the node array that holds that corner of every cell, cells
     # in C order
     corners: tuple
-    adjoint: tuple  # (a, cells) per corner a in reverse, as `_gradient_adjoint` sums them
-    cell_shape: tuple[int, ...]  # cells per axis
     weights: np.ndarray  # the trapezoid node weights, `Grid.quad_weights`
     boundary: np.ndarray  # `Grid.boundary_flags`
     interior: np.ndarray  # ~boundary
-    interior_weights: np.ndarray  # weights[interior]
 
 
-# sized to hold every level of a nested solve: 513^2 has 5, a line 2 (`_levels`)
+# sized to hold every level of a nested solve: 513^2 has 5, a line is one (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> _GridOps:
     """The grid's `_GridOps`: the corner weights of the cell gradient, how a
@@ -264,10 +261,7 @@ def _gradient_operator(grid: Grid) -> _GridOps:
         order = _elimination_order(np.arange(grid.num_nodes).reshape(grid.shape)[1:-1, 1:-1])
         fill = _stencil_fill(grid, G, order)
     weights, boundary = grid.quad_weights(), grid.boundary_flags()
-    ops = _GridOps(G, fill, order, corners,
-                   tuple((a, cells) for a, (_, cells) in reversed(list(enumerate(corners)))),
-                   tuple(n - 1 for n in grid.nodes),
-                   weights, boundary, ~boundary, weights[~boundary])
+    ops = _GridOps(G, fill, order, corners, weights, boundary, ~boundary)
     for a in (*ops, *(fill or ())):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -341,9 +335,9 @@ def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
     as a CSC product with D^T does: corners in reverse, components inner.
     """
     ops = _gradient_operator(grid)
-    w = w.reshape(*ops.cell_shape, grid.dim)
+    w = w.reshape(*(n - 1 for n in grid.nodes), grid.dim)
     out = np.zeros(grid.shape)
-    for a, cells in ops.adjoint:
+    for a, (_, cells) in reversed(list(enumerate(ops.corners))):
         for k in range(grid.dim):
             out[cells] += ops.G[k, a] * w[..., k]
     return out
@@ -410,9 +404,10 @@ def _assemble(grid: Grid, Hc: np.ndarray):
     C, indptr, indices, src = ops.fill
     H = Hc.reshape(-1, 4)
     S = np.zeros((3, 3, *grid.nodes))
+    cell_shape = tuple(n - 1 for n in grid.nodes)
     corners = enumerate(ops.corners)
     for (a, ((a0, a1), cells)), (b, ((b0, b1), _)) in itertools.product(corners, repeat=2):
-        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(ops.cell_shape)
+        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(cell_shape)
     n = len(indptr) - 1
     return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(n, n))
 
@@ -444,7 +439,7 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
     """RMS of g / w over the interior nodes in C order: the EL residual of
     a nodal energy gradient g."""
     ops = _gradient_operator(grid)
-    return float(np.sqrt(np.mean((g[ops.interior] / ops.interior_weights) ** 2)))
+    return float(np.sqrt(np.mean((g[ops.interior] / ops.weights[ops.interior]) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,26 +628,20 @@ def _prolong(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _line_slopes(sigma: np.ndarray, p: float, log_eps: float, warm):
-    """(c, dc, state): the cell slopes c with flux(c) = sigma, flux(c) =
-    l_eps(c)^(p-2) c, their derivatives dc/dsigma, and the state that warm
-    starts the next call (warm None: a cold start).
+def _line_slopes(sigma: np.ndarray, p: float, log_eps: float):
+    """(c, dc): the cell slopes c with flux(c) = sigma, flux(c) =
+    l_eps(c)^(p-2) c, and their derivatives dc/dsigma.
 
     In tau = log(r / eps), r = |c|, the equation r (eps^2 + r^2)^((p-2)/2) =
     |sigma| reads tau + k log(1 + e^(2 tau)) = la, with k = (p - 2) / 2 and
     la = log(|sigma| / eps^(p-1)).  Its left side is convex and increasing,
     with slope in [1, p - 1], so Newton from an upper bound of the root
-    descends to it monotonically.  The cold bound is min(la, la / (p - 1)).
-    The root moves by at most the change of la, and by at least that change
-    over p - 1, so the last root plus the larger of the two is a warm bound.
+    descends to it monotonically; it starts at the bound min(la, la / (p - 1)).
     sigma = 0 gives c = 0 exactly, and dc its limit eps^(2-p), capped at
     e^600 so that a sum of dc stays finite.
     """
     la = np.log(np.maximum(np.abs(sigma), np.finfo(float).tiny)) - (p - 1.0) * log_eps
     tau = np.minimum(la, la / (p - 1.0))
-    if warm is not None:
-        d = la - warm[1]
-        tau = np.minimum(tau, warm[0] + np.maximum(d, d / (p - 1.0)))
     k = 0.5 * (p - 2.0)
     for _ in range(_INNER_MAX):
         x = 2.0 * tau
@@ -665,7 +654,7 @@ def _line_slopes(sigma: np.ndarray, p: float, log_eps: float, warm):
     c = np.where(sigma != 0.0, np.copysign(np.exp(tau + log_eps), sigma), 0.0)
     # dc/dsigma = (r / |sigma|) / slope, with r / |sigma| = e^(tau - la) / eps^(p-2)
     dc = np.exp(np.minimum(tau - la - (p - 2.0) * log_eps, 600.0)) / slope
-    return c, dc, (tau, la)
+    return c, dc
 
 
 def _slope_step(dc: np.ndarray, m: int, phi: float, h: float) -> float:
@@ -708,7 +697,7 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
     def flux(t):
         return float(np.exp((p - 2.0) * np.log(np.hypot(eps, t))) * t)
 
-    calls, warm, side, newton, phi_prev, unresolved = 0, None, 0, False, np.inf, False
+    calls, side, newton, phi_prev, unresolved = 0, 0, False, np.inf, False
     ends = {}  # Phi at the bracket's ends: -1 at lo, 1 at hi, Illinois-halved
     # an overflowing flux or Newton step is an iterate outside the bracket
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -717,7 +706,7 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
         tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), float(np.max(np.abs(S))))
         x = sigma_a - float(np.mean(S))
         while True:
-            c, dc, warm = _line_slopes(x + S, p, log_eps, warm)
+            c, dc = _line_slopes(x + S, p, log_eps)
             calls += 1
             phi = h * float(np.sum(c)) - rise
             floor = 8.0 * np.finfo(float).eps * (h * float(np.sum(np.abs(c))) + abs(rise))

@@ -687,7 +687,7 @@ def field_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("field")
     g = Grid.line(-1.0, 1.0, 65)
     write_grid_json(g, root / "grid.json")
-    write_field_csv(ScalarField.from_function(g, lambda x: abs(x) ** 0.5), root / "field.csv")
+    write_field_csv(ScalarField(g, abs(g.axis(0)) ** 0.5), root / "field.csv")
     return ["--field", str(root / "field.csv"), "--grid", str(root / "grid.json")]
 
 

@@ -108,15 +108,6 @@ def test_boundary_flags_count():
         np.testing.assert_array_equal(grid.boundary_flags(), two_faces_per_axis(grid))
 
 
-def test_refine_keeps_box_and_nests_nodes():
-    g = Grid.line(-1.0, 1.0, 5)
-    f = g.refine()
-    assert f.nodes == (9,)
-    assert f.lower == g.lower and f.upper == g.upper
-    # coarse nodes appear among fine nodes
-    assert np.allclose(f.axis(0)[::2], g.axis(0))
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -134,18 +125,12 @@ def test_scalar_field_shape_and_freeze():
 
 def test_vector_field_shape_and_helpers():
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (3, 3))
-    V = VectorField.from_function(g, lambda x, y: (y, -x))
+    x, y = np.moveaxis(g.coords(), -1, 0)
+    V = VectorField(g, np.stack([y, -x], axis=-1))
     assert V.values.shape == (3, 3, 2)
     np.testing.assert_allclose(V.values[..., 0], g.coords()[..., 1])
     with pytest.raises(ValueError):
         VectorField(g, np.zeros((3, 3)))
-
-
-def test_from_function_accepts_scalar_component():
-    # one broadcastable component per axis is fine
-    g = Grid.line(0.0, 1.0, 5)
-    V = VectorField.from_function(g, lambda x: (1.0,))
-    np.testing.assert_allclose(V.values[:, 0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +139,8 @@ def test_from_function_accepts_scalar_component():
 
 def test_gradient_exact_on_affine():
     g = Grid.box((0.0, 0.0), (1.0, 2.0), (9, 11))
-    u = ScalarField.from_function(g, lambda x, y: 3.0 * x - 2.0 * y + 0.5)
+    x, y = np.moveaxis(g.coords(), -1, 0)
+    u = ScalarField(g, 3.0 * x - 2.0 * y + 0.5)
     G = gradient(u)
     np.testing.assert_allclose(G.values[..., 0], 3.0, atol=1e-13)
     np.testing.assert_allclose(G.values[..., 1], -2.0, atol=1e-13)
@@ -162,7 +148,7 @@ def test_gradient_exact_on_affine():
 
 def test_gradient_exact_on_per_axis_quadratic():
     g = Grid.line(-1.0, 1.0, 9)
-    u = ScalarField.from_function(g, lambda x: x**2)
+    u = ScalarField(g, g.axis(0) ** 2)
     np.testing.assert_allclose(gradient(u).values[:, 0], 2 * g.axis(0), atol=1e-13)
 
 
@@ -279,7 +265,7 @@ def test_write_table_writes_floats_as_repr(tmp_path):
 
 def test_field_csv_roundtrip_scalar(tmp_path):
     g = Grid.line(0.0, 1.0, 33)
-    u = ScalarField.from_function(g, lambda x: np.sin(3 * x))
+    u = ScalarField(g, np.sin(3 * g.axis(0)))
     p = tmp_path / "u.csv"
     write_field_csv(u, p)
     assert p.read_text().splitlines()[0] == "x1,value"
@@ -290,7 +276,8 @@ def test_field_csv_roundtrip_scalar(tmp_path):
 
 def test_field_csv_roundtrip_vector_2d(tmp_path):
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (5, 7))
-    V = VectorField.from_function(g, lambda x, y: (x * y, x - y))
+    x, y = np.moveaxis(g.coords(), -1, 0)
+    V = VectorField(g, np.stack([x * y, x - y], axis=-1))
     p = tmp_path / "v.csv"
     write_field_csv(V, p)
     assert p.read_text().splitlines()[0] == "x1,x2,value1,value2"
@@ -302,7 +289,7 @@ def test_field_csv_roundtrip_vector_2d(tmp_path):
 def test_field_csv_roundtrip_vector_1d(tmp_path):
     # one value column, as a scalar field has: the header tells them apart
     g = Grid.line(0.0, 1.0, 33)
-    V = VectorField.from_function(g, lambda x: (np.cos(3 * x),))
+    V = VectorField(g, np.cos(3 * g.coords()))
     p = tmp_path / "v.csv"
     write_field_csv(V, p)
     assert p.read_text().splitlines()[0] == "x1,value1"

@@ -72,11 +72,16 @@ def test_solve_sets_smoke_subset_converges(capsys):
 
 
 def test_calibration_script_exits_one_on_drift(monkeypatch, capsys):
-    """An entry whose interval excludes its measurement fails the run."""
+    """An entry whose interval excludes its measurement fails the run.  Each
+    entry reads its frozen value as its measurement, so the exit logic is
+    tested without the measurements, which `test_calibration_script_runs`
+    makes."""
     script = load_script("calibrate_tolerances")
     table = dict(script.frozen.TABLE)
     table["fit_affine"] = table["fit_affine"]._replace(lo=0.99)  # above the fitted theta
     monkeypatch.setattr(script.frozen, "TABLE", table)
+    monkeypatch.setattr(script, "measure",
+                        lambda: {name: [entry.measured] for name, entry in table.items()})
     assert script.main() == 1
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
     assert [name for tag, name in rows if tag == "DRIFT"] == ["fit_affine"]
@@ -144,8 +149,7 @@ def test_only_2d_solves_load_scipy(tmp_path):
 
     grid = Grid.line(-1.0, 1.0, 257)
     write_grid_json(grid, tmp_path / "grid.json")
-    write_field_csv(ScalarField.from_function(grid, lambda x: abs(x) ** 0.5),
-                    tmp_path / "u.csv")
+    write_field_csv(ScalarField(grid, abs(grid.axis(0)) ** 0.5), tmp_path / "u.csv")
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     commands = [shlex.split(line) for line in re.findall(r"^plapreg (.+)$", block, flags=re.M)]

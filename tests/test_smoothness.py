@@ -151,7 +151,7 @@ def test_shift_norm_affine_exact():
     # |u(x+v) - u(x)| = a v everywhere, so the norm is a v measure^(1/q)
     g = Grid.line(0.0, 1.0, 101)
     a = 0.7
-    u = ScalarField.from_function(g, lambda x: a * x - 0.2)
+    u = ScalarField(g, a * g.axis(0) - 0.2)
     off, q = (8,), 3.0
     v = 8 * g.h[0]
     expected = a * v * measure(g, v) ** (1.0 / q)
@@ -310,7 +310,7 @@ def test_nikolskii_seminorm_basics():
     u = ScalarField.constant(g, 1.0)
     sh = dyadic_shifts(g, 0.25)
     assert nikolskii_seminorm(u, 2.0, 0.5, sh) == 0.0
-    w = ScalarField.from_function(g, lambda x: x)
+    w = ScalarField(g, g.axis(0))
     # theta = 0 is the plain max of the difference norms
     norms = [shift_difference_norm(w, o, 2.0) for o in sh]
     assert nikolskii_seminorm(w, 2.0, 0.0, sh) == pytest.approx(max(norms))
@@ -325,7 +325,7 @@ def test_nikolskii_seminorm_basics():
 def test_nikolskii_quotient_monotone_in_theta():
     # all dyadic shifts here have |v| <= 1, so v^-theta grows with theta
     g = line(513)
-    u = ScalarField.from_function(g, lambda x: np.abs(x) ** 0.75)
+    u = ScalarField(g, np.abs(g.axis(0)) ** 0.75)
     sh = dyadic_shifts(g, 0.25)
     vals = [nikolskii_seminorm(u, 2.0, th, sh) for th in (0.0, 0.25, 0.5, 0.75)]
     assert vals == sorted(vals)
@@ -388,7 +388,7 @@ def test_fit_noise_clips_at_zero():
 
 def test_fit_window_defaults_and_fallback():
     g = Grid.line(0.0, 1.0, 1025)
-    u = ScalarField.from_function(g, lambda x: x)
+    u = ScalarField(g, g.axis(0))
     sh = dyadic_shifts(g, 0.25)
     rep = fit_smoothness_exponent(u, 2.0, sh)
     lo, hi = rep.fit_window
@@ -418,7 +418,7 @@ def test_fit_window_reports_fallback_span(tmp_path):
 
 def test_fit_validation():
     g = line(65)
-    u = ScalarField.from_function(g, lambda x: x)
+    u = ScalarField(g, g.axis(0))
     with pytest.raises(ValueError, match="3 distinct"):
         fit_smoothness_exponent(u, 2.0, ((1,), (2,)))
     for q in (0.5, math.nan):
@@ -437,10 +437,9 @@ def test_fit_validation():
 def test_sobolev_seminorm_pinned_affine_value():
     # V = (x1, 0): Jacobian is e11, so seminorm^2 = measure of the interior
     for g in (line(513), Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65))):
-        if g.dim == 1:
-            V = VectorField.from_function(g, lambda x: (x,))
-        else:
-            V = VectorField.from_function(g, lambda x, y: (x, 0.0 * y))
+        v = g.coords()
+        v[..., 1:] = 0.0
+        V = VectorField(g, v)
         sm = sobolev_w12_seminorm(V, 0.25)
         assert sm**2 == pytest.approx(measure(g, 0.25), rel=1e-12)
         full = sobolev_w12_seminorm(V)
@@ -449,7 +448,7 @@ def test_sobolev_seminorm_pinned_affine_value():
 
 def test_sobolev_seminorm_constant_is_zero():
     g = line(129)
-    V = VectorField.from_function(g, lambda x: (np.full_like(x, 2.0),))
+    V = VectorField(g, np.full(g.shape + (1,), 2.0))
     assert sobolev_w12_seminorm(V) == 0.0
     # norm keeps the field magnitude
     expected = 2.0 * math.sqrt(g.num_nodes * g.cell_volume)
@@ -475,7 +474,7 @@ def test_sobolev_w1p_norm_constant():
 
 def test_sobolev_mask_validation():
     g = line(65)
-    V = VectorField.from_function(g, lambda x: (x,))
+    V = VectorField(g, g.coords())
     with pytest.raises(ValueError, match="empty"):
         sobolev_w12_seminorm(V, 5.0)
 
@@ -486,14 +485,14 @@ def test_sobolev_mask_validation():
 
 def test_composition_bound_constant_field():
     g = line(257)
-    V = VectorField.from_function(g, lambda x: (np.full_like(x, 1.5),))
+    V = VectorField(g, np.full(g.shape + (1,), 1.5))
     lhs, rhs = composition_bound_check(V, 0.5)
     assert lhs == 0.0 and rhs == 0.0
 
 
 def test_composition_bound_affine_field():
     g = line(513)
-    V = VectorField.from_function(g, lambda x: (0.8 * x,))
+    V = VectorField(g, 0.8 * g.coords())
     for theta in (0.4, 0.6, 0.9):
         lhs, rhs = composition_bound_check(V, theta)
         assert lhs <= rhs
@@ -520,7 +519,7 @@ def test_composition_bound_on_oracle_transforms():
 
 def test_composition_bound_validation():
     g = line(65)
-    V = VectorField.from_function(g, lambda x: (x,))
+    V = VectorField(g, g.coords())
     with pytest.raises(ValueError, match="theta"):
         composition_bound_check(V, 0.0)
     with pytest.raises(ValueError, match="theta"):
@@ -547,7 +546,7 @@ def test_beta_step_pointwise_hoelder(wv, vv, theta):
 
 def test_write_seminorm_report(tmp_path):
     g = line(513)
-    u = ScalarField.from_function(g, lambda x: np.abs(x))
+    u = ScalarField(g, np.abs(g.axis(0)))
     rep = fit_smoothness_exponent(u, 2.0, dyadic_shifts(g, 0.125))
     write_seminorm_report(rep, tmp_path)
     data = json.loads((tmp_path / "seminorm.json").read_text())
@@ -561,7 +560,7 @@ def test_write_seminorm_report(tmp_path):
 
 def test_report_q_inf_serializes(tmp_path):
     g = line(257)
-    u = ScalarField.from_function(g, lambda x: np.abs(x))
+    u = ScalarField(g, np.abs(g.axis(0)))
     rep = fit_smoothness_exponent(u, np.inf, dyadic_shifts(g, 0.25))
     write_seminorm_report(rep, tmp_path)
     data = json.loads((tmp_path / "seminorm.json").read_text())

@@ -125,11 +125,13 @@ def test_cell_gradient_is_exact_at_cell_centers(dim):
 
     if dim == 1:
         g = Grid.line(0.0, 1.0, 17)
-        u = ScalarField.from_function(g, lambda x: x**2 + x)
+        x = g.axis(0)
+        u = ScalarField(g, x**2 + x)
         grad = lambda x: (2 * x + 1,)
     else:
         g = Grid.box((0.0, 0.0), (1.0, 1.0), (7, 6))
-        u = ScalarField.from_function(g, lambda x, y: 1 + 2 * x - 3 * y + 5 * x * y)
+        x, y = np.moveaxis(g.coords(), -1, 0)
+        u = ScalarField(g, 1 + 2 * x - 3 * y + 5 * x * y)
         grad = lambda x, y: (2 + 5 * y, -3 + 5 * x)
     centers = np.meshgrid(*[(a[1:] + a[:-1]) / 2 for a in g.axes()], indexing="ij")
     expected = np.stack(grad(*centers), axis=-1).reshape(-1, dim)
@@ -312,7 +314,7 @@ def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
     first = solve(torsion_spec(g, 3.0, 1e-3))
     ops = _gradient_operator(g)
     arrays = [a for a in (*ops, *(ops.fill or ())) if isinstance(a, np.ndarray)]
-    assert len(arrays) == (5 if g.dim == 1 else 10)  # a line has no `order` and no `fill`
+    assert len(arrays) == (4 if g.dim == 1 else 9)  # a line has no `order` and no `fill`
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.ravel()[:1] = 0
@@ -423,7 +425,7 @@ def sourceless_middle(p, eps, nodes):
     minimizer's flux is 0 on the sourceless middle."""
     g = Grid.line(-1.0, 1.0, nodes)
     return ProblemSpec(g, PLapParams(p=p, eps=eps),
-                       ScalarField.from_function(g, lambda x: 1e-4 * (np.abs(x) >= 0.5)),
+                       ScalarField(g, 1e-4 * (np.abs(g.axis(0)) >= 0.5)),
                        ScalarField.constant(g, 0.0))
 
 
@@ -662,11 +664,11 @@ def lifted_box(p, lift, nodes):
     and g = lift at both ends, extended in x2.  f has mean 0, so the lift
     leaves the energy as it is and only raises the rounding of u."""
     line = Grid.line(-1.0, 1.0, nodes)
-    v = solve(ProblemSpec(line, PLapParams(p=p, eps=1e-3), ScalarField.from_function(
-        line, lambda x: x), ScalarField.constant(line, lift))).u.values
+    v = solve(ProblemSpec(line, PLapParams(p=p, eps=1e-3), ScalarField(line, line.axis(0)),
+                          ScalarField.constant(line, lift))).u.values
     box = Grid.box((-1.0, -1.0), (1.0, 1.0), (nodes, nodes))
-    return ProblemSpec(box, PLapParams(p=p, eps=1e-3), ScalarField.from_function(
-        box, lambda x, y: x), ScalarField(box, np.repeat(v[:, None], nodes, axis=1)))
+    return ProblemSpec(box, PLapParams(p=p, eps=1e-3), ScalarField(box, box.coords()[..., 0]),
+                       ScalarField(box, np.repeat(v[:, None], nodes, axis=1)))
 
 
 def test_stop_reasons(monkeypatch):
@@ -768,10 +770,25 @@ def test_line_whose_residual_overflows_reads_stalled():
     `stalled` with that infinite residual and no RuntimeWarning."""
     g = Grid.line(-1.0, 1.0, 17)
     spec = ProblemSpec(g, PLapParams(p=200.0, eps=10.0), ScalarField.constant(g, 1.0),
-                       ScalarField.from_function(g, lambda x: 3.0 * x))
+                       ScalarField(g, 3.0 * g.axis(0)))
     r = solve(spec)
     assert (r.converged, r.stop_reason, r.el_residual) == (False, "stalled", np.inf)
     assert np.isfinite(r.energy) and np.isfinite(r.u.values).all()
+
+
+def test_line_solve_capped_at_max_iter_reads_stalled(monkeypatch):
+    """A line solve stops after `MAX_ITER` outer calls and reads `stalled`,
+    its energy and EL residual those of the u it returns.  Uncapped, the
+    off-centre line (f = 1 + x / 2, g = 0.3 x) at p = 5 on 65 nodes
+    converges in 11 calls."""
+    import plapreg.solver as solver_mod
+
+    spec = offcentre_line(5.0, 1e-3, 65)
+    assert solve(spec).iterations > 2
+    monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
+    r = solve(spec)
+    assert (r.stop_reason, r.iterations) == ("stalled", 2)
+    assert (r.energy, r.el_residual) == (energy(spec, r.u), el_residual(spec, r.u))
 
 
 @pytest.mark.filterwarnings("error")
@@ -1132,11 +1149,11 @@ def test_levels_halve_down_to_33_and_fit_the_operator_cache():
 
     grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (513, 513))
     spec = ProblemSpec(grid, PLapParams(p=3.0, eps=1e-3),
-                       ScalarField.from_function(grid, lambda x, y: x * y),
+                       ScalarField(grid, grid.coords().prod(axis=-1)),
                        ScalarField.constant(grid, 0.0))
     levels = _levels(spec)
     assert [level.grid.nodes for level in levels] == [(n, n) for n in (33, 65, 129, 257, 513)]
-    assert levels[-1] is spec and levels[-2].grid.refine() == grid
+    assert levels[-1] is spec and levels[-2].grid == Grid.box(grid.lower, grid.upper, (257, 257))
     np.testing.assert_array_equal(levels[0].f.values, spec.f.values[::16, ::16])
     assert len(levels) <= _gradient_operator.cache_parameters()["maxsize"]
 
@@ -1150,7 +1167,8 @@ def test_prolongation_is_exact_on_bilinear_fields():
         return 0.3 - 2.0 * x[..., 0] + 0.7 * x[..., 1] + 1.5 * x[..., 0] * x[..., 1]
 
     fine = _prolong(bilinear(coarse.coords()))
-    np.testing.assert_allclose(fine, bilinear(coarse.refine().coords()), rtol=0, atol=1e-14)
+    refined = Grid.box(coarse.lower, coarse.upper, (17, 9))
+    np.testing.assert_allclose(fine, bilinear(refined.coords()), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("passes", [1, 2, 4])
@@ -1162,7 +1180,7 @@ def test_line_prolongation_is_exact_on_affine_fields(passes):
     grid = Grid.line(-1.0, 3.0, 9)
     vals = 0.3 - 2.0 * grid.axis(0)
     for _ in range(passes):
-        vals, grid = _prolong(vals), grid.refine()
+        vals, grid = _prolong(vals), Grid.line(-1.0, 3.0, 2 * grid.nodes[0] - 1)
     np.testing.assert_allclose(vals, 0.3 - 2.0 * grid.axis(0), rtol=0, atol=1e-14)
 
 
