@@ -24,7 +24,7 @@ The sets:
 
 ``--smoke`` solves a quick subset instead: torsion and the sharp oracle on
 33^2 and 65^2 at p = 3 and 40, and the x1-only boxes there at p = 3 and 80,
-eps = 1e-2 throughout.
+eps in {1e-2, 1e-6}.
 
 One row per solve: its stop reason, its Newton steps per level (coarsest
 first; a line's outer calls), factorizations, CG iterations, wall seconds
@@ -103,7 +103,7 @@ def torsion2d(seed):
 
 def sets(smoke):
     """{set name: [(label, make)]}, make() giving (spec, exact or None)."""
-    nodes, ps, x1_ps, epss = (((33, 65), (3.0, 40.0), (3.0, 80.0), (1e-2,)) if smoke else
+    nodes, ps, x1_ps, epss = (((33, 65), (3.0, 40.0), (3.0, 80.0), (1e-2, 1e-6)) if smoke else
                               ((65, 129), (3.0, 5.0, 10.0, 20.0, 40.0), (3.0, 10.0, 40.0, 80.0),
                                (1e-2, 1e-6)))
     out = {

@@ -61,14 +61,14 @@ from step to step, so later steps keep the factor and run CG to an
 Eisenstat-Walker forcing term (inexact Newton), factoring afresh only when
 CG reaches an iteration cap or returns a non-finite step.
 A box solve walks one (p, eps) continuation path, warm starting each stage.
-For small eps it is a geometric eps path, which keeps Newton steps well
-scaled even when the initial iterate has vanishing gradient.  Above
-p = 18 Newton from the harmonic start can fail (`_P_DIRECT`), so the path
-first doubles p from the first p / 2**n at or below 18, at the eps path's
-first eps, and then walks the eps path at p (Huang, Li & Liu, J. Sci.
-Comput. 32, 2007).  A stage is its own ProblemSpec, whose params carry the
-stage's (p, eps); the energy, gradient, Hessian and line search read p and
-eps from the spec alone.
+Below eps = 0.1 it takes a stage at eps = 0.1 and then one at eps, which
+keeps Newton steps well scaled even when the initial iterate has vanishing
+gradient.  Above p = 18 Newton from the harmonic start can fail
+(`_P_DIRECT`), so the path first doubles p from the first p / 2**n at or
+below 18, at that first eps (Huang, Li & Liu, J. Sci. Comput. 32, 2007).
+A stage is its own ProblemSpec, whose params carry the stage's (p, eps);
+the energy, gradient, Hessian and line search read p and eps from the spec
+alone.
 The path ends exactly at the requested (p, eps).  Each stage begins by
 evaluating its iterate; once the solve has taken `MAX_ITER` Newton steps
 the remaining stages are skipped but the last, where the iterate is
@@ -167,15 +167,15 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 _P_DIRECT = 18.0
 # the coarsest level of a nested box solve (`_levels`): a box is halved
 # while every (n - 1) is even and the halved box keeps at least this many
-# nodes per axis, and every halving is a level.  At 257^2 (2-core Xeon, warm)
-# on seeded torsion (p = 3, eps = 1e-3) a coarsest grid of 17, 33 or 65
-# nodes takes 0.43-0.47, 0.40-0.42 and 0.48-0.60 s, against 0.96-1.36 s on
-# one level, where 8 steps run on 257^2 against 4; on the sharp oracle
-# (p = 5, eps = 1e-4) 17 and 33 take 0.46-0.48 and 0.49-0.55 s, and 65
-# takes 0.89-0.91 s, as the whole (p, eps) path then runs on 65^2.  Going
-# from 33^2 straight to 257^2 costs two fine factorizations (38.7 against
-# 22.8 ref on seeded torsion, bilinear prolongation), so every halving is a
-# level
+# nodes per axis, and every halving is a level.  At 257^2 (2-core Xeon,
+# warm, medians of 5 in four processes) a coarsest grid of 17, 33 or 65
+# nodes takes 0.42-0.53, 0.42-0.51 and 0.43-0.53 s on seeded torsion (p = 3,
+# eps = 1e-3), against 0.96-1.36 s on one level, where 8 steps run on 257^2
+# against 4; on the sharp oracle (p = 5, eps = 1e-4) 0.45-0.49, 0.44-0.57
+# and 0.56-0.60 s, 65 the slowest as the whole (p, eps) path then runs on
+# 65^2 (15 of 21 steps).  Going from 33^2 straight to 257^2 costs two
+# fine factorizations (38.7 against 22.8 ref on seeded torsion, bilinear
+# prolongation), so every halving is a level
 _COARSEST = 33
 # the Newton iterations of one call of `_line_slopes`, which stops once a
 # step is at the rounding of its terms.  On 65- and 4097-node torsion, the
@@ -197,8 +197,8 @@ class SolveResult:
     # rejected).  A line is converged when its EL residual meets its tolerance,
     # and stalled otherwise
     stop_reason: str
-    # (iteration, energy, grad_norm) rows: a box's per Newton iterate, a line's
-    # one row, for the returned u
+    # (iteration, energy, grad_norm) rows: a box's one per stage started and
+    # one per Newton step, a line's one row, for the returned u
     trace: tuple = ()
     # SuperLU factorizations of a box, harmonic start included; 0 on a line
     factorizations: int = 0
@@ -554,28 +554,19 @@ def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
     return vals
 
 
-def _eps_path(eps: float) -> list[float]:
-    """Geometric continuation path ending exactly at eps, starting no higher than 0.1."""
-    if eps >= 0.1:
-        return [eps]
-    ratio = 0.1 / float(eps)  # inf, with no warning, for eps below about 5.6e-310
-    n_dec = int(np.ceil(np.log10(ratio) if ratio < np.inf else np.log10(0.1) - np.log10(eps)))
-    return [0.1 * (eps / 0.1) ** (k / n_dec) for k in range(n_dec)] + [eps]
-
-
 def _path(p: float, eps: float) -> list[tuple[float, float]]:
     """The (p, eps) continuation path, ending exactly at (p, eps).
 
-    Up to `_P_DIRECT` it is the eps path at p.  Above, the stages
+    Its stages run at eps0 = max(eps, 0.1): above `_P_DIRECT` the stages
     p / 2**n, ..., p / 2, with p / 2**n the first at or below `_P_DIRECT`,
-    run at the eps path's first eps ahead of it.
+    and then p.  Below eps = 0.1 one more stage jumps to (p, eps).
     """
-    eps_path = _eps_path(eps)
-    p_stages, p_k = [], p
+    eps0 = max(eps, 0.1)
+    path, p_k = [(p, eps0)], p
     while p_k > _P_DIRECT:
         p_k /= 2.0
-        p_stages.insert(0, p_k)
-    return [(p_k, eps_path[0]) for p_k in p_stages] + [(p, e) for e in eps_path]
+        path.insert(0, (p_k, eps0))
+    return path + [(p, eps)] if eps < eps0 else path
 
 
 def _levels(spec: ProblemSpec) -> list[ProblemSpec]:

@@ -25,7 +25,6 @@ from plapreg.solver import (
     residual_tolerance,
     solve,
     write_solve_result,
-    _eps_path,
     _path,
 )
 from plapreg.experiments import SharpnessOracle, oracle_problem
@@ -614,36 +613,37 @@ def test_solve_unconverged_is_flagged(monkeypatch):
     assert r.iterations == 2
 
 
-def test_eps_path_ends_exactly_at_eps():
-    rng = np.random.default_rng(9)
-    for eps in 10.0 ** rng.uniform(-6.0, -1.0, 2000):
-        path = _eps_path(eps)
-        assert path[-1] == eps and path[0] == 0.1 and len(path) >= 2
-
-
-@pytest.mark.parametrize("eps", [5e-310, 1e-320, 5e-324])
-def test_eps_path_reaches_a_subnormal_eps(eps):
-    """Below about 5.6e-310, 0.1 / eps is inf; the decades are still counted
-    and the path still falls from 0.1 to exactly eps, a decade a stage."""
-    path = _eps_path(eps)
-    assert path[0] == 0.1 and path[-1] == eps
-    assert all(1.0 < a / b <= 10.5 for a, b in zip(path, path[1:]))
-
-
-@pytest.mark.parametrize("eps", [1e-1, 1e-2, 3.7e-5, 1e-6])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 3.7e-5, 1e-6, 5e-310, 1e-320, 5e-324])
 def test_path_continues_in_p_only_above_18(eps):
-    """Up to p = 18 the (p, eps) path is the eps path at p.  Above, it starts
-    at the first p / 2**n <= 18, doubles p at the eps path's first eps, and
-    then walks the eps path at p, ending exactly at (p, eps)."""
-    for p in (2.0, 3.0, 10.0, 18.0):
-        assert _path(p, eps) == [(p, e) for e in _eps_path(eps)]
-    for p in (18.5, 20.0, 36.5, 40.0, 80.0, 1000.0):
+    """A (p, eps) path runs at no more than two eps, the first max(eps, 0.1),
+    and ends exactly at (p, eps), a subnormal eps included.  Up to p = 18 it
+    runs at p alone.  Above, it starts at the first p / 2**n <= 18 and
+    doubles p at the first eps."""
+    first = max(eps, 0.1)
+    for p in (2.0, 3.0, 10.0, 18.0, 18.5, 20.0, 36.5, 40.0, 80.0, 1000.0):
         path = _path(p, eps)
         p_stages = [stage for stage in path if stage[0] != p]
-        assert path == p_stages + [(p, e) for e in _eps_path(eps)]
+        # (p, first), then (p, eps) unless eps is first
+        assert path == p_stages + [(p, e) for e in dict.fromkeys((first, eps))]
+        assert all(e == first for _, e in p_stages)
+        if p <= 18.0:
+            assert p_stages == []
+            continue
         assert 9.0 < p_stages[0][0] <= 18.0
         assert [2.0 * p_k for p_k, _ in p_stages] == [p_k for p_k, _ in path[1:len(p_stages) + 1]]
-        assert {e for _, e in p_stages} == {_eps_path(eps)[0]}
+
+
+def test_small_eps_takes_the_same_steps_at_any_depth():
+    """Below eps = 0.1 a box's path jumps from 0.1 straight to eps, so 65^2
+    torsion takes the same steps per level at eps = 1e-12 as at 1e-300, and
+    its trace has one row per stage started (two on 33^2, one on 65^2) and
+    one per Newton step."""
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65))
+    r12, r300 = (solve(torsion_spec(grid, 3.0, eps)) for eps in (1e-12, 1e-300))
+    assert r12.converged and r300.converged
+    assert [row[1] for row in r12.levels] == [row[1] for row in r300.levels]
+    for r in (r12, r300):
+        assert len(r.trace) == 3 + r.iterations == 11
 
 
 @pytest.mark.filterwarnings("error")
@@ -902,7 +902,7 @@ def evaluation_specs():
     """Boxes, x1-only and not, one and several levels, up to the p-doubling
     path."""
     return (
-        box_problem("torsion", 3.0, 1e-3, 33),
+        box_problem("torsion", 4.0, 1e-3, 33),
         box_problem("sharp", 5.0, 1e-4, 33),
         torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
         box_problem("sharp", 40.0, 2e-5, 65),
@@ -968,7 +968,7 @@ def test_solve_result_is_its_last_evaluation(monkeypatch):
     assert capped.trace[-1][:2] == (2, capped.energy)
     assert capped.energy == energy(spec, capped.u)
     assert capped.el_residual == el_residual(spec, capped.u)
-    # capped in the first of four eps stages, and of six (p, eps) stages
+    # capped in the first of two eps stages, and of four (p, eps) stages
     for spec_k in (spec, spec_p40):
         capped = solve(spec_k)
         assert [row[0] for row in capped.trace] == [0, 1, 2, 2]
