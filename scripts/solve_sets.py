@@ -8,7 +8,7 @@ Run from the repository root:
 The sets:
 
 * ``boxes``: torsion (f = 1, g = 0) and the sharp oracle on 65^2 and 129^2,
-  p in {3, 5, 10, 20, 40}, eps in {1e-2, 1e-6}: 40 solves.
+  p in {3, 5, 10, 20, 40, 80}, eps in {1e-2, 1e-6}: 48 solves.
 * ``x1only``: the off-centre x1-only boxes of ``tests/frozen.py``
   (``offcentre_box``: f = 1 + x1 / 2, g the line solve v for g = 0.3 x1,
   extended in x2) on 65^2 and 129^2, p in {3, 10, 40, 80}, eps in {1e-2,
@@ -104,8 +104,8 @@ def torsion2d(seed):
 def sets(smoke):
     """{set name: [(label, make)]}, make() giving (spec, exact or None)."""
     nodes, ps, x1_ps, epss = (((33, 65), (3.0, 40.0), (3.0, 80.0), (1e-2, 1e-6)) if smoke else
-                              ((65, 129), (3.0, 5.0, 10.0, 20.0, 40.0), (3.0, 10.0, 40.0, 80.0),
-                               (1e-2, 1e-6)))
+                              ((65, 129), (3.0, 5.0, 10.0, 20.0, 40.0, 80.0),
+                               (3.0, 10.0, 40.0, 80.0), (1e-2, 1e-6)))
     out = {
         "boxes": [(f"{problem} {n}^2 p={p:g} eps={eps:g}",
                    functools.partial(box, problem, n, p, eps))

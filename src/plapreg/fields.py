@@ -329,7 +329,8 @@ def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
         )
     ncols = data.shape[1] - grid.dim
     coords = grid.coords().reshape(-1, grid.dim)
-    if not np.allclose(data[:, : grid.dim], coords, rtol=0, atol=1e-9):
+    # the test of allclose(rtol=0, atol=1e-9), NaN and inf included, in one pass
+    if not np.max(np.abs(data[:, : grid.dim] - coords)) <= 1e-9:
         raise ValueError(f"{path}: node coordinates do not match grid")
     if ncols == 1 and names != [f"value{k + 1}" for k in range(grid.dim)]:
         return ScalarField(grid, data[:, grid.dim].reshape(grid.shape))

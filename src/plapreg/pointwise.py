@@ -44,12 +44,14 @@ def sq_norm(w) -> np.ndarray:
 
     Summed component by component: the additions of
     np.sum(np.square(w), axis=-1) in its order, at a tenth of its cost on a
-    225 x 225 x 2 array (a reduction over a length-2 axis is slow).
+    225 x 225 x 2 array (a reduction over a length-2 axis is slow).  Each
+    later component is added in place, the same additions in the same order
+    with no new array per component.
     """
     w = np.asarray(w, dtype=float)
     out = w[..., 0] * w[..., 0]
     for k in range(1, w.shape[-1]):
-        out = out + w[..., k] * w[..., k]
+        out += w[..., k] * w[..., k]
     return out
 
 

@@ -122,16 +122,31 @@ def _riemann_sum(values: np.ndarray, grid: Grid) -> float:
 
 def _lq(field, values: np.ndarray, q: float) -> float:
     """Riemann-sum L^q norm of the nodewise magnitude of ``values``, a box
-    of ``field``'s node values (vector fields keep their component axis)."""
+    of ``field``'s node values (vector fields keep their component axis).
+
+    The magnitude is one new array, worked on in place: the square root of
+    a vector field's `sq_norm`, or |values|.  An identically zero magnitude
+    gives 0.0 before any power is taken (0**q costs about three times a
+    power of positive values).  Otherwise the power is taken in place with
+    ``**=``, numpy's ``**`` with its fast paths at q = 1 and 2, and the
+    nodes are summed in C order (`_riemann_sum`).
+    """
     if not q >= 1.0:
         raise ValueError("q must be at least 1")
-    mag = np.sqrt(sq_norm(values)) if isinstance(field, VectorField) else np.abs(values)
+    if isinstance(field, VectorField):
+        mag = sq_norm(values)
+        np.sqrt(mag, out=mag)
+    else:
+        mag = np.abs(values)
     if np.isinf(q):
         return float(np.max(mag))
+    if not mag.any():
+        return 0.0
     with np.errstate(over="ignore"):  # caught by the check below
-        total = _riemann_sum(mag**q, field.grid)
-    # a sum of 0 from a difference that is not 0 has underflowed
-    if total == np.inf or total == 0.0 and mag.any():
+        mag **= q
+        total = _riemann_sum(mag, field.grid)
+    # mag is not 0, so a sum of 0 has underflowed
+    if total == np.inf or total == 0.0:
         raise ValueError(f"q = {q:g} takes |u(. + v) - u|^q out of floating-point range")
     return total ** (1.0 / q)
 

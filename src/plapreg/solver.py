@@ -89,7 +89,9 @@ coarse node is a fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2.
 The coarsest level starts from the harmonic extension of g and walks the
 whole (p, eps) path; each finer level starts from the coarser iterate,
 prolonged by a slope-limited cubic (`_prolong`, one midpoint pass per
-axis), its boundary reset to g, and runs the final (p, eps) stage alone.
+axis), its boundary reset to g, and runs the final (p, eps) stage alone;
+above `_P_DIRECT` it runs (p / 2, eps) first when its prolonged start's
+energy jumps above the coarser level's (`_REENTRY_GAP`).
 Only the problem grid's stage is final, so a coarse level ends at the
 loose tolerance of an intermediate stage.  The iteration cap counts Newton
 steps over all levels; a capped iterate is prolonged to the problem grid
@@ -165,6 +167,15 @@ _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # at p = 22 and 24 (eps = 1e-2) and takes 127 steps at p = 40 against 38;
 # at p = 80 all four stop `no_descent` at the first step
 _P_DIRECT = 18.0
+# above `_P_DIRECT` a finer level of a nested box solve first runs the stage
+# (p / 2, eps) when the energy of its prolonged start exceeds the coarser
+# level's final energy E by more than this times 1 + |E|.  Over the boxes of
+# `scripts/solve_sets.py` that gap reads at most 0.056 where no stage is
+# needed (torsion at p = 20; below 0 on the sharp oracle and the x1-only
+# boxes), and at least 154 on torsion at p = 40 (161 once the coarser level
+# re-entered too) and 2.4e10 at p = 80, where a level without the stage took
+# 26-31 (p = 40) and 75-93 (p = 80) steps against 19-22 and 33-41 with it
+_REENTRY_GAP = 1.0
 # the coarsest level of a nested box solve (`_levels`): a box is halved
 # while every (n - 1) is even and the halved box keeps at least this many
 # nodes per axis, and every halving is a level.  At 257^2 (2-core Xeon,
@@ -788,6 +799,15 @@ def solve(spec: ProblemSpec) -> SolveResult:
         solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
         cells = None  # the iterate's cell state (`_cell_state`), at eps `cells_eps`
         path = [(p, eps)] if n else _path(p, eps)
+        e_start = None  # the energy of the start at path[0], once evaluated
+        if n and p > _P_DIRECT:
+            # a prolonged start far above the coarser level's energy e_val lies
+            # outside the Newton region: the level re-enters the p path at p / 2
+            cells, cells_eps = _cell_state(level, vals), eps
+            with np.errstate(over="ignore"):  # an energy that overflows re-enters
+                e_start = _energy_raw(level, vals, cells)
+            if (e_start - e_val) / (1.0 + abs(e_val)) > _REENTRY_GAP:
+                path, e_start = [(p / 2.0, eps)] + path, None
         for k, (p_k, eps_k) in enumerate(path):
             final = n == len(levels) - 1 and k == len(path) - 1
             if it_total >= MAX_ITER and not final:
@@ -797,11 +817,11 @@ def solve(spec: ProblemSpec) -> SolveResult:
             polished = False
             # the state is shared by the iterate's energy, gradient and
             # Hessian: it comes from the line search that accepted the
-            # iterate, or from the stage before if that ended at this eps (l
-            # depends on eps, not p)
+            # iterate, from the stage before if that ended at this eps (l
+            # depends on eps, not p), or from the re-entry test above
             if cells is None or cells_eps != eps_k:
                 cells, cells_eps = _cell_state(spec_k, vals), eps_k
-            e_val = _energy_raw(spec_k, vals, cells)
+            e_val = _energy_raw(spec_k, vals, cells) if k or e_start is None else e_start
             while True:
                 g_full, lp2 = _gradient_raw(spec_k, cells)
                 g_int = g_full.ravel()[ops.order]

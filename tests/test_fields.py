@@ -333,3 +333,9 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
         read_field_csv(p, Grid.line(0.0, 1.0, 11))
     with pytest.raises(ValueError, match="coordinates"):
         read_field_csv(p, Grid.line(0.0, 2.0, 9))
+    # a NaN coordinate fails every comparison, and must fail the check too
+    lines = p.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="coordinates"):
+        read_field_csv(p, g)

@@ -1,5 +1,6 @@
 """Difference-quotient seminorms, exponent fits, and the composition bound."""
 
+import itertools
 import json
 import math
 
@@ -202,6 +203,22 @@ def test_shift_norm_validation():
         shift_difference_norm(u, (1, 1), 2.0)
 
 
+def test_shift_norm_that_underflows_raises_naming_q():
+    """Differences of about 1e-50 at a few nodes and exactly 0 at the rest:
+    at q = 8 every power underflows, and a norm of 0 would call a field that
+    moves flat.  (A vector difference below about 1e-154 squares to 0 in its
+    magnitude, so it could not reach the power.)"""
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (33, 33))
+    vals = np.zeros(g.shape + (2,))
+    vals[10:13, 20, 0] = 1e-50
+    vals[5, 5, 1] = -3e-50
+    V = VectorField(g, vals)
+    assert shift_difference_norm(V, (1, 0), 2.0) > 0.0
+    assert shift_difference_norm(V, (1, 0), np.inf) == pytest.approx(3e-50)
+    with pytest.raises(ValueError, match=r"q = 8 takes \|u\(\. \+ v\) - u\|\^q out of"):
+        shift_difference_norm(V, (1, 0), 8.0)
+
+
 def test_shift_norm_translation_invariant():
     rng = np.random.default_rng(21)
     g = line(257)
@@ -235,12 +252,17 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
     a sum over the nodes a boolean mask selects (C order).  On 257 x 129 the
     boxes exceed numpy's 8192-element reduction buffer, where a sum over a
     strided box would group its terms differently; u is stored in Fortran
-    order, where a sum in memory order would too."""
+    order, where a sum in memory order would too.  The fields constant along
+    x2 have (0, k) differences that are exactly 0, which give exactly 0.0
+    (a RuntimeWarning fails the test); q = 1 and 2 take the fast paths of
+    numpy's ``**``."""
     rng = np.random.default_rng(24)
     g = Grid.box((0.0, 0.0), (1.0, 1.0), shape)
     u = ScalarField(g, np.asfortranarray(rng.standard_normal(g.shape)))
     assert u.values.flags.f_contiguous
     V = VectorField(g, rng.standard_normal(g.shape + (2,)))
+    x1only = np.broadcast_to(rng.standard_normal((shape[0], 1, 2)), g.shape + (2,))
+    u1, V1 = ScalarField(g, x1only[..., 0]), VectorField(g, x1only)
     x, y = g.coords()[..., 0], g.coords()[..., 1]
     hx, hy = g.h
     DELTAS = (0.05, 0.1, 0.15, 0.2, 0.25)
@@ -261,14 +283,15 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
             return float(np.max(mags))
         return float((np.sum(mags**q) * g.cell_volume) ** (1.0 / q))
 
-    for field in (u, V):
-        for q in (1.0, 2.7, np.inf):
+    for field, flat_x2 in ((u, False), (V, False), (u1, True), (V1, True)):
+        for q in (1.0, 2.0, 2.7, np.inf):
             for off in dyadic_shifts(g, 0.25):
                 idx = mask(math.hypot(off[0] * hx, off[1] * hy))
                 shifted = tuple(i + o for i, o in zip(idx, off))
                 diff = field.values[shifted] - field.values[idx]
                 ref = lq(mag(field, diff), q)
                 assert shift_difference_norm(field, off, q) == ref, (off, q)
+                assert (ref == 0.0) == (flat_x2 and off[0] == 0), (off, q)
 
     jac2 = np.zeros(g.shape)
     for j in range(2):
@@ -287,18 +310,25 @@ def test_interior_norms_match_masked_reference_bitwise(shape):
                          ids=["1d", "2d"])
 def test_vector_shift_norm_matches_component_axis_sum_bitwise(grid):
     """The nodewise magnitude, summed component by component, is bit for bit
-    np.sqrt(np.sum(d * d, axis=-1)), and the norm sums it in C order."""
+    np.sqrt(np.sum(d * d, axis=-1)), and the norm sums it in C order.  In 2D
+    a field constant along x2 gives exactly 0.0 on its (0, k) shifts, where
+    the magnitude is 0 and no power is taken."""
     rng = np.random.default_rng(15)
     V = VectorField(grid, rng.standard_normal(grid.shape + (grid.dim,)))
-    for off in dyadic_shifts(grid, 0.25):
+    fields = [V]
+    if grid.dim == 2:
+        fields.append(VectorField(grid, np.broadcast_to(
+            rng.standard_normal((grid.nodes[0], 1, 2)), grid.shape + (2,))))
+    for W, off in itertools.product(fields, dyadic_shifts(grid, 0.25)):
         box = interior_box(grid, math.hypot(*(o * h for o, h in zip(off, grid.h))))
         shifted = tuple(slice(b.start + o, b.stop + o) for b, o in zip(box, off))
-        d = V.values[shifted] - V.values[box]
+        d = W.values[shifted] - W.values[box]
         mag = np.sqrt(np.sum(d * d, axis=-1)).ravel()
-        for q in (2.0, 3.7, np.inf):
+        for q in (1.0, 2.0, 3.7, np.inf):
             ref = (float(np.max(mag)) if np.isinf(q)
                    else float(np.sum(mag**q) * grid.cell_volume) ** (1.0 / q))
-            assert shift_difference_norm(V, off, q) == ref, (off, q)
+            assert shift_difference_norm(W, off, q) == ref, (off, q)
+            assert (ref == 0.0) == (W is not V and off[0] == 0), (off, q)
 
 
 # ---------------------------------------------------------------------------

@@ -804,6 +804,21 @@ def test_high_p_2d_torsion_converges():
     assert r.el_residual <= residual_tolerance(spec)
 
 
+@pytest.mark.filterwarnings("error")
+def test_high_p_2d_torsion_converges_on_three_levels():
+    """129^2 torsion at p = 80, eps = 1e-6 converges with the EL contract.
+    The cubic prolongation of the coarser torsion minimizer starts each finer
+    level some 1e10 times 1 + |E| above the coarser energy, so that level
+    first runs the stage (p / 2, eps): without it the two finer levels took
+    93 and 75 steps and the solve stopped `max_iter`."""
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (129, 129)), 80.0, 1e-6)
+    r = solve(spec)
+    assert (r.converged, r.stop_reason) == (True, "converged")
+    assert r.el_residual <= residual_tolerance(spec)
+    assert [nodes for nodes, *_ in r.levels] == [(33, 33), (65, 65), (129, 129)]
+    assert all(steps <= 50 for _, steps, *_ in r.levels)
+
+
 @pytest.mark.parametrize("f", [1e-4, 1e-8])
 def test_small_source_at_high_p_converges(f):
     """65-node torsion at p = 10, eps = 1e-4 with f = 1e-4 or 1e-8, whose
