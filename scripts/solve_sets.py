@@ -14,6 +14,11 @@ The sets:
   extended in x2) on 65^2 and 129^2, p in {3, 10, 40, 80}, eps in {1e-2,
   1e-6}: 16 solves.  Their exact discrete minimizer is v extended, whose
   energy is twice the line's.
+* ``radial``: f = 1 with g = u_c = 2^(-1/(p-1)) |x - c|^p' / p', p' = p /
+  (p - 1), the eps = 0 solution (``radial_box`` of ``tests/frozen.py``),
+  whose trace is not a sum of a function of x1 and one of x2, on 65^2 and
+  129^2, p in {3, 5, 10, 20, 40, 80}, eps in {1e-2, 1e-6}, c in {(0, 0),
+  (0.00625, 0.2)}: 48 solves.
 * ``torsion2d``: the benchmark's torsion2d problem (``perfbench/workloads.py``:
   257^2, p = 3, eps = 1e-3, f = 1 plus a seeded smooth perturbation, g = 0)
   for seeds 1 to 12.
@@ -23,13 +28,16 @@ The sets:
   f = 1e-4 with g = 0: 288 solves.
 
 ``--smoke`` solves a quick subset instead: torsion and the sharp oracle on
-33^2 and 65^2 at p = 3 and 40, and the x1-only boxes there at p = 3 and 80,
-eps in {1e-2, 1e-6}.
+33^2 and 65^2 at p = 3 and 40, the x1-only boxes there at p = 3 and 80,
+and the radial boxes there at p = 3 and 40 with c = (0.00625, 0.2), eps in
+{1e-2, 1e-6}.
 
 One row per solve: its stop reason, its Newton steps per level (coarsest
 first; a line's outer calls), factorizations, CG iterations, wall seconds
 and energy; on an x1-only box also the algebraic error, (E - E*) / (1 +
-|E*|) and max |u - u*| / (1 + max |u*|).  Each set ends with its totals.
+|E*|) and max |u - u*| / (1 + max |u*|); on a radial box the sup error
+max |u - u_c|, which is a discretization error, not an algebraic one.
+Each set ends with its totals.
 Every box solve of these sets is expected to converge; the script exits 1
 when one does not, or when an x1-only box ends above E* by more than the
 bound of ``box_line_energy`` in ``tests/frozen.py``.  A line is solved
@@ -78,6 +86,12 @@ def x1only(nodes, p, eps):
     return spec, (line.u.values[:, None], 2.0 * line.energy)
 
 
+def radial(nodes, p, eps, centre):
+    """The radial box, and (u_c, None): u_c solves the continuous problem."""
+    spec, u_c = frozen.radial_box(p, eps, nodes, centre)
+    return spec, (u_c, None)
+
+
 # the (f, g) of the ``lines`` set at the nodes x
 LINE_SOURCES = {
     "offcentre": lambda x: (1 + x / 2, 0.3 * x),
@@ -102,16 +116,22 @@ def torsion2d(seed):
 
 
 def sets(smoke):
-    """{set name: [(label, make)]}, make() giving (spec, exact or None)."""
+    """{set name: [(label, make)]}, make() giving (spec, exact): exact is
+    None, the discrete minimizer's (u*, E*), or (u_c, None) for a u_c that
+    solves the continuous problem."""
     nodes, ps, x1_ps, epss = (((33, 65), (3.0, 40.0), (3.0, 80.0), (1e-2, 1e-6)) if smoke else
                               ((65, 129), (3.0, 5.0, 10.0, 20.0, 40.0, 80.0),
                                (3.0, 10.0, 40.0, 80.0), (1e-2, 1e-6)))
+    centres = ((0.00625, 0.2),) if smoke else ((0.0, 0.0), (0.00625, 0.2))
     out = {
         "boxes": [(f"{problem} {n}^2 p={p:g} eps={eps:g}",
                    functools.partial(box, problem, n, p, eps))
                   for problem in ("torsion", "sharp") for n in nodes for p in ps for eps in epss],
         "x1only": [(f"offcentre {n}^2 p={p:g} eps={eps:g}", functools.partial(x1only, n, p, eps))
                    for n in nodes for p in x1_ps for eps in epss],
+        "radial": [(f"c={c[0]:g},{c[1]:g} {n}^2 p={p:g} eps={eps:g}",
+                    functools.partial(radial, n, p, eps, c))
+                   for c in centres for n in nodes for p in ps for eps in epss],
     }
     if not smoke:
         out["torsion2d"] = [(f"torsion2d seed {seed}", functools.partial(torsion2d, seed))
@@ -130,8 +150,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     e_bound = frozen.TABLE["box_line_energy"].hi
     code = 0
-    print(f"{'set':9} {'solve':31} {'stop':10} {'steps per level':18} {'fact':>4} {'cg':>5} "
-          f"{'secs':>8} {'energy':>24} {'E gap':>9} {'u gap':>9}")
+    print(f"{'set':9} {'solve':35} {'stop':10} {'steps per level':18} {'fact':>4} {'cg':>5} "
+          f"{'secs':>8} {'energy':>24} {'E gap':>9} {'u gap':>9} {'sup err':>9}")
     for name, cases in sets(args.smoke).items():
         totals = np.zeros(4)
         for label, make in cases:
@@ -141,17 +161,19 @@ def main(argv=None):
             secs = time.perf_counter() - start
             totals += (r.iterations, r.factorizations, r.cg_iterations, secs)
             gaps, bad = "", not r.converged and spec.grid.dim == 2
-            if exact is not None:
+            if exact is not None and exact[1] is None:
+                gaps = f" {'':9} {'':9} {np.max(np.abs(r.u.values - exact[0])):9.3e}"
+            elif exact is not None:
                 u_star, e_star = exact
                 e_gap = (r.energy - e_star) / (1.0 + abs(e_star))
                 u_gap = np.max(np.abs(r.u.values - u_star)) / (1.0 + np.max(np.abs(u_star)))
                 gaps, bad = f" {e_gap:9.2e} {u_gap:9.2e}", bad or e_gap > e_bound
             steps = ",".join(str(row[1]) for row in r.levels)
-            print(f"{name:9} {label:31} {r.stop_reason:10} {steps:18} {r.factorizations:4d} "
+            print(f"{name:9} {label:35} {r.stop_reason:10} {steps:18} {r.factorizations:4d} "
                   f"{r.cg_iterations:5d} {secs:8.4f} {r.energy:24.17g}{gaps}"
                   f"{'  FAIL' if bad else ''}")
             code = 1 if bad else code
-        print(f"{name:9} {f'total of {len(cases)}':31} {'':10} {int(totals[0]):<18d} "
+        print(f"{name:9} {f'total of {len(cases)}':35} {'':10} {int(totals[0]):<18d} "
               f"{int(totals[1]):4d} {int(totals[2]):5d} {totals[3]:8.4f}")
     return code
 

@@ -127,9 +127,10 @@ def _lq(field, values: np.ndarray, q: float) -> float:
     The magnitude is one new array, worked on in place: the square root of
     a vector field's `sq_norm`, or |values|.  An identically zero magnitude
     gives 0.0 before any power is taken (0**q costs about three times a
-    power of positive values).  Otherwise the power is taken in place with
-    ``**=``, numpy's ``**`` with its fast paths at q = 1 and 2, and the
-    nodes are summed in C order (`_riemann_sum`).
+    power of positive values), unless a vector field's component squares
+    underflowed: then it is taken of values / max |values|, scaled back.
+    The power is taken in place with ``**=`` (numpy's ``**``, fast at q = 1
+    and 2), and the nodes are summed in C order (`_riemann_sum`).
     """
     if not q >= 1.0:
         raise ValueError("q must be at least 1")
@@ -138,10 +139,13 @@ def _lq(field, values: np.ndarray, q: float) -> float:
         np.sqrt(mag, out=mag)
     else:
         mag = np.abs(values)
+    if not mag.any():
+        if not (isinstance(field, VectorField) and values.any()):
+            return 0.0
+        s = float(np.max(np.abs(values)))  # the component squares underflowed
+        mag = np.sqrt(sq_norm(values / s)) * s
     if np.isinf(q):
         return float(np.max(mag))
-    if not mag.any():
-        return 0.0
     with np.errstate(over="ignore"):  # caught by the check below
         mag **= q
         total = _riemann_sum(mag, field.grid)

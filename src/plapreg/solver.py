@@ -63,7 +63,7 @@ CG reaches an iteration cap or returns a non-finite step.
 A box solve walks one (p, eps) continuation path, warm starting each stage.
 Below eps = 0.1 it takes a stage at eps = 0.1 and then one at eps, which
 keeps Newton steps well scaled even when the initial iterate has vanishing
-gradient.  Above p = 18 Newton from the harmonic start can fail
+gradient.  Above p = 18 Newton from the level's start can fail
 (`_P_DIRECT`), so the path first doubles p from the first p / 2**n at or
 below 18, at that first eps (Huang, Li & Liu, J. Sci. Comput. 32, 2007).
 A stage is its own ProblemSpec, whose params carry the stage's (p, eps);
@@ -86,10 +86,11 @@ Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and the halved
 grid keeps at least `_COARSEST` nodes per axis, the grid is halved; the
 levels are every halving and the problem grid, and f and g are injected (a
 coarse node is a fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2.
-The coarsest level starts from the harmonic extension of g and walks the
-whole (p, eps) path; each finer level starts from the coarser iterate,
-prolonged by a slope-limited cubic (`_prolong`, one midpoint pass per
-axis), its boundary reset to g, and runs the final (p, eps) stage alone;
+The coarsest level starts from the transfinite (Coons) interpolation of
+g's boundary values (`_coons_patch`), which takes no linear solve, and
+walks the whole (p, eps) path; each finer level starts from the coarser
+iterate, prolonged by a slope-limited cubic (`_prolong`, one midpoint pass
+per axis), its boundary reset to g, and runs the final (p, eps) stage alone;
 above `_P_DIRECT` it runs (p / 2, eps) first when its prolonged start's
 energy jumps above the coarser level's (`_REENTRY_GAP`).
 Only the problem grid's stage is final, so a coarse level ends at the
@@ -162,10 +163,11 @@ _PCG_CAP = 15
 # 0.42-0.47 s)
 _ETA_GAMMA, _ETA_MIN, _ETA_MAX = 0.9, 1e-8, 1e-2
 # above this p the solve first doubles p up from the first p / 2**n at or
-# below it (`_path`).  Newton from the harmonic start alone, on 33^2 torsion
-# and the sharp oracle, eps in {1e-2, 1e-6}: the oracle stops `no_descent`
-# at p = 22 and 24 (eps = 1e-2) and takes 127 steps at p = 40 against 38;
-# at p = 80 all four stop `no_descent` at the first step
+# below it (`_path`).  Newton from the Coons start alone on 33^2, eps in
+# {1e-2, 1e-6}: the `radial` box of `scripts/solve_sets.py` at c = 0 stops
+# `no_descent` at p = 24, at 30 and 40 for one eps, torsion at p = 40, eps =
+# 1e-6, and at p = 80 every box but the sharp oracle, which starts at its
+# sampled answer (6-7 steps)
 _P_DIRECT = 18.0
 # above `_P_DIRECT` a finer level of a nested box solve first runs the stage
 # (p / 2, eps) when the energy of its prolonged start exceeds the coarser
@@ -182,9 +184,10 @@ _REENTRY_GAP = 1.0
 # warm, medians of 5 in four processes) a coarsest grid of 17, 33 or 65
 # nodes takes 0.42-0.53, 0.42-0.51 and 0.43-0.53 s on seeded torsion (p = 3,
 # eps = 1e-3), against 0.96-1.36 s on one level, where 8 steps run on 257^2
-# against 4; on the sharp oracle (p = 5, eps = 1e-4) 0.45-0.49, 0.44-0.57
-# and 0.56-0.60 s, 65 the slowest as the whole (p, eps) path then runs on
-# 65^2 (15 of 21 steps).  Going from 33^2 straight to 257^2 costs two
+# against 4; at p = 5, eps = 1e-4, 0.41-0.64, 0.40-0.62 and 0.39-0.46 s (14,
+# 10, 8 steps) on the sharp oracle, which starts at its sampled answer, and
+# 0.38-0.60, 0.38-0.63 and 0.41-0.51 s (16, 14, 13 steps) on the `radial`
+# box at c = (0.00625, 0.2).  Going from 33^2 straight to 257^2 costs two
 # fine factorizations (38.7 against 22.8 ref on seeded torsion, bilinear
 # prolongation), so every halving is a level
 _COARSEST = 33
@@ -211,9 +214,9 @@ class SolveResult:
     # (iteration, energy, grad_norm) rows: a box's one per stage started and
     # one per Newton step, a line's one row, for the returned u
     trace: tuple = ()
-    # SuperLU factorizations of a box, harmonic start included; 0 on a line
+    # SuperLU factorizations of a box's Newton steps; 0 on a line
     factorizations: int = 0
-    cg_iterations: int = 0  # PCG iterations of every box step, harmonic start included
+    cg_iterations: int = 0  # PCG iterations of every Newton step of a box
     # (nodes, iterations, factorizations, energy) per level evaluated, coarsest
     # first (`_levels`); the last row is the problem grid's.  A box solve
     # capped on a coarse level has no row for the levels it skipped on its way
@@ -459,16 +462,15 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 class _LinearSolves:
     """The linear solves of one box `solve` call, and their counts.
 
-    Every solve, the harmonic start included, is CG preconditioned by a kept
-    float32 SuperLU factor, used only through `precondition`; a
-    factorization (`factor`) only refreshes it.  The step right after one
-    runs CG to rtol `_ETA_MIN`, a later step runs CG with the same factor to
-    its Eisenstat-Walker forcing term and factors afresh when that CG fails
-    (`newton_step`).  `solve` drops the factor as each level starts, so
-    neither the harmonic start's factor nor a coarser level's preconditions
-    a new K.  The factor lives only as long as this object, and the old one
-    is released before SuperLU allocates the new one, so at most one is ever
-    held.
+    Every solve is a Newton step's CG, preconditioned by a kept float32
+    SuperLU factor, used only through `precondition`; a factorization
+    (`factor`) only refreshes it.  The step right after one runs CG to rtol
+    `_ETA_MIN`, a later step runs CG with the same factor to its
+    Eisenstat-Walker forcing term and factors afresh when that CG fails
+    (`newton_step`).  `solve` drops the factor as each level starts, so no
+    coarser level's factor preconditions a finer K.  The factor lives only
+    as long as this object, and the old one is released before SuperLU
+    allocates the new one, so at most one is ever held.
     """
 
     def __init__(self):
@@ -547,22 +549,16 @@ class _LinearSolves:
         return step, len(its) < _PCG_CAP and np.isfinite(step).all()
 
 
-def _harmonic_extension(spec: ProblemSpec, solves: _LinearSolves) -> np.ndarray:
-    """Minimize the p = 2 energy with f = 0 and trace g: one Newton step from g.
-
-    Its K_II is D_I^T D_I, assembled from unit cell blocks.  g itself is the
-    minimizer when the interior gradient D_I^T D g vanishes (g = 0 in every
-    torsion problem); then nothing is factored.
-    """
-    grid = spec.grid
-    order = _gradient_operator(grid).order
-    vals = spec.g.values.copy()
-    c = _cell_gradients(grid, vals)
-    g_int = _gradient_adjoint(grid, c).ravel()[order]
-    if g_int.any():
-        unit = np.broadcast_to(np.eye(grid.dim), (len(c), grid.dim, grid.dim))
-        vals.ravel()[order] += solves.newton_step(_assemble(grid, unit), g_int, 0.0, np.inf)
-    return vals
+def _coons_patch(g: np.ndarray) -> np.ndarray:
+    """The transfinite (Coons) interpolation of the boundary of a box's node
+    array g (Gordon & Hall, Numer. Math. 21, 1973), s and t the normalized
+    node coordinates: the linear blends of opposite sides less the bilinear
+    blend of the corners.  It reproduces g = a(s) + b(t), and g = 0 exactly."""
+    s, t = (np.linspace(0.0, 1.0, n) for n in g.shape)
+    s, t = s[:, None], t[None, :]
+    sides = (1.0 - s) * g[:1] + s * g[-1:] + (1.0 - t) * g[:, :1] + t * g[:, -1:]
+    return sides - ((1.0 - s) * (1.0 - t) * g[0, 0] + (1.0 - s) * t * g[0, -1]
+                    + s * (1.0 - t) * g[-1, 0] + s * t * g[-1, -1])
 
 
 def _path(p: float, eps: float) -> list[tuple[float, float]]:
@@ -766,7 +762,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
     The minimizer is unique (the energy is strictly convex for eps > 0).  A
     line is solved exactly (`_solve_line`).  A box is solved by Newton, and
     the start is no choice of the caller's: the coarsest level starts from
-    the harmonic extension of g.  A result with converged = False and its
+    the Coons patch of g.  A result with converged = False and its
     `stop_reason` is returned if the solve stops short of the tolerances.
     A box that nests is solved coarse to fine (see the module docstring).
     Raises ValueError if eps <= 0 or every iterate's energy overflows.
@@ -788,15 +784,14 @@ def solve(spec: ProblemSpec) -> SolveResult:
     prev_g_norm = np.inf  # the gradient norm at the last Newton step
 
     for n, level in enumerate(levels):
-        # the coarsest level starts from the harmonic extension of g, a finer
-        # one from the coarser iterate, prolonged; either is reset to g on its
-        # boundary
+        # the coarsest level starts from the Coons patch of g, a finer one from
+        # the coarser iterate, prolonged; either is reset to g on its boundary
         grid = level.grid
         level_start = (it_total, solves.factorizations)
-        vals = _prolong(vals) if n else _harmonic_extension(level, solves)
+        vals = _prolong(vals) if n else _coons_patch(level.g.values)
         ops = _gradient_operator(grid)
         vals[ops.boundary] = level.g.values[ops.boundary]
-        solves.lu = None  # no factor carries over: not the harmonic start's, nor a coarser one
+        solves.lu = None  # a coarser level's factor does not precondition this K
         cells = None  # the iterate's cell state (`_cell_state`), at eps `cells_eps`
         path = [(p, eps)] if n else _path(p, eps)
         e_start = None  # the energy of the start at path[0], once evaluated

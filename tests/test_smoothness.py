@@ -207,7 +207,7 @@ def test_shift_norm_that_underflows_raises_naming_q():
     """Differences of about 1e-50 at a few nodes and exactly 0 at the rest:
     at q = 8 every power underflows, and a norm of 0 would call a field that
     moves flat.  (A vector difference below about 1e-154 squares to 0 in its
-    magnitude, so it could not reach the power.)"""
+    components: `test_tiny_vector_difference_is_not_flat`.)"""
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (33, 33))
     vals = np.zeros(g.shape + (2,))
     vals[10:13, 20, 0] = 1e-50
@@ -217,6 +217,25 @@ def test_shift_norm_that_underflows_raises_naming_q():
     assert shift_difference_norm(V, (1, 0), np.inf) == pytest.approx(3e-50)
     with pytest.raises(ValueError, match=r"q = 8 takes \|u\(\. \+ v\) - u\|\^q out of"):
         shift_difference_norm(V, (1, 0), 8.0)
+
+
+def test_tiny_vector_difference_is_not_flat():
+    """Vector differences of about 1e-200 square to 0 in their components;
+    the magnitude is then taken of the differences scaled to at most 1, so
+    the field does not read flat: at q = inf the norm is the largest
+    difference, and a finite q gives a positive norm or names q as out of
+    range."""
+    g = Grid.box((0.0, 0.0), (1.0, 1.0), (33, 33))
+    vals = np.zeros(g.shape + (2,))
+    vals[..., 0] = 1e-200 * np.arange(33)[:, None]
+    vals[..., 1] = -2e-200 * np.arange(33)[:, None]
+    V = VectorField(g, vals)
+    assert shift_difference_norm(V, (1, 0), np.inf) == pytest.approx(5**0.5 * 1e-200, rel=1e-12)
+    for q in (2.0, 8.0):
+        try:
+            assert shift_difference_norm(V, (1, 0), q) > 0.0
+        except ValueError as err:
+            assert f"q = {q:g} takes |u(. + v) - u|^q out of" in str(err)
 
 
 def test_shift_norm_translation_invariant():

@@ -14,8 +14,8 @@ import scipy.sparse.linalg as spla
 from frozen import (BOX_LINE_CASES, HIGH_P_CASES, OFFCENTRE_BOX, OFFCENTRE_EPS, WARNING_CASES,
                     box_line_gaps, box_problem, energy_error, energy_gap, high_p_solve,
                     interpolant_residual, line_exact_errors, line_search_steps,
-                    line_search_trials, offcentre_box, offcentre_line, oracle_solve, steep_line,
-                    torsion_spec, warning_case, within)
+                    line_search_trials, offcentre_box, offcentre_line, oracle_solve, radial_box,
+                    steep_line, torsion_spec, warning_case, within)
 from plapreg.fields import Grid, ProblemSpec, ScalarField
 from plapreg.pointwise import PLapParams
 from plapreg.solver import (
@@ -327,9 +327,10 @@ def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
 
 
 def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
-    """Every 2D K_II of a solve, the harmonic start's included, has the same
-    structural 9-point pattern, whatever entries cancel: the harmonic K has
-    zero axis-neighbour entries, and they are stored."""
+    """Every 2D K_II of a solve has the same structural 9-point pattern,
+    whatever entries cancel: the first K of a g = 0 box, taken at u = 0
+    where every cell's Hessian is l^(p-2) I, has zero axis-neighbour
+    entries, and they are stored."""
     import plapreg.solver as solver_mod
 
     seen = []
@@ -343,18 +344,15 @@ def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
     monkeypatch.setattr(solver_mod, "_assemble", assemble)
     n0, n1 = 33, 17  # does not nest: one level; square cells, h = 3/32
     g = Grid.box((-2.0, 0.5), (1.0, 2.0), (n0, n1))
-    x, y = g.coords()[..., 0], g.coords()[..., 1]
-    spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField.constant(g, 1.0),
-                       ScalarField(g, np.sin(x) * y))
-    r = solve(spec)
-    assert r.converged and len(seen) == r.iterations + 1
+    r = solve(torsion_spec(g, 3.0, 1e-2))
+    assert r.converged and len(seen) == r.iterations
     nnz = (3 * (n0 - 2) - 2) * (3 * (n1 - 2) - 2)
-    harmonic = seen[0]
-    assert harmonic.nnz == nnz and np.count_nonzero(harmonic.data) < nnz
+    at_zero = seen[0]
+    assert at_zero.nnz == nnz and np.count_nonzero(at_zero.data) < nnz
     for K in seen:
         assert K.has_sorted_indices
-        np.testing.assert_array_equal(K.indptr, harmonic.indptr)
-        np.testing.assert_array_equal(K.indices, harmonic.indices)
+        np.testing.assert_array_equal(K.indptr, at_zero.indptr)
+        np.testing.assert_array_equal(K.indices, at_zero.indices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 4095, 4096])
@@ -578,23 +576,22 @@ def test_solve_tracks_degenerate_oracle():
 
 
 def test_solve_is_init_independent(monkeypatch):
-    """Started from g plus an interior bump instead of the harmonic
-    extension, a box solve reaches the same minimizer.  The x1-only 65^2
-    oracle box nests, so the start is made on its 33^2 coarsest level, from
-    that level's own grid."""
+    """Started from g plus an interior bump instead of the Coons patch of g,
+    a box solve reaches the same minimizer.  The x1-only 65^2 oracle box
+    nests, so the start is made on its 33^2 coarsest level, from that
+    level's own g."""
     import plapreg.solver as solver_mod
 
     spec = box_problem("sharp", 3.0, 1e-3, 65)
     r1 = solve(spec)
 
-    def bumped_start(level, solves):
-        bnd = level.grid.boundary_flags()
-        bump = np.prod(np.sin(np.pi * (level.grid.coords() + 1.0) / 2.0), axis=-1)
-        vals = level.g.values + 0.3 * bump
-        vals[bnd] = level.g.values[bnd]
+    def bumped_start(g):
+        s0, s1 = (np.sin(np.pi * np.linspace(0.0, 1.0, n)) for n in g.shape)
+        vals = g.copy()
+        vals[1:-1, 1:-1] += 0.3 * np.outer(s0, s1)[1:-1, 1:-1]
         return vals
 
-    monkeypatch.setattr(solver_mod, "_harmonic_extension", bumped_start)
+    monkeypatch.setattr(solver_mod, "_coons_patch", bumped_start)
     r2 = solve(spec)
     assert r1.converged and r2.converged
     assert r1.levels[0][0] == r2.levels[0][0] == (33, 33)
@@ -649,10 +646,9 @@ def test_small_eps_takes_the_same_steps_at_any_depth():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("problem, p, eps", HIGH_P_CASES)
 def test_high_p_solve_converges(problem, p, eps):
-    """Continuation in p: above p = 18 a direct Newton solve from the harmonic
-    start overflows and reaches the iteration cap; the p path converges on
-    the x1-only 33^2 box within the frozen step bound, raising no
-    floating-point warning."""
+    """Continuation in p: above p = 18 a direct Newton solve from the Coons
+    start can fail (`_P_DIRECT`); the p path converges on the x1-only 33^2
+    box within the frozen step bound, raising no floating-point warning."""
     spec, r = high_p_solve(problem, p, eps)
     assert r.converged and r.stop_reason == "converged"
     assert within("high_p_steps", r.iterations)
@@ -885,7 +881,7 @@ def test_stop_reason_no_descent(monkeypatch):
     monkeypatch.setattr(solver_mod, "_line_search",
                         lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False,
                                                                           None))
-    r = solve(box_problem("torsion", 3.0, 1e-1, 33))
+    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33)), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
 
 
@@ -917,8 +913,8 @@ def evaluation_specs():
     """Boxes, x1-only and not, one and several levels, up to the p-doubling
     path."""
     return (
-        box_problem("torsion", 4.0, 1e-3, 33),
-        box_problem("sharp", 5.0, 1e-4, 33),
+        radial_box(4.0, 1e-3, 33, (0.00625, 0.2))[0],
+        radial_box(5.0, 1e-4, 33)[0],
         torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-3),
         box_problem("sharp", 40.0, 2e-5, 65),
     )
@@ -976,7 +972,8 @@ def test_solve_result_is_its_last_evaluation(monkeypatch):
     step where it converges reports convergence."""
     import plapreg.solver as solver_mod
 
-    spec, spec_p40 = (box_problem("torsion", p, 1e-4, 33) for p in (4.0, 40.0))
+    grid = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
+    spec, spec_p40 = (torsion_spec(grid, p, 1e-4) for p in (4.0, 40.0))
     full = solve(spec)
     monkeypatch.setattr(solver_mod, "MAX_ITER", 2)
     capped = solve(spec)
@@ -1017,11 +1014,12 @@ def test_each_stage_evaluates_at_its_own_p_and_eps(monkeypatch, p):
 
 
 def test_solve_survives_singular_newton_system(monkeypatch):
-    """Started directly at p = 400, eps = 0.1, the Newton system at the
-    harmonic start is exactly singular in floating point (its entries carry
-    l^398 <= 0.1^398); the line search rejects the NaN step at once,
-    evaluating no trial energy, no other step is tried, and the solve
-    returns `no_descent`, unconverged, instead of raising."""
+    """Started directly at p = 400, eps = 0.1, the Newton system of torsion
+    at its start u = 0 is exactly singular in floating point (its entries
+    carry l^398 = 0.1^398, which underflows to 0); the line search rejects
+    the NaN step at once, evaluating no trial energy, no other step is
+    tried, and the solve returns `no_descent`, unconverged, instead of
+    raising."""
     import plapreg.solver as solver_mod
 
     calls, energies = [], []
@@ -1040,7 +1038,7 @@ def test_solve_survives_singular_newton_system(monkeypatch):
     monkeypatch.setattr(solver_mod, "_line_search", line_search)
     monkeypatch.setattr(solver_mod, "_energy_raw", energy_raw)
     monkeypatch.setattr(solver_mod, "_P_DIRECT", 400.0)
-    spec = box_problem("sharp", 400.0, 0.1, 33)
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33)), 400.0, 0.1)
     monkeypatch.setattr(solver_mod, "MAX_ITER", 5)
     r = solve(spec)
     assert (r.converged, r.stop_reason, r.iterations) == (False, "no_descent", 0)
@@ -1058,30 +1056,53 @@ def test_solve_2d_torsion():
     assert r.energy <= energy(spec, ScalarField.constant(g, 0.0))
 
 
-def test_harmonic_start_factors_only_for_a_non_harmonic_trace():
-    """The harmonic start factors only when g is not already its own harmonic
-    extension.  A zero trace is its own extension and factors nothing, and
-    its Newton steps reuse factors, so there are fewer factorizations than
-    steps; the x1-only oracle box's kinked trace costs one harmonic-start
-    factorization, and its first Newton step factors afresh."""
-    from plapreg.solver import _LinearSolves, _harmonic_extension
+def test_coons_start_factors_nothing(monkeypatch):
+    """The coarsest level starts from the Coons patch of g, which takes no
+    linear solve: the first SuperLU factorization is the first Newton
+    step's, followed by CG to `_ETA_MIN`, each level's first Newton step
+    factors its own K, and later steps reuse it.  The patch equals g on the
+    boundary and reproduces an x1-only trace v(x1) inside the box, to
+    rounding."""
+    import plapreg.solver as solver_mod
+    from plapreg.solver import _ETA_MIN, _coons_patch
 
-    g = Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33))
-    spec = torsion_spec(g, 3.0, 1e-3)
-    solves = _LinearSolves()
-    np.testing.assert_array_equal(_harmonic_extension(spec, solves), spec.g.values)
-    assert solves.factorizations == 0
-    r = solve(spec)
-    assert r.converged and r.iterations == 7
-    assert 1 <= r.factorizations < r.iterations
+    g = box_problem("sharp", 3.0, 1e-3, 33).g.values
+    np.testing.assert_allclose(_coons_patch(g), g, rtol=0.0, atol=1e-15 * np.max(np.abs(g)))
 
-    spec = box_problem("sharp", 3.0, 1e-3, 33)
-    solves = _LinearSolves()
-    _harmonic_extension(spec, solves)
-    assert solves.factorizations == 1
+    events = []
+    real_splu, real_cg, real_hessian = spla.splu, spla.cg, solver_mod._interior_hessian
+
+    def splu(*args, **kwargs):
+        events.append("splu")
+        return real_splu(*args, **kwargs)
+
+    def cg(*args, **kwargs):
+        events.append(("cg", kwargs["rtol"]))
+        return real_cg(*args, **kwargs)
+
+    def hessian(spec, cells, lp2):
+        events.append(("K", spec.grid.nodes))
+        return real_hessian(spec, cells, lp2)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "cg", cg)
+    monkeypatch.setattr(solver_mod, "_interior_hessian", hessian)
+    spec = radial_box(3.0, 1e-3, 65, (0.00625, 0.2))[0]
+    g = spec.g.values
+    bnd = spec.grid.boundary_flags()
+    np.testing.assert_allclose(_coons_patch(g)[bnd], g[bnd], rtol=0.0,
+                               atol=1e-15 * np.max(np.abs(g)))
     r = solve(spec)
-    assert r.converged and r.iterations == 7
-    assert 2 <= r.factorizations < r.iterations
+    assert r.converged
+    assert events[:3] == [("K", (33, 33)), "splu", ("cg", _ETA_MIN)]
+    for nodes in ((33, 33), (65, 65)):
+        first = events.index(("K", nodes))
+        assert events[first + 1:first + 3] == ["splu", ("cg", _ETA_MIN)]
+    assert any(event[0] == "cg" and event[1] > _ETA_MIN for event in events)
+    # every K is a Newton step's, and so is every factorization
+    assert sum(event[0] == "K" for event in events) == r.iterations
+    assert sum(row[2] for row in r.levels) == events.count("splu") == r.factorizations
+    assert len(r.levels) <= r.factorizations < r.iterations
 
 
 def test_lagged_factor_matches_factoring_every_step(monkeypatch):
@@ -1322,9 +1343,9 @@ def test_capped_nested_solve_returns_a_fine_iterate(cap, monkeypatch):
                                    (1025,)])
 def test_grid_that_does_not_nest_solves_as_from_g(nodes):
     """A grid that does not nest (every line, and a box that cannot halve
-    down to 33 per axis) is one level, which on a box starts from the
-    harmonic extension of g (here g itself, g = 0), and the solve reports one
-    row, the problem grid's: on a line its outer calls and no factorization."""
+    down to 33 per axis) is one level, which on a box starts from the Coons
+    patch of g (here 0, g = 0), and the solve reports one row, the problem
+    grid's: on a line its outer calls and no factorization."""
     from plapreg.solver import _levels
 
     spec = torsion_spec(Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes), 3.0, 1e-3)
@@ -1334,37 +1355,6 @@ def test_grid_that_does_not_nest_solves_as_from_g(nodes):
     r = solve(spec)
     assert r.converged
     assert r.levels == ((spec.grid.nodes, r.iterations, r.factorizations, r.energy),)
-
-
-def test_harmonic_start_factor_preconditions_no_newton_step(monkeypatch):
-    """A non-harmonic 2D trace factors in the harmonic start, which is PCG to
-    `_ETA_MIN` from that factor, and the first Newton step factors its own
-    Hessian instead of running CG on the harmonic start's factor."""
-    from plapreg.solver import _ETA_MIN
-
-    events = []
-    real_splu, real_cg = spla.splu, spla.cg
-
-    def splu(*args, **kwargs):
-        events.append("splu")
-        return real_splu(*args, **kwargs)
-
-    def cg(*args, **kwargs):
-        events.append(("cg", kwargs["rtol"]))
-        return real_cg(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(spla, "cg", cg)
-    g = Grid.box((-1.0, 0.0), (1.0, 1.0), (33, 17))
-    x = g.coords()
-    spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-3), ScalarField.constant(g, 1.0),
-                       ScalarField(g, np.sin(2.0 * x[..., 0]) + x[..., 1] ** 2))
-    r = solve(spec)
-    assert r.converged
-    assert events[:4] == ["splu", ("cg", _ETA_MIN), "splu", ("cg", _ETA_MIN)]
-    assert any(event[0] == "cg" and event[1] > _ETA_MIN for event in events)
-    # the level's row counts the harmonic start's factorization
-    assert r.levels == ((g.nodes, r.iterations, r.factorizations, r.energy),)
 
 
 class _WeakFactor:
@@ -1450,7 +1440,7 @@ def test_el_residual_small_at_minimizer_large_at_init():
     spec = torsion_spec(g, 3.0, 0.01)
     r = solve(spec)
     assert el_residual(spec, r.u) <= residual_tolerance(spec)
-    # harmonic-extension start (here u = 0) misses the source entirely
+    # u = 0, this line's g, misses the source entirely
     assert el_residual(spec, ScalarField.constant(g, 0.0)) == pytest.approx(1.0)
 
 
