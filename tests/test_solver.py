@@ -1056,18 +1056,10 @@ def test_solve_2d_torsion():
     assert r.energy <= energy(spec, ScalarField.constant(g, 0.0))
 
 
-def test_coons_start_factors_nothing(monkeypatch):
-    """The coarsest level starts from the Coons patch of g, which takes no
-    linear solve: the first SuperLU factorization is the first Newton
-    step's, followed by CG to `_ETA_MIN`, each level's first Newton step
-    factors its own K, and later steps reuse it.  The patch equals g on the
-    boundary and reproduces an x1-only trace v(x1) inside the box, to
-    rounding."""
+def _solve_recording_linear_algebra(monkeypatch, spec):
+    """Solve `spec`, recording each Hessian assembly as ("K", nodes), each
+    SuperLU factorization as "splu" and each CG call as ("cg", rtol)."""
     import plapreg.solver as solver_mod
-    from plapreg.solver import _ETA_MIN, _coons_patch
-
-    g = box_problem("sharp", 3.0, 1e-3, 33).g.values
-    np.testing.assert_allclose(_coons_patch(g), g, rtol=0.0, atol=1e-15 * np.max(np.abs(g)))
 
     events = []
     real_splu, real_cg, real_hessian = spla.splu, spla.cg, solver_mod._interior_hessian
@@ -1087,22 +1079,46 @@ def test_coons_start_factors_nothing(monkeypatch):
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "cg", cg)
     monkeypatch.setattr(solver_mod, "_interior_hessian", hessian)
+    return solve(spec), events
+
+
+def test_coons_start_factors_nothing(monkeypatch):
+    """The coarsest level starts from the Coons patch of g, which takes no
+    linear solve: every Hessian and every SuperLU factorization is a Newton
+    step's, and later steps reuse factors.  The patch equals g on the
+    boundary and reproduces an x1-only trace v(x1) inside the box, to
+    rounding."""
+    from plapreg.solver import _coons_patch
+
+    g = box_problem("sharp", 3.0, 1e-3, 33).g.values
+    np.testing.assert_allclose(_coons_patch(g), g, rtol=0.0, atol=1e-15 * np.max(np.abs(g)))
+
     spec = radial_box(3.0, 1e-3, 65, (0.00625, 0.2))[0]
     g = spec.g.values
     bnd = spec.grid.boundary_flags()
     np.testing.assert_allclose(_coons_patch(g)[bnd], g[bnd], rtol=0.0,
                                atol=1e-15 * np.max(np.abs(g)))
-    r = solve(spec)
+    r, events = _solve_recording_linear_algebra(monkeypatch, spec)
+    assert r.converged
+    assert sum(event[0] == "K" for event in events) == r.iterations
+    assert sum(row[2] for row in r.levels) == events.count("splu") == r.factorizations
+    assert len(r.levels) <= r.factorizations < r.iterations
+
+
+def test_coons_start_first_newton_step_factors(monkeypatch):
+    """With no start factor, the first SuperLU factorization is the first
+    Newton step's, followed by CG to `_ETA_MIN`; each level's first Newton
+    step factors its own K, and later steps run CG at the forcing term."""
+    from plapreg.solver import _ETA_MIN
+
+    spec = radial_box(3.0, 1e-3, 65, (0.00625, 0.2))[0]
+    r, events = _solve_recording_linear_algebra(monkeypatch, spec)
     assert r.converged
     assert events[:3] == [("K", (33, 33)), "splu", ("cg", _ETA_MIN)]
     for nodes in ((33, 33), (65, 65)):
         first = events.index(("K", nodes))
         assert events[first + 1:first + 3] == ["splu", ("cg", _ETA_MIN)]
     assert any(event[0] == "cg" and event[1] > _ETA_MIN for event in events)
-    # every K is a Newton step's, and so is every factorization
-    assert sum(event[0] == "K" for event in events) == r.iterations
-    assert sum(row[2] for row in r.levels) == events.count("splu") == r.factorizations
-    assert len(r.levels) <= r.factorizations < r.iterations
 
 
 def test_lagged_factor_matches_factoring_every_step(monkeypatch):
