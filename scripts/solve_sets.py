@@ -30,7 +30,8 @@ The sets:
 ``--smoke`` solves a quick subset instead: torsion and the sharp oracle on
 33^2 and 65^2 at p = 3 and 40, the x1-only boxes there at p = 3 and 80,
 and the radial boxes there at p = 3 and 40 with c = (0.00625, 0.2), eps in
-{1e-2, 1e-6}.
+{1e-2, 1e-6}; and the offcentre, cos and small lines of 65 and 4097 nodes
+at p = 3 and 80, eps in {1e-2, 1e-12}.
 
 One row per solve: its stop reason, its Newton steps per level (coarsest
 first; a line's outer calls), factorizations, CG iterations, wall seconds
@@ -39,11 +40,11 @@ and energy; on an x1-only box also the algebraic error, (E - E*) / (1 +
 max |u - u_c|, which is a discretization error, not an algebraic one.
 Each set ends with its totals.
 Every box solve of these sets is expected to converge; the script exits 1
-when one does not, or when an x1-only box ends above E* by more than the
-bound of ``box_line_energy`` in ``tests/frozen.py``.  A line is solved
-exactly, and the g = 3 x lines at p >= 10 on 1025 and 4097 nodes, and at
-p >= 40 on 65, stop ``stalled``: their EL residual at the rounded minimizer
-is above its tolerance.
+when one does not, when a line of the smoke subset does not, or when an
+x1-only box ends above E* by more than the bound of ``box_line_energy`` in
+``tests/frozen.py``.  A line is solved exactly, and the g = 3 x lines at
+p >= 10 on 1025 and 4097 nodes, and at p >= 40 on 65, stop ``stalled``:
+their EL residual at the rounded minimizer is above its tolerance.
 """
 
 import argparse
@@ -136,17 +137,20 @@ def sets(smoke):
     if not smoke:
         out["torsion2d"] = [(f"torsion2d seed {seed}", functools.partial(torsion2d, seed))
                             for seed in range(1, 13)]
-        out["lines"] = [(f"{source} {n} p={p:g} eps={eps:g}",
-                         functools.partial(line, source, n, p, eps))
-                        for source in LINE_SOURCES for n in (65, 1025, 4097)
-                        for p in (2.5, 3.0, 10.0, 40.0, 80.0, 200.0)
-                        for eps in (1e-1, 1e-2, 1e-6, 1e-12)]
+    sources, line_nodes, line_ps, line_epss = (
+        (("offcentre", "cos", "small"), (65, 4097), (3.0, 80.0), (1e-2, 1e-12)) if smoke else
+        (LINE_SOURCES, (65, 1025, 4097), (2.5, 3.0, 10.0, 40.0, 80.0, 200.0),
+         (1e-1, 1e-2, 1e-6, 1e-12)))
+    out["lines"] = [(f"{source} {n} p={p:g} eps={eps:g}",
+                     functools.partial(line, source, n, p, eps))
+                    for source in sources for n in line_nodes for p in line_ps for eps in line_epss]
     return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--smoke", action="store_true", help="solve the quick 33^2 and 65^2 subset")
+    ap.add_argument("--smoke", action="store_true",
+                    help="solve the quick subset: 33^2 and 65^2 boxes, 65- and 4097-node lines")
     args = ap.parse_args(argv)
     e_bound = frozen.TABLE["box_line_energy"].hi
     code = 0
@@ -160,7 +164,7 @@ def main(argv=None):
             r = solve(spec)
             secs = time.perf_counter() - start
             totals += (r.iterations, r.factorizations, r.cg_iterations, secs)
-            gaps, bad = "", not r.converged and spec.grid.dim == 2
+            gaps, bad = "", not r.converged and (spec.grid.dim == 2 or args.smoke)
             if exact is not None and exact[1] is None:
                 gaps = f" {'':9} {'':9} {np.max(np.abs(r.u.values - exact[0])):9.3e}"
             elif exact is not None:

@@ -304,7 +304,8 @@ def write_field_csv(field: ScalarField | VectorField, path) -> None:
     header = ",".join([f"x{k + 1}" for k in range(grid.dim)] + names)
     *lead, last = [["%.17g," % x for x in grid.axis(k)] for k in range(grid.dim)]
     # one line per node of the last axis, its values left as %-slots
-    lines = [x + ",".join(["%.17g"] * values.shape[-1]) for x in last]
+    slots = ",".join(["%.17g"] * values.shape[-1])
+    lines = [x + slots for x in last]
     blocks = zip(lead[0], values) if lead else [("", values)]
     with open(path, "w") as fh:
         fh.write(header + "\n")

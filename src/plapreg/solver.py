@@ -112,6 +112,7 @@ from pathlib import Path
 from typing import NamedTuple
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -338,8 +339,11 @@ def _cell_gradients(grid: Grid, vals: np.ndarray) -> np.ndarray:
     order of a CSR product with D, which also turns -0.0 into 0.0.
     """
     ops = _gradient_operator(grid)
-    return np.stack([sum((ops.G[k, a] * vals[cells] for a, (_, cells) in enumerate(ops.corners)),
-                         0.0) for k in range(grid.dim)], axis=-1).reshape(-1, grid.dim)
+    out = np.empty((*(n - 1 for n in grid.nodes), grid.dim))
+    for k in range(grid.dim):
+        out[..., k] = sum((ops.G[k, a] * vals[cells] for a, (_, cells) in enumerate(ops.corners)),
+                          0.0)
+    return out.reshape(-1, grid.dim)
 
 
 def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
@@ -628,7 +632,8 @@ def _prolong(vals: np.ndarray) -> np.ndarray:
 
 def _line_slopes(sigma: np.ndarray, p: float, log_eps: float):
     """(c, dc): the cell slopes c with flux(c) = sigma, flux(c) =
-    l_eps(c)^(p-2) c, and their derivatives dc/dsigma.
+    l_eps(c)^(p-2) c, and dc, which returns their derivatives dc/dsigma when
+    called: only a Newton step of `_line_minimizer` reads them.
 
     In tau = log(r / eps), r = |c|, the equation r (eps^2 + r^2)^((p-2)/2) =
     |sigma| reads tau + k log(1 + e^(2 tau)) = la, with k = (p - 2) / 2 and
@@ -639,19 +644,24 @@ def _line_slopes(sigma: np.ndarray, p: float, log_eps: float):
     e^600 so that a sum of dc stays finite.
     """
     la = np.log(np.maximum(np.abs(sigma), np.finfo(float).tiny)) - (p - 1.0) * log_eps
+    abs_la = np.abs(la)
     tau = np.minimum(la, la / (p - 1.0))
     k = 0.5 * (p - 2.0)
     for _ in range(_INNER_MAX):
         x = 2.0 * tau
-        sp = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))  # log(1 + e^x), no overflow
+        ksp = k * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))  # k log(1 + e^x), no overflow
         slope = 1.0 + (p - 2.0) * (0.5 + 0.5 * np.tanh(tau))  # 1 + (p - 2) t^2 / (1 + t^2)
-        step = (tau + k * sp - la) / slope
+        step = (tau + ksp - la) / slope
         tau = tau - step
-        if np.all(np.abs(step) <= 1e-15 * (np.abs(tau) + k * sp + np.abs(la))):
+        if np.all(np.abs(step) <= 1e-15 * (np.abs(tau) + ksp + abs_la)):
             break
-    c = np.where(sigma != 0.0, np.copysign(np.exp(tau + log_eps), sigma), 0.0)
-    # dc/dsigma = (r / |sigma|) / slope, with r / |sigma| = e^(tau - la) / eps^(p-2)
-    dc = np.exp(np.minimum(tau - la - (p - 2.0) * log_eps, 600.0)) / slope
+    c = np.exp(tau + log_eps)  # copysign(eps e^tau, sigma), 0 where sigma = 0, in place
+    np.copysign(c, sigma, out=c)
+    c[sigma == 0.0] = 0.0
+
+    def dc():
+        # dc/dsigma = (r / |sigma|) / slope, with r / |sigma| = e^(tau - la) / eps^(p-2)
+        return np.exp(np.minimum(tau - la - (p - 2.0) * log_eps, 600.0)) / slope
     return c, dc
 
 
@@ -670,9 +680,9 @@ def _slope_step(dc: np.ndarray, m: int, phi: float, h: float) -> float:
     return step if ok and np.isfinite(step) else np.nan
 
 
-def _solve_line(spec: ProblemSpec) -> SolveResult:
-    """The exact discrete minimizer of a line (see the module docstring),
-    evaluated once; `iterations` counts the evaluations of Phi.
+def _line_minimizer(spec: ProblemSpec) -> tuple[np.ndarray, int]:
+    """(u, calls): the exact discrete minimizer of a line (see the module
+    docstring) and the evaluations of Phi that found it.
 
     With sigma_a the flux of the mean slope (g_R - g_L) / L, Phi(sigma_a -
     max S) <= 0 <= Phi(sigma_a - min S): a bracket.  The first iterate is
@@ -700,11 +710,13 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
     # an overflowing flux or Newton step is an iterate outside the bracket
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sigma_a = flux(rise / (h * len(S)))
-        lo, hi = sigma_a - float(S.max()), sigma_a - float(S.min())
-        tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), float(np.max(np.abs(S))))
+        s_max, s_min = float(S.max()), float(S.min())
+        lo, hi = sigma_a - s_max, sigma_a - s_min
+        tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), s_max, -s_min)
         x = sigma_a - float(np.mean(S))
         while True:
-            c, dc = _line_slopes(x + S, p, log_eps)
+            sigma = x + S
+            c, dc = _line_slopes(sigma, p, log_eps)
             calls += 1
             phi = h * float(np.sum(c)) - rise
             floor = 8.0 * np.finfo(float).eps * (h * float(np.sum(np.abs(c))) + abs(rise))
@@ -717,8 +729,8 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
             ends[now], side = phi, now
             if hi - lo <= tol:
                 break
-            m = int(np.argmin(np.abs(x + S)))
-            nxt = flux(c[m] + _slope_step(dc, m, phi, h)) - S[m]
+            m = int(np.argmin(np.abs(sigma)))
+            nxt = flux(c[m] + _slope_step(dc(), m, phi, h)) - S[m]
             # a step within the resolution of sigma_0 is taken once: the root
             # may be the sigma_0 that zeroes the flux of a stretch without
             # source, where Phi jumps by h c per cell of that stretch
@@ -733,18 +745,27 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
                     falsi = (lo * ends[1] - hi * ends[-1]) / (ends[1] - ends[-1])
                     nxt = falsi if lo < falsi < hi else nxt
             x, phi_prev = nxt, phi
-    m = int(np.argmin(np.abs(x + S)))
+    m = int(np.argmin(np.abs(sigma)))  # sigma is x + S of the last outer call
     hc = h * c
     u = np.empty(grid.shape)
     u[0], u[-1] = g[0], g[-1]
     u[1:m + 1] = g[0] + np.cumsum(hc[:m])
     u[m + 1:-1] = g[-1] - np.cumsum(hc[:m:-1])[::-1]
+    return u, calls
+
+
+def _solve_line(spec: ProblemSpec) -> SolveResult:
+    """The exact discrete minimizer of a line (`_line_minimizer`), evaluated
+    once; `iterations` counts the evaluations of Phi.  `_line_minimizer`
+    returns before u is evaluated, so none of its arrays is alive then."""
+    u, calls = _line_minimizer(spec)
+    grid = spec.grid
     with np.errstate(over="ignore"):  # an energy or residual that overflows reads inf: stalled
         cells = _cell_state(spec, u)
         e_val = _energy_raw(spec, u, cells)
         g_full = _gradient_raw(spec, cells)[0]
         res = _residual_rms(grid, g_full)
-        g_norm = float(np.linalg.norm(g_full[ops.interior]))
+        g_norm = float(np.linalg.norm(g_full[_gradient_operator(grid).interior]))
     return SolveResult(
         u=ScalarField(grid, u),
         energy=e_val,
@@ -770,8 +791,11 @@ def solve(spec: ProblemSpec) -> SolveResult:
     p, eps = spec.params.p, spec.params.eps
     if eps <= 0.0:
         raise ValueError("solve requires eps > 0")
-    with np.errstate(over="ignore"):  # a cell's energy density is at least L_eps(0) = eps^p / p
-        if np.sum(L_eps(_cell_gradients(spec.grid, np.zeros(spec.grid.shape)), eps, p)) == np.inf:
+    # a cell's energy density is at least L_eps(0) = eps^p / p, summed over
+    # the cells in the energy's order
+    with np.errstate(over="ignore"):
+        e_zero = L_eps(np.zeros((1, spec.grid.dim)), eps, p)[0]
+        if np.sum(np.full(math.prod(n - 1 for n in spec.grid.nodes), e_zero)) == np.inf:
             raise ValueError(f"the energy overflows at p = {p}, eps = {eps} on this grid")
     if spec.grid.dim == 1:
         return _solve_line(spec)

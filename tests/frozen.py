@@ -50,10 +50,10 @@ TABLE = {
     "dyadic_to_dense": Frozen(0.98, np.inf, 1.0000, "dyadic over every-k seminorm"),
     "w12_h": Frozen(0, 1.0, 0.880, "|W^{1,2} seminorm^2 error| / h, 33^2 and 65^2"),
     "w12_ratio": Frozen(0.5 - 0.05, 0.5 + 0.05, 0.496, "that error at 65^2 over 33^2"),
-    "high_p_steps": Frozen(0, 40, 15, "Newton steps of the p = 20 and 40 solves, 33^2 x1-only "
-                           "boxes"),
-    "backtrack_trials": Frozen(0, 260, 61, "line-search trials of seven 33^2 x1-only box solves, "
-                               "p from 2 to 40 (halving took 391 from the harmonic start)"),
+    "high_p_steps": Frozen(0, 40, 29, "Newton steps of the p = 20 and 40 solves, 33^2 x1-only "
+                           "and radial boxes"),
+    "backtrack_trials": Frozen(0, 260, 136, "line-search trials of seven 33^2 radial box solves "
+                               "centred at 0, p from 2 to 40"),
     "line_exact_rel": Frozen(0, 1e-12, 2.56e-13, "worst relative error of the exact line solve, "
                              "sources over 20 decades, 2, 3, 256, 257, 4096 and 4097 cells"),
     "box_line_u": Frozen(0, 1e-10, 3.93e-16, "max |u_box - v| / (1 + max |v|), x1-only "
@@ -155,12 +155,16 @@ def line_fit(kind):
     return fit_smoothness_exponent(ScalarField(g, vals), 2.0, dyadic_shifts(g, 0.125))
 
 
-HIGH_P_CASES = [(problem, p, eps) for problem in ("torsion", "sharp")
+# the centres of the radial boxes of `HIGH_P_CASES`
+RADIAL_CENTRES = {"radial": (0.0, 0.0), "radial-offcentre": (0.00625, 0.2)}
+# the x1-only torsion and sharp-oracle boxes, which start at their answer, and
+# the radial boxes, which do not
+HIGH_P_CASES = [(problem, p, eps) for problem in ("torsion", "sharp", *RADIAL_CENTRES)
                 for p in (20.0, 40.0) for eps in (1e-2, 1e-6)]
 
-LINE_SEARCH_CASES = [("torsion", 2.0, 1e-2), ("torsion", 2.5, 1e-4), ("sharp", 3.0, 1e-5),
-                     ("sharp", 5.0, 1e-4), ("sharp", 10.0, 1e-3), ("sharp", 20.0, 1e-6),
-                     ("sharp", 40.0, 1e-5)]
+# (p, eps) of radial boxes centred at 0
+LINE_SEARCH_CASES = [(2.0, 1e-2), (2.5, 1e-4), (3.0, 1e-5), (5.0, 1e-4), (10.0, 1e-3),
+                     (20.0, 1e-6), (40.0, 1e-5)]
 
 
 def line_problem(problem, p, eps, nodes):
@@ -183,8 +187,9 @@ def box_problem(problem, p, eps, nodes):
 
 
 def high_p_solve(problem, p, eps):
-    """The x1-only torsion or sharp-oracle problem at (p, eps) on 33^2, and its solve."""
-    spec = box_problem(problem, p, eps, 33)
+    """A box of `HIGH_P_CASES` at (p, eps) on 33^2, and its solve."""
+    spec = (radial_box(p, eps, 33, RADIAL_CENTRES[problem])[0] if problem in RADIAL_CENTRES
+            else box_problem(problem, p, eps, 33))
     return spec, solve(spec)
 
 
@@ -216,8 +221,8 @@ def line_search_steps():
 
 def line_search_trials():
     """The trials of every line search of the `LINE_SEARCH_CASES` solves on
-    33^2 x1-only boxes, in total."""
-    specs = [box_problem(*case, 33) for case in LINE_SEARCH_CASES]
+    33^2 radial boxes centred at 0, in total."""
+    specs = [radial_box(p, eps, 33)[0] for p, eps in LINE_SEARCH_CASES]
     with line_search_steps() as searches:
         for spec in specs:
             solve(spec)

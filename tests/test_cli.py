@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -436,6 +437,24 @@ def test_eps_whose_energy_overflows_exits_two_naming_p_and_eps(tmp_path, capsys,
     assert capsys.readouterr().err == (f"error: the energy overflows at p = 3.0, "
                                        f"eps = {float(eps)!r} on this grid\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_eps_whose_energy_overflows_on_99_cells_exits_two(tmp_path, capsys):
+    """On 100 nodes the 99 cell densities eps^3 / 3 are summed pairwise, as
+    the energy sums its cells.  At p = 3 the first eps whose 99-cell sum
+    overflows is the usage error naming p and eps; the eps just below it,
+    where 99 times one density already overflows, is solved and stalls
+    (exit 1), with no such error."""
+    first = "1.759545655160519e+102"
+    out = tmp_path / "out"
+    assert run("solve", "--p", "3", "--eps", first, "--nodes", "100", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: the energy overflows at p = 3.0, "
+                                       f"eps = {float(first)!r} on this grid\n")
+    assert not out.exists()
+    below = math.nextafter(float(first), 0.0)
+    assert run("solve", "--p", "3", "--eps", repr(below), "--nodes", "100", "--out", str(out)) == 1
+    assert "overflows" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,15 @@ def test_calibration_script_runs(capsys):
 
 def test_solve_sets_smoke_subset_converges(capsys):
     """The smoke subset of the solve-set script runs against the package's
-    current signatures: 32 box solves, each converged, the x1-only ones
-    within the frozen energy bound of their exact minimizer, and the radial
-    ones on a trace that is not a sum of a function of x1 and one of x2."""
+    current signatures: 32 box solves and 24 line solves, each converged,
+    the x1-only boxes within the frozen energy bound of their exact
+    minimizer, and the radial ones on a trace that is not a sum of a
+    function of x1 and one of x2."""
     assert load_script("solve_sets").main(["--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[1:] if " total of " not in line]
-    assert [row[0] for row in rows] == ["boxes"] * 16 + ["x1only"] * 8 + ["radial"] * 8
+    assert [row[0] for row in rows] == (["boxes"] * 16 + ["x1only"] * 8 + ["radial"] * 8
+                                        + ["lines"] * 24)
     assert all("converged" in row and "FAIL" not in row for row in rows)
 
 

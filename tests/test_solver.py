@@ -647,8 +647,9 @@ def test_small_eps_takes_the_same_steps_at_any_depth():
 @pytest.mark.parametrize("problem, p, eps", HIGH_P_CASES)
 def test_high_p_solve_converges(problem, p, eps):
     """Continuation in p: above p = 18 a direct Newton solve from the Coons
-    start can fail (`_P_DIRECT`); the p path converges on the x1-only 33^2
-    box within the frozen step bound, raising no floating-point warning."""
+    start can fail (`_P_DIRECT`); the p path converges on the 33^2 x1-only
+    boxes, which start at their answer, and on the radial boxes, which do
+    not, within the frozen step bound, raising no floating-point warning."""
     spec, r = high_p_solve(problem, p, eps)
     assert r.converged and r.stop_reason == "converged"
     assert within("high_p_steps", r.iterations)
@@ -869,8 +870,9 @@ def test_line_search_backtracks_along_the_power_law():
 
 
 def test_line_search_trials_of_the_frozen_solves():
-    """The line searches of seven x1-only 33^2 box solves, p from 2 to 40,
-    take their frozen total of trials, well below halving's."""
+    """The line searches of seven 33^2 radial box solves centred at 0, p
+    from 2 to 40, whose Coons start is not their answer, take their frozen
+    total of trials."""
     assert within("backtrack_trials", line_search_trials())
 
 
