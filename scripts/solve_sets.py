@@ -33,12 +33,21 @@ and the radial boxes there at p = 3 and 40 with c = (0.00625, 0.2), eps in
 {1e-2, 1e-6}; and the offcentre, cos and small lines of 65 and 4097 nodes
 at p = 3 and 80, eps in {1e-2, 1e-12}.
 
-One row per solve: its stop reason, its Newton steps per level (coarsest
-first; a line's outer calls), factorizations, CG iterations, wall seconds
-and energy; on an x1-only box also the algebraic error, (E - E*) / (1 +
-|E*|) and max |u - u*| / (1 + max |u*|); on a radial box the sup error
-max |u - u_c|, which is a discretization error, not an algebraic one.
+One row per solve: a digest of its result, its stop reason, its Newton
+steps per level (coarsest first; a line's outer calls), factorizations, CG
+iterations, wall seconds and energy; on an x1-only box also the algebraic
+error, (E - E*) / (1 + |E*|) and max |u - u*| / (1 + max |u*|); on a
+radial box the sup error max |u - u_c|, which is a discretization error,
+not an algebraic one.
 Each set ends with its totals.
+The digest, the row's second column, is 12 hex digits of a hash of u's
+bytes, the energy, the EL residual, the trace, the levels, the
+factorizations and the CG iterations, so two trees give bitwise the same
+solves when the first two columns of their runs are the same:
+
+    diff <(PYTHONPATH=a/src python3 scripts/solve_sets.py | awk '{print $1, $2}') \
+         <(PYTHONPATH=b/src python3 scripts/solve_sets.py | awk '{print $1, $2}')
+
 Every box solve of these sets is expected to converge; the script exits 1
 when one does not, when a line of the smoke subset does not, or when an
 x1-only box ends above E* by more than the bound of ``box_line_energy`` in
@@ -49,6 +58,7 @@ their EL residual at the rounded minimizer is above its tolerance.
 
 import argparse
 import functools
+import hashlib
 import importlib.util
 import sys
 import time
@@ -116,6 +126,17 @@ def torsion2d(seed):
     return workloads.Torsion2D().setup(seed, ROOT, None, None)[0], None
 
 
+def digest(r):
+    """12 hex digits of a hash of r's u bytes, energy, EL residual, trace,
+    levels, factorizations and CG iterations, every number as float64."""
+    h = hashlib.sha256(r.u.values.tobytes())
+    for numbers in ([r.energy, r.el_residual, r.factorizations, r.cg_iterations],
+                    [x for row in r.trace for x in row],
+                    [x for nodes, *rest in r.levels for x in (*nodes, *rest)]):
+        h.update(np.array(numbers, dtype=float).tobytes())
+    return h.hexdigest()[:12]
+
+
 def sets(smoke):
     """{set name: [(label, make)]}, make() giving (spec, exact): exact is
     None, the discrete minimizer's (u*, E*), or (u_c, None) for a u_c that
@@ -154,8 +175,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     e_bound = frozen.TABLE["box_line_energy"].hi
     code = 0
-    print(f"{'set':9} {'solve':35} {'stop':10} {'steps per level':18} {'fact':>4} {'cg':>5} "
-          f"{'secs':>8} {'energy':>24} {'E gap':>9} {'u gap':>9} {'sup err':>9}")
+    print(f"{'set':9} {'digest':12} {'solve':35} {'stop':10} {'steps per level':18} "
+          f"{'fact':>4} {'cg':>5} {'secs':>8} {'energy':>24} {'E gap':>9} {'u gap':>9} "
+          f"{'sup err':>9}")
     for name, cases in sets(args.smoke).items():
         totals = np.zeros(4)
         for label, make in cases:
@@ -173,11 +195,11 @@ def main(argv=None):
                 u_gap = np.max(np.abs(r.u.values - u_star)) / (1.0 + np.max(np.abs(u_star)))
                 gaps, bad = f" {e_gap:9.2e} {u_gap:9.2e}", bad or e_gap > e_bound
             steps = ",".join(str(row[1]) for row in r.levels)
-            print(f"{name:9} {label:35} {r.stop_reason:10} {steps:18} {r.factorizations:4d} "
-                  f"{r.cg_iterations:5d} {secs:8.4f} {r.energy:24.17g}{gaps}"
+            print(f"{name:9} {digest(r):12} {label:35} {r.stop_reason:10} {steps:18} "
+                  f"{r.factorizations:4d} {r.cg_iterations:5d} {secs:8.4f} {r.energy:24.17g}{gaps}"
                   f"{'  FAIL' if bad else ''}")
             code = 1 if bad else code
-        print(f"{name:9} {f'total of {len(cases)}':35} {'':10} {int(totals[0]):<18d} "
+        print(f"{name:9} {'':12} {f'total of {len(cases)}':35} {'':10} {int(totals[0]):<18d} "
               f"{int(totals[1]):4d} {int(totals[2]):5d} {totals[3]:8.4f}")
     return code
 

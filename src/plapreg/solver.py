@@ -10,9 +10,10 @@ weights for the source term.  The cell gradient is a linear map D, never
 stored as a matrix: component k of a cell's gradient is sum_a G[k, a] u[a]
 over the cell's 2**dim corners a, and corner a of every cell is one slice
 of the node array.  G, the corner slices, the interior order, the 2D
-Hessian pattern, the node weights and the boundary masks are built once per
-grid, cached read-only (`_gradient_operator`, `_GridOps`).  So everything
-the solve needs is a sum of G-weighted corner slices:
+Hessian pattern and the node weights are built once per grid, cached
+read-only (`_gradient_operator`, `_GridOps`); the interior nodes in C order
+are the slice 1:-1 of every axis.  So everything the solve needs is a sum
+of G-weighted corner slices:
 
     c = D u
     grad E = D^T (vol * flux(c)) + w * f
@@ -249,15 +250,13 @@ class _GridOps(NamedTuple):
     # in C order
     corners: tuple
     weights: np.ndarray  # the trapezoid node weights, `Grid.quad_weights`
-    boundary: np.ndarray  # `Grid.boundary_flags`
-    interior: np.ndarray  # ~boundary
 
 
 # sized to hold every level of a nested solve: 513^2 has 5, a line is one (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> _GridOps:
     """The grid's `_GridOps`: the corner weights of the cell gradient, how a
-    2D K_II is filled, the interior order of a box, and the grid's constants.
+    2D K_II is filled, the interior order of a box, and the node weights.
 
     Per axis a cell's gradient is the difference along that axis averaged
     over the cell's 2**(dim-1) edges parallel to it: G[k, a] is the weight
@@ -275,8 +274,7 @@ def _gradient_operator(grid: Grid) -> _GridOps:
     if grid.dim == 2:
         order = _elimination_order(np.arange(grid.num_nodes).reshape(grid.shape)[1:-1, 1:-1])
         fill = _stencil_fill(grid, G, order)
-    weights, boundary = grid.quad_weights(), grid.boundary_flags()
-    ops = _GridOps(G, fill, order, corners, weights, boundary, ~boundary)
+    ops = _GridOps(G, fill, order, corners, grid.quad_weights())
     for a in (*ops, *(fill or ())):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -362,7 +360,7 @@ def _gradient_adjoint(grid: Grid, w: np.ndarray) -> np.ndarray:
 
 
 def _check_boundary(spec: ProblemSpec, u: ScalarField) -> None:
-    bnd = _gradient_operator(spec.grid).boundary
+    bnd = spec.grid.boundary_flags()
     scale = 1.0 + float(np.max(np.abs(spec.g.values)))
     gap = np.max(np.abs(u.values[bnd] - spec.g.values[bnd]))
     if gap > _BOUNDARY_ATOL * scale:
@@ -399,15 +397,6 @@ def _gradient_raw(spec: ProblemSpec, cells: tuple) -> tuple[np.ndarray, np.ndarr
     lp2 = flux_weight(c, spec.params.eps, spec.params.p, l=l)
     flux = spec.grid.cell_volume * grad_L_eps(c, spec.params.eps, spec.params.p, lp2=lp2)
     return _gradient_adjoint(spec.grid, flux) + ops.weights * spec.f.values, lp2
-
-
-def _interior_hessian(spec: ProblemSpec, cells: tuple, lp2: np.ndarray):
-    """K_II = D_I^T blockdiag(vol * H_c) D_I, the Hessian of a box in the
-    interior unknowns, at the iterate whose `_cell_state` is cells and flux
-    weight lp2; rows and columns in elimination order."""
-    c, l = cells
-    return _assemble(spec.grid, spec.grid.cell_volume * hess_L_eps(
-        c, spec.params.eps, spec.params.p, l=l, lp2=lp2))
 
 
 def _assemble(grid: Grid, Hc: np.ndarray):
@@ -456,8 +445,8 @@ def el_residual(spec: ProblemSpec, u: ScalarField) -> float:
 def _residual_rms(grid: Grid, g: np.ndarray) -> float:
     """RMS of g / w over the interior nodes in C order: the EL residual of
     a nodal energy gradient g."""
-    ops = _gradient_operator(grid)
-    return float(np.sqrt(np.mean((g[ops.interior] / ops.weights[ops.interior]) ** 2)))
+    inner = (slice(1, -1),) * grid.dim
+    return float(np.sqrt(np.mean((g[inner] / _gradient_operator(grid).weights[inner]) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +754,7 @@ def _solve_line(spec: ProblemSpec) -> SolveResult:
         e_val = _energy_raw(spec, u, cells)
         g_full = _gradient_raw(spec, cells)[0]
         res = _residual_rms(grid, g_full)
-        g_norm = float(np.linalg.norm(g_full[_gradient_operator(grid).interior]))
+        g_norm = float(np.linalg.norm(g_full[1:-1]))
     return SolveResult(
         u=ScalarField(grid, u),
         energy=e_val,
@@ -813,8 +802,8 @@ def solve(spec: ProblemSpec) -> SolveResult:
         grid = level.grid
         level_start = (it_total, solves.factorizations)
         vals = _prolong(vals) if n else _coons_patch(level.g.values)
-        ops = _gradient_operator(grid)
-        vals[ops.boundary] = level.g.values[ops.boundary]
+        ops, bnd = _gradient_operator(grid), grid.boundary_flags()
+        vals[bnd] = level.g.values[bnd]
         solves.lu = None  # a coarser level's factor does not precondition this K
         cells = None  # the iterate's cell state (`_cell_state`), at eps `cells_eps`
         path = [(p, eps)] if n else _path(p, eps)
@@ -856,7 +845,8 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 if at_floor or it_total >= MAX_ITER:
                     stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
                     break
-                K = _interior_hessian(spec_k, cells, lp2)
+                K = _assemble(grid, grid.cell_volume * hess_L_eps(
+                    cells[0], eps_k, p_k, l=cells[1], lp2=lp2))
                 # neither the state nor K stays alive through the linear solve
                 # and the line search, where a 2D solve's memory peaks: held,
                 # they raised the 257^2 torsion solve's peak RSS by 2-4 MB.

@@ -46,10 +46,13 @@ def gradient_at(spec, vals):
 
 
 def hessian_at(spec, vals):
-    """K_II at vals, from their cell state and flux weight, as `solve` takes it."""
-    from plapreg.solver import _cell_state, _gradient_raw, _interior_hessian
-    cells = _cell_state(spec, vals)
-    return _interior_hessian(spec, cells, _gradient_raw(spec, cells)[1])
+    """K_II at vals, from their cell state and flux weight, as `solve` builds it."""
+    from plapreg.pointwise import hess_L_eps
+    from plapreg.solver import _assemble, _cell_state, _gradient_raw
+    c, l = cells = _cell_state(spec, vals)
+    lp2 = _gradient_raw(spec, cells)[1]
+    return _assemble(spec.grid, spec.grid.cell_volume * hess_L_eps(
+        c, spec.params.eps, spec.params.p, l=l, lp2=lp2))
 
 
 def test_energy_of_constant_field():
@@ -67,10 +70,40 @@ def test_energy_of_constant_field():
 
 
 def test_energy_rejects_boundary_mismatch():
+    """u off g at a boundary node is refused: on a line where every node is
+    off g, and on a 65 x 33 box at one node of each face and at a corner; a
+    changed interior node, next to the boundary or not, is admissible."""
     g = Grid.line(0.0, 1.0, 9)
     spec = torsion_spec(g, 3.0, 0.1)
     with pytest.raises(ValueError, match="boundary"):
         energy(spec, ScalarField.constant(g, 1.0))
+    box = Grid.box((-1.0, 0.0), (1.0, 1.0), (65, 33))
+    spec = torsion_spec(box, 3.0, 0.1)
+    for node in [(0, 7), (64, 20), (30, 0), (11, 32), (64, 32)]:
+        vals = np.zeros(box.shape)
+        vals[node] = 1e-6
+        with pytest.raises(ValueError, match="boundary"):
+            energy(spec, ScalarField(box, vals))
+    vals = np.zeros(box.shape)
+    vals[1, 1] = vals[63, 31] = vals[32, 16] = 1.0
+    assert np.isfinite(energy(spec, ScalarField(box, vals)))
+
+
+@pytest.mark.parametrize("nodes", [(4097,), (65, 33), (257, 257)])
+def test_el_residual_is_the_rms_over_the_nodes_off_the_boundary(nodes):
+    """At a u that is not the minimizer, the EL residual is the RMS of the
+    energy gradient over the node weight at the nodes that
+    `Grid.boundary_flags` leaves out, in C order, bit for bit."""
+    rng = np.random.default_rng(len(nodes))
+    g = Grid.box((-1.0,) * len(nodes), (1.0,) * len(nodes), nodes)
+    m = ~g.boundary_flags()
+    spec = ProblemSpec(g, PLapParams(p=3.0, eps=1e-2), ScalarField(g, 1.0 + rng.random(g.shape)),
+                       ScalarField(g, rng.standard_normal(g.shape)))
+    vals = spec.g.values + np.where(m, 0.1 * rng.standard_normal(g.shape), 0.0)
+    grad, w = gradient_at(spec, vals), g.quad_weights()
+    assert np.abs(grad[m]).max() > 1e-3  # not the minimizer
+    expected = float(np.sqrt(np.mean((grad[m] / w[m]) ** 2)))
+    assert el_residual(spec, ScalarField(g, vals)) == expected
 
 
 def test_problem_spec_rejects_foreign_fields():
@@ -313,7 +346,7 @@ def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
     first = solve(torsion_spec(g, 3.0, 1e-3))
     ops = _gradient_operator(g)
     arrays = [a for a in (*ops, *(ops.fill or ())) if isinstance(a, np.ndarray)]
-    assert len(arrays) == (4 if g.dim == 1 else 9)  # a line has no `order` and no `fill`
+    assert len(arrays) == (2 if g.dim == 1 else 7)  # G and weights; a box's `order` and `fill`
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.ravel()[:1] = 0
@@ -1064,7 +1097,7 @@ def _solve_recording_linear_algebra(monkeypatch, spec):
     import plapreg.solver as solver_mod
 
     events = []
-    real_splu, real_cg, real_hessian = spla.splu, spla.cg, solver_mod._interior_hessian
+    real_splu, real_cg, real_assemble = spla.splu, spla.cg, solver_mod._assemble
 
     def splu(*args, **kwargs):
         events.append("splu")
@@ -1074,13 +1107,13 @@ def _solve_recording_linear_algebra(monkeypatch, spec):
         events.append(("cg", kwargs["rtol"]))
         return real_cg(*args, **kwargs)
 
-    def hessian(spec, cells, lp2):
-        events.append(("K", spec.grid.nodes))
-        return real_hessian(spec, cells, lp2)
+    def assemble(grid, Hc):
+        events.append(("K", grid.nodes))
+        return real_assemble(grid, Hc)
 
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "cg", cg)
-    monkeypatch.setattr(solver_mod, "_interior_hessian", hessian)
+    monkeypatch.setattr(solver_mod, "_assemble", assemble)
     return solve(spec), events
 
 
