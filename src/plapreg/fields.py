@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import numbers
+import warnings
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
@@ -319,11 +320,18 @@ def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
 
     One value column is a ScalarField unless the header names it
     ``value1``, as a 1D VectorField is written; one value column per axis
-    is a VectorField.
+    is a VectorField.  ValueError, naming the file, if it is malformed.
     """
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")[grid.dim:]
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # faster than from fh
+    try:
+        with open(path) as fh:
+            names = fh.readline().strip().split(",")[grid.dim:]
+        # a file with no data rows fails the row count below, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # faster than from fh
+    except ValueError as exc:  # a cell that is no number, a ragged row, not text
+        # the part before numpy's advice to select columns with `usecols`
+        raise ValueError(f"{path}: not a field CSV: {str(exc).partition(';')[0]}") from None
     if data.shape[0] != grid.num_nodes:
         raise ValueError(
             f"{path}: {data.shape[0]} rows, expected {grid.num_nodes} for grid"

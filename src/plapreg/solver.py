@@ -453,17 +453,17 @@ def _residual_rms(grid: Grid, g: np.ndarray) -> float:
 # the solve
 
 class _LinearSolves:
-    """The linear solves of one box `solve` call, and their counts.
+    """The linear solves of one level of a box `solve`, and their counts.
 
     Every solve is a Newton step's CG, preconditioned by a kept float32
     SuperLU factor, used only through `precondition`; a factorization
     (`factor`) only refreshes it.  The step right after one runs CG to rtol
     `_ETA_MIN`, a later step runs CG with the same factor to its
     Eisenstat-Walker forcing term and factors afresh when that CG fails
-    (`newton_step`).  `solve` drops the factor as each level starts, so no
-    coarser level's factor preconditions a finer K.  The factor lives only
-    as long as this object, and the old one is released before SuperLU
-    allocates the new one, so at most one is ever held.
+    (`newton_step`).  `solve` makes one per level, so no coarser level's
+    factor preconditions a finer K.  The factor lives only as long as this
+    object, and the old one is released before SuperLU allocates the new
+    one, so at most one is ever held.
     """
 
     def __init__(self):
@@ -788,23 +788,21 @@ def solve(spec: ProblemSpec) -> SolveResult:
             raise ValueError(f"the energy overflows at p = {p}, eps = {eps} on this grid")
     if spec.grid.dim == 1:
         return _solve_line(spec)
-    levels = _levels(spec)
-    solves = _LinearSolves()
+    problems = _levels(spec)
     tol_res = residual_tolerance(spec)
     trace: list[tuple[int, float, float]] = []
-    it_total = 0
-    rows = {}  # level nodes -> its row of `SolveResult.levels`
+    levels = []  # `SolveResult.levels`
+    it_total = cg_iterations = 0
     prev_g_norm = np.inf  # the gradient norm at the last Newton step
 
-    for n, level in enumerate(levels):
+    for n, level in enumerate(problems):
         # the coarsest level starts from the Coons patch of g, a finer one from
         # the coarser iterate, prolonged; either is reset to g on its boundary
-        grid = level.grid
-        level_start = (it_total, solves.factorizations)
+        grid, it_start, last = level.grid, it_total, n == len(problems) - 1
         vals = _prolong(vals) if n else _coons_patch(level.g.values)
         ops, bnd = _gradient_operator(grid), grid.boundary_flags()
         vals[bnd] = level.g.values[bnd]
-        solves.lu = None  # a coarser level's factor does not precondition this K
+        solves = _LinearSolves()
         cells = None  # the iterate's cell state (`_cell_state`), at eps `cells_eps`
         path = [(p, eps)] if n else _path(p, eps)
         e_start = None  # the energy of the start at path[0], once evaluated
@@ -817,7 +815,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             if (e_start - e_val) / (1.0 + abs(e_val)) > _REENTRY_GAP:
                 path, e_start = [(p / 2.0, eps)] + path, None
         for k, (p_k, eps_k) in enumerate(path):
-            final = n == len(levels) - 1 and k == len(path) - 1
+            final = last and k == len(path) - 1
             if it_total >= MAX_ITER and not final:
                 continue  # capped: evaluate the iterate once more, at the target
             spec_k = replace(level, params=replace(level.params, p=p_k, eps=eps_k))
@@ -856,13 +854,14 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 del K
                 prev_g_norm = g_norm
                 vals, ok, e_val, polished, cells = _line_search(
-                    spec_k, vals, ops.order, step, e_val, float(np.dot(g_int, step)))
+                    spec_k, vals, step, e_val, float(np.dot(g_int, step)))
                 if not ok:
                     stop = "no_descent"
                     break
                 it_total += 1
-            rows[grid.nodes] = (grid.nodes, it_total - level_start[0],
-                                solves.factorizations - level_start[1], e_val)
+        if last or it_start < MAX_ITER:  # a level the cap skipped whole has no row
+            levels.append((grid.nodes, it_total - it_start, solves.factorizations, e_val))
+        cg_iterations += solves.cg_iterations
 
     return SolveResult(
         u=ScalarField(grid, vals),
@@ -871,22 +870,22 @@ def solve(spec: ProblemSpec) -> SolveResult:
         iterations=it_total,
         stop_reason=stop,
         trace=trace,
-        factorizations=solves.factorizations,
-        cg_iterations=solves.cg_iterations,
-        levels=rows.values(),
+        factorizations=sum(row[2] for row in levels),
+        cg_iterations=cg_iterations,
+        levels=levels,
     )
 
 
-def _line_search(spec, vals, order, direction, e0, slope):
-    """Armijo backtracking along an interior direction (indexed like `order`)
-    from vals, whose energy is e0, with slope g_int . direction (a slope not
-    below 0, NaN included, fails at once, and a trial energy that overflows
-    fails like any other); returns (new_vals, ok, new_energy, polished,
-    cells), new_energy and cells the energy and `_cell_state` of new_vals (e0
-    and None when no trial is accepted).  A step whose predicted decrease is
-    below the energy's float resolution, where the Armijo test would compare
-    rounding noise, polishes: its first trial, the full step, is accepted as
-    it is.
+def _line_search(spec, vals, direction, e0, slope):
+    """Armijo backtracking along an interior direction, indexed like the
+    grid's `_GridOps.order`, from vals, whose energy is e0, with slope g_int .
+    direction (a slope not below 0, NaN included, fails at once, and a trial
+    energy that overflows fails like any other); returns (new_vals, ok,
+    new_energy, polished, cells), new_energy and cells the energy and
+    `_cell_state` of new_vals (e0 and None when no trial is accepted).  A
+    step whose predicted decrease is below the energy's float resolution,
+    where the Armijo test would compare rounding noise, polishes: its first
+    trial, the full step, is accepted as it is.
 
     The first trial is t = 1.  Far along the ray the energy density
     l_eps^p / p grows like t^p, so after a rejected trial t with energy e_t
@@ -901,7 +900,7 @@ def _line_search(spec, vals, order, direction, e0, slope):
     if not slope < 0.0:
         return vals, False, e0, False, None
     polish = _ARMIJO_C * (-slope) <= 1e-15 * (1.0 + abs(e0))
-    p = spec.params.p
+    order, p = _gradient_operator(spec.grid).order, spec.params.p
     t = 1.0
     for _ in range(_BACKTRACK_MAX):
         trial = vals.copy()

@@ -208,9 +208,9 @@ def line_search_steps():
             searches[-1].append(t)
             return t * self.view(np.ndarray)
 
-    def line_search(spec, vals, order, direction, e0, slope):
+    def line_search(spec, vals, direction, e0, slope):
         searches.append([])
-        return real(spec, vals, order, direction.view(Ray), e0, slope)
+        return real(spec, vals, direction.view(Ray), e0, slope)
 
     solver_mod._line_search = line_search
     try:

@@ -626,11 +626,27 @@ def test_path_errors_are_usage_errors(tmp_path, capsys, argv):
      "line 1 column 2 (char 1)"),
     (["estimate", "--field", "{dir}/field.csv", "--grid", "{dir}/field.csv"],
      "{dir}/field.csv: not a JSON grid: Expecting value: line 1 column 1 (char 0)"),
-], ids=["eps-list", "config-not-json", "grid-not-json"])
+    (["estimate", "--field", "{dir}/empty.csv", "--grid", "{dir}/grid.json"],
+     "{dir}/empty.csv: 0 rows, expected 9 for grid"),
+    (["estimate", "--field", "{dir}/header.csv", "--grid", "{dir}/grid.json"],
+     "{dir}/header.csv: 0 rows, expected 9 for grid"),
+    (["estimate", "--field", "{dir}/abc.csv", "--grid", "{dir}/grid.json"],
+     "{dir}/abc.csv: not a field CSV: could not convert string 'abc' to float64 at row 0, "
+     "column 2."),
+    (["estimate", "--field", "{dir}/ragged.csv", "--grid", "{dir}/grid.json"],
+     "{dir}/ragged.csv: not a field CSV: the number of columns changed from 2 to 3 at row 2"),
+], ids=["eps-list", "config-not-json", "grid-not-json", "field-empty", "field-header-only",
+        "field-not-a-number", "field-ragged"])
 def test_unreadable_input_names_its_source(tmp_path, capsys, argv, message):
-    """An eps list, config file or grid file that cannot be read is named in
-    the error; json and float() alone named neither the flag nor the file."""
+    """An eps list, config file, grid file or field file that cannot be read
+    is named in the error, in one line and with no warning; json, float()
+    and np.loadtxt alone named neither the flag nor the file, and numpy
+    warned of a field file with no data rows."""
     write_field_csv(ScalarField.constant(Grid.line(0.0, 1.0, 9), 2.0), tmp_path / "field.csv")
+    write_grid_json(Grid.line(0.0, 1.0, 9), tmp_path / "grid.json")
+    for name, text in [("empty", ""), ("header", "x1,value\n"), ("abc", "x1,value\n0,abc\n"),
+                       ("ragged", "x1,value\n0,2\n0.125,2,2\n")]:
+        (tmp_path / f"{name}.csv").write_text(text)
     (tmp_path / "broken.json").write_text("{not json")
     out = tmp_path / "out"
     assert run(*(a.format(dir=tmp_path) for a in argv), "--out", str(out)) == 2

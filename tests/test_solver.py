@@ -878,16 +878,15 @@ def test_line_search_backtracks_along_the_power_law():
     for steps in searches:
         assert steps[0] == 1.0
         assert all(0.1 * t <= s <= 0.5 * t for t, s in zip(steps, steps[1:]))
-    # 65-node torsion at p = 80 from u = 0 along a direction whose first
-    # trials overflow the energy; the interior nodes in their own order
-    spec = torsion_spec(Grid.line(-1.0, 1.0, 65), 80.0, 0.1)
-    order = np.arange(1, 64)
+    # 33^2 torsion at p = 80 from u = 0 along a direction whose first trials
+    # overflow the energy; the interior nodes in the grid's elimination order
+    spec = torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33)), 80.0, 0.1)
+    order = solver_mod._gradient_operator(spec.grid).order
     vals = np.zeros(spec.grid.shape)
     direction = np.full(len(order), -1e6)
     slope = float(gradient_at(spec, vals).ravel()[order] @ direction)
     with line_search_steps() as searches:
-        out = solver_mod._line_search(spec, vals, order, direction, energy_at(spec, vals),
-                                      slope)
+        out = solver_mod._line_search(spec, vals, direction, energy_at(spec, vals), slope)
     (steps,) = searches
     assert out[1]
 
@@ -914,10 +913,26 @@ def test_stop_reason_no_descent(monkeypatch):
     import plapreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_line_search",
-                        lambda spec, vals, order, direction, e0, slope: (vals, False, e0, False,
-                                                                          None))
+                        lambda spec, vals, direction, e0, slope: (vals, False, e0, False, None))
     r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (33, 33)), 3.0, 1e-1))
     assert (r.converged, r.stop_reason, r.iterations, len(r.trace)) == (False, "no_descent", 0, 1)
+
+
+def test_levels_count_the_factorization_of_a_rejected_step(monkeypatch):
+    """A rejected Newton step has factored K after its level's last trace
+    row, and its level's row counts that factorization: on 65^2 torsion,
+    where the line search rejects every step, each level stops `no_descent`
+    after one trace row and one factorization, and the result's
+    factorizations are the sum of the rows."""
+    import plapreg.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_line_search",
+                        lambda spec, vals, direction, e0, slope: (vals, False, e0, False, None))
+    r = solve(torsion_spec(Grid.box((-1.0, -1.0), (1.0, 1.0), (65, 65)), 3.0, 1e-1))
+    assert len(r.trace) == 2
+    (_, e_coarse, _), (_, e_fine, _) = r.trace
+    assert r.levels == (((33, 33), 0, 1, e_coarse), ((65, 65), 0, 1, e_fine))
+    assert r.factorizations == 2 and r.stop_reason == "no_descent"
 
 
 def test_every_newton_step_is_one_line_search(monkeypatch):
@@ -1060,9 +1075,9 @@ def test_solve_survives_singular_newton_system(monkeypatch):
     calls, energies = [], []
     real_line_search, real_energy = solver_mod._line_search, solver_mod._energy_raw
 
-    def line_search(spec, vals, order, direction, e0, slope):
+    def line_search(spec, vals, direction, e0, slope):
         before = len(energies)
-        out = real_line_search(spec, vals, order, direction, e0, slope)
+        out = real_line_search(spec, vals, direction, e0, slope)
         calls.append((bool(np.isnan(direction).any()), out[1], len(energies) - before))
         return out
 
