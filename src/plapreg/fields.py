@@ -330,8 +330,9 @@ def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # faster than from fh
     except ValueError as exc:  # a cell that is no number, a ragged row, not text
-        # the part before numpy's advice to select columns with `usecols`
-        raise ValueError(f"{path}: not a field CSV: {str(exc).partition(';')[0]}") from None
+        # failing that, the part before numpy's advice to select columns with `usecols`
+        fault = _csv_fault(path) or str(exc).partition(";")[0]
+        raise ValueError(f"{path}: not a field CSV: {fault}") from None
     if data.shape[0] != grid.num_nodes:
         raise ValueError(
             f"{path}: {data.shape[0]} rows, expected {grid.num_nodes} for grid"
@@ -346,3 +347,26 @@ def read_field_csv(path, grid: Grid) -> ScalarField | VectorField:
     if ncols == grid.dim:
         return VectorField(grid, data[:, grid.dim :].reshape(grid.shape + (grid.dim,)))
     raise ValueError(f"{path}: unexpected column count {data.shape[1]}")
+
+
+def _csv_fault(path) -> str | None:
+    """Where a CSV file's data go wrong, by file line (the header is line 1)
+    and column: the first line with a cell that is no number or another
+    column count than the first data line's, None if none.  Lines blank but
+    for a `#` comment are skipped, as np.loadtxt skips them; a byte that is
+    not UTF-8 reads as U+FFFD, no number."""
+    first = None  # (column count, line) of the first data line
+    with open(path, errors="replace") as fh:
+        for n, line in enumerate(fh, start=1):
+            cells = [cell.strip() for cell in line.partition("#")[0].split(",")]
+            if n == 1 or cells == [""]:
+                continue
+            first = first or (len(cells), n)
+            if len(cells) != first[0]:
+                return (f"line {n}, column {min(len(cells), first[0]) + 1}: the column count "
+                        f"is {len(cells)} where line {first[1]}'s is {first[0]}")
+            for k, cell in enumerate(cells, start=1):
+                try:
+                    float(cell.replace("_", ","))  # float reads a digit separator, numpy not
+                except ValueError:
+                    return f"line {n}, column {k}: {cell!r} is not a number"

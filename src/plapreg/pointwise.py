@@ -27,7 +27,7 @@ __all__ = [
     "L_eps",
     "flux_weight",
     "grad_L_eps",
-    "hess_L_eps",
+    "hess_weights",
     "alpha_s",
     "beta_theta",
     "monotonicity_gap",
@@ -78,28 +78,19 @@ def grad_L_eps(w, eps, p, *, lp2=None) -> np.ndarray:
     return (flux_weight(w, eps, p) if lp2 is None else lp2)[..., None] * w
 
 
-def hess_L_eps(w, eps, p, *, l=None, lp2=None) -> np.ndarray:
-    """Hessian l^(p-2) I + (p-2) l^(p-4) w w^T, shape (..., n, n).
-
-    Symmetric positive definite for eps > 0.  The point eps = 0, w = 0 is
-    singular when p < 4 (the rank-one factor carries l^(p-4)); that case is
-    rejected rather than patched.  l and lp2, if given, are l_eps(w, eps)
+def hess_weights(w, eps, p, *, l=None, lp2=None) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, rank1) = (l^(p-2), (p-2) l^(p-4)), shape (...): the Hessian is
+    diag I + rank1 w w^T, with eigenvalues diag and diag + rank1 |w|^2 in
+    [l^(p-2), (p-1) l^(p-2)].  The point eps = 0, w = 0 is singular when p < 4;
+    it is rejected rather than patched.  l and lp2, if given, are l_eps(w, eps)
     and flux_weight(w, eps, p), and are not computed again.
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[-1]
     l = l_eps(w, eps) if l is None else l
     p_arr = np.asarray(p, dtype=float)
-    if np.any((l == 0.0) & (p_arr < 4.0)):
-        raise ValueError("hess_L_eps is singular at w = 0 with eps = 0 and p < 4")
-    lsafe = np.where(l > 0.0, l, 1.0)
+    if np.any((l == 0.0) & (p_arr < 4.0)):  # else l^(p-4) below is finite
+        raise ValueError("hess_weights is singular at w = 0 with eps = 0 and p < 4")
     diag = flux_weight(w, eps, p, l=l) if lp2 is None else lp2
-    rank1 = np.where(l > 0.0, (p_arr - 2.0) * lsafe ** (p_arr - 4.0), 0.0)
-    eye = np.eye(n)
-    return (
-        diag[..., None, None] * eye
-        + rank1[..., None, None] * w[..., :, None] * w[..., None, :]
-    )
+    return diag, np.where(l > 0.0, (p_arr - 2.0) * l ** (p_arr - 4.0), 0.0)
 
 
 def alpha_s(w, eps, s) -> np.ndarray:

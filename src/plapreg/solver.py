@@ -24,8 +24,9 @@ closed-form derivatives of L_eps.  With this pairing the exact gradient of
 E with respect to an interior node value equals minus the node weight times
 the conservative flux-difference operator, so the Euler-Lagrange residual
 reported here is the first variation of the energy and vanishes at the
-discrete minimizer.  K_II is filled from the cell blocks directly, with no
-sparse product (`_assemble`).
+discrete minimizer.  K_II is filled from each cell's two Hessian weights
+(`hess_weights`) directly, with no 2 x 2 block and no sparse product
+(`_assemble`).
 
 A line is solved exactly, by the first integral of its Euler-Lagrange
 equation (`_solve_line`; Lindqvist, *Notes on the p-Laplace equation*, on
@@ -40,37 +41,25 @@ plus h times the running sums of c from both ends, the cell of least
 continuation, nesting, line search or linear solve, and scipy never loads.
 
 A box is minimized by damped Newton on the interior unknowns with the
-Hessian K_II, and every Newton step is one Armijo backtracking line search,
-whose next trial after a rejected one minimizes a model of the energy's
-t^p growth along the ray (`_line_search`).  It returns the energy and the
-cell state (c and l = l_eps(c), `_cell_state`) of the iterate it accepts.
-So an iterate's state is computed once per eps and shared by its energy,
-gradient and Hessian, which also share l^(p-2), and its energy is
-evaluated once.  Once a step's predicted decrease is below the energy's
-float resolution the step polishes: the line search accepts its first
-trial, the full Newton step, as it is.
+Hessian K_II, and every Newton step is one Armijo backtracking line search
+(`_line_search`), which returns the energy and the cell state (c and l =
+l_eps(c), `_cell_state`) of the iterate it accepts.  So an iterate's state
+is computed once per eps and shared by its energy, gradient and Hessian,
+which also share l^(p-2), and its energy is evaluated once.  Once a step's
+predicted decrease is below the energy's float resolution the step
+polishes: the line search accepts the full Newton step as it is.
 The interior unknowns of a box are numbered once per grid by George's
-nested dissection of the mesh, and D_I takes its columns in that order.
-K_II has a fixed 9-point pattern and arrives ordered for a SuperLU
-factorization in symmetric mode with no fill-reducing permutation of its
-own.  That factor is single precision: K_II is scaled to unit diagonal, so
-that its entries fit float32, and factored in float32, which halves the
-memory its values take.
-It only preconditions CG in float64 (`_LinearSolves`): the step right after
-a factorization runs CG to rtol `_ETA_MIN`.  The Hessians change little
-from step to step, so later steps keep the factor and run CG to an
+nested dissection of the mesh (`_elimination_order`), and K_II, with its
+fixed 9-point pattern, arrives in that order for a float32 SuperLU factor
+that only preconditions CG in float64.  The Hessians change little from
+step to step, so later steps keep the factor and run CG to an
 Eisenstat-Walker forcing term (inexact Newton), factoring afresh only when
-CG reaches an iteration cap or returns a non-finite step.
-A box solve walks one (p, eps) continuation path, warm starting each stage.
-Below eps = 0.1 it takes a stage at eps = 0.1 and then one at eps, which
-keeps Newton steps well scaled even when the initial iterate has vanishing
-gradient.  Above p = 18 Newton from the level's start can fail
-(`_P_DIRECT`), so the path first doubles p from the first p / 2**n at or
-below 18, at that first eps (Huang, Li & Liu, J. Sci. Comput. 32, 2007).
-A stage is its own ProblemSpec, whose params carry the stage's (p, eps);
-the energy, gradient, Hessian and line search read p and eps from the spec
-alone.
-The path ends exactly at the requested (p, eps).  Each stage begins by
+that CG fails (`_LinearSolves`).
+A box solve walks one (p, eps) continuation path (`_path`), warm starting
+each stage: a first stage at eps = 0.1 keeps Newton steps well scaled from
+a start of vanishing gradient, and above `_P_DIRECT` p doubles up to its
+target (Huang, Li & Liu, J. Sci. Comput. 32, 2007).  A stage is its own
+ProblemSpec, whose params carry the stage's (p, eps).  Each stage begins by
 evaluating its iterate; once the solve has taken `MAX_ITER` Newton steps
 the remaining stages are skipped but the last, where the iterate is
 evaluated once more.  So the energy, residual and last trace row of a
@@ -83,23 +72,19 @@ gradient norm; the final stage also needs the EL residual within
 Newton step that the line search rejects stops a stage `no_descent`.
 
 A box solve uses nested iteration (Briggs, Henson & McCormick, *A
-Multigrid Tutorial*, ch. 3).  While every (n - 1) is even and the halved
-grid keeps at least `_COARSEST` nodes per axis, the grid is halved; the
-levels are every halving and the problem grid, and f and g are injected (a
-coarse node is a fine node).  So 257^2 nests as 33^2, 65^2, 129^2, 257^2.
-The coarsest level starts from the transfinite (Coons) interpolation of
-g's boundary values (`_coons_patch`), which takes no linear solve, and
-walks the whole (p, eps) path; each finer level starts from the coarser
-iterate, prolonged by a slope-limited cubic (`_prolong`, one midpoint pass
-per axis), its boundary reset to g, and runs the final (p, eps) stage alone;
-above `_P_DIRECT` it runs (p / 2, eps) first when its prolonged start's
-energy jumps above the coarser level's (`_REENTRY_GAP`).
-Only the problem grid's stage is final, so a coarse level ends at the
-loose tolerance of an intermediate stage.  The iteration cap counts Newton
-steps over all levels; a capped iterate is prolonged to the problem grid
-and evaluated there.  `SolveResult.levels` records each level's nodes,
-steps, factorizations and final energy.  A grid that does not nest is its
-own only level.
+Multigrid Tutorial*, ch. 3) over the halvings of its grid (`_levels`): 257^2
+nests as 33^2, 65^2, 129^2, 257^2, and a grid that does not nest is its own
+only level.  The coarsest level starts from the transfinite (Coons)
+interpolation of g's boundary values (`_coons_patch`), which takes no
+linear solve, and walks the whole path; each finer level starts from the
+coarser iterate, prolonged (`_prolong`), its boundary reset to g, and runs
+the final (p, eps) stage alone; above `_P_DIRECT` it runs (p / 2, eps)
+first when its prolonged start's energy jumps above the coarser level's
+(`_REENTRY_GAP`).  Only the problem grid's stage is final, so a coarse level
+ends at the loose tolerance of an intermediate stage.  The iteration cap
+counts Newton steps over all levels; a capped iterate is prolonged to the
+problem grid and evaluated there.  `SolveResult.levels` records each
+level's nodes, steps, factorizations and final energy.
 
 The cell gradient is the only difference operator the solve uses; the node
 gradient in :mod:`plapreg.fields` serves the analysis of a solution (its
@@ -121,7 +106,7 @@ from .fields import (
     Grid, ProblemSpec, ScalarField,
     write_field_csv, write_grid_json, write_json, write_table,
 )
-from .pointwise import L_eps, flux_weight, grad_L_eps, hess_L_eps, l_eps
+from .pointwise import L_eps, flux_weight, grad_L_eps, hess_weights, l_eps
 
 __all__ = [
     "SolveResult",
@@ -255,16 +240,12 @@ class _GridOps(NamedTuple):
 # sized to hold every level of a nested solve: 513^2 has 5, a line is one (`_levels`)
 @functools.lru_cache(maxsize=8)
 def _gradient_operator(grid: Grid) -> _GridOps:
-    """The grid's `_GridOps`: the corner weights of the cell gradient, how a
-    2D K_II is filled, the interior order of a box, and the node weights.
+    """The grid's `_GridOps`, whose arrays every caller shares: read-only.
 
     Per axis a cell's gradient is the difference along that axis averaged
     over the cell's 2**(dim-1) edges parallel to it: G[k, a] is the weight
-    of corner a (in `corners` order) in component k.  On a box, `order`
-    holds the flat ids of the interior nodes in elimination order (see
-    `_elimination_order`); interior vectors and the Hessian K_II are indexed
-    by position in `order`.  The cached arrays are shared by every caller,
-    so they are read-only.
+    of corner a (in `corners` order) in component k.  Interior vectors and
+    the Hessian K_II of a box are indexed by position in `order`.
     """
     corners = tuple((corner, tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.nodes)))
                     for corner in itertools.product((0, 1), repeat=grid.dim))
@@ -273,7 +254,7 @@ def _gradient_operator(grid: Grid) -> _GridOps:
     order = fill = None
     if grid.dim == 2:
         order = _elimination_order(np.arange(grid.num_nodes).reshape(grid.shape)[1:-1, 1:-1])
-        fill = _stencil_fill(grid, G, order)
+        fill = _stencil_fill(grid, order)
     ops = _GridOps(G, fill, order, corners, grid.quad_weights())
     for a in (*ops, *(fill or ())):
         if isinstance(a, np.ndarray):
@@ -281,19 +262,16 @@ def _gradient_operator(grid: Grid) -> _GridOps:
     return ops
 
 
-def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
-    """(C, indptr, indices, src): how `_assemble` fills a 2D K_II.
+def _stencil_fill(grid: Grid, order: np.ndarray) -> tuple:
+    """(indptr, indices, src): how `_assemble` fills a 2D K_II.
 
-    C (4 x 16) maps a cell's Hessian block H, flattened, to its corner
-    stiffness G^T H G (4 x 4, corners in `_GridOps.corners` order),
-    flattened.  K_II has the structural 9-point pattern of the interior
-    nodes whatever its values: CSC, columns and rows in elimination order,
-    rows sorted in each column, (3 (n0 - 2) - 2) (3 (n1 - 2) - 2) entries.
-    Its data are S.ravel()[src] for the stencil S of `_assemble`, where
-    S[1 + d0, 1 + d1, i, j] is the entry in the row of node (i, j) and the
-    column of node (i + d0, j + d1).
+    K_II has the structural 9-point pattern of the interior nodes whatever
+    its values: CSC, columns and rows in elimination order, rows sorted in
+    each column, (3 (n0 - 2) - 2) (3 (n1 - 2) - 2) entries.  Its data are
+    S.ravel()[src] for the stencil S of `_assemble`, where S[1 + d0, 1 + d1,
+    i, j] is the entry in the row of node (i, j) and the column of node
+    (i + d0, j + d1).
     """
-    C = (G[:, None, :, None] * G[None, :, None, :]).reshape(4, 16)
     n1 = grid.nodes[1]
     steps = np.array([d0 * n1 + d1 for d0 in (-1, 0, 1) for d1 in (-1, 0, 1)],
                      dtype=np.int32)
@@ -311,7 +289,7 @@ def _stencil_fill(grid: Grid, G: np.ndarray, order: np.ndarray) -> tuple:
     k = key & 15
     # the entry in the row of node q + d and the column of node q is S[-d] there
     src = (len(steps) - 1 - k) * grid.num_nodes + np.repeat(order, count) + steps[k]
-    return C, np.concatenate([[0], np.cumsum(count)]).astype(np.int32), key >> 4, src
+    return np.concatenate([[0], np.cumsum(count)]).astype(np.int32), key >> 4, src
 
 
 def _elimination_order(ids: np.ndarray) -> np.ndarray:
@@ -399,24 +377,30 @@ def _gradient_raw(spec: ProblemSpec, cells: tuple) -> tuple[np.ndarray, np.ndarr
     return _gradient_adjoint(spec.grid, flux) + ops.weights * spec.f.values, lp2
 
 
-def _assemble(grid: Grid, Hc: np.ndarray):
-    """D_I^T blockdiag(Hc) D_I of a box from the cell blocks Hc, shape
-    (cells, 2, 2): a CSC matrix with the fixed pattern of `_stencil_fill`.
-    Each cell's corner stiffness G^T H G is added into the 9-point stencil S
-    of its corners, and K_II's data are gathered from S; the sums run in
+def _assemble(grid: Grid, c: np.ndarray, diag: np.ndarray, rank1: np.ndarray):
+    """D_I^T blockdiag(H) D_I of a box, H = diag I + rank1 c c^T per cell
+    from the cell gradients c and weights diag and rank1: a CSC matrix with
+    the fixed pattern of `_stencil_fill`.  With M = G^T G and t = G^T c (a
+    cell's corner projections), corners a and b couple by diag M_ab + rank1
+    t_a t_b; each unordered corner pair adds that into both its planes of
+    the 9-point stencil S, and K_II's data are gathered from S, summed in
     another order than the sparse product's.
     """
     import scipy.sparse as sp
     ops = _gradient_operator(grid)
-    C, indptr, indices, src = ops.fill
-    H = Hc.reshape(-1, 4)
+    indptr, indices, src = ops.fill
+    # rounded products, not a matrix product's fused multiply-adds: the zeros of M are exact
+    t, M = ops.G.T @ c.T, (ops.G[:, :, None] * ops.G[:, None, :]).sum(axis=0)
     S = np.zeros((3, 3, *grid.nodes))
     cell_shape = tuple(n - 1 for n in grid.nodes)
-    corners = enumerate(ops.corners)
-    for (a, ((a0, a1), cells)), (b, ((b0, b1), _)) in itertools.product(corners, repeat=2):
-        S[1 + b0 - a0, 1 + b1 - a1][cells] += (H @ C[:, 4 * a + b]).reshape(cell_shape)
-    n = len(indptr) - 1
-    return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(n, n))
+    pairs = itertools.combinations_with_replacement(enumerate(ops.corners), 2)
+    for (a, ((a0, a1), cells_a)), (b, ((b0, b1), cells_b)) in pairs:
+        v = (diag * M[a, b] + rank1 * (t[a] * t[b])).reshape(cell_shape)
+        S[1 + b0 - a0, 1 + b1 - a1][cells_a] += v
+        if a != b:
+            S[1 + a0 - b0, 1 + a1 - b1][cells_b] += v
+    del t, v  # freed before K's data are gathered, where the assembly's memory peaks
+    return sp.csc_matrix((S.ravel()[src], indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -843,13 +827,13 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 if at_floor or it_total >= MAX_ITER:
                     stop = "stalled" if at_floor else "max_iter"  # stalled: EL residual too large
                     break
-                K = _assemble(grid, grid.cell_volume * hess_L_eps(
-                    cells[0], eps_k, p_k, l=cells[1], lp2=lp2))
+                diag, rank1 = hess_weights(cells[0], eps_k, p_k, l=cells[1], lp2=lp2)
+                K = _assemble(grid, cells[0], grid.cell_volume * diag, grid.cell_volume * rank1)
                 # neither the state nor K stays alive through the linear solve
                 # and the line search, where a 2D solve's memory peaks: held,
                 # they raised the 257^2 torsion solve's peak RSS by 2-4 MB.
                 # The line search returns the next iterate's state
-                cells = lp2 = None
+                cells = lp2 = diag = rank1 = None
                 step = solves.newton_step(K, g_int, g_norm, prev_g_norm)
                 del K
                 prev_g_norm = g_norm

@@ -631,20 +631,25 @@ def test_path_errors_are_usage_errors(tmp_path, capsys, argv):
     (["estimate", "--field", "{dir}/header.csv", "--grid", "{dir}/grid.json"],
      "{dir}/header.csv: 0 rows, expected 9 for grid"),
     (["estimate", "--field", "{dir}/abc.csv", "--grid", "{dir}/grid.json"],
-     "{dir}/abc.csv: not a field CSV: could not convert string 'abc' to float64 at row 0, "
-     "column 2."),
+     "{dir}/abc.csv: not a field CSV: line 2, column 2: 'abc' is not a number"),
+    (["estimate", "--field", "{dir}/late.csv", "--grid", "{dir}/grid.json"],
+     "{dir}/late.csv: not a field CSV: line 5, column 2: 'x' is not a number"),
     (["estimate", "--field", "{dir}/ragged.csv", "--grid", "{dir}/grid.json"],
-     "{dir}/ragged.csv: not a field CSV: the number of columns changed from 2 to 3 at row 2"),
+     "{dir}/ragged.csv: not a field CSV: line 3, column 3: the column count is 3 where "
+     "line 2's is 2"),
 ], ids=["eps-list", "config-not-json", "grid-not-json", "field-empty", "field-header-only",
-        "field-not-a-number", "field-ragged"])
+        "field-not-a-number", "field-not-a-number-after-blank-and-comment", "field-ragged"])
 def test_unreadable_input_names_its_source(tmp_path, capsys, argv, message):
     """An eps list, config file, grid file or field file that cannot be read
-    is named in the error, in one line and with no warning; json, float()
-    and np.loadtxt alone named neither the flag nor the file, and numpy
-    warned of a field file with no data rows."""
+    is named in the error, in one line and with no warning, and a bad field
+    CSV cell by its file line (the header is line 1, blank and comment lines
+    count) and column; json, float() and np.loadtxt alone named neither the
+    flag nor the file, numpy numbered rows its own way, and numpy warned of
+    a field file with no data rows."""
     write_field_csv(ScalarField.constant(Grid.line(0.0, 1.0, 9), 2.0), tmp_path / "field.csv")
     write_grid_json(Grid.line(0.0, 1.0, 9), tmp_path / "grid.json")
     for name, text in [("empty", ""), ("header", "x1,value\n"), ("abc", "x1,value\n0,abc\n"),
+                       ("late", "x1,value\n0,2\n\n# a comment\n0.125,x\n"),
                        ("ragged", "x1,value\n0,2\n0.125,2,2\n")]:
         (tmp_path / f"{name}.csv").write_text(text)
     (tmp_path / "broken.json").write_text("{not json")

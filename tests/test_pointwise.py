@@ -16,7 +16,7 @@ from plapreg.pointwise import (
     coercivity_constant,
     flux_weight,
     grad_L_eps,
-    hess_L_eps,
+    hess_weights,
     integrand_lower_bound_check,
     l_eps,
     monotonicity_gap,
@@ -76,7 +76,7 @@ def test_l_eps_vectorized_shape():
     w = np.zeros((4, 7, 2))
     assert l_eps(w, 0.5).shape == (4, 7)
     assert grad_L_eps(w, 0.5, 3.0).shape == (4, 7, 2)
-    assert hess_L_eps(w, 0.5, 3.0).shape == (4, 7, 2, 2)
+    assert [a.shape for a in hess_weights(w, 0.5, 3.0)] == [(4, 7), (4, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,57 +99,69 @@ def test_grad_L_eps_matches_difference_quotient():
             assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def test_hess_L_eps_matches_difference_quotient():
+def hess_times(w, eps, p, e):
+    """H e = diag e + rank1 (w . e) w, from the two weights of the Hessian."""
+    diag, rank1 = hess_weights(w, eps, p)
+    return diag * e + rank1 * float(w @ e) * w
+
+
+def test_hess_weights_match_difference_quotient():
     rng = np.random.default_rng(2)
     for _ in range(100):
         n = int(rng.integers(1, 3))
         w = rng.uniform(-3, 3, n)
         eps = rng.uniform(0.01, 1.0)
         p = rng.uniform(2.0, 6.0)
-        H = hess_L_eps(w, eps, p)
         step = 1e-5 * (1.0 + np.linalg.norm(w))
         for k in range(n):
             e = np.zeros(n)
-            e[k] = step
-            fd = (grad_L_eps(w + e, eps, p) - grad_L_eps(w - e, eps, p)) / (2 * step)
-            np.testing.assert_allclose(H[:, k], fd, rtol=1e-5, atol=1e-7)
+            e[k] = 1.0
+            fd = (grad_L_eps(w + step * e, eps, p) - grad_L_eps(w - step * e, eps, p)) / (2 * step)
+            np.testing.assert_allclose(hess_times(w, eps, p, e), fd, rtol=1e-5, atol=1e-7)
 
 
 def test_hess_at_zero_gradient():
-    H = hess_L_eps(vec(0.0, 0.0), 0.5, 3.0)
-    np.testing.assert_allclose(H, 0.5 * np.eye(2), rtol=1e-15)
+    diag, rank1 = hess_weights(vec(0.0, 0.0), 0.5, 3.0)
+    assert diag == pytest.approx(0.5, rel=1e-15) and rank1 == pytest.approx(2.0, rel=1e-15)
+    np.testing.assert_allclose(hess_times(vec(0.0, 0.0), 0.5, 3.0, vec(1.0, -2.0)),
+                               vec(0.5, -1.0), rtol=1e-15)
 
 
 def test_hess_singular_point_rejected():
     with pytest.raises(ValueError, match="singular"):
-        hess_L_eps(vec(0.0, 0.0), 0.0, 3.0)
+        hess_weights(vec(0.0, 0.0), 0.0, 3.0)
     # p >= 4 is fine: the rank-one weight vanishes with w
-    np.testing.assert_allclose(hess_L_eps(vec(0.0), 0.0, 4.0), np.zeros((1, 1)))
+    assert hess_weights(vec(0.0), 0.0, 4.0) == (0.0, 0.0)
 
 
 def test_hess_rayleigh_sandwich():
-    """Eigenvalues of the Hessian lie in [l^(p-2), (p-1) l^(p-2)]."""
+    """Eigenvalues of the Hessian, diag across w and diag + rank1 |w|^2
+    along it, lie in [l^(p-2), (p-1) l^(p-2)], and so do its Rayleigh
+    quotients, also at the exponents 20, 40 and 80 that the solver runs."""
     rng = np.random.default_rng(3)
-    for _ in range(10_000):
+    for p_fixed in [None] * 10_000 + [20.0, 40.0, 80.0] * 1_000:
         n = int(rng.integers(1, 3))
         w = rng.uniform(-4, 4, n)
         xi = rng.uniform(-1, 1, n)
         if np.linalg.norm(xi) < 1e-12:
             continue
         eps = rng.uniform(1e-4, 2.0)
-        p = rng.uniform(2.0, 6.0)
-        H = hess_L_eps(w, eps, p)
-        rayleigh = float(xi @ H @ xi) / float(xi @ xi)
+        p = rng.uniform(2.0, 6.0) if p_fixed is None else p_fixed
+        diag, rank1 = hess_weights(w, eps, p)
+        rayleigh = float(xi @ hess_times(w, eps, p, xi)) / float(xi @ xi)
         lp2 = l_eps(w, eps) ** (p - 2.0)
-        assert lp2 * (1.0 - 1e-10) <= rayleigh <= (p - 1.0) * lp2 * (1.0 + 1e-10)
+        lo, hi = lp2 * (1.0 - 1e-10), (p - 1.0) * lp2 * (1.0 + 1e-10)
+        for value in (diag, diag + rank1 * float(w @ w), rayleigh):
+            assert lo <= value <= hi
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.3, 40.0])
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.7])
 def test_kernels_given_l_and_flux_weight_are_bitwise_their_own(p, eps):
-    """L_eps, grad_L_eps and hess_L_eps handed l = l_eps(w) and lp2 =
+    """L_eps, grad_L_eps and hess_weights handed l = l_eps(w) and lp2 =
     flux_weight(w) return bitwise what they compute alone, and
-    flux_weight is the l^(p-2) of the gradient and the Hessian's diagonal."""
+    flux_weight is the l^(p-2) of the gradient and the Hessian's diagonal
+    weight."""
     rng = np.random.default_rng(int(10 * p) + int(1e3 * eps))
     w = rng.standard_normal((64, 2)) * 10.0 ** rng.uniform(-4, 1, (64, 1))
     l = l_eps(w, eps)
@@ -158,8 +170,8 @@ def test_kernels_given_l_and_flux_weight_are_bitwise_their_own(p, eps):
     assert lp2.tobytes() == (l ** (p - 2.0)).tobytes()
     assert L_eps(w, eps, p, l=l).tobytes() == L_eps(w, eps, p).tobytes()
     assert grad_L_eps(w, eps, p, lp2=lp2).tobytes() == grad_L_eps(w, eps, p).tobytes()
-    assert (hess_L_eps(w, eps, p, l=l, lp2=lp2).tobytes()
-            == hess_L_eps(w, eps, p).tobytes())
+    for given, alone in zip(hess_weights(w, eps, p, l=l, lp2=lp2), hess_weights(w, eps, p)):
+        assert given.tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,18 @@ def gradient_at(spec, vals):
 
 def hessian_at(spec, vals):
     """K_II at vals, from their cell state and flux weight, as `solve` builds it."""
-    from plapreg.pointwise import hess_L_eps
+    from plapreg.pointwise import hess_weights
     from plapreg.solver import _assemble, _cell_state, _gradient_raw
     c, l = cells = _cell_state(spec, vals)
     lp2 = _gradient_raw(spec, cells)[1]
-    return _assemble(spec.grid, spec.grid.cell_volume * hess_L_eps(
-        c, spec.params.eps, spec.params.p, l=l, lp2=lp2))
+    diag, rank1 = hess_weights(c, spec.params.eps, spec.params.p, l=l, lp2=lp2)
+    return _assemble(spec.grid, c, spec.grid.cell_volume * diag, spec.grid.cell_volume * rank1)
+
+
+def hessian_blocks(c, diag, rank1):
+    """The cell Hessian blocks diag I + rank1 c c^T, shape (cells, 2, 2)."""
+    outer = c[:, :, None] * c[:, None, :]
+    return diag[:, None, None] * np.eye(c.shape[1]) + rank1[:, None, None] * outer
 
 
 def test_energy_of_constant_field():
@@ -284,7 +290,7 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     Hessian assembled by sparse products with interior unknowns in C order:
     the step, PCG from a fresh factor, to rtol `_ETA_MIN` in the float64
     residual."""
-    from plapreg.pointwise import hess_L_eps
+    from plapreg.pointwise import hess_weights
     from plapreg.solver import _ETA_MIN, _LinearSolves, _cell_gradients, _gradient_operator
 
     rng = np.random.default_rng(33)
@@ -295,7 +301,8 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     interior = ~g.boundary_flags().ravel()
     grad = gradient_at(spec, vals).ravel()
 
-    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 1e-2, 3.0)
+    c = _cell_gradients(g, vals)
+    Hc = g.cell_volume * hessian_blocks(c, *hess_weights(c, 1e-2, 3.0))
     m = len(Hc)
     D_C = D[:, interior].tocsc()
     K_C = D_C.T @ sp.bsr_matrix((Hc, np.arange(m), np.arange(m + 1))).tocsc() @ D_C
@@ -315,9 +322,10 @@ def test_ordered_newton_step_matches_c_order_spsolve():
     ((-2.0, 0.5), (1.0, 1.25), (33, 17)),
 ], ids=["lo1-hi1-nodes1", "lo2-hi2-nodes2"])
 def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
-    """K_II filled from the cell Hessians of a box by the 9-point stencil
-    equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|."""
-    from plapreg.pointwise import hess_L_eps
+    """K_II filled from the two Hessian weights of each cell of a box by the
+    9-point stencil equals D_I^T blockdiag(vol H) D_I to 4 ulp of max |K|,
+    also for the weights (1, 0), where H = I."""
+    from plapreg.pointwise import hess_weights
     from plapreg.solver import _assemble, _cell_gradients
 
     rng = np.random.default_rng(len(nodes) + int(10 * p))
@@ -325,10 +333,12 @@ def test_assembled_hessian_matches_the_sparse_product(p, lo, hi, nodes):
     gb = ScalarField(g, rng.standard_normal(g.shape))
     spec = ProblemSpec(g, PLapParams(p=p, eps=0.1), ScalarField.constant(g, 1.0), gb)
     vals = gb.values + 0.3 * rng.standard_normal(g.shape)
-    Hc = g.cell_volume * hess_L_eps(_cell_gradients(g, vals), 0.1, p)
-    unit = np.broadcast_to(np.eye(g.dim), Hc.shape)
-    for K, Hc_k in ((hessian_at(spec, vals), Hc), (_assemble(g, unit), unit)):
-        ref = sparse_product_hessian(g, np.ascontiguousarray(Hc_k)).toarray()
+    c = _cell_gradients(g, vals)
+    Hc = g.cell_volume * hessian_blocks(c, *hess_weights(c, 0.1, p))
+    ones, zeros = np.ones(len(c)), np.zeros(len(c))
+    unit = hessian_blocks(c, ones, zeros)
+    for K, Hc_k in ((hessian_at(spec, vals), Hc), (_assemble(g, c, ones, zeros), unit)):
+        ref = sparse_product_hessian(g, Hc_k).toarray()
         ulp = np.spacing(np.abs(ref).max())
         assert np.abs(K.toarray() - ref).max() <= 4 * ulp
 
@@ -346,7 +356,7 @@ def test_per_grid_arrays_are_read_only_and_callers_get_fresh_ones(nodes):
     first = solve(torsion_spec(g, 3.0, 1e-3))
     ops = _gradient_operator(g)
     arrays = [a for a in (*ops, *(ops.fill or ())) if isinstance(a, np.ndarray)]
-    assert len(arrays) == (2 if g.dim == 1 else 7)  # G and weights; a box's `order` and `fill`
+    assert len(arrays) == (2 if g.dim == 1 else 6)  # G and weights; a box's `order` and `fill`
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.ravel()[:1] = 0
@@ -369,8 +379,8 @@ def test_2d_hessian_pattern_is_fixed_per_grid(monkeypatch):
     seen = []
     real_assemble = solver_mod._assemble
 
-    def assemble(grid, Hc):
-        K = real_assemble(grid, Hc)
+    def assemble(grid, *args):
+        K = real_assemble(grid, *args)
         seen.append(K)
         return K
 
@@ -494,7 +504,7 @@ def test_singular_2d_hessian_gives_a_nan_step():
     from plapreg.solver import _LinearSolves, _assemble
 
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
-    K = _assemble(g, np.zeros((64, 2, 2)))
+    K = _assemble(g, np.zeros((64, 2)), np.zeros(64), np.zeros(64))
     solves = _LinearSolves()
     step = solves.newton_step(K, np.ones(49), 7.0, np.inf)
     assert step.shape == (49,) and np.isnan(step).all()
@@ -510,7 +520,7 @@ def test_2d_preconditioner_keeps_zero_and_non_finite_residuals():
 
     g = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
     solves = _LinearSolves()
-    solves.factor(_assemble(g, np.broadcast_to(np.eye(2), (64, 2, 2))))
+    solves.factor(_assemble(g, np.zeros((64, 2)), np.ones(64), np.zeros(64)))
     np.testing.assert_array_equal(solves.precondition(np.zeros(49)), np.zeros(49))
     for bad in (np.inf, np.nan):
         r = np.ones(49)
@@ -1122,9 +1132,9 @@ def _solve_recording_linear_algebra(monkeypatch, spec):
         events.append(("cg", kwargs["rtol"]))
         return real_cg(*args, **kwargs)
 
-    def assemble(grid, Hc):
+    def assemble(grid, *args):
         events.append(("K", grid.nodes))
-        return real_assemble(grid, Hc)
+        return real_assemble(grid, *args)
 
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "cg", cg)
